@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateConfigurationError
 from .geometry import RigidPose, Rotation, Similarity, skew
 from .solver import HuberLoss, Problem, SolveOptions, SolveReport, solve
-from .triangulation import Observation, TriangulatedCP, build_frames
+from .triangulation import Observation, TriangulatedCP, ViewSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,18 +249,13 @@ def joint_sparse_align(
         problem.add_parameter_block(pid, tri.position.copy())
 
         obs_list = tri.inliers if observations is None else observations[cid]
-        frames = build_frames(obs_list, poses, rig)
-        for k, f in enumerate(frames):
-            def fn(p, f=f):
-                return f.safe_project(p) - f.obs.pixel
-
-            def jac(p, f=f):
-                return [f.jacobian(p)]
-
+        views = ViewSet.build(obs_list, poses, rig)
+        for k, obs in enumerate(views.observations):
+            fn, jac = views.row_residual(k)
             problem.add_residual_block(
                 fn,
                 [pid],
-                f.obs.pixel_cov,
+                obs.pixel_cov,
                 group="marker-reprojection",
                 jac=jac,
                 loss=loss,

@@ -24,12 +24,12 @@ import numpy as np
 from .alignment import ControlPoint
 from .errors import ImuDataError, UnobservableError, VigtError
 from .geometry import (
-    CameraKind,
     CameraModel,
     RigCalibration,
     RigidPose,
     Rotation,
     Trajectory,
+    clamp_depth,
     projection_jacobian,
     skew,
     so3_right_jacobian_inverse,
@@ -62,8 +62,6 @@ from .triangulation import (
 )
 
 GRAVITY_W = np.array([0.0, 0.0, -9.81])
-
-_MIN_DEPTH = 1e-6
 
 VISUAL_GROUPS = ("feature-reprojection", "marker-reprojection")
 
@@ -161,23 +159,14 @@ class _VarPoseFrame:
         p_body = pose.rotation.matrix().T @ (point - pose.translation)
         return self.r_cb @ p_body + self.t_cb
 
-    def _clamp(self, p_cam: np.ndarray) -> np.ndarray:
-        if self.cam.kind is CameraKind.KANNALA_BRANDT4:
-            if np.linalg.norm(p_cam) < _MIN_DEPTH:
-                return np.array([0.0, 0.0, _MIN_DEPTH])
-            return p_cam
-        if p_cam[2] < _MIN_DEPTH:
-            return np.array([p_cam[0], p_cam[1], _MIN_DEPTH])
-        return p_cam
-
     def residual(self, pose: RigidPose, point: np.ndarray) -> np.ndarray:
-        uv, _ = try_project(self.cam, self._clamp(self._point_in_camera(pose, point)))
-        return uv - self.obs.pixel
+        p_cam = clamp_depth(self.cam, self._point_in_camera(pose, point))
+        return try_project(self.cam, p_cam)[0] - self.obs.pixel
 
     def jacobians(self, pose: RigidPose, point: np.ndarray) -> list[np.ndarray]:
         r_wb = pose.rotation.matrix()
         p_body = r_wb.T @ (point - pose.translation)
-        p_cam = self._clamp(self.r_cb @ p_body + self.t_cb)
+        p_cam = clamp_depth(self.cam, self.r_cb @ p_body + self.t_cb)
         j_pi = projection_jacobian(self.cam, p_cam) @ self.r_cb
         j_pose = np.zeros((2, 6))
         j_pose[:, 0:3] = j_pi @ skew(p_body)

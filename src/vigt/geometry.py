@@ -289,6 +289,8 @@ _DIST_COUNT = {
 _INVERSION_ITERS = 20
 _INVERSION_TOL = 1e-8
 
+MIN_DEPTH = 1e-6  # see clamp_depth
+
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -451,6 +453,29 @@ def unproject(cam: CameraModel, px: np.ndarray) -> np.ndarray:
     if np.asarray(px).ndim == 1:
         return dirs[0]
     return dirs
+
+
+def clamp_depth(cam: CameraModel, p_cam: np.ndarray) -> np.ndarray:
+    """Move camera-frame points into the domain where projections and
+    Jacobians are finite, so an optimizer can reject a wandering trial step
+    by its cost: z >= MIN_DEPTH for the pinhole-based models, the optical
+    axis for fisheye points within MIN_DEPTH of the centre. Takes a (3,)
+    point, returned as is when inside, or an (N, 3) batch."""
+    kb4 = cam.kind is CameraKind.KANNALA_BRANDT4
+    if p_cam.ndim == 1:
+        # scalar fast path: the per-observation solver callbacks call this
+        if kb4:
+            if np.linalg.norm(p_cam) < MIN_DEPTH:
+                return np.array([0.0, 0.0, MIN_DEPTH])
+        elif p_cam[2] < MIN_DEPTH:
+            return np.array([p_cam[0], p_cam[1], MIN_DEPTH])
+        return p_cam
+    out = np.array(p_cam, dtype=float)
+    if kb4:
+        out[np.linalg.norm(out, axis=1) < MIN_DEPTH] = (0.0, 0.0, MIN_DEPTH)
+    else:
+        out[out[:, 2] < MIN_DEPTH, 2] = MIN_DEPTH
+    return out
 
 
 def projection_jacobian(cam: CameraModel, p_cam: np.ndarray) -> np.ndarray:

@@ -28,13 +28,15 @@ from .geometry import (
     RigidPose,
     Similarity,
     camera_from_frame,
+    clamp_depth,
     projection_jacobian,
+    projection_jacobian_batch,
     try_project,
     unproject,
 )
-from . import solver
 
-_MIN_DEPTH = 1e-6
+# RANSAC hypotheses projected per batch; bounds the temporary arrays
+_SCORE_CHUNK = 64
 
 
 def default_pixel_covariance(sigma_px: float = 1.0) -> np.ndarray:
@@ -77,183 +79,210 @@ class TriangulationConfig:
     min_pair_angle_deg: float = 0.5
 
 
-class _ObsFrame:
-    """Per-observation projection geometry: p_cam = A p + b."""
+class ViewSet:
+    """Observations of one point, stacked for batched evaluation.
 
-    def __init__(self, obs: Observation, pose, rig: RigCalibration):
-        self.obs = obs
-        self.cam: CameraModel = rig.cameras[obs.camera_id]
-        extr = rig.camera_from_device[obs.camera_id]
-        self.a, self.b = camera_from_frame(pose, extr)
-        self.a_inv = np.linalg.inv(self.a)
-        self.center = -self.a_inv @ self.b
-        ray_cam = unproject(self.cam, obs.pixel)
-        ray = self.a_inv @ ray_cam
-        self.ray = ray / np.linalg.norm(ray)
+    View k maps a point p of the working frame into its camera as
+    p_cam = a[k] @ p + b[k] and measured pixels[k] with inverse pixel
+    covariance weights[k]. Views are grouped by camera model, so each
+    model projects all of its views in one call.
+    """
 
-    def point_in_camera(self, p: np.ndarray) -> np.ndarray:
-        return self.a @ p + self.b
+    def __init__(self, observations, a, b, cameras, camera_index):
+        self.observations = tuple(observations)
+        self.a, self.b = a, b  # (N, 3, 3), (N, 3)
+        self.cameras = cameras  # distinct models
+        self.camera_index = camera_index  # view k uses cameras[camera_index[k]]
+        self.pixels = np.array([o.pixel for o in self.observations]).reshape(-1, 2)
+        self.weights = np.linalg.inv(
+            np.array([o.pixel_cov for o in self.observations]).reshape(-1, 2, 2)
+        )
+        self.groups = [
+            (cam, idx)
+            for k, cam in enumerate(cameras)
+            if (idx := np.flatnonzero(camera_index == k)).size
+        ]
 
-    def safe_project(self, p: np.ndarray) -> np.ndarray:
-        """Projection that stays finite for invalid points so the solver
-        can reject wandering trial steps by cost."""
-        p_cam = self.point_in_camera(p)
-        if self.cam.kind is CameraKind.KANNALA_BRANDT4:
-            if np.linalg.norm(p_cam) < _MIN_DEPTH:
-                p_cam = np.array([0.0, 0.0, _MIN_DEPTH])
-        elif p_cam[2] < _MIN_DEPTH:
-            p_cam = np.array([p_cam[0], p_cam[1], _MIN_DEPTH])
-        uv, _ = try_project(self.cam, p_cam)
-        return uv
+    @classmethod
+    def build(
+        cls,
+        observations: Sequence[Observation],
+        poses: Mapping[int, RigidPose | Similarity],
+        rig: RigCalibration,
+    ) -> "ViewSet":
+        n = len(observations)
+        a, b = np.empty((n, 3, 3)), np.empty((n, 3))
+        camera_index = np.empty(n, dtype=int)
+        camera_ids: dict[str, int] = {}
+        for k, obs in enumerate(observations):
+            if obs.image_id not in poses:
+                raise VigtError(f"no pose for image id {obs.image_id}")
+            a[k], b[k] = camera_from_frame(
+                poses[obs.image_id], rig.camera_from_device[obs.camera_id]
+            )
+            camera_index[k] = camera_ids.setdefault(obs.camera_id, len(camera_ids))
+        cameras = tuple(rig.cameras[cid] for cid in camera_ids)
+        return cls(observations, a, b, cameras, camera_index)
 
-    def reproj_error(self, p: np.ndarray) -> float:
-        p_cam = self.point_in_camera(p)
-        uv, valid = try_project(self.cam, p_cam)
-        if not valid:
-            return np.inf
-        return float(np.linalg.norm(uv - self.obs.pixel))
+    def take(self, rows: np.ndarray) -> "ViewSet":
+        """The views at the given integer rows."""
+        return ViewSet(
+            [self.observations[k] for k in rows],
+            self.a[rows],
+            self.b[rows],
+            self.cameras,
+            self.camera_index[rows],
+        )
 
-    def jacobian(self, p: np.ndarray) -> np.ndarray:
-        p_cam = self.point_in_camera(p)
-        if self.cam.kind is CameraKind.KANNALA_BRANDT4:
-            if np.linalg.norm(p_cam) < _MIN_DEPTH:
-                p_cam = np.array([0.0, 0.0, _MIN_DEPTH])
-        elif p_cam[2] < _MIN_DEPTH:
-            p_cam = np.array([p_cam[0], p_cam[1], _MIN_DEPTH])
-        return projection_jacobian(self.cam, p_cam) @ self.a
+    def _points_in_camera(self, p: np.ndarray) -> np.ndarray:
+        """(N, 3) camera-frame points for a (3,) point, (H, N, 3) for (H, 3)."""
+        return np.einsum("nij,...j->...ni", self.a, p) + self.b
 
-    def in_front(self, p: np.ndarray) -> bool:
-        if self.cam.kind is CameraKind.KANNALA_BRANDT4:
-            return True
-        return self.point_in_camera(p)[2] > 0.0
-
-
-def build_frames(
-    observations: Sequence[Observation],
-    poses: Mapping[int, RigidPose | Similarity],
-    rig: RigCalibration,
-) -> list[_ObsFrame]:
-    frames = []
-    for obs in observations:
-        if obs.image_id not in poses:
-            raise VigtError(f"no pose for image id {obs.image_id}")
-        frames.append(_ObsFrame(obs, poses[obs.image_id], rig))
-    return frames
-
-
-class _FrameSet:
-    """Array-of-structs view of many observations for fast hypothesis
-    scoring: batched projection, error evaluation, and Gauss-Newton."""
-
-    def __init__(self, frames: Sequence[_ObsFrame]):
-        self.frames = list(frames)
-        self.a = np.stack([f.a for f in frames])  # (N, 3, 3)
-        self.b = np.stack([f.b for f in frames])  # (N, 3)
-        self.centers = np.stack([f.center for f in frames])
-        self.rays = np.stack([f.ray for f in frames])
-        self.pixels = np.stack([f.obs.pixel for f in frames])
-        self.weights = np.stack(
-            [np.linalg.inv(f.obs.pixel_cov) for f in frames]
-        )  # (N, 2, 2)
-        self.groups: list[tuple[CameraModel, np.ndarray]] = []
-        by_cam: dict[int, list[int]] = {}
-        cams: dict[int, CameraModel] = {}
-        for i, f in enumerate(frames):
-            by_cam.setdefault(id(f.cam), []).append(i)
-            cams[id(f.cam)] = f.cam
-        for key, idx in by_cam.items():
-            self.groups.append((cams[key], np.array(idx)))
-
-    def project_all(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(uv (N, 2), valid (N,)) with invalid depths clamped."""
-        p_cam = self.a @ p + self.b
-        uv = np.empty((len(p_cam), 2))
-        valid = np.ones(len(p_cam), dtype=bool)
+    def centers_and_rays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Camera centres and unit rays through the measured pixels, both
+        (N, 3) in the working frame."""
+        a_inv = np.linalg.inv(self.a)
+        dirs = np.empty_like(self.b)
         for cam, idx in self.groups:
-            pc = p_cam[idx]
-            if cam.kind is CameraKind.KANNALA_BRANDT4:
-                bad = np.linalg.norm(pc, axis=1) < _MIN_DEPTH
-                pc[bad] = [0.0, 0.0, _MIN_DEPTH]
-            else:
-                bad = pc[:, 2] < _MIN_DEPTH
-                valid[idx[bad]] = False
-                pc[bad, 2] = _MIN_DEPTH
-            uv_g, ok = try_project(cam, pc)
-            uv[idx] = uv_g
-            valid[idx] &= ok
-        return uv, valid
+            dirs[idx] = unproject(cam, self.pixels[idx])
+        rays = np.einsum("nij,nj->ni", a_inv, dirs)
+        centers = -np.einsum("nij,nj->ni", a_inv, self.b)
+        return centers, rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
     def errors(self, p: np.ndarray) -> np.ndarray:
-        uv, valid = self.project_all(p)
-        err = np.linalg.norm(uv - self.pixels, axis=1)
-        err[~valid] = np.inf
+        """Pixel reprojection error of every view, inf where the point does
+        not project: (N,) for a (3,) point, (H, N) for (H, 3) points."""
+        p_cam = self._points_in_camera(p)
+        err = np.empty(p_cam.shape[:-1])
+        for cam, idx in self.groups:
+            shape = p_cam.shape[:-2] + (len(idx),)
+            uv, valid = try_project(cam, p_cam[..., idx, :].reshape(-1, 3))
+            e = np.linalg.norm(uv.reshape(shape + (2,)) - self.pixels[idx], axis=-1)
+            err[..., idx] = np.where(valid.reshape(shape), e, np.inf)
         return err
 
-    def gn_refine(self, p: np.ndarray, mask: np.ndarray, iters: int = 10) -> np.ndarray:
-        idx = np.flatnonzero(mask)
-        for _ in range(iters):
-            p_cam = self.a[idx] @ p + self.b[idx]
-            jacs = np.empty((len(idx), 2, 3))
-            uv = np.empty((len(idx), 2))
-            for cam, gidx in self.groups:
-                sel = np.isin(idx, gidx)
-                if not sel.any():
-                    continue
-                pc = p_cam[sel]
-                if cam.kind is CameraKind.KANNALA_BRANDT4:
-                    bad = np.linalg.norm(pc, axis=1) < _MIN_DEPTH
-                    pc[bad] = [0.0, 0.0, _MIN_DEPTH]
-                else:
-                    pc[pc[:, 2] < _MIN_DEPTH, 2] = _MIN_DEPTH
-                uv[sel], _ = try_project(cam, pc)
-                jacs[sel] = projection_jacobian_batch(cam, pc)
-            jacs = np.einsum("nij,njk->nik", jacs, self.a[idx])
-            res = uv - self.pixels[idx]
-            w = self.weights[idx]
-            h = np.einsum("nji,njk,nkl->il", jacs, w, jacs)
-            g = np.einsum("nji,njk,nk->i", jacs, w, res)
-            try:
-                step = np.linalg.solve(h + 1e-9 * np.eye(3), -g)
-            except np.linalg.LinAlgError:
-                return p
-            p = p + step
-            if np.linalg.norm(step) < 1e-10:
+    def in_front(self, p: np.ndarray) -> np.ndarray:
+        """Whether the point lies in front of each view, shaped as errors();
+        the fisheye model sees all around."""
+        front = self._points_in_camera(p)[..., 2] > 0.0
+        for cam, idx in self.groups:
+            if cam.kind is CameraKind.KANNALA_BRANDT4:
+                front[..., idx] = True
+        return front
+
+    def _residuals(self, p: np.ndarray) -> np.ndarray:
+        """(N, 2) projection at clamped depth minus measurement."""
+        p_cam = self._points_in_camera(p)
+        res = np.empty_like(self.pixels)
+        for cam, idx in self.groups:
+            uv, _ = try_project(cam, clamp_depth(cam, p_cam[idx]))
+            res[idx] = uv - self.pixels[idx]
+        return res
+
+    def jacobians(self, p: np.ndarray) -> np.ndarray:
+        """(N, 2, 3) d(pixel)/d(p) of every view, at clamped depth."""
+        p_cam = self._points_in_camera(p)
+        jac = np.empty((len(self.b), 2, 3))
+        for cam, idx in self.groups:
+            jac[idx] = projection_jacobian_batch(cam, clamp_depth(cam, p_cam[idx]))
+        return jac @ self.a
+
+    def row_residual(self, k: int):
+        """Callbacks (fn, jac) of view k's pixel residual alone, as a solver
+        residual block over the point: one scalar projection per call."""
+        cam, a, b = self.cameras[self.camera_index[k]], self.a[k], self.b[k]
+        pixel = self.pixels[k]
+
+        def fn(p):
+            return try_project(cam, clamp_depth(cam, a @ p + b))[0] - pixel
+
+        def jac(p):
+            return [projection_jacobian(cam, clamp_depth(cam, a @ p + b)) @ a]
+
+        return fn, jac
+
+    def refine(self, point: np.ndarray) -> np.ndarray:
+        """Levenberg-Marquardt minimum of the weighted reprojection cost
+        sum_k r_k' weights[k] r_k, started at `point`.
+
+        Damping is multiplicative on the Hessian diagonal. A step is kept
+        only if it lowers the cost, so the result is never worse than the
+        start. Stops after 50 iterations, or once the gradient or an
+        accepted step falls below 1e-12.
+        """
+        p = np.asarray(point, dtype=float)
+        res = self._residuals(p)
+        cost = np.einsum("ni,nij,nj->", res, self.weights, res)
+        lam = 1e-4
+        for _ in range(50):
+            jac = self.jacobians(p)
+            jt_w = np.einsum("nji,njk->nik", jac, self.weights)
+            grad = np.einsum("nij,nj->i", jt_w, res)
+            if np.max(np.abs(grad)) < 1e-12:
+                break
+            hess = np.einsum("nij,njk->ik", jt_w, jac)
+            damping = np.diag(np.maximum(np.diag(hess), 1e-12))
+            while lam <= 1e10:
+                try:
+                    step = np.linalg.solve(hess + lam * damping, -grad)
+                except np.linalg.LinAlgError:
+                    step = np.full(3, np.nan)
+                trial = p + step
+                trial_res = self._residuals(trial)
+                trial_cost = np.einsum("ni,nij,nj->", trial_res, self.weights, trial_res)
+                if trial_cost < cost:  # false for a non-finite step or cost
+                    break
+                lam *= 10.0
+            else:
+                break  # no damping lowers the cost
+            p, res, cost = trial, trial_res, trial_cost
+            lam = max(lam * 0.1, 1e-15)
+            if np.linalg.norm(step) < 1e-12:
                 break
         return p
 
 
-def _midpoint(f1: _ObsFrame, f2: _ObsFrame) -> np.ndarray | None:
-    w = f2.center - f1.center
-    b = float(f1.ray @ f2.ray)
-    denom = 1.0 - b * b
-    if denom < 1e-12:
-        return None
-    d1w = float(f1.ray @ w)
-    d2w = float(f2.ray @ w)
-    s1 = (d1w - b * d2w) / denom
-    s2 = (b * d1w - d2w) / denom
-    return 0.5 * (f1.center + s1 * f1.ray + f2.center + s2 * f2.ray)
+def _sample_pairs(n: int, max_pairs: int, seed: int) -> np.ndarray:
+    """(P, 2) view pairs i < j: all of them in lexicographic order when
+    there are at most `max_pairs`, else `max_pairs` drawn without
+    replacement by their lexicographic index."""
+    total = n * (n - 1) // 2
+    if total > max_pairs:
+        k = np.random.default_rng(seed).choice(total, size=max_pairs, replace=False)
+    else:
+        k = np.arange(total)
+    # pairs (i, i+1) .. (i, n-1) have indices starts[i] ..
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    i = np.searchsorted(starts, k, side="right") - 1
+    return np.stack([i, k - starts[i] + i + 1], axis=1)
 
 
-def _gauss_newton_point(frames, point, iters=10):
-    p = point.copy()
-    for _ in range(iters):
-        h = np.zeros((3, 3))
-        g = np.zeros(3)
-        for f in frames:
-            r = f.safe_project(p) - f.obs.pixel
-            j = f.jacobian(p)
-            w = np.linalg.inv(f.obs.pixel_cov)
-            h += j.T @ w @ j
-            g += j.T @ w @ r
-        try:
-            step = np.linalg.solve(h + 1e-9 * np.eye(3), -g)
-        except np.linalg.LinAlgError:
-            return p
-        p = p + step
-        if np.linalg.norm(step) < 1e-10:
-            break
-    return p
+def _midpoints(centers: np.ndarray, rays: np.ndarray, pairs: np.ndarray):
+    """Midpoints (P, 3) of the shortest segments between the paired rays,
+    and whether each is defined (rays not parallel)."""
+    (c1, c2), (r1, r2) = centers[pairs.T], rays[pairs.T]
+    cos = np.einsum("ij,ij->i", r1, r2)
+    d1w, d2w = np.einsum("ij,ij->i", r1, c2 - c1), np.einsum("ij,ij->i", r2, c2 - c1)
+    defined = 1.0 - cos * cos >= 1e-12
+    denom = np.where(defined, 1.0 - cos * cos, 1.0)
+    s1 = (d1w - cos * d2w) / denom
+    s2 = (cos * d1w - d2w) / denom
+    return 0.5 * (c1 + s1[:, None] * r1 + c2 + s2[:, None] * r2), defined
+
+
+def _local_optimization(
+    views: ViewSet, point: np.ndarray, inliers: np.ndarray, score: tuple, threshold: float
+):
+    """Refine a hypothesis on its inliers. The refined point replaces it
+    only if it keeps 2 or more inliers; otherwise the hypothesis stays,
+    with its own score."""
+    refined = views.take(np.flatnonzero(inliers)).refine(point)
+    errors = views.errors(refined)
+    new_inliers = errors <= threshold
+    count = int(new_inliers.sum())
+    if count < 2:
+        return point, inliers, score
+    return refined, new_inliers, (count, -float(errors[new_inliers].mean()))
 
 
 def triangulate_ransac(
@@ -264,6 +293,8 @@ def triangulate_ransac(
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """LO-RANSAC triangulation: returns (point, inlier indices).
 
+    Two-view midpoint hypotheses rank by inlier count, then by mean inlier
+    error; each one that beats the best so far is refined on its inliers.
     Deterministic for a fixed seed and input order. Pairs are enumerated
     exhaustively when few, sampled otherwise.
     """
@@ -271,68 +302,43 @@ def triangulate_ransac(
         raise InsufficientObservationsError(
             f"triangulation needs at least 2 observations, got {len(observations)}"
         )
-    frames = build_frames(observations, poses, rig)
-    n = len(frames)
+    views = ViewSet.build(observations, poses, rig)
+    pairs = _sample_pairs(len(observations), config.max_iters, config.seed)
+    centers, rays = views.centers_and_rays()
 
-    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(all_pairs) > config.max_iters:
-        rng = np.random.default_rng(config.seed)
-        idx = rng.choice(len(all_pairs), size=config.max_iters, replace=False)
-        pairs = [all_pairs[int(k)] for k in idx]
-    else:
-        pairs = all_pairs
-
+    i, j = pairs[:, 0], pairs[:, 1]
     min_sin = np.sin(np.deg2rad(config.min_pair_angle_deg))
-    errors = np.empty(n)
-
-    best_inliers: np.ndarray | None = None
-    best_point: np.ndarray | None = None
-    best_score = (-1, np.inf)
-    usable_pair = False
-
-    for i, j in pairs:
-        f1, f2 = frames[i], frames[j]
-        if np.linalg.norm(f2.center - f1.center) < 1e-12:
-            continue
-        if np.linalg.norm(np.cross(f1.ray, f2.ray)) < min_sin:
-            continue
-        usable_pair = True
-        point = _midpoint(f1, f2)
-        if point is None:
-            continue
-        if not (f1.in_front(point) and f2.in_front(point)):
-            continue
-        for k, f in enumerate(frames):
-            errors[k] = f.reproj_error(point)
-        inliers = errors <= config.threshold_px
-        count = int(inliers.sum())
-        if count < 2:
-            continue
-        score = (count, float(errors[inliers].mean()))
-        if score[0] > best_score[0] or (
-            score[0] == best_score[0] and score[1] < best_score[1]
-        ):
-            # local optimization on the provisional inlier set
-            refined = _gauss_newton_point([f for f, m in zip(frames, inliers) if m], point)
-            for k, f in enumerate(frames):
-                errors[k] = f.reproj_error(refined)
-            new_inliers = errors <= config.threshold_px
-            if int(new_inliers.sum()) >= 2:
-                point, inliers = refined, new_inliers
-                count = int(inliers.sum())
-            score = (count, float(errors[inliers].mean()))
-            if score[0] > best_score[0] or (
-                score[0] == best_score[0] and score[1] < best_score[1]
-            ):
-                best_score = score
-                best_point = point
-                best_inliers = inliers.copy()
-
-    if not usable_pair:
+    usable = (np.linalg.norm(centers[j] - centers[i], axis=1) >= 1e-12) & (
+        np.linalg.norm(np.cross(rays[i], rays[j]), axis=1) >= min_sin
+    )
+    if not usable.any():
         raise DegenerateGeometryError(
             "all observation pairs are near-parallel or have zero baseline"
         )
-    if best_point is None or best_inliers is None:
+    points, defined = _midpoints(centers, rays, pairs)
+    hypotheses = np.flatnonzero(usable & defined)
+
+    # scores are (inlier count, -mean inlier error) and rank as tuples
+    best_point, best_inliers, best_score = None, None, (-1, -np.inf)
+    for start in range(0, len(hypotheses), _SCORE_CHUNK):
+        chunk = hypotheses[start : start + _SCORE_CHUNK]
+        pts = points[chunk]
+        visible = np.take_along_axis(views.in_front(pts), pairs[chunk], axis=1).all(axis=1)
+        errors = views.errors(pts)
+        inliers = errors <= config.threshold_px
+        counts = inliers.sum(axis=1)
+        means = np.where(inliers, errors, 0.0).sum(axis=1) / np.maximum(counts, 1)
+        for k in np.flatnonzero(visible & (counts >= 2)):
+            score = (int(counts[k]), -float(means[k]))
+            if score <= best_score:
+                continue
+            point, inl, score = _local_optimization(
+                views, pts[k], inliers[k], score, config.threshold_px
+            )
+            if score > best_score:
+                best_point, best_inliers, best_score = point, inl, score
+
+    if best_point is None:
         raise NoConsensusError("no triangulation hypothesis had 2 or more inliers")
     return best_point, tuple(int(k) for k in np.flatnonzero(best_inliers))
 
@@ -349,35 +355,17 @@ def refine_triangulation(
         raise InsufficientObservationsError(
             f"refinement needs at least 2 inlier observations, got {len(inliers)}"
         )
-    frames = build_frames(inliers, poses, rig)
+    views = ViewSet.build(inliers, poses, rig)
+    point = views.refine(init_point)
 
-    problem = solver.Problem()
-    problem.add_parameter_block("point", np.asarray(init_point, dtype=float))
-    for k, f in enumerate(frames):
-        def fn(p, f=f):
-            return f.safe_project(p) - f.obs.pixel
-
-        def jac(p, f=f):
-            return [f.jacobian(p)]
-
-        problem.add_residual_block(
-            fn,
-            ["point"],
-            f.obs.pixel_cov,
-            group="marker-reprojection",
-            jac=jac,
-            rid=f"obs{k}",
+    behind = np.flatnonzero(~views.in_front(point))
+    if behind.size:
+        obs = views.observations[behind[0]]
+        raise BehindCameraError(
+            f"refined point is behind camera '{obs.camera_id}'"
+            f" at image {obs.image_id}"
         )
-    solver.solve(problem, solver.SolveOptions(max_iters=50, gradient_tol=1e-12))
-    point = problem.value("point")
-
-    for f in frames:
-        if not f.in_front(point):
-            raise BehindCameraError(
-                f"refined point is behind camera '{f.obs.camera_id}'"
-                f" at image {f.obs.image_id}"
-            )
-    mean_err = float(np.mean([f.reproj_error(point) for f in frames]))
+    mean_err = float(np.mean(views.errors(point)))
     cov = triangulation_covariance(point, inliers, poses, rig)
     return TriangulatedCP(
         cp_id=cp_id,
@@ -398,11 +386,9 @@ def triangulation_covariance(
     solution: (J' Sigma_px^-1 J)^-1."""
     if len(inliers) < 2:
         raise InsufficientObservationsError("covariance needs at least 2 observations")
-    frames = build_frames(inliers, poses, rig)
-    h = np.zeros((3, 3))
-    for f in frames:
-        j = f.jacobian(point)
-        h += j.T @ np.linalg.inv(f.obs.pixel_cov) @ j
+    views = ViewSet.build(inliers, poses, rig)
+    jac = views.jacobians(point)
+    h = np.einsum("nji,njk,nkl->il", jac, views.weights, jac)
     try:
         cov = np.linalg.inv(h)
     except np.linalg.LinAlgError:

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vigt.errors import ProjectionError
 from vigt.geometry import (
+    MIN_DEPTH,
     CameraKind,
     CameraModel,
     RigidPose,
     Rotation,
     Similarity,
     camera_from_frame,
+    clamp_depth,
     project,
     projection_jacobian,
     so3_right_jacobian,
@@ -257,6 +260,35 @@ class TestProjection:
         np.testing.assert_allclose(
             jac, [[KB4_CAM.fx / 2.0, 0, 0], [0, KB4_CAM.fy / 2.0, 0]], atol=1e-9
         )
+
+
+# coordinates on both sides of the clamp depth, down to points within it
+_COORD = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.sampled_from([0.0, MIN_DEPTH, -MIN_DEPTH, 0.5 * MIN_DEPTH, -1e-9, 2.0 * MIN_DEPTH]),
+)
+
+
+class TestClampDepth:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cam=st.sampled_from([PINHOLE_CAM, RADTAN_CAM, KB4_CAM]),
+        pts=st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=8),
+    )
+    def test_single_point_matches_batch(self, cam, pts):
+        batch = np.array(pts, dtype=float)
+        before = batch.copy()
+        out = clamp_depth(cam, batch)
+        np.testing.assert_array_equal(batch, before)
+        for p, row in zip(batch, out):
+            np.testing.assert_array_equal(clamp_depth(cam, p.copy()), row)
+        if cam.kind is CameraKind.KANNALA_BRANDT4:
+            near = np.linalg.norm(batch, axis=1) < MIN_DEPTH
+            expected = np.where(near[:, None], [0.0, 0.0, MIN_DEPTH], batch)
+        else:
+            expected = batch.copy()
+            expected[:, 2] = np.maximum(batch[:, 2], MIN_DEPTH)
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestUndistort:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vigt.errors import DegenerateGeometryError, InsufficientObservationsError
 from vigt.geometry import (
@@ -11,11 +12,19 @@ from vigt.geometry import (
     RigidPose,
     Rotation,
     Similarity,
+    camera_from_frame,
+    clamp_depth,
     project,
+    projection_jacobian,
+    try_project,
 )
 from vigt.triangulation import (
     Observation,
     TriangulationConfig,
+    ViewSet,
+    _local_optimization,
+    _midpoints,
+    _sample_pairs,
     refine_triangulation,
     triangulate_cp,
     triangulate_ransac,
@@ -123,6 +132,54 @@ class TestRansac:
         assert in1 == in2
 
 
+class TestPairSampling:
+    def test_matches_enumerated_sampling(self):
+        n, max_iters, seed = 40, 100, 7
+        # oracle: the enumerate-then-choose sampler this one replaces
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(len(all_pairs), size=max_iters, replace=False)
+        expected = [all_pairs[int(k)] for k in idx]
+        assert [tuple(p) for p in _sample_pairs(n, max_iters, seed).tolist()] == expected
+
+    def test_exhaustive_in_lexicographic_order(self):
+        for n, max_iters in ((2, 1), (5, 10), (14, 91), (6, 500)):
+            expected = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            pairs = _sample_pairs(n, max_iters, seed=7)
+            assert [tuple(p) for p in pairs.tolist()] == expected
+
+
+class TestLocalOptimization:
+    def test_failed_refinement_keeps_hypothesis_score(self):
+        # View 0 sees the point from 2 m with a loose 100 px sigma, view 1
+        # from 10 m with a tight 0.01 px sigma. A 6 px error across the
+        # epipolar plane in view 0 makes the rays skew: their midpoint has
+        # both views within 4 px, but the weighted refinement moves onto
+        # ray 1 and leaves view 0 about 6 px off, a single inlier.
+        rig = single_camera_rig()
+        point = np.array([0.0, 0.0, 5.0])
+        poses = {0: look_at([0.0, 0.0, 3.0], point), 1: look_at([10.0, 0.0, 5.0], point)}
+        near = observe(point, poses[0], rig, 0, sigma=100.0)
+        obs = [
+            Observation(0, "cam", near.pixel + np.array([0.0, 6.0]), near.pixel_cov),
+            observe(point, poses[1], rig, 1, sigma=0.01),
+        ]
+        views = ViewSet.build(obs, poses, rig)
+        centers, rays = views.centers_and_rays()
+        hypothesis = _midpoints(centers, rays, np.array([[0, 1]]))[0][0]
+        errors = views.errors(hypothesis)
+        assert np.all(errors <= 4.0)
+        assert (views.errors(views.refine(hypothesis)) <= 4.0).sum() == 1
+
+        score = (2, -float(errors.mean()))
+        kept, inliers, kept_score = _local_optimization(
+            views, hypothesis, errors <= 4.0, score, 4.0
+        )
+        np.testing.assert_array_equal(kept, hypothesis)
+        assert inliers.all()
+        assert kept_score == score
+
+
 class TestRefine:
     def make_views(self, rng, point, n=10, noise=0.0):
         rig = single_camera_rig()
@@ -181,10 +238,7 @@ class TestRefine:
         inliers = [obs[k] for k in inlier_idx]
 
         def total_error(p):
-            from vigt.triangulation import build_frames
-
-            frames = build_frames(inliers, poses, rig)
-            return sum(f.reproj_error(p) ** 2 for f in frames)
+            return float(np.sum(ViewSet.build(inliers, poses, rig).errors(p) ** 2))
 
         cp = refine_triangulation(init, inliers, poses, rig)
         assert total_error(cp.position) <= total_error(init) + 1e-12
@@ -272,3 +326,92 @@ class TestEquivariance:
         }
         cp = triangulate_cp("x", obs, scaled, rig)
         np.testing.assert_allclose(cp.position, g.apply(point), atol=1e-8)
+
+
+MODELS = {
+    "pinhole": CameraModel(CameraKind.PINHOLE, 400.0, 400.0, 319.5, 239.5),
+    "radtan": CameraModel(
+        CameraKind.RADTAN4, 450.0, 455.0, 319.0, 241.0, (-0.08, 0.02, 0.0005, -0.0004)
+    ),
+    "fisheye": CameraModel(
+        CameraKind.KANNALA_BRANDT4,
+        275.0,
+        278.0,
+        319.5,
+        239.5,
+        (0.015, -0.006, 0.002, -0.0005),
+    ),
+}
+MIXED_RIG = RigCalibration(
+    cameras=MODELS,
+    camera_from_device={
+        "pinhole": RigidPose(Rotation.exp([0.05, 0.0, 0.0]), [0.1, 0.0, 0.0]),
+        "radtan": RigidPose(Rotation.exp([0.0, -0.04, 0.02]), [-0.1, 0.02, 0.0]),
+        "fisheye": RigidPose(Rotation.exp([0.0, 0.0, 0.3]), [0.0, -0.05, 0.03]),
+    },
+)
+
+
+@st.composite
+def mixed_views(draw):
+    """Observations of one point by 2-12 views of mixed camera models, and
+    an evaluation point near it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    target = rng.normal(size=3)
+    n = draw(st.integers(2, 12))
+    cams = draw(st.lists(st.sampled_from(sorted(MODELS)), min_size=n, max_size=n))
+    poses, obs = {}, []
+    for k, cid in enumerate(cams):
+        offset = rng.normal(size=3)
+        center = target + rng.uniform(2.0, 8.0) * offset / np.linalg.norm(offset)
+        poses[k] = look_at(center, target)
+        obs.append(Observation(k, cid, rng.normal([320.0, 240.0], 40.0)))
+    return ViewSet.build(obs, poses, MIXED_RIG), poses, target + rng.normal(scale=0.3, size=3)
+
+
+def view_geometry(obs, poses):
+    a, b = camera_from_frame(poses[obs.image_id], MIXED_RIG.camera_from_device[obs.camera_id])
+    return MODELS[obs.camera_id], a, b
+
+
+class TestViewSet:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_views())
+    def test_batched_matches_per_view(self, scene):
+        views, poses, p = scene
+        errors, jacs = views.errors(p), views.jacobians(p)
+        for k, obs in enumerate(views.observations):
+            cam, a, b = view_geometry(obs, poses)
+            uv, valid = try_project(cam, a @ p + b)
+            expected = np.linalg.norm(uv - obs.pixel) if valid else np.inf
+            np.testing.assert_allclose(errors[k], expected, rtol=1e-12)
+            np.testing.assert_allclose(
+                jacs[k],
+                projection_jacobian(cam, clamp_depth(cam, a @ p + b)) @ a,
+                rtol=1e-9,
+                atol=1e-9,
+            )
+            fn, jac = views.row_residual(k)
+            np.testing.assert_allclose(np.linalg.norm(fn(p)), errors[k], rtol=1e-9)
+            np.testing.assert_allclose(jac(p)[0], jacs[k], rtol=1e-9, atol=1e-9)
+        stacked = np.stack([p, 2.0 * p, p + 1.0])
+        np.testing.assert_allclose(
+            views.errors(stacked), np.stack([views.errors(q) for q in stacked]), rtol=1e-12
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_views())
+    def test_jacobians_match_central_differences(self, scene):
+        views, poses, p = scene
+        step = 1e-6
+        jacs = views.jacobians(p)
+        for k, obs in enumerate(views.observations):
+            cam, a, b = view_geometry(obs, poses)
+            num = np.zeros((2, 3))
+            for i in range(3):
+                dp = np.zeros(3)
+                dp[i] = step
+                num[:, i] = (
+                    project(cam, a @ (p + dp) + b) - project(cam, a @ (p - dp) + b)
+                ) / (2 * step)
+            np.testing.assert_allclose(jacs[k], num, rtol=1e-5, atol=1e-4)
