@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .geometry import RigidPose, Rotation, Similarity, skew
+from .geometry import RigidPose, Rotation, Similarity
 from .solver import HuberLoss, Problem, SolveOptions, SolveReport, solve
 from .triangulation import Observation, TriangulatedCP, ViewSet
 
@@ -186,21 +186,23 @@ def propagate_covariance(cov: np.ndarray, transform: Similarity) -> np.ndarray:
     return transform.scale**2 * r @ np.asarray(cov, dtype=float) @ r.T
 
 
-def _world_residual(cp: ControlPoint):
-    rows = 2 if cp.dim == 2 else 3
-    target = cp.position
+def _world_factor(targets: np.ndarray, dim: int):
+    """Callbacks of stacked survey rows target - T(proxy)[:dim] over the
+    (transform, proxy) slots; every row names the one transform block."""
 
-    def fn(t: Similarity, proxy: np.ndarray):
-        return (target - t.apply(proxy)[: cp.dim]).reshape(rows)
+    def fn(ts, proxies):
+        return targets - ts[0].apply(np.stack(proxies))[:, :dim]
 
-    def jac(t: Similarity, proxy: np.ndarray):
-        s, r = t.scale, t.rotation.matrix()
-        j_t = np.zeros((3, 7))
-        j_t[:, 0:3] = s * r @ skew(proxy)
-        j_t[:, 3:6] = -np.eye(3)
-        j_t[:, 6] = -s * r @ proxy
-        j_p = -s * r
-        return [j_t[: cp.dim], j_p[: cp.dim]]
+    def jac(ts, proxies):
+        t, p = ts[0], np.stack(proxies)
+        sr = t.scale * t.rotation.matrix()
+        j_t = np.zeros((len(p), 3, 7))
+        # row i of sR @ skew(p) is the cross product of row i of sR with p
+        j_t[:, :, 0:3] = np.cross(sr[None], p[:, None, :])
+        j_t[:, :, 3:6] = -np.eye(3)
+        j_t[:, :, 6] = -p @ sr.T
+        j_p = np.broadcast_to(-sr, (len(p), 3, 3))
+        return [j_t[:, :dim], j_p[:, :dim]]
 
     return fn, jac
 
@@ -250,27 +252,26 @@ def joint_sparse_align(
 
         obs_list = tri.inliers if observations is None else observations[cid]
         views = ViewSet.build(obs_list, poses, rig)
-        for k, obs in enumerate(views.observations):
-            fn, jac = views.row_residual(k)
-            problem.add_residual_block(
-                fn,
-                [pid],
-                obs.pixel_cov,
-                group="marker-reprojection",
-                jac=jac,
-                loss=loss,
-                rid=f"reproj:{cid}:{k}",
-            )
+        problem.add_stacked_block(
+            lambda proxies, views=views: views.residuals(np.stack(proxies)),
+            [[pid] * len(views.observations)],
+            np.stack([o.pixel_cov for o in views.observations]),
+            group="marker-reprojection",
+            jac=lambda proxies, views=views: [views.jacobians(np.stack(proxies))],
+            loss=loss,
+            rid=f"reproj:{cid}",
+        )
 
-        cp = by_id[cid]
-        fn_w, jac_w = _world_residual(cp)
-        problem.add_residual_block(
-            fn_w,
-            ["T", pid],
-            cp.covariance,
+    for dim in dict.fromkeys(by_id[cid].dim for cid in usable):
+        same = [cid for cid in usable if by_id[cid].dim == dim]
+        fn, jac = _world_factor(np.stack([by_id[cid].position for cid in same]), dim)
+        problem.add_stacked_block(
+            fn,
+            [["T"] * len(same), [f"proxy:{cid}" for cid in same]],
+            np.stack([by_id[cid].covariance for cid in same]),
             group="cp-world",
-            jac=jac_w,
-            rid=f"world:{cid}",
+            jac=jac,
+            rid=f"world:{dim}d",
         )
 
     report = solve(

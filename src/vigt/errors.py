@@ -56,16 +56,3 @@ class UnobservableError(VigtError):
 class ImuDataError(VigtError):
     """IMU stream is malformed or does not cover the requested interval."""
 
-
-class ParseError(VigtError):
-    """A data file is malformed."""
-
-    def __init__(self, path, line: int | None, message: str):
-        location = f"{path}:{line}" if line is not None else str(path)
-        super().__init__(f"{location}: {message}")
-        self.path = path
-        self.line = line
-
-
-class ParseWarning(UserWarning):
-    """Recoverable issue while loading a data file."""

@@ -23,25 +23,12 @@ import numpy as np
 
 from .alignment import ControlPoint
 from .errors import ImuDataError, UnobservableError, VigtError
-from .geometry import (
-    CameraModel,
-    RigCalibration,
-    RigidPose,
-    Rotation,
-    Trajectory,
-    clamp_depth,
-    projection_jacobian,
-    skew,
-    so3_right_jacobian_inverse,
-    try_project,
-)
+from .geometry import RigCalibration, RigidPose, Trajectory, so3_right_jacobian_inverse
 from .inertial import (
     Bias,
     ImuNoise,
     ImuStream,
-    PreintegratedSegment,
     bias_walk_covariance,
-    bias_walk_residual,
     preintegrate,
     preintegration_residual,
     preintegration_residual_jacobians,
@@ -58,10 +45,9 @@ from .solver import (
 from .triangulation import (
     Observation,
     TriangulationConfig,
+    ViewSet,
     triangulate_cp,
 )
-
-GRAVITY_W = np.array([0.0, 0.0, -9.81])
 
 VISUAL_GROUPS = ("feature-reprojection", "marker-reprojection")
 
@@ -95,7 +81,6 @@ class FusionConfig:
     min_variance_factor: float = 1e-8
     max_iters: int = 60
     gradient_tol: float = 1e-12
-    gravity: tuple[float, float, float] = (0.0, 0.0, -9.81)
     triangulation: TriangulationConfig = field(default_factory=TriangulationConfig)
 
     def __post_init__(self):
@@ -146,33 +131,129 @@ class PseudoGT:
         return float(np.median(sigmas))
 
 
-class _VarPoseFrame:
-    """Reprojection of a variable world point seen from a variable pose."""
+def _reprojection_factor(views: ViewSet):
+    """Callbacks of stacked reprojection rows over (body pose, world
+    point) slots; `views` maps body-frame points into each row's camera."""
 
-    def __init__(self, cam: CameraModel, cam_from_body: RigidPose, obs: Observation):
-        self.cam = cam
-        self.r_cb = cam_from_body.rotation.matrix()
-        self.t_cb = cam_from_body.translation
-        self.obs = obs
+    def body_points(poses, points):
+        r_wb = np.stack([p.rotation.matrix() for p in poses])
+        t_wb = np.stack([p.translation for p in poses])
+        return r_wb, np.einsum("nji,nj->ni", r_wb, np.stack(points) - t_wb)
 
-    def _point_in_camera(self, pose: RigidPose, point: np.ndarray) -> np.ndarray:
-        p_body = pose.rotation.matrix().T @ (point - pose.translation)
-        return self.r_cb @ p_body + self.t_cb
+    def fn(poses, points):
+        return views.residuals(body_points(poses, points)[1])
 
-    def residual(self, pose: RigidPose, point: np.ndarray) -> np.ndarray:
-        p_cam = clamp_depth(self.cam, self._point_in_camera(pose, point))
-        return try_project(self.cam, p_cam)[0] - self.obs.pixel
+    def jac(poses, points):
+        r_wb, p_body = body_points(poses, points)
+        j_body = views.jacobians(p_body)
+        j_point = j_body @ np.swapaxes(r_wb, 1, 2)
+        # a right rotation perturbation moves p_body by skew(p_body) dphi,
+        # and a row vector times skew(p) is its cross product with p
+        j_rot = np.cross(j_body, p_body[:, None, :])
+        return [np.concatenate([j_rot, -j_point], axis=2), j_point]
 
-    def jacobians(self, pose: RigidPose, point: np.ndarray) -> list[np.ndarray]:
-        r_wb = pose.rotation.matrix()
-        p_body = r_wb.T @ (point - pose.translation)
-        p_cam = clamp_depth(self.cam, self.r_cb @ p_body + self.t_cb)
-        j_pi = projection_jacobian(self.cam, p_cam) @ self.r_cb
-        j_pose = np.zeros((2, 6))
-        j_pose[:, 0:3] = j_pi @ skew(p_body)
-        j_pose[:, 3:6] = -j_pi @ r_wb.T
-        j_point = j_pi @ r_wb.T
-        return [j_pose, j_point]
+    return fn, jac
+
+
+def _add_reprojections(
+    problem: Problem,
+    rows: list[tuple[Observation, str]],
+    body_rig: RigCalibration,
+    sigma_px: float,
+    loss: HuberLoss,
+    group: str,
+) -> None:
+    """One stacked block of the pixel residuals of (observation, point
+    block) rows, each seen from its keyframe pose."""
+    observations = [o for o, _ in rows]
+    # identity device poses in the body rig: the views map body-frame points
+    identity = {o.image_id: RigidPose.identity() for o in observations}
+    fn, jac = _reprojection_factor(ViewSet.build(observations, identity, body_rig))
+    problem.add_stacked_block(
+        fn,
+        [[f"kf:{o.image_id}:pose" for o in observations], [pid for _, pid in rows]],
+        np.eye(2) * sigma_px**2,
+        group=group,
+        jac=jac,
+        loss=loss,
+        rid=group,
+    )
+
+
+def _add_cp_world(
+    problem: Problem, cps: list[ControlPoint], deflation: float
+) -> None:
+    """Survey factors on the CP proxies, one stacked block per CP
+    dimension."""
+    for dim in dict.fromkeys(cp.dim for cp in cps):
+        same = [cp for cp in cps if cp.dim == dim]
+        targets = np.stack([cp.position for cp in same])
+        j_proxy = -np.eye(3)[:dim]
+
+        def fn(proxies, targets=targets, dim=dim):
+            return targets - np.stack(proxies)[:, :dim]
+
+        def jac(proxies, j_proxy=j_proxy):
+            return [np.broadcast_to(j_proxy, (len(proxies),) + j_proxy.shape)]
+
+        problem.add_stacked_block(
+            fn,
+            [[f"cp:{cp.cp_id}" for cp in same]],
+            np.stack([cp.covariance for cp in same]) * deflation,
+            group="cp-world",
+            jac=jac,
+            rid=f"world:{dim}d",
+        )
+
+
+def _add_inertial(
+    problem: Problem, keyframe_ts: list[int], imu: ImuStream, noise: ImuNoise
+) -> None:
+    """Preintegration rows between consecutive keyframes, and the bias
+    random walk between their bias states: one stacked block each."""
+    pairs = list(zip(keyframe_ts, keyframe_ts[1:]))
+    segs = [preintegrate(imu.between(a, b), Bias.zero(), noise) for a, b in pairs]
+
+    def rows(poses_i, vels_i, poses_j, vels_j, biases_i):
+        return zip(segs, poses_i, vels_i, poses_j, vels_j, map(Bias.from_vector, biases_i))
+
+    def imu_fn(*slots):
+        return np.stack([preintegration_residual(*row) for row in rows(*slots)])
+
+    def imu_jac(*slots):
+        per_row = [preintegration_residual_jacobians(*row) for row in rows(*slots)]
+        return [np.stack(j) for j in zip(*per_row)]
+
+    problem.add_stacked_block(
+        imu_fn,
+        [
+            [f"kf:{a}:pose" for a, _ in pairs],
+            [f"kf:{a}:vel" for a, _ in pairs],
+            [f"kf:{b}:pose" for _, b in pairs],
+            [f"kf:{b}:vel" for _, b in pairs],
+            [f"kf:{a}:bias" for a, _ in pairs],
+        ],
+        np.stack([seg.covariance for seg in segs]),
+        group="imu-preintegration",
+        jac=imu_jac,
+        rid="imu",
+    )
+
+    def walk_fn(biases_i, biases_j):
+        return np.stack(biases_j) - np.stack(biases_i)
+
+    def walk_jac(biases_i, biases_j):
+        eye = np.broadcast_to(np.eye(6), (len(biases_i), 6, 6))
+        return [-eye, eye]
+
+    problem.add_stacked_block(
+        walk_fn,
+        [[f"kf:{a}:bias" for a, _ in pairs], [f"kf:{b}:bias" for _, b in pairs]],
+        np.stack([bias_walk_covariance(noise, seg.dt) for seg in segs]),
+        group="bias-walk",
+        jac=walk_jac,
+        rid="walk",
+    )
 
 
 def _pose_prior(prior: RigidPose, sigma_rot: float, sigma_pos: float):
@@ -242,7 +323,6 @@ def build_fusion_problem(
         raise VigtError("need at least 2 keyframes")
     _check_imu_coverage(keyframe_ts, imu)
     kf_set = set(keyframe_ts)
-    gravity = np.asarray(config.gravity, dtype=float)
 
     # work in the IMU frame: body = IMU, cameras re-extrinsic'd accordingly
     t_id = rig.imu_from_device
@@ -275,7 +355,7 @@ def build_fusion_problem(
     cps_by_id = {cp.cp_id: cp for cp in cps}
     cp_ids: list[str] = []
     skipped_cps: dict[str, str] = {}
-    n_marker = 0
+    marker_rows: list[tuple[Observation, str]] = []
     loss = HuberLoss(config.huber_delta)
     for cp_id, obs in cp_detections.items():
         if cp_id not in cps_by_id:
@@ -293,43 +373,21 @@ def build_fusion_problem(
         pid = f"cp:{cp_id}"
         problem.add_parameter_block(pid, tri.position.copy())
         cp_ids.append(cp_id)
-        for k, o in enumerate(tri.inliers):
-            frame = _VarPoseFrame(rig.cameras[o.camera_id], cam_from_body[o.camera_id], o)
-            problem.add_residual_block(
-                frame.residual,
-                [f"kf:{o.image_id}:pose", pid],
-                np.eye(2) * config.sigma_detect_px**2,
-                group="marker-reprojection",
-                jac=frame.jacobians,
-                loss=loss,
-                rid=f"marker:{cp_id}:{k}",
-            )
-            n_marker += 1
-        cp = cps_by_id[cp_id]
+        marker_rows += [(o, pid) for o in tri.inliers]
 
-        def world_fn(proxy, cp=cp):
-            return cp.position - proxy[: cp.dim]
-
-        def world_jac(proxy, cp=cp):
-            return [-np.eye(3)[: cp.dim]]
-
-        problem.add_residual_block(
-            world_fn,
-            [pid],
-            cp.covariance * config.cp_deflation,
-            group="cp-world",
-            jac=world_jac,
-            rid=f"world:{cp_id}",
-        )
-
-    if n_marker == 0:
+    if not marker_rows:
         raise UnobservableError(
             "no control-point observations at keyframes; the problem has no"
             " absolute position information"
         )
+    _add_reprojections(
+        problem, marker_rows, body_rig, config.sigma_detect_px, loss, "marker-reprojection"
+    )
+    _add_cp_world(problem, [cps_by_id[cid] for cid in cp_ids], config.cp_deflation)
 
     landmark_ids: list[str] = []
     skipped_tracks: dict[str, str] = {}
+    feature_rows: list[tuple[Observation, str]] = []
     if config.mode == "full":
         for track in tracks:
             kept = _filter_to_keyframes(track.observations, kf_set)
@@ -345,57 +403,14 @@ def build_fusion_problem(
             problem.add_parameter_block(pid, tri.position.copy(), eliminate=True)
             track.landmark = tri.position.copy()
             landmark_ids.append(track.track_id)
-            for k, o in enumerate(tri.inliers):
-                frame = _VarPoseFrame(
-                    rig.cameras[o.camera_id], cam_from_body[o.camera_id], o
-                )
-                problem.add_residual_block(
-                    frame.residual,
-                    [f"kf:{o.image_id}:pose", pid],
-                    np.eye(2) * config.sigma_feature_px**2,
-                    group="feature-reprojection",
-                    jac=frame.jacobians,
-                    loss=loss,
-                    rid=f"feat:{track.track_id}:{k}",
-                )
-
-    noise = rig.imu_noise
-    for a, b in zip(keyframe_ts, keyframe_ts[1:]):
-        seg = preintegrate(imu.between(a, b), Bias.zero(), noise)
-
-        def imu_fn(pose_i, vel_i, pose_j, vel_j, bias_i, seg=seg):
-            return preintegration_residual(
-                seg, pose_i, vel_i, pose_j, vel_j, Bias.from_vector(bias_i), gravity
-            )
-
-        def imu_jac(pose_i, vel_i, pose_j, vel_j, bias_i, seg=seg):
-            return preintegration_residual_jacobians(
-                seg, pose_i, vel_i, pose_j, vel_j, Bias.from_vector(bias_i), gravity
-            )
-
-        problem.add_residual_block(
-            imu_fn,
-            [f"kf:{a}:pose", f"kf:{a}:vel", f"kf:{b}:pose", f"kf:{b}:vel", f"kf:{a}:bias"],
-            seg.covariance,
-            group="imu-preintegration",
-            jac=imu_jac,
-            rid=f"imu:{a}",
+            feature_rows += [(o, pid) for o in tri.inliers]
+    if feature_rows:
+        _add_reprojections(
+            problem, feature_rows, body_rig, config.sigma_feature_px, loss,
+            "feature-reprojection",
         )
 
-        def walk_fn(bias_i, bias_j):
-            return bias_walk_residual(Bias.from_vector(bias_i), Bias.from_vector(bias_j))
-
-        def walk_jac(bias_i, bias_j):
-            return [-np.eye(6), np.eye(6)]
-
-        problem.add_residual_block(
-            walk_fn,
-            [f"kf:{a}:bias", f"kf:{b}:bias"],
-            bias_walk_covariance(noise, seg.dt),
-            group="bias-walk",
-            jac=walk_jac,
-            rid=f"walk:{a}",
-        )
+    _add_inertial(problem, keyframe_ts, imu, rig.imu_noise)
 
     has_3d_cp = any(cps_by_id[cid].dim == 3 for cid in cp_ids)
     gauge_prior = not has_3d_cp
@@ -410,7 +425,6 @@ def build_fusion_problem(
             group="generic",
             jac=jac,
             rid="gauge-prior",
-            gauge=True,
         )
 
     return FusionProblem(
@@ -487,15 +501,3 @@ def inertial_only_optimize(
     config = replace(config, mode="inertial-only")
     fp = build_fusion_problem(init_traj, [], cp_detections, cps, imu, rig, config)
     return optimize_pseudo_gt(fp)
-
-
-def whitened_residuals(report: SolveReport) -> dict[str, np.ndarray]:
-    """Per-family whitened residual samples of a solved problem."""
-    return dict(report.group_residuals)
-
-
-def pose_covariances(fp: FusionProblem) -> list[np.ndarray]:
-    """6x6 tangent-space marginals for every keyframe pose."""
-    pose_ids = [fp.pose_id(ts) for ts in fp.keyframe_ts]
-    covs = marginal_covariances(fp.problem, pose_ids)
-    return [covs[pid] for pid in pose_ids]

@@ -262,18 +262,6 @@ class Similarity:
         return self.compose(other)
 
 
-def sim3_apply(transform: Similarity, p: np.ndarray) -> np.ndarray:
-    return transform.apply(p)
-
-
-def sim3_compose(a: Similarity, b: Similarity) -> Similarity:
-    return a.compose(b)
-
-
-def sim3_inverse(transform: Similarity) -> Similarity:
-    return transform.inverse()
-
-
 class CameraKind(enum.Enum):
     PINHOLE = "pinhole"
     RADTAN4 = "pinhole-radtan4"
@@ -460,89 +448,13 @@ def clamp_depth(cam: CameraModel, p_cam: np.ndarray) -> np.ndarray:
     Jacobians are finite, so an optimizer can reject a wandering trial step
     by its cost: z >= MIN_DEPTH for the pinhole-based models, the optical
     axis for fisheye points within MIN_DEPTH of the centre. Takes a (3,)
-    point, returned as is when inside, or an (N, 3) batch."""
-    kb4 = cam.kind is CameraKind.KANNALA_BRANDT4
-    if p_cam.ndim == 1:
-        # scalar fast path: the per-observation solver callbacks call this
-        if kb4:
-            if np.linalg.norm(p_cam) < MIN_DEPTH:
-                return np.array([0.0, 0.0, MIN_DEPTH])
-        elif p_cam[2] < MIN_DEPTH:
-            return np.array([p_cam[0], p_cam[1], MIN_DEPTH])
-        return p_cam
+    point or an (N, 3) batch and returns a clamped copy."""
     out = np.array(p_cam, dtype=float)
-    if kb4:
-        out[np.linalg.norm(out, axis=1) < MIN_DEPTH] = (0.0, 0.0, MIN_DEPTH)
+    if cam.kind is CameraKind.KANNALA_BRANDT4:
+        out[np.linalg.norm(out, axis=-1) < MIN_DEPTH] = (0.0, 0.0, MIN_DEPTH)
     else:
-        out[out[:, 2] < MIN_DEPTH, 2] = MIN_DEPTH
+        out[..., 2] = np.maximum(out[..., 2], MIN_DEPTH)
     return out
-
-
-def projection_jacobian(cam: CameraModel, p_cam: np.ndarray) -> np.ndarray:
-    """d(pixel)/d(camera-frame point), a 2x3 matrix at a single point."""
-    x, y, z = np.asarray(p_cam, dtype=float)
-
-    if cam.kind is CameraKind.PINHOLE:
-        return np.array(
-            [
-                [cam.fx / z, 0.0, -cam.fx * x / z**2],
-                [0.0, cam.fy / z, -cam.fy * y / z**2],
-            ]
-        )
-
-    if cam.kind is CameraKind.RADTAN4:
-        k1, k2, p1, p2 = cam.distortion
-        xn, yn = x / z, y / z
-        j_norm = np.array(
-            [
-                [1.0 / z, 0.0, -x / z**2],
-                [0.0, 1.0 / z, -y / z**2],
-            ]
-        )
-        r2 = xn * xn + yn * yn
-        radial = 1.0 + k1 * r2 + k2 * r2 * r2
-        dr = k1 + 2.0 * k2 * r2
-        j_dist = np.array(
-            [
-                [
-                    radial + 2.0 * xn * xn * dr + 2.0 * p1 * yn + 6.0 * p2 * xn,
-                    2.0 * xn * yn * dr + 2.0 * p1 * xn + 2.0 * p2 * yn,
-                ],
-                [
-                    2.0 * xn * yn * dr + 2.0 * p1 * xn + 2.0 * p2 * yn,
-                    radial + 2.0 * yn * yn * dr + 6.0 * p1 * yn + 2.0 * p2 * xn,
-                ],
-            ]
-        )
-        return np.diag([cam.fx, cam.fy]) @ j_dist @ j_norm
-
-    k = cam.distortion
-    rho = float(np.hypot(x, y))
-    norm2 = rho * rho + z * z
-    if rho < 1e-9 * max(abs(z), 1.0):
-        # on-axis limit equals the pinhole Jacobian
-        return np.array(
-            [
-                [cam.fx / z, 0.0, 0.0],
-                [0.0, cam.fy / z, 0.0],
-            ]
-        )
-    theta = np.arctan2(rho, z)
-    theta_d = _kb4_theta_d(theta, k)
-    dtd = _kb4_theta_d_prime(theta, k)
-    # theta = atan2(rho, z); rho = |(x, y)|
-    dtheta = np.array([z * x / rho, z * y / rho, -rho]) / norm2
-    drho = np.array([x / rho, y / rho, 0.0])
-    # u = fx * theta_d * x / rho + cx
-    du = cam.fx * (
-        dtd * dtheta * x / rho
-        + theta_d * (np.array([1.0, 0.0, 0.0]) / rho - x * drho / rho**2)
-    )
-    dv = cam.fy * (
-        dtd * dtheta * y / rho
-        + theta_d * (np.array([0.0, 1.0, 0.0]) / rho - y * drho / rho**2)
-    )
-    return np.stack([du, dv])
 
 
 def projection_jacobian_batch(cam: CameraModel, pts: np.ndarray) -> np.ndarray:
@@ -721,10 +633,3 @@ class Trajectory:
             for p in self.poses
         )
         return Trajectory(self.timestamps.copy(), poses)
-
-    def slice_time(self, t_start_ns: int, t_end_ns: int) -> "Trajectory":
-        mask = (self.timestamps >= t_start_ns) & (self.timestamps <= t_end_ns)
-        return Trajectory(
-            self.timestamps[mask],
-            tuple(p for p, m in zip(self.poses, mask) if m),
-        )

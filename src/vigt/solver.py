@@ -3,6 +3,8 @@
 Levenberg-Marquardt with multiplicative damping, optional Schur elimination
 of 3-dim point blocks, robust losses, marginal covariance extraction from
 the whitened Gauss-Newton Hessian, and per-group variance factors.
+Residual blocks stack the rows of one factor, so a factor family is
+evaluated and linearized as arrays, one callback per block.
 
 A Problem is exclusively owned while :func:`solve` runs; residual and
 Jacobian callbacks must be pure functions of the parameter values.
@@ -71,28 +73,19 @@ def retract(manifold: Manifold, value, delta: np.ndarray):
 
 @dataclass
 class HuberLoss:
+    """Huber loss of each row's squared whitened norm."""
+
     delta: float = 2.0
 
-    def weight(self, sq_norm: float) -> float:
-        if sq_norm <= self.delta**2:
-            return 1.0
-        return self.delta / np.sqrt(sq_norm)
+    def weight(self, sq_norm: np.ndarray) -> np.ndarray:
+        d2 = self.delta**2
+        return np.where(sq_norm <= d2, 1.0, self.delta / np.sqrt(np.maximum(sq_norm, d2)))
 
-    def cost(self, sq_norm: float) -> float:
-        if sq_norm <= self.delta**2:
-            return sq_norm
-        return 2.0 * self.delta * np.sqrt(sq_norm) - self.delta**2
-
-
-@dataclass
-class CauchyLoss:
-    c: float = 2.0
-
-    def weight(self, sq_norm: float) -> float:
-        return 1.0 / (1.0 + sq_norm / self.c**2)
-
-    def cost(self, sq_norm: float) -> float:
-        return self.c**2 * np.log1p(sq_norm / self.c**2)
+    def cost(self, sq_norm: np.ndarray) -> np.ndarray:
+        d2 = self.delta**2
+        return np.where(
+            sq_norm <= d2, sq_norm, 2.0 * self.delta * np.sqrt(np.maximum(sq_norm, d2)) - d2
+        )
 
 
 @dataclass
@@ -110,42 +103,67 @@ class ParameterBlock:
 
 @dataclass
 class ResidualBlock:
+    """N stacked rows of one factor, each a d-dimensional residual.
+
+    `params` holds one slot per factor argument, each naming the N
+    parameter blocks its rows read. `fn` takes one sequence of N values per
+    slot and returns (N, d) residuals; `jac`, if given, returns one
+    (N, d, k) tangent Jacobian per slot. Row n may depend only on the
+    values at position n of each slot (a slot whose rows all name one
+    block may be read from any position). The covariance is (d, d), shared
+    by all rows, or (N, d, d).
+    """
+
     id: str
     group: str
-    params: tuple[str, ...]
+    params: tuple[tuple[str, ...], ...]
     fn: Callable
     covariance: np.ndarray
     jac: Callable | None = None
-    loss: HuberLoss | CauchyLoss | None = None
-    gauge: bool = False
+    loss: HuberLoss | None = None
     whitener: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        cov = np.atleast_2d(np.asarray(self.covariance, dtype=float))
-        self.covariance = cov
-        self.whitener = _inverse_sqrt(cov, self.id)
+        self.set_covariance(self.covariance)
+
+    @property
+    def rows(self) -> int:
+        return len(self.params[0])
 
     @property
     def dim(self) -> int:
-        return self.covariance.shape[0]
+        return self.covariance.shape[-1]
 
     def set_covariance(self, cov: np.ndarray):
-        self.covariance = np.atleast_2d(np.asarray(cov, dtype=float))
-        self.whitener = _inverse_sqrt(self.covariance, self.id)
+        cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        d = cov.shape[-1]
+        if cov.shape not in ((d, d), (self.rows, d, d)):
+            raise ValueError(
+                f"residual '{self.id}': covariance of shape {cov.shape} is"
+                f" neither (d, d) nor ({self.rows}, d, d)"
+            )
+        self.covariance = cov
+        self.whitener = _inverse_sqrt(cov, self.id)
 
 
 def _inverse_sqrt(cov: np.ndarray, rid: str) -> np.ndarray:
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"residual '{rid}': covariance must be square")
-    diag = np.diag(np.diag(cov))
-    if np.array_equal(cov, diag):
-        if np.diag(cov).min() <= 0.0:
+    """Symmetric inverse square roots of a (d, d) or (N, d, d) stack;
+    diagonal matrices are inverted elementwise."""
+    diag = np.diagonal(cov, axis1=-2, axis2=-1)
+    is_diag = np.all(cov == diag[..., None] * np.eye(cov.shape[-1]), axis=(-2, -1))
+    out = np.empty_like(cov)
+    if np.any(is_diag):
+        if diag[is_diag].min() <= 0.0:
             raise ValueError(f"residual '{rid}': covariance not positive-definite")
-        return np.diag(1.0 / np.sqrt(np.diag(cov)))
-    w, v = np.linalg.eigh(0.5 * (cov + cov.T))
-    if w.min() <= 0.0:
-        raise ValueError(f"residual '{rid}': covariance not positive-definite")
-    return v @ np.diag(1.0 / np.sqrt(w)) @ v.T
+        out[is_diag] = (1.0 / np.sqrt(diag[is_diag]))[..., None] * np.eye(cov.shape[-1])
+    full = ~is_diag
+    if np.any(full):
+        sym = 0.5 * (cov[full] + np.swapaxes(cov[full], -1, -2))
+        w, v = np.linalg.eigh(sym)
+        if w.min() <= 0.0:
+            raise ValueError(f"residual '{rid}': covariance not positive-definite")
+        out[full] = (v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return out
 
 
 class Problem:
@@ -176,6 +194,35 @@ class Problem:
         self.params[pid] = block
         return block
 
+    def add_stacked_block(
+        self,
+        fn: Callable,
+        params: Sequence[Sequence[str]],
+        covariance,
+        *,
+        group: str = "generic",
+        jac: Callable | None = None,
+        loss: HuberLoss | None = None,
+        rid: str | None = None,
+    ) -> ResidualBlock:
+        """Add N rows of one factor; see :class:`ResidualBlock`."""
+        if rid is None:
+            rid = f"r{len(self.residuals)}"
+        if rid in self.residuals:
+            raise ValueError(f"duplicate residual block '{rid}'")
+        slots = tuple(tuple(slot) for slot in params)
+        if not slots or not slots[0] or len({len(s) for s in slots}) != 1:
+            raise ValueError(f"residual '{rid}': slots must name the same N >= 1 rows")
+        for slot in slots:
+            for pid in slot:
+                if pid not in self.params:
+                    raise ValueError(f"residual '{rid}' references unknown block '{pid}'")
+            if len({self.params[pid].dim for pid in slot}) != 1:
+                raise ValueError(f"residual '{rid}': blocks of one slot differ in dimension")
+        block = ResidualBlock(rid, group, slots, fn, covariance, jac, loss)
+        self.residuals[rid] = block
+        return block
+
     def add_residual_block(
         self,
         fn: Callable,
@@ -184,20 +231,27 @@ class Problem:
         *,
         group: str = "generic",
         jac: Callable | None = None,
-        loss: HuberLoss | CauchyLoss | None = None,
+        loss: HuberLoss | None = None,
         rid: str | None = None,
-        gauge: bool = False,
     ) -> ResidualBlock:
-        if rid is None:
-            rid = f"r{len(self.residuals)}"
-        if rid in self.residuals:
-            raise ValueError(f"duplicate residual block '{rid}'")
-        for pid in params:
-            if pid not in self.params:
-                raise ValueError(f"residual '{rid}' references unknown block '{pid}'")
-        block = ResidualBlock(rid, group, tuple(params), fn, covariance, jac, loss, gauge)
-        self.residuals[rid] = block
-        return block
+        """Add one residual row: `fn` takes one value per parameter block
+        and returns a d-vector, `jac` one (d, k) Jacobian per block."""
+
+        def stacked_fn(*slots):
+            return np.asarray(fn(*[s[0] for s in slots]), dtype=float).reshape(1, -1)
+
+        def stacked_jac(*slots):
+            return [np.asarray(j, dtype=float)[None] for j in jac(*[s[0] for s in slots])]
+
+        return self.add_stacked_block(
+            stacked_fn,
+            [[pid] for pid in params],
+            covariance,
+            group=group,
+            jac=None if jac is None else stacked_jac,
+            loss=loss,
+            rid=rid,
+        )
 
     def value(self, pid: str):
         return self.params[pid].value
@@ -207,9 +261,6 @@ class Problem:
         if block.manifold is Manifold.EUCLIDEAN:
             value = np.asarray(value, dtype=float).reshape(-1)
         block.value = value
-
-    def set_constant(self, pid: str, constant: bool = True):
-        self.params[pid].constant = constant
 
     def groups(self) -> list[str]:
         seen = dict.fromkeys(r.group for r in self.residuals.values())
@@ -228,11 +279,13 @@ class Problem:
 class SolveOptions:
     max_iters: int = 100
     gradient_tol: float = 1e-10
-    param_tol: float = 1e-12
-    initial_lambda: float = 1e-4
-    lambda_max: float = 1e10
-    cost_tol_rel: float = 1e-16  # declare victory below this fraction of initial cost
-    fd_step: float = 1e-7
+
+
+_PARAM_TOL = 1e-12  # an accepted step shorter than this ends the solve
+_INITIAL_LAMBDA = 1e-4
+_LAMBDA_MAX = 1e10
+_COST_TOL_REL = 1e-16  # declare victory below this fraction of initial cost
+_FD_STEP = 1e-7  # forward-difference step for blocks without a Jacobian
 
 
 @dataclass
@@ -252,7 +305,8 @@ class SolveReport:
 
 
 class _Workspace:
-    """Static structure of a problem: tangent indexing and row layout."""
+    """Static structure of a problem: tangent indexing, row layout and the
+    sparsity pattern of the whitened Jacobian."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
@@ -270,12 +324,31 @@ class _Workspace:
         self.n_retained = sum(b.dim for b in retained)
         self.eliminated = eliminated
 
+        # per block: first row, and per slot the rows on a free block;
+        # Jacobian entries of the other rows are never stored. The COO
+        # indices list each slot's (row, residual dim, tangent dim) in order.
         self.rows: dict[str, int] = {}
+        self.free_rows: dict[str, list[np.ndarray]] = {}
+        rows_idx, cols_idx = [], []
         cursor = 0
         for r in problem.residuals.values():
             self.rows[r.id] = cursor
-            cursor += r.dim
+            self.free_rows[r.id] = []
+            for slot in r.params:
+                free = np.flatnonzero([pid in self.offsets for pid in slot])
+                self.free_rows[r.id].append(free)
+                if free.size:
+                    k = problem.params[slot[0]].dim
+                    rows = cursor + (free[:, None] * r.dim + np.arange(r.dim))
+                    cols = np.array([self.offsets[slot[n]] for n in free])
+                    rows_idx.append(rows.repeat(k, axis=1).ravel())
+                    cols_idx.append(np.tile(cols[:, None] + np.arange(k), r.dim).ravel())
+            cursor += r.rows * r.dim
         self.n_rows = cursor
+        self.pattern = (
+            np.concatenate(rows_idx or [np.zeros(0, dtype=int)]),
+            np.concatenate(cols_idx or [np.zeros(0, dtype=int)]),
+        )
 
         self.redundancy = self._group_redundancy()
 
@@ -283,9 +356,10 @@ class _Workspace:
         by_group_rows: dict[str, int] = {}
         param_groups: dict[str, set[str]] = {}
         for r in self.problem.residuals.values():
-            by_group_rows[r.group] = by_group_rows.get(r.group, 0) + r.dim
-            for pid in r.params:
-                param_groups.setdefault(pid, set()).add(r.group)
+            by_group_rows[r.group] = by_group_rows.get(r.group, 0) + r.rows * r.dim
+            for slot in r.params:
+                for pid in slot:
+                    param_groups.setdefault(pid, set()).add(r.group)
         redundancy = {}
         for group, rows in by_group_rows.items():
             exclusive = sum(
@@ -296,33 +370,32 @@ class _Workspace:
             redundancy[group] = rows - exclusive
         return redundancy
 
-    def values_of(self, block: ResidualBlock):
-        return [self.problem.params[pid].value for pid in block.params]
+    @staticmethod
+    def slot_values(r: ResidualBlock, values: dict[str, object]) -> list[list]:
+        return [[values[pid] for pid in slot] for slot in r.params]
 
     def evaluate(self, values: dict[str, object]) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
-        """Robust cost, whitened residual per block, raw rss per group."""
+        """Robust cost, whitened (N, d) residuals per block, raw rss per group."""
         cost = 0.0
         whitened: dict[str, np.ndarray] = {}
         group_rss: dict[str, float] = {}
         for r in self.problem.residuals.values():
-            raw = np.asarray(
-                r.fn(*[values[pid] for pid in r.params]), dtype=float
-            ).reshape(-1)
-            if raw.shape[0] != r.dim:
+            raw = np.asarray(r.fn(*self.slot_values(r, values)), dtype=float)
+            if raw.shape != (r.rows, r.dim):
                 raise SolverError(
-                    f"residual '{r.id}' returned dimension {raw.shape[0]},"
-                    f" expected {r.dim}",
+                    f"residual '{r.id}' returned shape {raw.shape},"
+                    f" expected {(r.rows, r.dim)}",
                     block_id=r.id,
                 )
             if not np.all(np.isfinite(raw)):
                 raise SolverError(
                     f"non-finite residual in block '{r.id}'", block_id=r.id
                 )
-            w = r.whitener @ raw
+            w = (r.whitener @ raw[..., None])[..., 0]
             whitened[r.id] = w
-            sq = float(w @ w)
-            group_rss[r.group] = group_rss.get(r.group, 0.0) + sq
-            cost += 0.5 * (r.loss.cost(sq) if r.loss else sq)
+            sq = np.einsum("ni,ni->n", w, w)
+            group_rss[r.group] = group_rss.get(r.group, 0.0) + float(sq.sum())
+            cost += 0.5 * float((r.loss.cost(sq) if r.loss else sq).sum())
         return cost, whitened, group_rss
 
     def try_evaluate(self, values):
@@ -333,59 +406,45 @@ class _Workspace:
             return np.inf, {}, {}
 
     def linearize(
-        self,
-        values: dict[str, object],
-        whitened: dict[str, np.ndarray],
-        fd_step: float,
+        self, values: dict[str, object], whitened: dict[str, np.ndarray]
     ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
         """Whitened, robust-scaled Jacobian and residual vector."""
-        data, rows_idx, cols_idx = [], [], []
+        data = []
         rhs = np.zeros(self.n_rows)
         for r in self.problem.residuals.values():
             row0 = self.rows[r.id]
-            vals = [values[pid] for pid in r.params]
-            if r.jac is not None:
-                jacs = r.jac(*vals)
-            else:
-                jacs = _forward_difference_jacobians(r, vals, fd_step)
+            slots = self.slot_values(r, values)
+            jacs = r.jac(*slots) if r.jac is not None else _forward_difference_jacobians(r, slots)
             w = whitened[r.id]
-            scale = np.sqrt(r.loss.weight(float(w @ w))) if r.loss else 1.0
-            rhs[row0 : row0 + r.dim] = scale * w
-            for pid, jac in zip(r.params, jacs):
-                pblock = self.problem.params[pid]
-                if pblock.constant or jac is None:
+            scale = (
+                np.sqrt(r.loss.weight(np.einsum("ni,ni->n", w, w)))[:, None]
+                if r.loss
+                else 1.0
+            )
+            rhs[row0 : row0 + r.rows * r.dim] = (scale * w).ravel()
+            for slot, jac, free in zip(r.params, jacs, self.free_rows[r.id]):
+                if not free.size:
                     continue
                 jac = np.asarray(jac, dtype=float)
-                if jac.shape != (r.dim, pblock.dim):
+                expected = (r.rows, r.dim, self.problem.params[slot[0]].dim)
+                if jac.shape != expected:
                     raise SolverError(
-                        f"residual '{r.id}': Jacobian for '{pid}' has shape"
-                        f" {jac.shape}, expected {(r.dim, pblock.dim)}",
+                        f"residual '{r.id}': Jacobian for '{slot[0]}' has shape"
+                        f" {jac.shape}, expected {expected}",
                         block_id=r.id,
                     )
-                if not np.all(np.isfinite(jac)):
+                jw = (r.whitener @ jac)[free]
+                if not np.all(np.isfinite(jw)):
                     raise SolverError(
                         f"non-finite Jacobian in block '{r.id}'", block_id=r.id
                     )
-                jw = scale * (r.whitener @ jac)
-                col0 = self.offsets[pid]
-                rr, cc = np.meshgrid(
-                    np.arange(row0, row0 + r.dim),
-                    np.arange(col0, col0 + pblock.dim),
-                    indexing="ij",
-                )
-                rows_idx.append(rr.ravel())
-                cols_idx.append(cc.ravel())
+                if r.loss:
+                    jw *= scale[free, :, None]
                 data.append(jw.ravel())
-        if data:
-            jac_matrix = scipy.sparse.coo_matrix(
-                (
-                    np.concatenate(data),
-                    (np.concatenate(rows_idx), np.concatenate(cols_idx)),
-                ),
-                shape=(self.n_rows, self.n_tangent),
-            ).tocsr()
-        else:
-            jac_matrix = scipy.sparse.csr_matrix((self.n_rows, self.n_tangent))
+        jac_matrix = scipy.sparse.coo_matrix(
+            (np.concatenate(data or [np.zeros(0)]), self.pattern),
+            shape=(self.n_rows, self.n_tangent),
+        ).tocsr()
         return jac_matrix, rhs
 
     def apply_step(self, values: dict[str, object], delta: np.ndarray) -> dict[str, object]:
@@ -396,21 +455,21 @@ class _Workspace:
         return out
 
 
-def _forward_difference_jacobians(block: ResidualBlock, vals, step: float):
-    base = np.asarray(block.fn(*vals), dtype=float).reshape(-1)
+def _forward_difference_jacobians(block: ResidualBlock, slots: list[list]):
+    """(N, d, k) Jacobians per slot: each tangent direction perturbs the
+    slot's value in every row at once, as row n reads only position n."""
+    base = np.asarray(block.fn(*slots), dtype=float)
     jacs = []
-    for i, v in enumerate(vals):
-        manifold = _infer_manifold(v)
-        dim = tangent_dim(manifold, v)
-        jac = np.zeros((base.size, dim))
+    for i, vals in enumerate(slots):
+        manifold = _infer_manifold(vals[0])
+        dim = tangent_dim(manifold, vals[0])
+        jac = np.zeros(base.shape + (dim,))
         for d in range(dim):
             delta = np.zeros(dim)
-            delta[d] = step
-            perturbed = list(vals)
-            perturbed[i] = retract(manifold, v, delta)
-            jac[:, d] = (
-                np.asarray(block.fn(*perturbed), dtype=float).reshape(-1) - base
-            ) / step
+            delta[d] = _FD_STEP
+            perturbed = list(slots)
+            perturbed[i] = [retract(manifold, v, delta) for v in vals]
+            jac[..., d] = (np.asarray(block.fn(*perturbed), dtype=float) - base) / _FD_STEP
         jacs.append(jac)
     return jacs
 
@@ -458,12 +517,12 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
     cost_history = [cost]
     rss_history = [dict(group_rss)]
 
-    lam = options.initial_lambda
+    lam = _INITIAL_LAMBDA
     iterations = 0
     termination = "max_iterations"
 
     for iterations in range(1, options.max_iters + 1):
-        jac, rhs = ws.linearize(values, whitened, options.fd_step)
+        jac, rhs = ws.linearize(values, whitened)
         grad = jac.T @ rhs
         if np.max(np.abs(grad), initial=0.0) < options.gradient_tol:
             iterations -= 1
@@ -474,11 +533,11 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
         diag = np.maximum(hess.diagonal(), 1e-12)
 
         accepted = False
-        while lam <= options.lambda_max:
+        while lam <= _LAMBDA_MAX:
             damped = hess + scipy.sparse.diags(lam * diag)
             try:
                 delta = _solve_normal_equations(ws, damped, grad)
-            except Exception:
+            except (np.linalg.LinAlgError, RuntimeError):  # singular factorization
                 lam *= 10.0
                 continue
             if not np.all(np.isfinite(delta)):
@@ -494,9 +553,9 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
                 accepted = True
                 cost_history.append(cost)
                 rss_history.append(dict(group_rss))
-                if step_norm < options.param_tol:
+                if step_norm < _PARAM_TOL:
                     termination = "converged_params"
-                if cost <= options.cost_tol_rel * initial_cost:
+                if cost <= _COST_TOL_REL * initial_cost:
                     termination = "converged_cost"
                 break
             lam *= 10.0
@@ -511,7 +570,7 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
 
     group_res: dict[str, np.ndarray] = {}
     for r in problem.residuals.values():
-        group_res.setdefault(r.group, []).append(whitened[r.id])
+        group_res.setdefault(r.group, []).append(whitened[r.id].ravel())
     group_res = {g: np.concatenate(parts) for g, parts in group_res.items()}
 
     return SolveReport(
@@ -539,16 +598,16 @@ def variance_factor(report: SolveReport, group: str) -> float:
     return float(res @ res) / redundancy
 
 
-def _gauss_newton_hessian(problem: Problem, fd_step: float):
+def _gauss_newton_hessian(problem: Problem):
     ws = _Workspace(problem)
     values = {pid: b.value for pid, b in problem.params.items()}
     _, whitened, _ = ws.evaluate(values)
-    jac, _ = ws.linearize(values, whitened, fd_step)
+    jac, _ = ws.linearize(values, whitened)
     return ws, (jac.T @ jac).tocsc()
 
 
 def marginal_covariances(
-    problem: Problem, block_ids: Sequence[str], fd_step: float = 1e-7
+    problem: Problem, block_ids: Sequence[str]
 ) -> dict[str, np.ndarray]:
     """Tangent-space marginal covariance of the requested blocks.
 
@@ -562,7 +621,7 @@ def marginal_covariances(
             raise KeyError(f"unknown parameter block '{pid}'")
         if problem.params[pid].constant:
             raise ValueError(f"block '{pid}' is constant; covariance undefined")
-    ws, hess = _gauss_newton_hessian(problem, fd_step)
+    ws, hess = _gauss_newton_hessian(problem)
 
     dense = hess.shape[0] <= 600
     try:
@@ -595,8 +654,8 @@ def marginal_covariances(
     return out
 
 
-def marginal_covariance(problem: Problem, block_id: str, fd_step: float = 1e-7) -> np.ndarray:
-    return marginal_covariances(problem, [block_id], fd_step)[block_id]
+def marginal_covariance(problem: Problem, block_id: str) -> np.ndarray:
+    return marginal_covariances(problem, [block_id])[block_id]
 
 
 def _estimate_nullity(hess) -> int:

@@ -30,10 +30,8 @@ from .geometry import (
     Trajectory,
     try_project,
 )
-from .inertial import Bias, ImuNoise, ImuStream
+from .inertial import GRAVITY_W, Bias, ImuNoise, ImuStream
 from .triangulation import Observation
-
-DEFAULT_GRAVITY = np.array([0.0, 0.0, -9.81])
 
 DEFAULT_IMU_NOISE = ImuNoise(
     gyro_density=1.5e-4,
@@ -406,7 +404,7 @@ def gen_world(config: SynthConfig) -> SynthWorld:
         cp_local=cp_local,
         landmarks_local=landmarks,
         world_from_local=world_from_local,
-        gravity=DEFAULT_GRAVITY.copy(),
+        gravity=GRAVITY_W.copy(),
     )
 
 

@@ -29,7 +29,6 @@ from .geometry import (
     Similarity,
     camera_from_frame,
     clamp_depth,
-    projection_jacobian,
     projection_jacobian_batch,
     try_project,
     unproject,
@@ -170,9 +169,15 @@ class ViewSet:
                 front[..., idx] = True
         return front
 
-    def _residuals(self, p: np.ndarray) -> np.ndarray:
-        """(N, 2) projection at clamped depth minus measurement."""
-        p_cam = self._points_in_camera(p)
+    def _rows_in_camera(self, p: np.ndarray) -> np.ndarray:
+        """(N, 3) camera-frame points for a (3,) point or one (N, 3) point
+        per view."""
+        return np.einsum("nij,nj->ni", self.a, np.broadcast_to(p, self.b.shape)) + self.b
+
+    def residuals(self, p: np.ndarray) -> np.ndarray:
+        """(N, 2) projection at clamped depth minus measurement, for a (3,)
+        point or one (N, 3) point per view."""
+        p_cam = self._rows_in_camera(p)
         res = np.empty_like(self.pixels)
         for cam, idx in self.groups:
             uv, _ = try_project(cam, clamp_depth(cam, p_cam[idx]))
@@ -180,26 +185,13 @@ class ViewSet:
         return res
 
     def jacobians(self, p: np.ndarray) -> np.ndarray:
-        """(N, 2, 3) d(pixel)/d(p) of every view, at clamped depth."""
-        p_cam = self._points_in_camera(p)
+        """(N, 2, 3) d(pixel)/d(p) of every view, at clamped depth, for a
+        (3,) point or one (N, 3) point per view."""
+        p_cam = self._rows_in_camera(p)
         jac = np.empty((len(self.b), 2, 3))
         for cam, idx in self.groups:
             jac[idx] = projection_jacobian_batch(cam, clamp_depth(cam, p_cam[idx]))
         return jac @ self.a
-
-    def row_residual(self, k: int):
-        """Callbacks (fn, jac) of view k's pixel residual alone, as a solver
-        residual block over the point: one scalar projection per call."""
-        cam, a, b = self.cameras[self.camera_index[k]], self.a[k], self.b[k]
-        pixel = self.pixels[k]
-
-        def fn(p):
-            return try_project(cam, clamp_depth(cam, a @ p + b))[0] - pixel
-
-        def jac(p):
-            return [projection_jacobian(cam, clamp_depth(cam, a @ p + b)) @ a]
-
-        return fn, jac
 
     def refine(self, point: np.ndarray) -> np.ndarray:
         """Levenberg-Marquardt minimum of the weighted reprojection cost
@@ -211,7 +203,7 @@ class ViewSet:
         accepted step falls below 1e-12.
         """
         p = np.asarray(point, dtype=float)
-        res = self._residuals(p)
+        res = self.residuals(p)
         cost = np.einsum("ni,nij,nj->", res, self.weights, res)
         lam = 1e-4
         for _ in range(50):
@@ -228,7 +220,7 @@ class ViewSet:
                 except np.linalg.LinAlgError:
                     step = np.full(3, np.nan)
                 trial = p + step
-                trial_res = self._residuals(trial)
+                trial_res = self.residuals(trial)
                 trial_cost = np.einsum("ni,nij,nj->", trial_res, self.weights, trial_res)
                 if trial_cost < cost:  # false for a non-finite step or cost
                     break

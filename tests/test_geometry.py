@@ -15,7 +15,7 @@ from vigt.geometry import (
     camera_from_frame,
     clamp_depth,
     project,
-    projection_jacobian,
+    projection_jacobian_batch,
     so3_right_jacobian,
     so3_right_jacobian_inverse,
     try_project,
@@ -245,7 +245,7 @@ class TestProjection:
         for cam in (PINHOLE_CAM, RADTAN_CAM, KB4_CAM):
             for _ in range(25):
                 p = rng.normal(scale=0.5, size=3) + np.array([0.0, 0.0, 3.0])
-                jac = projection_jacobian(cam, p)
+                jac = projection_jacobian_batch(cam, p[None])[0]
                 num = np.zeros((2, 3))
                 for i in range(3):
                     dp = np.zeros(3)
@@ -256,7 +256,7 @@ class TestProjection:
                 np.testing.assert_allclose(jac, num, rtol=1e-5, atol=1e-4)
 
     def test_kb4_on_axis_jacobian(self):
-        jac = projection_jacobian(KB4_CAM, np.array([0.0, 0.0, 2.0]))
+        jac = projection_jacobian_batch(KB4_CAM, np.array([[0.0, 0.0, 2.0]]))[0]
         np.testing.assert_allclose(
             jac, [[KB4_CAM.fx / 2.0, 0, 0], [0, KB4_CAM.fy / 2.0, 0]], atol=1e-9
         )

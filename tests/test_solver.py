@@ -5,8 +5,18 @@ import io
 import numpy as np
 import pytest
 
+from vigt import solver
 from vigt.errors import RankDeficientError, SolverError
-from vigt.geometry import CameraKind, CameraModel, Rotation, RigidPose, Similarity, project, projection_jacobian
+from vigt.geometry import (
+    CameraKind,
+    CameraModel,
+    Rotation,
+    RigidPose,
+    Similarity,
+    project,
+    projection_jacobian_batch,
+    skew,
+)
 from vigt.solver import (
     HuberLoss,
     Manifold,
@@ -198,7 +208,8 @@ class TestMarginalCovariance:
                 return project(cam, pose.apply(x)) - meas
 
             def jac(x):
-                return [projection_jacobian(cam, pose.apply(x)) @ pose.rotation.matrix()]
+                j_cam = projection_jacobian_batch(cam, pose.apply(x)[None])[0]
+                return [j_cam @ pose.rotation.matrix()]
 
             return fn, jac
 
@@ -353,3 +364,147 @@ def test_diagnostics_dump_shape():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "iteration,cost,vf_meas"
     assert len(lines) == len(report.cost_history) + 1
+
+
+def test_programming_error_in_linear_solve_propagates(monkeypatch):
+    def broken(ws, hess, grad):
+        raise TypeError("bug in the linear solve")
+
+    monkeypatch.setattr(solver, "_solve_normal_equations", broken)
+    p = Problem()
+    p.add_parameter_block("x", np.array([0.0]))
+    p.add_residual_block(lambda x: x - 3.0, ["x"], np.eye(1))
+    with pytest.raises(TypeError, match="bug in the linear solve"):
+        solve(p)
+
+
+def test_singular_linear_solve_raises_damping(monkeypatch):
+    def singular(ws, hess, grad):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(solver, "_solve_normal_equations", singular)
+    p = Problem()
+    p.add_parameter_block("x", np.array([0.0]))
+    p.add_residual_block(lambda x: x - 3.0, ["x"], np.eye(1))
+    assert solve(p).termination == "no_progress"
+
+
+class TestStackedBlocks:
+    """One block of N stacked rows against N single-row blocks."""
+
+    N_POSES, N_POINTS = 4, 5
+    # (pose, point) per row; pose 0 is constant
+    ROWS = [(0, 0), (1, 0), (1, 1), (2, 2), (3, 3), (0, 4), (2, 4), (3, 1)]
+
+    @staticmethod
+    def residual_rows(poses, points, meas):
+        """Body-frame points minus their measurements, one row per pair."""
+        return np.stack([t.rotation.inverse().apply(q - t.translation) for t, q in zip(poses, points)]) - meas
+
+    @staticmethod
+    def jacobian_rows(poses, points):
+        j_pose, j_point = [], []
+        for t, q in zip(poses, points):
+            r_t = t.rotation.matrix().T
+            j_pose.append(np.hstack([skew(r_t @ (q - t.translation)), -r_t]))
+            j_point.append(r_t)
+        return [np.stack(j_pose), np.stack(j_point)]
+
+    def build(self, stacked: bool, analytic: bool = True) -> Problem:
+        rng = np.random.default_rng(6)
+        poses = [
+            RigidPose(Rotation.exp(0.3 * rng.normal(size=3)), rng.normal(size=3))
+            for _ in range(self.N_POSES)
+        ]
+        points = rng.normal(scale=3.0, size=(self.N_POINTS, 3))
+        meas = self.residual_rows(
+            [poses[i] for i, _ in self.ROWS], [points[j] for _, j in self.ROWS], 0.0
+        )
+        meas += rng.normal(scale=0.1, size=meas.shape)
+        meas[[2, 5]] += 4.0  # rows where the Huber loss is active
+        # a full covariance on every other row, a diagonal one on the rest
+        a = rng.normal(size=(len(self.ROWS), 3, 3))
+        covs = 0.01 * a @ a.transpose(0, 2, 1) + 0.02 * np.eye(3)
+        covs[1::2] = np.diag([0.02, 0.03, 0.04])
+
+        p = Problem()
+        for i, pose in enumerate(poses):
+            init = RigidPose(
+                pose.rotation @ Rotation.exp(rng.normal(scale=0.02, size=3)),
+                pose.translation + rng.normal(scale=0.05, size=3),
+            )
+            p.add_parameter_block(f"pose{i}", pose if i == 0 else init, constant=(i == 0))
+            p.add_residual_block(
+                lambda t: np.concatenate([t.rotation.log(), t.translation]),
+                [f"pose{i}"],
+                100.0 * np.eye(6),
+                group="prior",
+            )
+        for j, q in enumerate(points):
+            p.add_parameter_block(f"pt{j}", q + rng.normal(scale=0.05, size=3))
+            p.add_residual_block(lambda x, q=q: x - q, [f"pt{j}"], np.eye(3), group="prior")
+        loss = HuberLoss(1.5)
+        if stacked:
+            p.add_stacked_block(
+                lambda t, q: self.residual_rows(t, q, meas),
+                [[f"pose{i}" for i, _ in self.ROWS], [f"pt{j}" for _, j in self.ROWS]],
+                covs,
+                jac=self.jacobian_rows if analytic else None,
+                loss=loss,
+                group="g",
+                rid="stacked",
+            )
+            return p
+        for n, (i, j) in enumerate(self.ROWS):
+            p.add_residual_block(
+                lambda t, q, n=n: self.residual_rows([t], [q], meas[n])[0],
+                [f"pose{i}", f"pt{j}"],
+                covs[n],
+                jac=(lambda t, q: [m[0] for m in self.jacobian_rows([t], [q])])
+                if analytic
+                else None,
+                loss=loss,
+                group="g",
+            )
+        return p
+
+    def test_huber_active_on_some_rows(self):
+        report = solve(self.build(True), SolveOptions(max_iters=0))
+        sq = (report.group_residuals["g"].reshape(-1, 3) ** 2).sum(axis=1)
+        assert 0 < np.sum(sq > 1.5**2) < len(self.ROWS)
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_matches_single_row_blocks(self, analytic):
+        reports, problems = [], []
+        for stacked in (True, False):
+            p = self.build(stacked, analytic)
+            reports.append(solve(p, SolveOptions(max_iters=0)))
+            step = solve(p, SolveOptions(max_iters=1))
+            assert step.iterations == 1 and step.final_cost < step.initial_cost
+            problems.append(p)
+        a, b = reports
+        assert a.initial_cost == pytest.approx(b.initial_cost, rel=1e-12)
+        assert a.group_redundancy == b.group_redundancy
+        for g in ("g", "prior"):
+            np.testing.assert_allclose(a.group_residuals[g], b.group_residuals[g], atol=1e-12)
+        free = [pid for pid, blk in problems[0].params.items() if not blk.constant]
+        for pid in free:
+            va, vb = problems[0].value(pid), problems[1].value(pid)
+            if isinstance(va, RigidPose):
+                assert va.rotation.angle_to(vb.rotation) < 1e-10
+                va, vb = va.translation, vb.translation
+            np.testing.assert_allclose(va, vb, atol=1e-10)
+        cov_a = marginal_covariances(problems[0], free)
+        cov_b = marginal_covariances(problems[1], free)
+        for pid in free:
+            np.testing.assert_allclose(cov_a[pid], cov_b[pid], rtol=1e-9, atol=1e-12)
+
+    def test_forward_differences_match_analytic(self):
+        p = self.build(True)
+        block = p.residuals["stacked"]
+        vals = [[p.value(pid) for pid in slot] for slot in block.params]
+        for num, ana in zip(
+            solver._forward_difference_jacobians(block, vals), block.jac(*vals)
+        ):
+            assert num.shape == ana.shape
+            np.testing.assert_allclose(num, ana, rtol=1e-5, atol=1e-5)
