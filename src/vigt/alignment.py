@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError
 from .geometry import RigidPose, Rotation, Similarity
-from .solver import HuberLoss, Problem, SolveOptions, SolveReport, solve
+from .solver import HuberLoss, Problem, SolveReport, solve
 from .triangulation import Observation, TriangulatedCP, ViewSet
 
 
@@ -42,10 +42,6 @@ class ControlPoint:
     def xy(self) -> np.ndarray:
         return self.position[:2]
 
-    @property
-    def horizontal_covariance(self) -> np.ndarray:
-        return self.covariance[:2, :2]
-
 
 @dataclass
 class AlignmentRecord:
@@ -68,73 +64,42 @@ class SparseAlignment:
     report: SolveReport | None
 
 
-@dataclass(frozen=True)
-class AlignmentConfig:
-    huber_delta_px: float = 2.0  # whitened units on reprojection residuals
-    max_iters: int = 100
-    gradient_tol: float = 1e-12
+def _similarity_fit(
+    src: np.ndarray, dst: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Closed-form (scale, rotation matrix, translation) taking the (N, d)
+    points `src` onto `dst`: centroid alignment, SVD rotation with
+    reflection correction and the variance-ratio scale (Umeyama 1991)."""
+    mu_src = src.mean(axis=0)
+    mu_dst = dst.mean(axis=0)
+    src_c = src - mu_src
+    u, d, vt = np.linalg.svd((dst - mu_dst).T @ src_c / len(src))
+    s = np.ones(src.shape[1])
+    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
+        s[-1] = -1.0
+    rot = (u * s) @ vt
+    scale = float(d @ s) / float((src_c**2).sum(axis=1).mean())
+    if scale <= 0.0:
+        raise DegenerateConfigurationError("similarity fit collapsed to scale <= 0")
+    return scale, rot, mu_dst - scale * rot @ mu_src
 
 
 def umeyama_init(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> Similarity:
-    """Closed-form similarity from (local, world) 3D pairs.
-
-    Centroid alignment, SVD rotation with reflection correction, and the
-    variance-ratio scale; the global minimizer of the unweighted alignment
-    cost.
-    """
+    """Closed-form similarity from (local, world) 3D pairs; the global
+    minimizer of the unweighted alignment cost."""
     if len(pairs) < 3:
         raise DegenerateConfigurationError(
             f"similarity fit needs at least 3 pairs, got {len(pairs)}"
         )
     src = np.stack([np.asarray(p, dtype=float) for p, _ in pairs])
     dst = np.stack([np.asarray(q, dtype=float) for _, q in pairs])
-
-    mu_src = src.mean(axis=0)
-    mu_dst = dst.mean(axis=0)
-    src_c = src - mu_src
-    dst_c = dst - mu_dst
-
-    sv = np.linalg.svd(src_c, compute_uv=False)
+    sv = np.linalg.svd(src - src.mean(axis=0), compute_uv=False)
     if sv[1] <= 1e-9 * max(sv[0], 1e-12):
         raise DegenerateConfigurationError(
             "points are collinear; rotation about the line is unobservable"
         )
-
-    cov = dst_c.T @ src_c / len(pairs)
-    u, d, vt = np.linalg.svd(cov)
-    s = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
-        s[2, 2] = -1.0
-    rot = u @ s @ vt
-    var_src = float((src_c**2).sum(axis=1).mean())
-    scale = float(np.trace(np.diag(d) @ s)) / var_src
-    if scale <= 0.0:
-        raise DegenerateConfigurationError("similarity fit collapsed to scale <= 0")
-    trans = mu_dst - scale * rot @ mu_src
+    scale, rot, trans = _similarity_fit(src, dst)
     return Similarity(scale, Rotation.from_matrix(rot), trans)
-
-
-def _umeyama_2d(src: np.ndarray, dst: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """2D similarity (scale, yaw, txy) between horizontal point sets."""
-    mu_src = src.mean(axis=0)
-    mu_dst = dst.mean(axis=0)
-    src_c = src - mu_src
-    dst_c = dst - mu_dst
-    if np.linalg.norm(src_c) < 1e-12:
-        raise DegenerateConfigurationError("horizontal points are coincident")
-    cov = dst_c.T @ src_c / len(src)
-    u, d, vt = np.linalg.svd(cov)
-    s = np.eye(2)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
-        s[1, 1] = -1.0
-    rot = u @ s @ vt
-    var_src = float((src_c**2).sum(axis=1).mean())
-    scale = float(np.trace(np.diag(d) @ s)) / var_src
-    if scale <= 0.0:
-        raise DegenerateConfigurationError("horizontal fit collapsed to scale <= 0")
-    yaw = float(np.arctan2(rot[1, 0], rot[0, 0]))
-    trans = mu_dst - scale * rot @ mu_src
-    return scale, yaw, trans
 
 
 def initialize_alignment(
@@ -165,7 +130,10 @@ def initialize_alignment(
         )
     src = np.stack([triangulations[cid].position[:2] for cid in usable])
     dst = np.stack([by_id[cid].xy for cid in usable])
-    scale, yaw, txy = _umeyama_2d(src, dst)
+    if np.linalg.norm(src - src.mean(axis=0)) < 1e-12:
+        raise DegenerateConfigurationError("horizontal points are coincident")
+    scale, rot, txy = _similarity_fit(src, dst)
+    yaw = float(np.arctan2(rot[1, 0], rot[0, 0]))
     z_pairs = [
         (triangulations[cid].position[2], by_id[cid].position[2])
         for cid in usable
@@ -213,7 +181,6 @@ def joint_sparse_align(
     rig,
     cps: Sequence[ControlPoint],
     init: Similarity | None = None,
-    config: AlignmentConfig = AlignmentConfig(),
     observations: Mapping[str, Sequence[Observation]] | None = None,
 ) -> SparseAlignment:
     """Jointly refine the world-from-local transform and proxy points.
@@ -244,7 +211,7 @@ def joint_sparse_align(
 
     problem = Problem()
     problem.add_parameter_block("T", init)
-    loss = HuberLoss(config.huber_delta_px)
+    loss = HuberLoss()
     for cid in usable:
         tri = triangulations[cid]
         pid = f"proxy:{cid}"
@@ -274,10 +241,7 @@ def joint_sparse_align(
             rid=f"world:{dim}d",
         )
 
-    report = solve(
-        problem,
-        SolveOptions(max_iters=config.max_iters, gradient_tol=config.gradient_tol),
-    )
+    report = solve(problem)
     transform: Similarity = problem.value("T")
     proxies = {cid: problem.value(f"proxy:{cid}") for cid in usable}
 

@@ -16,7 +16,8 @@ at the boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import logging
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,9 +26,11 @@ from .alignment import ControlPoint
 from .errors import ImuDataError, UnobservableError, VigtError
 from .geometry import RigCalibration, RigidPose, Trajectory, so3_right_jacobian_inverse
 from .inertial import (
+    BIAS_CORRECTION_WARN_NORM,
     Bias,
     ImuNoise,
     ImuStream,
+    PreintegratedSegment,
     bias_walk_covariance,
     preintegrate,
     preintegration_residual,
@@ -36,7 +39,6 @@ from .inertial import (
 from .solver import (
     HuberLoss,
     Problem,
-    SolveOptions,
     SolveReport,
     marginal_covariances,
     solve,
@@ -50,6 +52,10 @@ from .triangulation import (
 )
 
 VISUAL_GROUPS = ("feature-reprojection", "marker-reprojection")
+# floor of a visual group's variance factor when reweighting its covariance
+_MIN_VARIANCE_FACTOR = 1e-8
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -75,12 +81,8 @@ class FusionConfig:
     cp_deflation: float = 0.25  # multiplies the survey covariance
     keyframe_stride: int = 5
     mode: str = "full"  # "full" | "inertial-only"
-    huber_delta: float = 2.0
     sigma_detect_px: float = 1.0
     sigma_feature_px: float = 1.0
-    min_variance_factor: float = 1e-8
-    max_iters: int = 60
-    gradient_tol: float = 1e-12
     triangulation: TriangulationConfig = field(default_factory=TriangulationConfig)
 
     def __post_init__(self):
@@ -103,6 +105,7 @@ class FusionProblem:
     skipped_cps: dict[str, str]
     skipped_tracks: dict[str, str]
     gauge_prior: bool
+    segments: list[PreintegratedSegment]  # IMU between consecutive keyframes
 
     def pose_id(self, ts: int) -> str:
         return f"kf:{ts}:pose"
@@ -115,6 +118,9 @@ class PseudoGT:
     whitened_residuals: dict[str, np.ndarray]
     variance_factors: list[dict[str, float]]
     report: SolveReport
+    # keyframe intervals whose final bias lies farther than
+    # BIAS_CORRECTION_WARN_NORM from the preintegration's linearization bias
+    bias_excursions: int
 
     def trajectory(self) -> Trajectory:
         return Trajectory(
@@ -208,9 +214,10 @@ def _add_cp_world(
 
 def _add_inertial(
     problem: Problem, keyframe_ts: list[int], imu: ImuStream, noise: ImuNoise
-) -> None:
+) -> list[PreintegratedSegment]:
     """Preintegration rows between consecutive keyframes, and the bias
-    random walk between their bias states: one stacked block each."""
+    random walk between their bias states: one stacked block each. Returns
+    the preintegrated segments."""
     pairs = list(zip(keyframe_ts, keyframe_ts[1:]))
     segs = [preintegrate(imu.between(a, b), Bias.zero(), noise) for a, b in pairs]
 
@@ -254,6 +261,7 @@ def _add_inertial(
         jac=walk_jac,
         rid="walk",
     )
+    return segs
 
 
 def _pose_prior(prior: RigidPose, sigma_rot: float, sigma_pos: float):
@@ -356,7 +364,7 @@ def build_fusion_problem(
     cp_ids: list[str] = []
     skipped_cps: dict[str, str] = {}
     marker_rows: list[tuple[Observation, str]] = []
-    loss = HuberLoss(config.huber_delta)
+    loss = HuberLoss()
     for cp_id, obs in cp_detections.items():
         if cp_id not in cps_by_id:
             skipped_cps[cp_id] = "no matching control point"
@@ -410,7 +418,7 @@ def build_fusion_problem(
             "feature-reprojection",
         )
 
-    _add_inertial(problem, keyframe_ts, imu, rig.imu_noise)
+    segments = _add_inertial(problem, keyframe_ts, imu, rig.imu_noise)
 
     has_3d_cp = any(cps_by_id[cid].dim == 3 for cid in cp_ids)
     gauge_prior = not has_3d_cp
@@ -437,33 +445,31 @@ def build_fusion_problem(
         skipped_cps=skipped_cps,
         skipped_tracks=skipped_tracks,
         gauge_prior=gauge_prior,
+        segments=segments,
     )
 
 
 def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
     """Alternate solving with variance-factor reweighting of the visual
-    groups, then extract pose covariances and whitened residuals.
+    groups, then extract pose covariances and whitened residuals, and count
+    the bias excursions (logged once when there are any).
 
     Control-point and IMU covariances are never reweighted.
     """
-    config = fp.config
-    options = SolveOptions(
-        max_iters=config.max_iters, gradient_tol=config.gradient_tol
-    )
     factors_history: list[dict[str, float]] = []
-    report = solve(fp.problem, options)
-    for _ in range(config.reweight_rounds):
+    report = solve(fp.problem)
+    for _ in range(fp.config.reweight_rounds):
         factors: dict[str, float] = {}
         for group in VISUAL_GROUPS:
             if group not in report.group_residuals:
                 continue
             if report.group_redundancy[group] <= 0:
                 continue
-            vf = max(variance_factor(report, group), config.min_variance_factor)
+            vf = max(variance_factor(report, group), _MIN_VARIANCE_FACTOR)
             factors[group] = vf
             fp.problem.scale_group_covariance(group, vf)
         factors_history.append(factors)
-        report = solve(fp.problem, options)
+        report = solve(fp.problem)
 
     pose_ids = [fp.pose_id(ts) for ts in fp.keyframe_ts]
     covs = marginal_covariances(fp.problem, pose_ids)
@@ -479,25 +485,26 @@ def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
                 bias=Bias.from_vector(fp.problem.value(f"kf:{ts}:bias")),
             )
         )
+    excursions = sum(
+        np.linalg.norm(kf.bias.as_vector() - seg.lin_bias.as_vector())
+        > BIAS_CORRECTION_WARN_NORM
+        for kf, seg in zip(keyframes, fp.segments)
+    )
+    if excursions:
+        _log.warning(
+            "%d of %d keyframe intervals end with an IMU bias more than %g"
+            " from the bias their preintegration is linearized at; the"
+            " first-order bias correction is outside its range there",
+            excursions,
+            len(fp.segments),
+            BIAS_CORRECTION_WARN_NORM,
+        )
     return PseudoGT(
         keyframes=keyframes,
         pose_covariances=[covs[pid] for pid in pose_ids],
         whitened_residuals=dict(report.group_residuals),
         variance_factors=factors_history,
         report=report,
+        bias_excursions=int(excursions),
     )
 
-
-def inertial_only_optimize(
-    init_traj: Trajectory,
-    cp_detections: Mapping[str, Sequence[Observation]],
-    cps: Sequence[ControlPoint],
-    imu: ImuStream,
-    rig: RigCalibration,
-    config: FusionConfig = FusionConfig(),
-) -> PseudoGT:
-    """Pseudo-GT from inertial and control-point information alone, for
-    sections where visual features mislead (moving platforms)."""
-    config = replace(config, mode="inertial-only")
-    fp = build_fusion_problem(init_traj, [], cp_detections, cps, imu, rig, config)
-    return optimize_pseudo_gt(fp)

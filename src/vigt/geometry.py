@@ -84,10 +84,6 @@ class Rotation:
         return Rotation(np.array([1.0, 0.0, 0.0, 0.0]))
 
     @staticmethod
-    def from_quat(w: float, x: float, y: float, z: float) -> "Rotation":
-        return Rotation(np.array([w, x, y, z], dtype=float))
-
-    @staticmethod
     def exp(rotvec) -> "Rotation":
         """Exponential map from a 3-vector tangent (axis * angle)."""
         v = np.asarray(rotvec, dtype=float).reshape(3)

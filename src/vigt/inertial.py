@@ -11,7 +11,6 @@ timestamped in integer nanoseconds.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +28,6 @@ from .geometry import (
 GRAVITY_W = np.array([0.0, 0.0, -9.81])
 
 BIAS_CORRECTION_WARN_NORM = 0.1
-
-
-@dataclass(frozen=True)
-class ImuSample:
-    timestamp_ns: int
-    angular_velocity: np.ndarray  # rad/s, body frame
-    specific_force: np.ndarray  # m/s^2, body frame
 
 
 @dataclass(frozen=True)
@@ -96,15 +88,6 @@ class ImuStream:
 
     def __len__(self):
         return len(self.timestamps)
-
-    @staticmethod
-    def from_samples(samples) -> "ImuStream":
-        samples = list(samples)
-        return ImuStream(
-            np.array([s.timestamp_ns for s in samples], dtype=np.int64),
-            np.stack([s.angular_velocity for s in samples]),
-            np.stack([s.specific_force for s in samples]),
-        )
 
     def between(self, t_start_ns: int, t_end_ns: int) -> "ImuStream":
         """Samples covering [t_start, t_end], with measurements linearly
@@ -250,22 +233,16 @@ def bias_correct(
     seg: PreintegratedSegment, bias: Bias
 ) -> tuple[Rotation, np.ndarray, np.ndarray, bool]:
     """First-order update of the deltas to a new bias, without
-    re-integration. Returns (rotation, velocity, position, warned)."""
+    re-integration. Returns (rotation, velocity, position, warned); `warned`
+    is set when the correction's norm exceeds BIAS_CORRECTION_WARN_NORM,
+    past the first-order linearization range."""
     d_bg = bias.gyro - seg.lin_bias.gyro
     d_ba = bias.accel - seg.lin_bias.accel
-    warned = False
     norm = float(np.linalg.norm(np.concatenate([d_bg, d_ba])))
-    if norm > BIAS_CORRECTION_WARN_NORM:
-        warnings.warn(
-            f"bias correction of norm {norm:.3g} exceeds the first-order"
-            " linearization range",
-            stacklevel=2,
-        )
-        warned = True
     rot = seg.delta_rot @ Rotation.exp(seg.d_rot_d_bg @ d_bg)
     vel = seg.delta_vel + seg.d_vel_d_bg @ d_bg + seg.d_vel_d_ba @ d_ba
     pos = seg.delta_pos + seg.d_pos_d_bg @ d_bg + seg.d_pos_d_ba @ d_ba
-    return rot, vel, pos, warned
+    return rot, vel, pos, norm > BIAS_CORRECTION_WARN_NORM
 
 
 def preintegration_residual(
@@ -275,17 +252,16 @@ def preintegration_residual(
     pose_j: RigidPose,
     vel_j: np.ndarray,
     bias_i: Bias,
-    gravity: np.ndarray = GRAVITY_W,
 ) -> np.ndarray:
     """9-vector (rotation, velocity, position) preintegration residual."""
     d_rot, d_vel, d_pos, _ = bias_correct(seg, bias_i)
     r_i = pose_i.rotation.matrix()
     dt = seg.dt
     rot_err = (d_rot.inverse() @ (pose_i.rotation.inverse() @ pose_j.rotation)).log()
-    vel_err = r_i.T @ (vel_j - vel_i - gravity * dt) - d_vel
+    vel_err = r_i.T @ (vel_j - vel_i - GRAVITY_W * dt) - d_vel
     pos_err = (
         r_i.T
-        @ (pose_j.translation - pose_i.translation - vel_i * dt - 0.5 * gravity * dt**2)
+        @ (pose_j.translation - pose_i.translation - vel_i * dt - 0.5 * GRAVITY_W * dt**2)
         - d_pos
     )
     return np.concatenate([rot_err, vel_err, pos_err])
@@ -298,7 +274,6 @@ def preintegration_residual_jacobians(
     pose_j: RigidPose,
     vel_j: np.ndarray,
     bias_i: Bias,
-    gravity: np.ndarray = GRAVITY_W,
 ) -> list[np.ndarray]:
     """Tangent Jacobians for (pose_i, vel_i, pose_j, vel_j, bias_i).
 
@@ -315,9 +290,9 @@ def preintegration_residual_jacobians(
     jr_inv = so3_right_jacobian_inverse(rot_err)
     exp_err = so3_exp_matrix(rot_err)
 
-    v_term = r_i.T @ (vel_j - vel_i - gravity * dt)
+    v_term = r_i.T @ (vel_j - vel_i - GRAVITY_W * dt)
     p_term = r_i.T @ (
-        pose_j.translation - pose_i.translation - vel_i * dt - 0.5 * gravity * dt**2
+        pose_j.translation - pose_i.translation - vel_i * dt - 0.5 * GRAVITY_W * dt**2
     )
 
     j_pose_i = np.zeros((9, 6))
@@ -347,11 +322,6 @@ def preintegration_residual_jacobians(
     j_bias[6:9, 3:6] = -seg.d_pos_d_ba
 
     return [j_pose_i, j_vel_i, j_pose_j, j_vel_j, j_bias]
-
-
-def bias_walk_residual(bias_i: Bias, bias_j: Bias) -> np.ndarray:
-    """Random-walk residual between consecutive bias states."""
-    return bias_j.as_vector() - bias_i.as_vector()
 
 
 def bias_walk_covariance(noise: ImuNoise, dt: float) -> np.ndarray:

@@ -256,12 +256,6 @@ class Problem:
     def value(self, pid: str):
         return self.params[pid].value
 
-    def set_value(self, pid: str, value):
-        block = self.params[pid]
-        if block.manifold is Manifold.EUCLIDEAN:
-            value = np.asarray(value, dtype=float).reshape(-1)
-        block.value = value
-
     def groups(self) -> list[str]:
         seen = dict.fromkeys(r.group for r in self.residuals.values())
         return list(seen)
@@ -278,10 +272,12 @@ class Problem:
 @dataclass(frozen=True)
 class SolveOptions:
     max_iters: int = 100
-    gradient_tol: float = 1e-10
 
 
-_PARAM_TOL = 1e-12  # an accepted step shorter than this ends the solve
+# A Levenberg-Marquardt solve has converged once a step lowers the cost by
+# at most this fraction of it, or once no damping lowers the cost and the
+# Gauss-Newton model promises no more than that.
+CONVERGENCE_TOL = 1e-12
 _INITIAL_LAMBDA = 1e-4
 _LAMBDA_MAX = 1e10
 _COST_TOL_REL = 1e-16  # declare victory below this fraction of initial cost
@@ -301,7 +297,7 @@ class SolveReport:
 
     @property
     def success(self) -> bool:
-        return self.termination != "failed"
+        return self.termination == "converged"
 
 
 class _Workspace:
@@ -507,8 +503,23 @@ def _sparse_solve(mat, rhs: np.ndarray) -> np.ndarray:
     return scipy.sparse.linalg.spsolve(mat.tocsc(), rhs)
 
 
+def _model_decrease(jac, grad: np.ndarray, delta: np.ndarray) -> float:
+    """Largest decrease of the Gauss-Newton model along `delta`, taken at
+    its best step length, so heavy damping alone does not shrink it."""
+    curvature = float(np.sum((jac @ delta) ** 2))
+    slope = float(grad @ delta)
+    return slope * slope / (2.0 * curvature) if curvature > 0.0 else 0.0
+
+
 def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveReport:
-    """Minimize the problem in place; returns the report."""
+    """Minimize the problem in place; returns the report.
+
+    Terminations: "converged" (a step lowered the cost by at most
+    CONVERGENCE_TOL of it, the cost reached the zero-residual floor, or no
+    damping lowers the cost at the numerical floor), "no_progress" (no
+    damping lowers the cost, though the model promises a decrease) and
+    "max_iterations".
+    """
     ws = _Workspace(problem)
     values = {pid: b.value for pid, b in problem.params.items()}
 
@@ -524,15 +535,10 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
     for iterations in range(1, options.max_iters + 1):
         jac, rhs = ws.linearize(values, whitened)
         grad = jac.T @ rhs
-        if np.max(np.abs(grad), initial=0.0) < options.gradient_tol:
-            iterations -= 1
-            termination = "converged_gradient"
-            break
-
         hess = (jac.T @ jac).tocsr()
         diag = np.maximum(hess.diagonal(), 1e-12)
 
-        accepted = False
+        promised = None  # model decrease along the least-damped step
         while lam <= _LAMBDA_MAX:
             damped = hess + scipy.sparse.diags(lam * diag)
             try:
@@ -543,26 +549,28 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
             if not np.all(np.isfinite(delta)):
                 lam *= 10.0
                 continue
+            if promised is None:
+                promised = _model_decrease(jac, grad, delta)
             trial = ws.apply_step(values, delta)
             trial_cost, trial_whitened, trial_rss = ws.try_evaluate(trial)
             if trial_cost < cost:
-                values, cost = trial, trial_cost
-                whitened, group_rss = trial_whitened, trial_rss
-                step_norm = float(np.linalg.norm(delta))
-                lam = max(lam * 0.1, 1e-15)
-                accepted = True
-                cost_history.append(cost)
-                rss_history.append(dict(group_rss))
-                if step_norm < _PARAM_TOL:
-                    termination = "converged_params"
-                if cost <= _COST_TOL_REL * initial_cost:
-                    termination = "converged_cost"
                 break
             lam *= 10.0
-        if not accepted:
-            termination = "no_progress"
+        else:
+            # no damping lowers the cost: at the numerical floor only if the
+            # model promised no more than the convergence tolerance
+            floor = promised is not None and promised <= CONVERGENCE_TOL * cost
+            termination = "converged" if floor else "no_progress"
             break
-        if termination in ("converged_params", "converged_cost"):
+
+        converged = cost - trial_cost <= CONVERGENCE_TOL * cost
+        values, cost = trial, trial_cost
+        whitened, group_rss = trial_whitened, trial_rss
+        lam = max(lam * 0.1, 1e-15)
+        cost_history.append(cost)
+        rss_history.append(dict(group_rss))
+        if converged or cost <= _COST_TOL_REL * initial_cost:
+            termination = "converged"
             break
 
     for pid, v in values.items():

@@ -312,15 +312,9 @@ class SynthWorld:
     cp_local: dict[str, np.ndarray]  # exact local positions
     landmarks_local: dict[str, np.ndarray]
     world_from_local: Similarity
-    gravity: np.ndarray
 
     def world_trajectory(self) -> Trajectory:
         return self.trajectory.transformed(self.world_from_local)
-
-    def cp_world_truth(self) -> dict[str, np.ndarray]:
-        return {
-            cid: self.world_from_local.apply(p) for cid, p in self.cp_local.items()
-        }
 
 
 @dataclass
@@ -404,7 +398,6 @@ def gen_world(config: SynthConfig) -> SynthWorld:
         cp_local=cp_local,
         landmarks_local=landmarks,
         world_from_local=world_from_local,
-        gravity=GRAVITY_W.copy(),
     )
 
 
@@ -503,7 +496,6 @@ def gen_imu(
     rate_hz: float | None = None,
     noise: ImuNoise | None = None,
     bias: Bias | None = None,
-    gravity: np.ndarray | None = None,
     seed: int | None = None,
     noisy: bool = True,
 ) -> ImuStream:
@@ -513,7 +505,6 @@ def gen_imu(
     rate = rate_hz or config.imu_rate_hz
     noise = noise or config.imu_noise
     bias = bias or Bias(np.array(config.gyro_bias), np.array(config.accel_bias))
-    g = world.gravity if gravity is None else np.asarray(gravity, dtype=float)
     rng = np.random.default_rng(config.seed + 2 if seed is None else seed)
 
     ts = _time_grid(config.duration_s, rate)
@@ -521,7 +512,7 @@ def gen_imu(
     omega = world.curve.body_rates(t_s)
     acc_w = world.curve.acceleration(t_s)
     rot = world.curve.rotation_matrices(t_s)
-    accel = np.einsum("nij,nj->ni", rot.transpose(0, 2, 1), acc_w - g)
+    accel = np.einsum("nij,nj->ni", rot.transpose(0, 2, 1), acc_w - GRAVITY_W)
 
     gyro = omega + bias.gyro
     accel = accel + bias.accel

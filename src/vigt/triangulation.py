@@ -33,6 +33,7 @@ from .geometry import (
     try_project,
     unproject,
 )
+from .solver import CONVERGENCE_TOL
 
 # RANSAC hypotheses projected per batch; bounds the temporary arrays
 _SCORE_CHUNK = 64
@@ -74,7 +75,6 @@ class TriangulationConfig:
     threshold_px: float = 4.0
     max_iters: int = 500
     seed: int = 42
-    sigma_detect_px: float = 1.0
     min_pair_angle_deg: float = 0.5
 
 
@@ -199,8 +199,9 @@ class ViewSet:
 
         Damping is multiplicative on the Hessian diagonal. A step is kept
         only if it lowers the cost, so the result is never worse than the
-        start. Stops after 50 iterations, or once the gradient or an
-        accepted step falls below 1e-12.
+        start. Stops after 50 iterations, when no damping lowers the cost,
+        or once a step lowers it by at most the solver's CONVERGENCE_TOL of
+        it.
         """
         p = np.asarray(point, dtype=float)
         res = self.residuals(p)
@@ -210,8 +211,6 @@ class ViewSet:
             jac = self.jacobians(p)
             jt_w = np.einsum("nji,njk->nik", jac, self.weights)
             grad = np.einsum("nij,nj->i", jt_w, res)
-            if np.max(np.abs(grad)) < 1e-12:
-                break
             hess = np.einsum("nij,njk->ik", jt_w, jac)
             damping = np.diag(np.maximum(np.diag(hess), 1e-12))
             while lam <= 1e10:
@@ -227,9 +226,10 @@ class ViewSet:
                 lam *= 10.0
             else:
                 break  # no damping lowers the cost
+            converged = cost - trial_cost <= CONVERGENCE_TOL * cost
             p, res, cost = trial, trial_res, trial_cost
             lam = max(lam * 0.1, 1e-15)
-            if np.linalg.norm(step) < 1e-12:
+            if converged:
                 break
         return p
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vigt.alignment import (
-    AlignmentConfig,
     ControlPoint,
     cp_alignment_errors,
     initialize_alignment,
@@ -222,8 +221,7 @@ class TestJointAlign:
         rng = np.random.default_rng(8)
         poses, detections, cps, _, _ = make_scene(rng, noise_px=0.05)
         tris = self.triangulate(detections, poses)
-        tight = AlignmentConfig(max_iters=300, gradient_tol=1e-15)
-        base = joint_sparse_align(tris, poses, RIG, cps, config=tight)
+        base = joint_sparse_align(tris, poses, RIG, cps)
 
         g = random_similarity(rng, scale_spread=0.3)
         moved_poses = {
@@ -240,7 +238,7 @@ class TestJointAlign:
             )
             for cid, t in tris.items()
         }
-        moved = joint_sparse_align(moved_tris, moved_poses, RIG, cps, config=tight)
+        moved = joint_sparse_align(moved_tris, moved_poses, RIG, cps)
 
         expected = base.transform @ g.inverse()
         pts = [g.apply(t.position) for t in tris.values()]

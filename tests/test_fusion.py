@@ -1,11 +1,13 @@
 """Tests for pseudo-ground-truth fusion on short synthetic scenes."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from vigt.errors import ImuDataError, UnobservableError
 from vigt.fusion import FusionConfig, build_fusion_problem, optimize_pseudo_gt
-from vigt.inertial import ImuStream
+from vigt.inertial import BIAS_CORRECTION_WARN_NORM, ImuStream
 from vigt.synth import (
     SynthConfig,
     default_rig,
@@ -70,6 +72,24 @@ def test_recovers_truth_from_perturbed_init(scene, mode):
     assert rms < 0.5 * np.sqrt(np.mean(init_err**2))
     for cov in pgt.pose_covariances:
         assert np.linalg.eigvalsh(cov).min() > 0.0
+
+
+def test_bias_excursions_counted_and_logged_once(scene, caplog):
+    world, rig, detections, imu, truth, init = scene
+    config = FusionConfig(keyframe_stride=STRIDE)
+    fp = build_fusion_problem(
+        init, detections.tracks, detections.cp_observations, world.cps, imu, rig, config
+    )
+    with caplog.at_level(logging.WARNING, logger="vigt.fusion"):
+        pgt = optimize_pseudo_gt(fp)
+    # every interval is preintegrated at zero bias, from its first keyframe
+    expected = sum(
+        np.linalg.norm(kf.bias.as_vector()) > BIAS_CORRECTION_WARN_NORM
+        for kf in pgt.keyframes[:-1]
+    )
+    assert pgt.bias_excursions == expected
+    records = [r for r in caplog.records if r.name == "vigt.fusion"]
+    assert len(records) == (1 if expected > 0 else 0)
 
 
 def test_imu_gap_raises(scene):

@@ -86,7 +86,7 @@ class TestRotation:
             assert r.angle_to(r2) < 1e-9
 
     def test_canonical_quat_nonnegative_w(self):
-        r = Rotation.from_quat(-0.5, 0.5, 0.5, 0.5)
+        r = Rotation(np.array([-0.5, 0.5, 0.5, 0.5]))
         assert r.canonical_quat()[0] >= 0.0
         np.testing.assert_allclose(
             Rotation(r.canonical_quat()).matrix(), r.matrix(), atol=1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vigt.geometry import Rotation, Similarity, so3_exp_matrix
-from vigt.inertial import Bias, preintegrate
+from vigt.inertial import GRAVITY_W, Bias, preintegrate
 from vigt.metrics import coverage_check
 from vigt.synth import (
     SynthConfig,
@@ -144,7 +144,7 @@ class TestGenImu:
         rot = world.curve.rotation_matrices(t)
         acc_w = world.curve.acceleration(t)
         expected = np.einsum(
-            "nij,nj->ni", rot.transpose(0, 2, 1), acc_w - world.gravity
+            "nij,nj->ni", rot.transpose(0, 2, 1), acc_w - GRAVITY_W
         )
         np.testing.assert_allclose(imu.accel, expected, atol=1e-12)
         # slow motion: the gravity reaction (+9.81 on body z) dominates
@@ -162,7 +162,7 @@ class TestGenImu:
         p0, p1 = world.curve.position(t0 * 1e-9), world.curve.position(t1 * 1e-9)
         v0, v1 = world.curve.velocity(t0 * 1e-9), world.curve.velocity(t1 * 1e-9)
         dt = (t1 - t0) * 1e-9
-        g = world.gravity
+        g = GRAVITY_W
 
         rot_expected = r0.inverse() @ r1
         vel_expected = r0.matrix().T @ (v1 - v0 - g * dt)
