@@ -12,29 +12,43 @@ The input trajectory must already be metrically aligned into the world
 frame (see the alignment module); the world frame is gravity-aligned.
 Internally all states live in the IMU frame; device poses are converted
 at the boundaries.
+
+Each factor family is one stacked residual block. The IMU family is one
+`inertial.SegmentStack` of the S keyframe intervals, segment s between
+keyframes s and s + 1, preintegrated in lockstep at zero bias; its
+residuals (S, 9) and Jacobians (S, 9, k) come from one call each, and the
+bias random walk ties the same S pairs of bias states.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .alignment import ControlPoint
 from .errors import ImuDataError, UnobservableError, VigtError
-from .geometry import RigCalibration, RigidPose, Trajectory, so3_right_jacobian_inverse
+from .geometry import (
+    RigCalibration,
+    RigidPose,
+    Trajectory,
+    quat_to_matrix,
+    so3_right_jacobian_inverse,
+)
 from .inertial import (
     BIAS_CORRECTION_WARN_NORM,
     Bias,
     ImuNoise,
     ImuStream,
-    PreintegratedSegment,
+    SegmentStack,
+    bias_correct_stack,
     bias_walk_covariance,
-    preintegrate,
-    preintegration_residual,
-    preintegration_residual_jacobians,
+    preintegrate_stack,
+    preintegration_residual_jacobians_stack,
+    preintegration_residual_stack,
 )
 from .solver import (
     HuberLoss,
@@ -105,7 +119,7 @@ class FusionProblem:
     skipped_cps: dict[str, str]
     skipped_tracks: dict[str, str]
     gauge_prior: bool
-    segments: list[PreintegratedSegment]  # IMU between consecutive keyframes
+    segments: SegmentStack  # IMU between consecutive keyframes
 
     def pose_id(self, ts: int) -> str:
         return f"kf:{ts}:pose"
@@ -118,7 +132,7 @@ class PseudoGT:
     whitened_residuals: dict[str, np.ndarray]
     variance_factors: list[dict[str, float]]
     report: SolveReport
-    # keyframe intervals whose final bias lies farther than
+    # keyframe intervals whose final gyro bias lies farther than
     # BIAS_CORRECTION_WARN_NORM from the preintegration's linearization bias
     bias_excursions: int
 
@@ -142,7 +156,7 @@ def _reprojection_factor(views: ViewSet):
     point) slots; `views` maps body-frame points into each row's camera."""
 
     def body_points(poses, points):
-        r_wb = np.stack([p.rotation.matrix() for p in poses])
+        r_wb = quat_to_matrix(np.stack([p.rotation.quat for p in poses]))
         t_wb = np.stack([p.translation for p in poses])
         return r_wb, np.einsum("nji,nj->ni", r_wb, np.stack(points) - t_wb)
 
@@ -214,25 +228,16 @@ def _add_cp_world(
 
 def _add_inertial(
     problem: Problem, keyframe_ts: list[int], imu: ImuStream, noise: ImuNoise
-) -> list[PreintegratedSegment]:
+) -> SegmentStack:
     """Preintegration rows between consecutive keyframes, and the bias
     random walk between their bias states: one stacked block each. Returns
-    the preintegrated segments."""
+    the preintegrated segments, integrated in lockstep at zero bias."""
     pairs = list(zip(keyframe_ts, keyframe_ts[1:]))
-    segs = [preintegrate(imu.between(a, b), Bias.zero(), noise) for a, b in pairs]
-
-    def rows(poses_i, vels_i, poses_j, vels_j, biases_i):
-        return zip(segs, poses_i, vels_i, poses_j, vels_j, map(Bias.from_vector, biases_i))
-
-    def imu_fn(*slots):
-        return np.stack([preintegration_residual(*row) for row in rows(*slots)])
-
-    def imu_jac(*slots):
-        per_row = [preintegration_residual_jacobians(*row) for row in rows(*slots)]
-        return [np.stack(j) for j in zip(*per_row)]
-
+    segs = preintegrate_stack(
+        [imu.between(a, b) for a, b in pairs], np.zeros((len(pairs), 6)), noise
+    )
     problem.add_stacked_block(
-        imu_fn,
+        partial(preintegration_residual_stack, segs),
         [
             [f"kf:{a}:pose" for a, _ in pairs],
             [f"kf:{a}:vel" for a, _ in pairs],
@@ -240,9 +245,9 @@ def _add_inertial(
             [f"kf:{b}:vel" for _, b in pairs],
             [f"kf:{a}:bias" for a, _ in pairs],
         ],
-        np.stack([seg.covariance for seg in segs]),
+        segs.covariance,
         group="imu-preintegration",
-        jac=imu_jac,
+        jac=partial(preintegration_residual_jacobians_stack, segs),
         rid="imu",
     )
 
@@ -256,7 +261,7 @@ def _add_inertial(
     problem.add_stacked_block(
         walk_fn,
         [[f"kf:{a}:bias" for a, _ in pairs], [f"kf:{b}:bias" for _, b in pairs]],
-        np.stack([bias_walk_covariance(noise, seg.dt) for seg in segs]),
+        bias_walk_covariance(noise, segs.dt),
         group="bias-walk",
         jac=walk_jac,
         rid="walk",
@@ -485,14 +490,11 @@ def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
                 bias=Bias.from_vector(fp.problem.value(f"kf:{ts}:bias")),
             )
         )
-    excursions = sum(
-        np.linalg.norm(kf.bias.as_vector() - seg.lin_bias.as_vector())
-        > BIAS_CORRECTION_WARN_NORM
-        for kf, seg in zip(keyframes, fp.segments)
-    )
+    start_biases = [kf.bias.as_vector() for kf in keyframes[:-1]]
+    excursions = int(bias_correct_stack(fp.segments, start_biases)[3].sum())
     if excursions:
         _log.warning(
-            "%d of %d keyframe intervals end with an IMU bias more than %g"
+            "%d of %d keyframe intervals end with a gyro bias more than %g"
             " from the bias their preintegration is linearized at; the"
             " first-order bias correction is outside its range there",
             excursions,
@@ -505,6 +507,6 @@ def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
         whitened_residuals=dict(report.group_residuals),
         variance_factors=factors_history,
         report=report,
-        bias_excursions=int(excursions),
+        bias_excursions=excursions,
     )
 

@@ -23,46 +23,109 @@ _QUAT_NORM_TOL = 1e-9
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ u == np.cross(v, u)."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """Cross-product matrices: skew(v) @ u == np.cross(v, u). Takes one
+    (3,) vector or a (..., 3) stack and returns (..., 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def _angle_terms(rotvec, small_angle: float):
+    """Cross-product matrices K of (..., 3) rotation vectors, the (..., 1, 1)
+    mask of angles below `small_angle`, and the angles with those replaced
+    by 1, so the closed forms never divide by zero."""
+    rotvec = np.asarray(rotvec, dtype=float)
+    theta = np.linalg.norm(rotvec, axis=-1)[..., None, None]
+    small = theta < small_angle
+    return skew(rotvec), small, np.where(small, 1.0, theta)
 
 
 def so3_exp_matrix(rotvec: np.ndarray) -> np.ndarray:
-    """Rodrigues formula, series-expanded near zero."""
-    theta = float(np.linalg.norm(rotvec))
-    k = skew(rotvec)
-    if theta < 1e-8:
-        return np.eye(3) + k + 0.5 * (k @ k)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / theta**2
+    """Rodrigues formula, series-expanded near zero; (..., 3) rotation
+    vectors to (..., 3, 3) matrices."""
+    k, small, t = _angle_terms(rotvec, 1e-8)
+    a = np.where(small, 1.0, np.sin(t) / t)
+    b = np.where(small, 0.5, (1.0 - np.cos(t)) / t**2)
     return np.eye(3) + a * k + b * (k @ k)
 
 
 def so3_right_jacobian(rotvec: np.ndarray) -> np.ndarray:
-    """Right Jacobian of SO(3): Exp(v + dv) ~= Exp(v) Exp(Jr(v) dv)."""
-    theta = float(np.linalg.norm(rotvec))
-    k = skew(rotvec)
-    if theta < 1e-6:
-        return np.eye(3) - 0.5 * k + (k @ k) / 6.0
-    a = (1.0 - np.cos(theta)) / theta**2
-    b = (theta - np.sin(theta)) / theta**3
+    """Right Jacobian of SO(3): Exp(v + dv) ~= Exp(v) Exp(Jr(v) dv); takes
+    (..., 3) and returns (..., 3, 3)."""
+    k, small, t = _angle_terms(rotvec, 1e-6)
+    a = np.where(small, 0.5, (1.0 - np.cos(t)) / t**2)
+    b = np.where(small, 1.0 / 6.0, (t - np.sin(t)) / t**3)
     return np.eye(3) - a * k + b * (k @ k)
 
 
 def so3_right_jacobian_inverse(rotvec: np.ndarray) -> np.ndarray:
-    """Inverse of the right Jacobian of SO(3)."""
-    theta = float(np.linalg.norm(rotvec))
-    k = skew(rotvec)
-    if theta < 1e-6:
-        return np.eye(3) + 0.5 * k + (k @ k) / 12.0
-    b = 1.0 / theta**2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
+    """Inverse of the right Jacobian of SO(3); (..., 3) to (..., 3, 3)."""
+    k, small, t = _angle_terms(rotvec, 1e-6)
+    b = np.where(
+        small, 1.0 / 12.0, 1.0 / t**2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))
+    )
     return np.eye(3) + 0.5 * k + b * (k @ k)
+
+
+def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Hamilton products of (..., 4) quaternions (w, x, y, z), renormalized."""
+    w1, x1, y1, z1 = np.moveaxis(np.asarray(q1, dtype=float), -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(np.asarray(q2, dtype=float), -1, 0)
+    q = np.stack(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ],
+        axis=-1,
+    )
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def quat_exp(rotvec: np.ndarray) -> np.ndarray:
+    """Unit quaternions of (..., 3) rotation vectors (axis * angle)."""
+    v = np.asarray(rotvec, dtype=float)
+    theta = np.linalg.norm(v, axis=-1, keepdims=True)
+    small = theta < 1e-12
+    t = np.where(small, 1.0, theta)
+    w = np.where(small, 1.0, np.cos(0.5 * t))
+    xyz = np.where(small, 0.5 * v, np.sin(0.5 * t) * (v / t))
+    q = np.concatenate([w, xyz], axis=-1)
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def quat_log(q: np.ndarray) -> np.ndarray:
+    """Rotation vectors (axis * angle, angle in [0, pi]) of (..., 4) unit
+    quaternions."""
+    q = np.asarray(q, dtype=float)
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    w, xyz = q[..., :1], q[..., 1:]
+    n = np.linalg.norm(xyz, axis=-1, keepdims=True)
+    small = n < 1e-12
+    angle_over_n = 2.0 * np.arctan2(n, w) / np.where(small, 1.0, n)
+    return np.where(small, 2.0 / np.where(small, w, 1.0), angle_over_n) * xyz
+
+
+def quat_to_matrix(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of (..., 4) unit quaternions."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    m = np.stack(
+        [
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ],
+        axis=-1,
+    )
+    return m.reshape(q.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,11 +7,25 @@ residuals the fusion factor graph is built from.
 
 Integration uses the midpoint rule per sample interval; sample streams are
 timestamped in integer nanoseconds.
+
+Segments are integrated and evaluated stacked. A `SegmentStack` holds S
+segments as arrays over a leading segment axis: interval bounds and
+lengths (S,), rotation deltas as (S, 4) unit quaternions (w, x, y, z),
+velocity and position deltas (S, 3), covariances (S, 9, 9), bias
+Jacobians (S, 3, 3) and linearization biases (S, 6) as (gyro, accel).
+`preintegrate_stack` integrates all segments in lockstep, one sample index
+at a time over (S, L, ...) arrays, shorter streams padded with zero-length
+steps; the per-sample rotation maps are computed for all samples before
+the recurrence. The residual and its Jacobians are evaluated for all
+segments in one call each, (S, 9) and (S, 9, k). The scalar functions
+(`preintegrate`, `bias_correct`, `preintegration_residual`,
+`preintegration_residual_jacobians`) are the S = 1 case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +33,10 @@ from .errors import ImuDataError
 from .geometry import (
     RigidPose,
     Rotation,
+    quat_exp,
+    quat_log,
+    quat_multiply,
+    quat_to_matrix,
     skew,
     so3_exp_matrix,
     so3_right_jacobian,
@@ -142,107 +160,297 @@ class PreintegratedSegment:
     gap_warning: bool = False
 
 
+@dataclass(frozen=True, eq=False)
+class SegmentStack:
+    """S preintegrated segments as arrays over a leading segment axis.
+
+    The fields are those of :class:`PreintegratedSegment`, stacked:
+    `delta_rot` holds (S, 4) unit quaternions (w, x, y, z) and `lin_bias`
+    (S, 6) rows (gyro, accel).
+    """
+
+    t_start_ns: np.ndarray  # (S,) int64
+    t_end_ns: np.ndarray  # (S,) int64
+    dt: np.ndarray  # (S,) seconds
+    delta_rot: np.ndarray  # (S, 4)
+    delta_vel: np.ndarray  # (S, 3)
+    delta_pos: np.ndarray  # (S, 3)
+    covariance: np.ndarray  # (S, 9, 9)
+    d_rot_d_bg: np.ndarray  # (S, 3, 3)
+    d_vel_d_bg: np.ndarray
+    d_vel_d_ba: np.ndarray
+    d_pos_d_bg: np.ndarray
+    d_pos_d_ba: np.ndarray
+    lin_bias: np.ndarray  # (S, 6)
+    gap_warning: np.ndarray  # (S,) bool
+
+    def __len__(self):
+        return len(self.dt)
+
+    def segment(self, s: int) -> PreintegratedSegment:
+        """Segment s on its own."""
+        row = {f.name: getattr(self, f.name)[s] for f in fields(self)}
+        row.update(
+            t_start_ns=int(row["t_start_ns"]),
+            t_end_ns=int(row["t_end_ns"]),
+            dt=float(row["dt"]),
+            delta_rot=Rotation(row["delta_rot"]),
+            lin_bias=Bias.from_vector(row["lin_bias"]),
+            gap_warning=bool(row["gap_warning"]),
+        )
+        return PreintegratedSegment(**row)
+
+    @staticmethod
+    def of(segments: Sequence[PreintegratedSegment]) -> "SegmentStack":
+        """The given segments, stacked in order."""
+        columns = {
+            f.name: [getattr(seg, f.name) for seg in segments] for f in fields(SegmentStack)
+        }
+        columns["delta_rot"] = [r.quat for r in columns["delta_rot"]]
+        columns["lin_bias"] = [b.as_vector() for b in columns["lin_bias"]]
+        return SegmentStack(**{name: np.array(col) for name, col in columns.items()})
+
+
+def _transpose(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
+
+
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector products over the leading axes: (..., i, j), (..., j)."""
+    return (m @ v[..., None])[..., 0]
+
+
+def preintegrate_stack(
+    streams: Sequence[ImuStream], biases: np.ndarray, noise: ImuNoise
+) -> SegmentStack:
+    """Integrate S sample streams in lockstep, stream s at the
+    linearization bias `biases[s]` ((S, 6) rows (gyro, accel)).
+
+    Every stream needs at least two samples; its first and last timestamps
+    define its interval. Shorter streams are padded with zero-length
+    steps, which leave every recurrence unchanged, so the loop runs once
+    per sample index of the longest stream.
+    """
+    n_seg = len(streams)
+    biases = np.asarray(biases, dtype=float).reshape(n_seg, 6)
+    if n_seg == 0 or min(len(s) for s in streams) < 2:
+        raise ImuDataError("preintegration needs at least one sample interval")
+    n = max(len(s) for s in streams)
+    ts = np.zeros((n_seg, n))  # seconds from each stream's start
+    gyro = np.zeros((n_seg, n, 3))
+    accel = np.zeros((n_seg, n, 3))
+    gap_warning = np.zeros(n_seg, dtype=bool)
+    for s, stream in enumerate(streams):
+        m = len(stream)
+        ts[s, :m] = (stream.timestamps - stream.timestamps[0]) * 1e-9
+        ts[s, m:] = ts[s, m - 1]
+        gyro[s, :m] = stream.gyro - biases[s, :3]
+        accel[s, :m] = stream.accel - biases[s, 3:]
+        dts = np.diff(ts[s, :m])
+        gap_warning[s] = len(dts) > 2 and dts.max() > 5.0 * np.median(dts)
+
+    dts = np.diff(ts, axis=1)  # (S, K); 0 on padding
+    # midpoint rule: average consecutive samples over each interval
+    w_mid = 0.5 * (gyro[:, :-1] + gyro[:, 1:])
+    a_mid = 0.5 * (accel[:, :-1] + accel[:, 1:])
+    # per-sample maps, independent of the running state
+    rotvecs = w_mid * dts[..., None]
+    steps = so3_exp_matrix(rotvecs)
+    halves = so3_exp_matrix(0.5 * w_mid * dts[..., None])
+    jrs = so3_right_jacobian(rotvecs)
+    a_skews = skew(a_mid)
+    q_rots = jrs @ _transpose(jrs) * (noise.gyro_density**2 * dts[..., None, None])
+    sa2 = noise.accel_density**2
+
+    d_rot = np.broadcast_to(np.eye(3), (n_seg, 3, 3))
+    d_vel = np.zeros((n_seg, 3))
+    d_pos = np.zeros((n_seg, 3))
+    cov = np.zeros((n_seg, 9, 9))
+    j_r_bg = np.zeros((n_seg, 3, 3))
+    j_v_bg = np.zeros((n_seg, 3, 3))
+    j_v_ba = np.zeros((n_seg, 3, 3))
+    j_p_bg = np.zeros((n_seg, 3, 3))
+    j_p_ba = np.zeros((n_seg, 3, 3))
+    f = np.zeros((n_seg, 9, 9))
+    q = np.zeros((n_seg, 9, 9))
+
+    for k in range(dts.shape[1]):
+        dt = dts[:, k, None, None]  # (S, 1, 1)
+        dt_v = dt[..., 0]  # (S, 1), for vectors
+        step, jr = steps[:, k], jrs[:, k]
+        r_half = d_rot @ halves[:, k]
+        ra = r_half @ a_skews[:, k]
+        acc = _apply(r_half, a_mid[:, k])
+
+        # covariance propagation (rotation, velocity, position)
+        f[:] = np.eye(9)
+        f[:, 0:3, 0:3] = _transpose(step)
+        f[:, 3:6, 0:3] = -ra * dt
+        f[:, 6:9, 0:3] = -0.5 * ra * dt**2
+        f[:, 6:9, 3:6] = np.eye(3) * dt
+
+        rr = r_half @ _transpose(r_half)
+        q[:, 0:3, 0:3] = q_rots[:, k]
+        q[:, 3:6, 3:6] = rr * (sa2 * dt)
+        q[:, 6:9, 6:9] = rr * (0.25 * sa2 * dt**3)
+        q[:, 3:6, 6:9] = rr * (0.5 * sa2 * dt**2)
+        q[:, 6:9, 3:6] = _transpose(q[:, 3:6, 6:9])
+        cov = f @ cov @ _transpose(f) + q
+
+        # first-order sensitivities to the linearization bias
+        j_p_bg = j_p_bg + j_v_bg * dt - 0.5 * ra @ j_r_bg * dt**2
+        j_p_ba = j_p_ba + j_v_ba * dt - 0.5 * r_half * dt**2
+        j_v_bg = j_v_bg - ra @ j_r_bg * dt
+        j_v_ba = j_v_ba - r_half * dt
+        j_r_bg = _transpose(step) @ j_r_bg - jr * dt
+
+        # state integration
+        d_pos = d_pos + d_vel * dt_v + 0.5 * acc * dt_v**2
+        d_vel = d_vel + acc * dt_v
+        d_rot = d_rot @ step
+
+    return SegmentStack(
+        t_start_ns=np.array([s.timestamps[0] for s in streams], dtype=np.int64),
+        t_end_ns=np.array([s.timestamps[-1] for s in streams], dtype=np.int64),
+        dt=ts[:, -1].copy(),
+        delta_rot=np.stack([Rotation.from_matrix(m).quat for m in d_rot]),
+        delta_vel=d_vel,
+        delta_pos=d_pos,
+        covariance=0.5 * (cov + _transpose(cov)),
+        d_rot_d_bg=j_r_bg,
+        d_vel_d_bg=j_v_bg,
+        d_vel_d_ba=j_v_ba,
+        d_pos_d_bg=j_p_bg,
+        d_pos_d_ba=j_p_ba,
+        lin_bias=biases.copy(),
+        gap_warning=gap_warning,
+    )
+
+
 def preintegrate(stream: ImuStream, bias: Bias, noise: ImuNoise) -> PreintegratedSegment:
     """Integrate a sample stream into relative motion deltas.
 
     The stream must contain at least two samples; its first and last
     timestamps define the integration interval.
     """
-    if len(stream) < 2:
-        raise ImuDataError("preintegration needs at least one sample interval")
-    ts = (stream.timestamps - stream.timestamps[0]) * 1e-9
-    dts = np.diff(ts)
-    gap_warning = bool(len(dts) > 2 and dts.max() > 5.0 * np.median(dts))
+    return preintegrate_stack([stream], bias.as_vector()[None], noise).segment(0)
 
-    gyro = stream.gyro - bias.gyro
-    accel = stream.accel - bias.accel
-    # midpoint rule: average consecutive samples over each interval
-    w_mid = 0.5 * (gyro[:-1] + gyro[1:])
-    a_mid = 0.5 * (accel[:-1] + accel[1:])
 
-    d_rot = np.eye(3)
-    d_vel = np.zeros(3)
-    d_pos = np.zeros(3)
-    cov = np.zeros((9, 9))
-    j_r_bg = np.zeros((3, 3))
-    j_v_bg = np.zeros((3, 3))
-    j_v_ba = np.zeros((3, 3))
-    j_p_bg = np.zeros((3, 3))
-    j_p_ba = np.zeros((3, 3))
+def bias_correct_stack(
+    stack: SegmentStack, biases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """First-order update of every segment's deltas to the bias in the
+    matching (S, 6) row, without re-integration. Returns rotations (S, 4),
+    velocities (S, 3), positions (S, 3) and (S,) `warned` flags.
 
-    sg2 = noise.gyro_density**2
-    sa2 = noise.accel_density**2
-
-    for k in range(len(dts)):
-        dt = float(dts[k])
-        if dt <= 0.0:
-            continue
-        w, a = w_mid[k], a_mid[k]
-        rotvec = w * dt
-        step = so3_exp_matrix(rotvec)
-        jr = so3_right_jacobian(rotvec)
-        r_half = d_rot @ so3_exp_matrix(0.5 * w * dt)
-        a_skew = skew(a)
-
-        # covariance propagation (rotation, velocity, position)
-        f = np.eye(9)
-        f[0:3, 0:3] = step.T
-        f[3:6, 0:3] = -r_half @ a_skew * dt
-        f[6:9, 0:3] = -0.5 * r_half @ a_skew * dt**2
-        f[6:9, 3:6] = np.eye(3) * dt
-
-        q = np.zeros((9, 9))
-        q[0:3, 0:3] = jr @ jr.T * (sg2 * dt)
-        q[3:6, 3:6] = r_half @ r_half.T * (sa2 * dt)
-        q[6:9, 6:9] = r_half @ r_half.T * (0.25 * sa2 * dt**3)
-        q[3:6, 6:9] = r_half @ r_half.T * (0.5 * sa2 * dt**2)
-        q[6:9, 3:6] = q[3:6, 6:9].T
-        cov = f @ cov @ f.T + q
-
-        # first-order sensitivities to the linearization bias
-        j_p_bg += j_v_bg * dt - 0.5 * r_half @ a_skew @ j_r_bg * dt**2
-        j_p_ba += j_v_ba * dt - 0.5 * r_half * dt**2
-        j_v_bg += -r_half @ a_skew @ j_r_bg * dt
-        j_v_ba += -r_half * dt
-        j_r_bg = step.T @ j_r_bg - jr * dt
-
-        # state integration
-        d_pos = d_pos + d_vel * dt + 0.5 * (r_half @ a) * dt**2
-        d_vel = d_vel + (r_half @ a) * dt
-        d_rot = d_rot @ step
-
-    return PreintegratedSegment(
-        t_start_ns=int(stream.timestamps[0]),
-        t_end_ns=int(stream.timestamps[-1]),
-        dt=float(ts[-1]),
-        delta_rot=Rotation.from_matrix(d_rot),
-        delta_vel=d_vel,
-        delta_pos=d_pos,
-        covariance=0.5 * (cov + cov.T),
-        d_rot_d_bg=j_r_bg,
-        d_vel_d_bg=j_v_bg,
-        d_vel_d_ba=j_v_ba,
-        d_pos_d_bg=j_p_bg,
-        d_pos_d_ba=j_p_ba,
-        lin_bias=bias,
-        gap_warning=gap_warning,
-    )
+    The update is exact in the accel bias, which enters the deltas
+    linearly, so a segment is `warned` only when its gyro-bias change
+    exceeds BIAS_CORRECTION_WARN_NORM, past the first-order range."""
+    biases = np.asarray(biases, dtype=float).reshape(len(stack), 6)
+    d_bg = biases[:, :3] - stack.lin_bias[:, :3]
+    d_ba = biases[:, 3:] - stack.lin_bias[:, 3:]
+    rot = quat_multiply(stack.delta_rot, quat_exp(_apply(stack.d_rot_d_bg, d_bg)))
+    vel = stack.delta_vel + _apply(stack.d_vel_d_bg, d_bg) + _apply(stack.d_vel_d_ba, d_ba)
+    pos = stack.delta_pos + _apply(stack.d_pos_d_bg, d_bg) + _apply(stack.d_pos_d_ba, d_ba)
+    warned = np.linalg.norm(d_bg, axis=1) > BIAS_CORRECTION_WARN_NORM
+    return rot, vel, pos, warned
 
 
 def bias_correct(
     seg: PreintegratedSegment, bias: Bias
 ) -> tuple[Rotation, np.ndarray, np.ndarray, bool]:
     """First-order update of the deltas to a new bias, without
-    re-integration. Returns (rotation, velocity, position, warned); `warned`
-    is set when the correction's norm exceeds BIAS_CORRECTION_WARN_NORM,
-    past the first-order linearization range."""
-    d_bg = bias.gyro - seg.lin_bias.gyro
-    d_ba = bias.accel - seg.lin_bias.accel
-    norm = float(np.linalg.norm(np.concatenate([d_bg, d_ba])))
-    rot = seg.delta_rot @ Rotation.exp(seg.d_rot_d_bg @ d_bg)
-    vel = seg.delta_vel + seg.d_vel_d_bg @ d_bg + seg.d_vel_d_ba @ d_ba
-    pos = seg.delta_pos + seg.d_pos_d_bg @ d_bg + seg.d_pos_d_ba @ d_ba
-    return rot, vel, pos, norm > BIAS_CORRECTION_WARN_NORM
+    re-integration. Returns (rotation, velocity, position, warned); see
+    :func:`bias_correct_stack`."""
+    rot, vel, pos, warned = bias_correct_stack(SegmentStack.of([seg]), bias.as_vector())
+    return Rotation(rot[0]), vel[0], pos[0], bool(warned[0])
+
+
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _residual_terms(stack: SegmentStack, poses_i, vels_i, poses_j, vels_j, biases_i):
+    """Rotations of both keyframes, the rotation error, the velocity and
+    position terms in keyframe i's frame, the bias-corrected deltas and the
+    gyro-bias change, all stacked over segments."""
+    q_i = np.stack([p.rotation.quat for p in poses_i])
+    q_j = np.stack([p.rotation.quat for p in poses_j])
+    t_i = np.stack([p.translation for p in poses_i])
+    t_j = np.stack([p.translation for p in poses_j])
+    v_i = np.reshape(vels_i, (-1, 3))
+    v_j = np.reshape(vels_j, (-1, 3))
+    biases_i = np.reshape(biases_i, (-1, 6))
+    d_rot, d_vel, d_pos, _ = bias_correct_stack(stack, biases_i)
+    rot_err = quat_log(
+        quat_multiply(d_rot * _CONJUGATE, quat_multiply(q_i * _CONJUGATE, q_j))
+    )
+    r_i_t = _transpose(quat_to_matrix(q_i))
+    dt = stack.dt[:, None]
+    v_term = _apply(r_i_t, v_j - v_i - GRAVITY_W * dt)
+    p_term = _apply(r_i_t, t_j - t_i - v_i * dt - 0.5 * GRAVITY_W * dt**2)
+    d_bg = biases_i[:, :3] - stack.lin_bias[:, :3]
+    return q_j, r_i_t, rot_err, v_term, p_term, d_vel, d_pos, d_bg
+
+
+def preintegration_residual_stack(
+    stack: SegmentStack, poses_i, vels_i, poses_j, vels_j, biases_i
+) -> np.ndarray:
+    """(S, 9) preintegration residuals (rotation, velocity, position), one
+    row per segment: segment s ties keyframe states i and j (sequences of S
+    poses, (S, 3) velocities) given the (S, 6) biases at i."""
+    _, _, rot_err, v_term, p_term, d_vel, d_pos, _ = _residual_terms(
+        stack, poses_i, vels_i, poses_j, vels_j, biases_i
+    )
+    return np.concatenate([rot_err, v_term - d_vel, p_term - d_pos], axis=1)
+
+
+def preintegration_residual_jacobians_stack(
+    stack: SegmentStack, poses_i, vels_i, poses_j, vels_j, biases_i
+) -> list[np.ndarray]:
+    """Tangent Jacobians (S, 9, k) of :func:`preintegration_residual_stack`
+    for (pose_i, vel_i, pose_j, vel_j, bias_i).
+
+    Pose tangents are (rotation, translation); rotations perturb on the
+    right, translations additively in the world frame.
+    """
+    q_j, r_i_t, rot_err, v_term, p_term, _, _, d_bg = _residual_terms(
+        stack, poses_i, vels_i, poses_j, vels_j, biases_i
+    )
+    n_seg = len(stack)
+    jr_inv = so3_right_jacobian_inverse(rot_err)
+    r_j_t = _transpose(quat_to_matrix(q_j))
+    dt = stack.dt[:, None, None]
+
+    j_pose_i = np.zeros((n_seg, 9, 6))
+    j_pose_i[:, 0:3, 0:3] = -jr_inv @ r_j_t @ _transpose(r_i_t)
+    j_pose_i[:, 3:6, 0:3] = skew(v_term)
+    j_pose_i[:, 6:9, 0:3] = skew(p_term)
+    j_pose_i[:, 6:9, 3:6] = -r_i_t
+
+    j_vel_i = np.zeros((n_seg, 9, 3))
+    j_vel_i[:, 3:6] = -r_i_t
+    j_vel_i[:, 6:9] = -r_i_t * dt
+
+    j_pose_j = np.zeros((n_seg, 9, 6))
+    j_pose_j[:, 0:3, 0:3] = jr_inv
+    j_pose_j[:, 6:9, 3:6] = r_i_t
+
+    j_vel_j = np.zeros((n_seg, 9, 3))
+    j_vel_j[:, 3:6] = r_i_t
+
+    j_bias = np.zeros((n_seg, 9, 6))
+    j_bias[:, 0:3, 0:3] = (
+        -jr_inv
+        @ _transpose(so3_exp_matrix(rot_err))
+        @ so3_right_jacobian(_apply(stack.d_rot_d_bg, d_bg))
+        @ stack.d_rot_d_bg
+    )
+    j_bias[:, 3:6, 0:3] = -stack.d_vel_d_bg
+    j_bias[:, 3:6, 3:6] = -stack.d_vel_d_ba
+    j_bias[:, 6:9, 0:3] = -stack.d_pos_d_bg
+    j_bias[:, 6:9, 3:6] = -stack.d_pos_d_ba
+
+    return [j_pose_i, j_vel_i, j_pose_j, j_vel_j, j_bias]
 
 
 def preintegration_residual(
@@ -254,17 +462,9 @@ def preintegration_residual(
     bias_i: Bias,
 ) -> np.ndarray:
     """9-vector (rotation, velocity, position) preintegration residual."""
-    d_rot, d_vel, d_pos, _ = bias_correct(seg, bias_i)
-    r_i = pose_i.rotation.matrix()
-    dt = seg.dt
-    rot_err = (d_rot.inverse() @ (pose_i.rotation.inverse() @ pose_j.rotation)).log()
-    vel_err = r_i.T @ (vel_j - vel_i - GRAVITY_W * dt) - d_vel
-    pos_err = (
-        r_i.T
-        @ (pose_j.translation - pose_i.translation - vel_i * dt - 0.5 * GRAVITY_W * dt**2)
-        - d_pos
-    )
-    return np.concatenate([rot_err, vel_err, pos_err])
+    return preintegration_residual_stack(
+        SegmentStack.of([seg]), [pose_i], vel_i, [pose_j], vel_j, bias_i.as_vector()
+    )[0]
 
 
 def preintegration_residual_jacobians(
@@ -275,57 +475,16 @@ def preintegration_residual_jacobians(
     vel_j: np.ndarray,
     bias_i: Bias,
 ) -> list[np.ndarray]:
-    """Tangent Jacobians for (pose_i, vel_i, pose_j, vel_j, bias_i).
-
-    Pose tangents are (rotation, translation); rotations perturb on the
-    right, translations additively in the world frame.
-    """
-    d_bg = bias_i.gyro - seg.lin_bias.gyro
-    d_rot, _, _, _ = bias_correct(seg, bias_i)
-    r_i = pose_i.rotation.matrix()
-    r_j = pose_j.rotation.matrix()
-    dt = seg.dt
-
-    rot_err = (d_rot.inverse() @ (pose_i.rotation.inverse() @ pose_j.rotation)).log()
-    jr_inv = so3_right_jacobian_inverse(rot_err)
-    exp_err = so3_exp_matrix(rot_err)
-
-    v_term = r_i.T @ (vel_j - vel_i - GRAVITY_W * dt)
-    p_term = r_i.T @ (
-        pose_j.translation - pose_i.translation - vel_i * dt - 0.5 * GRAVITY_W * dt**2
+    """Tangent Jacobians for (pose_i, vel_i, pose_j, vel_j, bias_i); see
+    :func:`preintegration_residual_jacobians_stack`."""
+    jacs = preintegration_residual_jacobians_stack(
+        SegmentStack.of([seg]), [pose_i], vel_i, [pose_j], vel_j, bias_i.as_vector()
     )
-
-    j_pose_i = np.zeros((9, 6))
-    j_pose_i[0:3, 0:3] = -jr_inv @ r_j.T @ r_i
-    j_pose_i[3:6, 0:3] = skew(v_term)
-    j_pose_i[6:9, 0:3] = skew(p_term)
-    j_pose_i[6:9, 3:6] = -r_i.T
-
-    j_vel_i = np.zeros((9, 3))
-    j_vel_i[3:6] = -r_i.T
-    j_vel_i[6:9] = -r_i.T * dt
-
-    j_pose_j = np.zeros((9, 6))
-    j_pose_j[0:3, 0:3] = jr_inv
-    j_pose_j[6:9, 3:6] = r_i.T
-
-    j_vel_j = np.zeros((9, 3))
-    j_vel_j[3:6] = r_i.T
-
-    j_bias = np.zeros((9, 6))
-    j_bias[0:3, 0:3] = (
-        -jr_inv @ exp_err.T @ so3_right_jacobian(seg.d_rot_d_bg @ d_bg) @ seg.d_rot_d_bg
-    )
-    j_bias[3:6, 0:3] = -seg.d_vel_d_bg
-    j_bias[3:6, 3:6] = -seg.d_vel_d_ba
-    j_bias[6:9, 0:3] = -seg.d_pos_d_bg
-    j_bias[6:9, 3:6] = -seg.d_pos_d_ba
-
-    return [j_pose_i, j_vel_i, j_pose_j, j_vel_j, j_bias]
+    return [j[0] for j in jacs]
 
 
-def bias_walk_covariance(noise: ImuNoise, dt: float) -> np.ndarray:
-    """Covariance of the bias increment over dt seconds."""
-    return np.diag(
-        [noise.gyro_walk**2 * dt] * 3 + [noise.accel_walk**2 * dt] * 3
-    )
+def bias_walk_covariance(noise: ImuNoise, dt) -> np.ndarray:
+    """Covariance of the bias increment over dt seconds: (6, 6) for one
+    interval, (S, 6, 6) for an (S,) array of them."""
+    rates = np.diag([noise.gyro_walk**2] * 3 + [noise.accel_walk**2] * 3)
+    return rates * np.asarray(dt, dtype=float)[..., None, None]

@@ -473,22 +473,43 @@ def _forward_difference_jacobians(block: ResidualBlock, slots: list[list]):
 def _solve_normal_equations(
     ws: _Workspace, hess: scipy.sparse.csr_matrix, grad: np.ndarray
 ) -> np.ndarray:
-    """Solve H d = -g, Schur-eliminating flagged point blocks."""
+    """Solve H d = -g, Schur-eliminating flagged point blocks.
+
+    The eliminated part of H must be block diagonal, one 3x3 block per
+    point: a residual row that reads two eliminated points couples them,
+    which raises ValueError. Memory stays linear in the number of points.
+    """
     n_r = ws.n_retained
     if not ws.eliminated or n_r == 0:
         return _sparse_solve(hess, -grad)
 
     h_rr = hess[:n_r, :n_r]
     h_re = hess[:n_r, n_r:].tocsr()
-    h_ee = hess[n_r:, n_r:].toarray()
+    h_ee = hess[n_r:, n_r:].tocoo()
+    h_ee.sum_duplicates()
     g_r, g_e = grad[:n_r], grad[n_r:]
 
-    n_pts = (ws.n_tangent - n_r) // 3
-    blocks = h_ee.reshape(n_pts, 3, n_pts, 3)
-    inv_blocks = np.linalg.inv(
-        np.stack([blocks[i, :, i, :] for i in range(n_pts)])
+    point_row, point_col = h_ee.row // 3, h_ee.col // 3
+    if np.any((point_row != point_col) & (h_ee.data != 0.0)):
+        raise ValueError(
+            "a residual row reads two Schur-eliminated point blocks; their"
+            " coupling cannot be eliminated point by point"
+        )
+    on_block = point_row == point_col
+    n_e = ws.n_tangent - n_r
+    blocks = np.zeros((n_e // 3, 3, 3))
+    blocks[point_row[on_block], h_ee.row[on_block] % 3, h_ee.col[on_block] % 3] = (
+        h_ee.data[on_block]
     )
-    h_ee_inv = scipy.sparse.block_diag(inv_blocks, format="csr")
+    # block-diagonal CSR: row 3p + i holds row i of point p's inverse
+    h_ee_inv = scipy.sparse.csr_matrix(
+        (
+            np.linalg.inv(blocks).ravel(),
+            np.arange(n_e).reshape(-1, 3).repeat(3, axis=0).ravel(),
+            np.arange(0, 3 * n_e + 1, 3),
+        ),
+        shape=(n_e, n_e),
+    )
 
     reduced = (h_rr - h_re @ h_ee_inv @ h_re.T).tocsc()
     rhs = -(g_r - h_re @ (h_ee_inv @ g_e))

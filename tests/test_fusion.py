@@ -82,14 +82,33 @@ def test_bias_excursions_counted_and_logged_once(scene, caplog):
     )
     with caplog.at_level(logging.WARNING, logger="vigt.fusion"):
         pgt = optimize_pseudo_gt(fp)
-    # every interval is preintegrated at zero bias, from its first keyframe
+    # every interval is preintegrated at zero bias, from its first keyframe;
+    # only the gyro bias counts, as the correction is exact in the accel bias
     expected = sum(
-        np.linalg.norm(kf.bias.as_vector()) > BIAS_CORRECTION_WARN_NORM
+        np.linalg.norm(kf.bias.gyro) > BIAS_CORRECTION_WARN_NORM
         for kf in pgt.keyframes[:-1]
     )
     assert pgt.bias_excursions == expected
     records = [r for r in caplog.records if r.name == "vigt.fusion"]
     assert len(records) == (1 if expected > 0 else 0)
+
+
+def test_gyro_bias_excursions_past_a_lowered_threshold_logged_once(
+    scene, caplog, monkeypatch
+):
+    # the scene's estimated gyro biases reach about 1e-3 rad/s
+    threshold = 1e-4
+    monkeypatch.setattr("vigt.inertial.BIAS_CORRECTION_WARN_NORM", threshold)
+    world, rig, detections, imu, truth, init = scene
+    fp = build_fusion_problem(
+        init, detections.tracks, detections.cp_observations, world.cps, imu, rig,
+        FusionConfig(keyframe_stride=STRIDE),
+    )
+    with caplog.at_level(logging.WARNING, logger="vigt.fusion"):
+        pgt = optimize_pseudo_gt(fp)
+    expected = sum(np.linalg.norm(kf.bias.gyro) > threshold for kf in pgt.keyframes[:-1])
+    assert 0 < expected == pgt.bias_excursions
+    assert len([r for r in caplog.records if r.name == "vigt.fusion"]) == 1
 
 
 def test_imu_gap_raises(scene):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation as ScipyRotation
 
 from vigt.errors import ProjectionError
 from vigt.geometry import (
@@ -16,6 +18,12 @@ from vigt.geometry import (
     clamp_depth,
     project,
     projection_jacobian_batch,
+    quat_exp,
+    quat_log,
+    quat_multiply,
+    quat_to_matrix,
+    skew,
+    so3_exp_matrix,
     so3_right_jacobian,
     so3_right_jacobian_inverse,
     try_project,
@@ -364,3 +372,71 @@ class TestSo3Jacobians:
             v = rng.normal(size=3)
             prod = so3_right_jacobian(v) @ so3_right_jacobian_inverse(v)
             np.testing.assert_allclose(prod, np.eye(3), atol=1e-9)
+
+
+# On both sides of every small-angle branch: 1e-12 (quaternion exp and
+# log), 1e-8 (exp) and 1e-6 (right Jacobian and its inverse), up to pi.
+BRANCH_ANGLES = (0.0, 1e-9, 1e-7, 1e-5, 1.0, np.pi - 1e-6)
+
+
+@st.composite
+def rotation_vectors(draw):
+    """(N, 3) rotation vectors with angles drawn from BRANCH_ANGLES."""
+    angles = draw(st.lists(st.sampled_from(BRANCH_ANGLES), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axes = rng.normal(size=(len(angles), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return axes * np.array(angles)[:, None]
+
+
+def wxyz(scipy_rotation) -> np.ndarray:
+    q = scipy_rotation.as_quat()
+    return np.concatenate([q[..., 3:], q[..., :3]], axis=-1)
+
+
+def assert_same_rotation(q, ref, atol):
+    """Quaternions equal up to their sign, row by row."""
+    sign = np.where(np.sum(q * ref, axis=-1) < 0.0, -1.0, 1.0)[..., None]
+    np.testing.assert_allclose(sign * q, ref, rtol=0.0, atol=atol)
+
+
+class TestBatchedSo3:
+    """Batched helpers against closed forms computed another way: matrix
+    exponentials for SO(3), SciPy's rotations for quaternions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rotation_vectors())
+    def test_matrices_match_closed_forms(self, v):
+        k, exp, jr, jr_inv = (
+            f(v) for f in (skew, so3_exp_matrix, so3_right_jacobian, so3_right_jacobian_inverse)
+        )
+        for n, vec in enumerate(v):
+            cross = np.cross(vec, np.eye(3)).T
+            np.testing.assert_array_equal(k[n], cross)
+            np.testing.assert_allclose(exp[n], scipy.linalg.expm(cross), rtol=0.0, atol=1e-12)
+            # Jr(v) is the sum of (-K)^k / (k + 1)!: the upper-right block of
+            # the exponential of [[-K, I], [0, 0]]
+            aug = np.zeros((6, 6))
+            aug[:3, :3] = -cross
+            aug[:3, 3:] = np.eye(3)
+            jr_ref = scipy.linalg.expm(aug)[:3, 3:]
+            np.testing.assert_allclose(jr[n], jr_ref, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(jr_inv[n], np.linalg.inv(jr_ref), rtol=0.0, atol=1e-9)
+            # one (3,) vector is the N = 1 case
+            np.testing.assert_allclose(so3_exp_matrix(vec), exp[n], rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rotation_vectors(), rotation_vectors())
+    def test_quaternions_match_scipy(self, v, w):
+        n = min(len(v), len(w))
+        v, w = v[:n], w[:n]
+        ref_v, ref_w = ScipyRotation.from_rotvec(v), ScipyRotation.from_rotvec(w)
+        q_v, q_w = quat_exp(v), quat_exp(w)
+        assert_same_rotation(q_v, wxyz(ref_v), 1e-15)
+        np.testing.assert_allclose(np.linalg.norm(q_v, axis=1), 1.0, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(quat_to_matrix(q_v), ref_v.as_matrix(), rtol=0.0, atol=1e-12)
+        assert_same_rotation(quat_multiply(q_v, q_w), wxyz(ref_v * ref_w), 1e-12)
+        np.testing.assert_allclose(quat_log(q_v), v, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(quat_log(-q_v), v, rtol=0.0, atol=1e-12)
+        # the scalar Rotation type agrees on a single (4,) quaternion
+        np.testing.assert_allclose(quat_to_matrix(q_v[0]), Rotation(q_v[0]).matrix(), atol=1e-15)

@@ -6,18 +6,29 @@ import numpy as np
 import pytest
 
 from vigt.errors import ImuDataError
-from vigt.geometry import RigidPose, Rotation, so3_exp_matrix
+from vigt.geometry import (
+    RigidPose,
+    Rotation,
+    skew,
+    so3_exp_matrix,
+    so3_right_jacobian,
+)
 from vigt.inertial import (
     GRAVITY_W,
     Bias,
     ImuNoise,
     ImuStream,
+    PreintegratedSegment,
     bias_correct,
     bias_walk_covariance,
     preintegrate,
+    preintegrate_stack,
     preintegration_residual,
     preintegration_residual_jacobians,
+    preintegration_residual_jacobians_stack,
+    preintegration_residual_stack,
 )
+from vigt.solver import Manifold, retract
 
 NOISE = ImuNoise(
     gyro_density=1.5e-4,
@@ -64,6 +75,124 @@ def integrate_states(stream, r0, v0, p0, gravity):
         v = v + a_w * dt
         r = r @ so3_exp_matrix(w * dt)
     return Rotation.from_matrix(r), v, p
+
+
+def reference_preintegrate(stream, bias, noise):
+    """One segment integrated sample by sample, with per-sample maps
+    computed inside the loop: the reference for the lockstep integration."""
+    ts = (stream.timestamps - stream.timestamps[0]) * 1e-9
+    dts = np.diff(ts)
+    gyro = stream.gyro - bias.gyro
+    accel = stream.accel - bias.accel
+    w_mid = 0.5 * (gyro[:-1] + gyro[1:])
+    a_mid = 0.5 * (accel[:-1] + accel[1:])
+    d_rot, d_vel, d_pos = np.eye(3), np.zeros(3), np.zeros(3)
+    cov = np.zeros((9, 9))
+    j_r_bg, j_v_bg, j_v_ba, j_p_bg, j_p_ba = (np.zeros((3, 3)) for _ in range(5))
+    sg2, sa2 = noise.gyro_density**2, noise.accel_density**2
+    for k in range(len(dts)):
+        dt = float(dts[k])
+        w, a = w_mid[k], a_mid[k]
+        step = so3_exp_matrix(w * dt)
+        jr = so3_right_jacobian(w * dt)
+        r_half = d_rot @ so3_exp_matrix(0.5 * w * dt)
+        a_skew = skew(a)
+        f = np.eye(9)
+        f[0:3, 0:3] = step.T
+        f[3:6, 0:3] = -r_half @ a_skew * dt
+        f[6:9, 0:3] = -0.5 * r_half @ a_skew * dt**2
+        f[6:9, 3:6] = np.eye(3) * dt
+        q = np.zeros((9, 9))
+        q[0:3, 0:3] = jr @ jr.T * (sg2 * dt)
+        q[3:6, 3:6] = r_half @ r_half.T * (sa2 * dt)
+        q[6:9, 6:9] = r_half @ r_half.T * (0.25 * sa2 * dt**3)
+        q[3:6, 6:9] = r_half @ r_half.T * (0.5 * sa2 * dt**2)
+        q[6:9, 3:6] = q[3:6, 6:9].T
+        cov = f @ cov @ f.T + q
+        j_p_bg = j_p_bg + j_v_bg * dt - 0.5 * r_half @ a_skew @ j_r_bg * dt**2
+        j_p_ba = j_p_ba + j_v_ba * dt - 0.5 * r_half * dt**2
+        j_v_bg = j_v_bg - r_half @ a_skew @ j_r_bg * dt
+        j_v_ba = j_v_ba - r_half * dt
+        j_r_bg = step.T @ j_r_bg - jr * dt
+        d_pos = d_pos + d_vel * dt + 0.5 * (r_half @ a) * dt**2
+        d_vel = d_vel + (r_half @ a) * dt
+        d_rot = d_rot @ step
+    return PreintegratedSegment(
+        t_start_ns=int(stream.timestamps[0]),
+        t_end_ns=int(stream.timestamps[-1]),
+        dt=float(ts[-1]),
+        delta_rot=Rotation.from_matrix(d_rot),
+        delta_vel=d_vel,
+        delta_pos=d_pos,
+        covariance=0.5 * (cov + cov.T),
+        d_rot_d_bg=j_r_bg,
+        d_vel_d_bg=j_v_bg,
+        d_vel_d_ba=j_v_ba,
+        d_pos_d_bg=j_p_bg,
+        d_pos_d_ba=j_p_ba,
+        lin_bias=bias,
+        gap_warning=bool(len(dts) > 2 and dts.max() > 5.0 * np.median(dts)),
+    )
+
+
+ARRAY_FIELDS = (
+    "delta_vel",
+    "delta_pos",
+    "covariance",
+    "d_rot_d_bg",
+    "d_vel_d_bg",
+    "d_vel_d_ba",
+    "d_pos_d_bg",
+    "d_pos_d_ba",
+)
+
+
+def assert_segments_close(seg, ref, rtol):
+    """Equal metadata; rotations and arrays within `rtol` of each array's
+    largest entry."""
+    assert (seg.t_start_ns, seg.t_end_ns, seg.dt, seg.gap_warning) == (
+        ref.t_start_ns, ref.t_end_ns, ref.dt, ref.gap_warning
+    )
+    np.testing.assert_array_equal(seg.lin_bias.as_vector(), ref.lin_bias.as_vector())
+    assert seg.delta_rot.angle_to(ref.delta_rot) <= rtol
+    for name in ARRAY_FIELDS:
+        want = getattr(ref, name)
+        np.testing.assert_allclose(
+            getattr(seg, name), want, rtol=0.0, atol=rtol * np.abs(want).max(), err_msg=name
+        )
+
+
+def unequal_streams():
+    """Three streams of 41, 97 and 150 samples cut from one 400 Hz signal."""
+    base = sampled_stream(400.0, 1.0, sinusoid_signals)
+    return [
+        ImuStream(base.timestamps[a:b], base.gyro[a:b], base.accel[a:b])
+        for a, b in ((0, 41), (30, 127), (200, 350))
+    ]
+
+
+def segment_biases(rng, n):
+    return np.hstack([rng.normal(scale=1e-3, size=(n, 3)), rng.normal(scale=1e-2, size=(n, 3))])
+
+
+class TestLockstep:
+    def test_matches_sample_by_sample_reference(self):
+        rng = np.random.default_rng(17)
+        stream = sampled_stream(400.0, 1.0, sinusoid_signals)
+        bias = Bias.from_vector(segment_biases(rng, 1)[0])
+        assert_segments_close(
+            preintegrate(stream, bias, NOISE), reference_preintegrate(stream, bias, NOISE), 1e-12
+        )
+
+    def test_unequal_streams_match_one_at_a_time(self):
+        rng = np.random.default_rng(18)
+        streams = unequal_streams()
+        biases = segment_biases(rng, len(streams))
+        stack = preintegrate_stack(streams, biases, NOISE)
+        assert len(stack) == len(streams)
+        for s, stream in enumerate(streams):
+            alone = preintegrate(stream, Bias.from_vector(biases[s]), NOISE)
+            assert_segments_close(stack.segment(s), alone, 1e-12)
 
 
 class TestPreintegrate:
@@ -219,6 +348,14 @@ class TestBiasCorrect:
         assert warned
 
 
+    def test_large_accel_correction_does_not_warn(self):
+        # the correction is exact in the accel bias, which enters linearly
+        stream = constant_stream(101, 100.0, np.zeros(3), np.zeros(3))
+        seg = preintegrate(stream, Bias.zero(), NOISE)
+        _, _, _, warned = bias_correct(seg, Bias(np.zeros(3), np.array([0.0, 1.0, 0.0])))
+        assert not warned
+
+
 class TestResidual:
     def make_consistent(self, rng):
         stream = sampled_stream(400.0, 1.0, sinusoid_signals)
@@ -299,6 +436,74 @@ class TestResidual:
                 num[:, d] = (evaluate(plus) - evaluate(minus)) / (2 * step)
             scale = np.maximum(np.abs(num), 1.0)
             assert np.max(np.abs(jacs[bi] - num) / scale) < 1e-5, f"block {bi}"
+
+
+class TestStackedResidual:
+    SLOTS = (
+        (Manifold.RIGID_POSE, 6),
+        (Manifold.EUCLIDEAN, 3),
+        (Manifold.RIGID_POSE, 6),
+        (Manifold.EUCLIDEAN, 3),
+        (Manifold.EUCLIDEAN, 6),
+    )
+
+    def make_rows(self, rng, n):
+        """Segments and per-row (pose_i, vel_i, pose_j, vel_j, bias_i)
+        slot values of an S = n stack."""
+        stack = preintegrate_stack(unequal_streams()[:n], segment_biases(rng, n), NOISE)
+
+        def poses():
+            return [
+                RigidPose(Rotation.exp(rng.normal(size=3)), rng.normal(size=3))
+                for _ in range(n)
+            ]
+
+        def vectors(dim, scale=1.0):
+            return list(rng.normal(scale=scale, size=(n, dim)))
+
+        return stack, [poses(), vectors(3), poses(), vectors(3), vectors(6, 2e-3)]
+
+    def test_rows_match_single_segment_calls(self):
+        rng = np.random.default_rng(19)
+        stack, slots = self.make_rows(rng, 3)
+        res = preintegration_residual_stack(stack, *slots)
+        jacs = preintegration_residual_jacobians_stack(stack, *slots)
+        assert res.shape == (3, 9)
+        assert [j.shape for j in jacs] == [(3, 9, dim) for _, dim in self.SLOTS]
+        for s in range(3):
+            seg = stack.segment(s)
+            row = [slot[s] for slot in slots]
+            row[4] = Bias.from_vector(row[4])
+            np.testing.assert_allclose(
+                res[s], preintegration_residual(seg, *row), rtol=1e-12, atol=1e-14
+            )
+            for j_stack, j_one in zip(jacs, preintegration_residual_jacobians(seg, *row)):
+                np.testing.assert_allclose(j_stack[s], j_one, rtol=1e-12, atol=1e-14)
+
+    def test_jacobians_match_central_differences_row_by_row(self):
+        rng = np.random.default_rng(20)
+        stack, slots = self.make_rows(rng, 3)
+        jacs = preintegration_residual_jacobians_stack(stack, *slots)
+        step = 1e-6
+        for k, (manifold, dim) in enumerate(self.SLOTS):
+            for s in range(3):
+                num = np.zeros((3, 9, dim))
+                for d in range(dim):
+                    delta = np.zeros(dim)
+                    delta[d] = step
+                    plus, minus = list(slots), list(slots)
+                    plus[k], minus[k] = list(slots[k]), list(slots[k])
+                    plus[k][s] = retract(manifold, slots[k][s], delta)
+                    minus[k][s] = retract(manifold, slots[k][s], -delta)
+                    num[..., d] = (
+                        preintegration_residual_stack(stack, *plus)
+                        - preintegration_residual_stack(stack, *minus)
+                    ) / (2 * step)
+                # moving row s's states leaves every other row unchanged
+                others = [r for r in range(3) if r != s]
+                np.testing.assert_array_equal(num[others], 0.0)
+                scale = np.maximum(np.abs(num[s]), 1.0)
+                assert np.max(np.abs(jacs[k][s] - num[s]) / scale) < 1e-5, f"slot {k} row {s}"
 
 
 class TestBiasWalk:

@@ -1,9 +1,12 @@
 """Tests for the Levenberg-Marquardt engine and covariance extraction."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from vigt import solver
 from vigt.errors import RankDeficientError, SolverError
@@ -339,6 +342,61 @@ def test_schur_elimination_matches_direct_solve():
         np.testing.assert_allclose(
             direct.value(f"pt{j}"), schur.value(f"pt{j}"), atol=1e-6
         )
+
+
+def test_schur_step_matches_sparse_solve_in_linear_memory():
+    # 3000 eliminated points, four rows each on a random one of 4 poses; a
+    # dense point block would hold 9000^2 doubles, 648 MB
+    rng = np.random.default_rng(6)
+    n_pts, n_poses = 3000, 4
+    p = Problem()
+    for i in range(n_poses):
+        p.add_parameter_block(f"pose{i}", np.zeros(6))
+    for j in range(n_pts):
+        p.add_parameter_block(f"pt{j}", np.zeros(3), eliminate=True)
+    ws = solver._Workspace(p)
+    point = np.repeat(np.arange(n_pts), 4)
+    pose = rng.integers(n_poses, size=len(point))
+    cols = np.hstack(
+        [
+            6 * pose[:, None] + np.arange(6),
+            ws.n_retained + 3 * point[:, None] + np.arange(3),
+        ]
+    )
+    jac = scipy.sparse.csr_matrix(
+        (rng.normal(size=cols.size), cols.ravel(), np.arange(0, cols.size + 1, 9)),
+        shape=(len(point), ws.n_tangent),
+    )
+    hess = (jac.T @ jac + scipy.sparse.identity(ws.n_tangent)).tocsr()
+    grad = rng.normal(size=ws.n_tangent)
+
+    tracemalloc.start()
+    try:
+        step = solver._solve_normal_equations(ws, hess, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = scipy.sparse.linalg.spsolve(hess.tocsc(), -grad)
+    np.testing.assert_allclose(step, expected, rtol=1e-9, atol=1e-12)
+    assert peak < 50e6
+
+
+def test_row_reading_two_eliminated_points_raises():
+    p = Problem()
+    p.add_parameter_block("x", np.zeros(2))
+    p.add_parameter_block("a", np.ones(3), eliminate=True)
+    p.add_parameter_block("b", np.zeros(3), eliminate=True)
+    p.add_residual_block(lambda x: x - 1.0, ["x"], np.eye(2), jac=lambda x: [np.eye(2)])
+    for pid in ("a", "b"):
+        p.add_residual_block(lambda q: q, [pid], np.eye(3), jac=lambda q: [np.eye(3)])
+    p.add_residual_block(
+        lambda a, b: a - b - 1.0,
+        ["a", "b"],
+        np.eye(3),
+        jac=lambda a, b: [np.eye(3), -np.eye(3)],
+    )
+    with pytest.raises(ValueError, match="two Schur-eliminated point blocks"):
+        solve(p)
 
 
 def test_scale_group_covariance_rescales_whitened_residuals():
