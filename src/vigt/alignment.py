@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .geometry import RigidPose, Rotation, Similarity
+from .geometry import RigidPose, Rotation, Similarity, quat_to_matrix
 from .solver import HuberLoss, Problem, SolveReport, solve
 from .triangulation import Observation, TriangulatedCP, ViewSet
 
@@ -156,14 +156,17 @@ def propagate_covariance(cov: np.ndarray, transform: Similarity) -> np.ndarray:
 
 def _world_factor(targets: np.ndarray, dim: int):
     """Callbacks of stacked survey rows target - T(proxy)[:dim] over the
-    (transform, proxy) slots; every row names the one transform block."""
+    (transform, proxy) slots; every row names the one transform block, read
+    as its similarity row [q | t | s]."""
 
     def fn(ts, proxies):
-        return targets - ts[0].apply(np.stack(proxies))[:, :dim]
+        t = ts[0]
+        mapped = t[7] * (proxies @ quat_to_matrix(t[:4]).T) + t[4:7]
+        return targets - mapped[:, :dim]
 
-    def jac(ts, proxies):
-        t, p = ts[0], np.stack(proxies)
-        sr = t.scale * t.rotation.matrix()
+    def jac(ts, p):
+        t = ts[0]
+        sr = t[7] * quat_to_matrix(t[:4])
         j_t = np.zeros((len(p), 3, 7))
         # row i of sR @ skew(p) is the cross product of row i of sR with p
         j_t[:, :, 0:3] = np.cross(sr[None], p[:, None, :])
@@ -220,11 +223,11 @@ def joint_sparse_align(
         obs_list = tri.inliers if observations is None else observations[cid]
         views = ViewSet.build(obs_list, poses, rig)
         problem.add_stacked_block(
-            lambda proxies, views=views: views.residuals(np.stack(proxies)),
+            views.residuals,
             [[pid] * len(views.observations)],
             np.stack([o.pixel_cov for o in views.observations]),
             group="marker-reprojection",
-            jac=lambda proxies, views=views: [views.jacobians(np.stack(proxies))],
+            jac=lambda proxies, views=views: [views.jacobians(proxies)],
             loss=loss,
             rid=f"reproj:{cid}",
         )

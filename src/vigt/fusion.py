@@ -13,11 +13,14 @@ frame (see the alignment module); the world frame is gravity-aligned.
 Internally all states live in the IMU frame; device poses are converted
 at the boundaries.
 
-Each factor family is one stacked residual block. The IMU family is one
-`inertial.SegmentStack` of the S keyframe intervals, segment s between
-keyframes s and s + 1, preintegrated in lockstep at zero bias; its
-residuals (S, 9) and Jacobians (S, 9, k) come from one call each, and the
-bias random walk ties the same S pairs of bias states.
+Each factor family is one stacked residual block, and its callbacks read
+the solver's value rows: keyframe poses as (N, 7) rows [qw qx qy qz | t]
+(world-from-IMU), velocities (N, 3), biases (N, 6) as (gyro, accel) and
+points (N, 3). The IMU family is one `inertial.SegmentStack` of the S
+keyframe intervals, segment s between keyframes s and s + 1,
+preintegrated in lockstep at zero bias; its residuals (S, 9) and
+Jacobians (S, 9, k) come from one call each, and the bias random walk
+ties the same S pairs of bias states.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .geometry import (
     RigCalibration,
     RigidPose,
     Trajectory,
+    quat_log,
+    quat_multiply,
     quat_to_matrix,
     so3_right_jacobian_inverse,
 )
@@ -121,15 +126,11 @@ class FusionProblem:
     gauge_prior: bool
     segments: SegmentStack  # IMU between consecutive keyframes
 
-    def pose_id(self, ts: int) -> str:
-        return f"kf:{ts}:pose"
-
 
 @dataclass
 class PseudoGT:
     keyframes: list[KeyframeState]
     pose_covariances: list[np.ndarray]  # 6x6 tangent (rotation, translation)
-    whitened_residuals: dict[str, np.ndarray]
     variance_factors: list[dict[str, float]]
     report: SolveReport
     # keyframe intervals whose final gyro bias lies farther than
@@ -156,9 +157,8 @@ def _reprojection_factor(views: ViewSet):
     point) slots; `views` maps body-frame points into each row's camera."""
 
     def body_points(poses, points):
-        r_wb = quat_to_matrix(np.stack([p.rotation.quat for p in poses]))
-        t_wb = np.stack([p.translation for p in poses])
-        return r_wb, np.einsum("nji,nj->ni", r_wb, np.stack(points) - t_wb)
+        r_wb = quat_to_matrix(poses[:, :4])
+        return r_wb, np.einsum("nji,nj->ni", r_wb, points - poses[:, 4:])
 
     def fn(poses, points):
         return views.residuals(body_points(poses, points)[1])
@@ -210,18 +210,12 @@ def _add_cp_world(
         targets = np.stack([cp.position for cp in same])
         j_proxy = -np.eye(3)[:dim]
 
-        def fn(proxies, targets=targets, dim=dim):
-            return targets - np.stack(proxies)[:, :dim]
-
-        def jac(proxies, j_proxy=j_proxy):
-            return [np.broadcast_to(j_proxy, (len(proxies),) + j_proxy.shape)]
-
         problem.add_stacked_block(
-            fn,
+            lambda proxies, targets=targets, dim=dim: targets - proxies[:, :dim],
             [[f"cp:{cp.cp_id}" for cp in same]],
             np.stack([cp.covariance for cp in same]) * deflation,
             group="cp-world",
-            jac=jac,
+            jac=lambda proxies, j=j_proxy: [np.broadcast_to(j, (len(proxies),) + j.shape)],
             rid=f"world:{dim}d",
         )
 
@@ -251,38 +245,39 @@ def _add_inertial(
         rid="imu",
     )
 
-    def walk_fn(biases_i, biases_j):
-        return np.stack(biases_j) - np.stack(biases_i)
-
-    def walk_jac(biases_i, biases_j):
-        eye = np.broadcast_to(np.eye(6), (len(biases_i), 6, 6))
-        return [-eye, eye]
-
+    eye = np.broadcast_to(np.eye(6), (len(pairs), 6, 6))
     problem.add_stacked_block(
-        walk_fn,
+        lambda biases_i, biases_j: biases_j - biases_i,
         [[f"kf:{a}:bias" for a, _ in pairs], [f"kf:{b}:bias" for _, b in pairs]],
         bias_walk_covariance(noise, segs.dt),
         group="bias-walk",
-        jac=walk_jac,
+        jac=lambda biases_i, biases_j: [-eye, eye],
         rid="walk",
     )
     return segs
 
 
-def _pose_prior(prior: RigidPose, sigma_rot: float, sigma_pos: float):
-    def fn(pose: RigidPose):
-        rot_err = (prior.rotation.inverse() @ pose.rotation).log()
-        return np.concatenate([rot_err, pose.translation - prior.translation])
+def _add_gauge_prior(problem: Problem, pid: str, prior: RigidPose, sigma: float) -> None:
+    """Anchor a pose block at `prior`: one row of the rotation error
+    Log(R_prior^T R) and the translation difference, each component with
+    standard deviation `sigma`."""
+    q_prior_inv = prior.rotation.inverse().quat
 
-    def jac(pose: RigidPose):
-        rot_err = (prior.rotation.inverse() @ pose.rotation).log()
-        j = np.zeros((6, 6))
-        j[0:3, 0:3] = so3_right_jacobian_inverse(rot_err)
-        j[3:6, 3:6] = np.eye(3)
+    def rot_err(poses):
+        return quat_log(quat_multiply(q_prior_inv, poses[:, :4]))
+
+    def fn(poses):
+        return np.concatenate([rot_err(poses), poses[:, 4:] - prior.translation], axis=1)
+
+    def jac(poses):
+        j = np.zeros((len(poses), 6, 6))
+        j[:, 0:3, 0:3] = so3_right_jacobian_inverse(rot_err(poses))
+        j[:, 3:6, 3:6] = np.eye(3)
         return [j]
 
-    cov = np.diag([sigma_rot**2] * 3 + [sigma_pos**2] * 3)
-    return fn, jac, cov
+    problem.add_stacked_block(
+        fn, [[pid]], np.eye(6) * sigma**2, group="generic", jac=jac, rid="gauge-prior"
+    )
 
 
 def _keyframe_timestamps(init_traj: Trajectory, stride: int) -> list[int]:
@@ -300,20 +295,13 @@ def _check_imu_coverage(keyframe_ts: Sequence[int], imu: ImuStream) -> None:
             f" [{keyframe_ts[0]}, {keyframe_ts[-1]}]"
         )
     nominal = float(np.median(np.diff(ts))) if len(ts) > 2 else np.inf
-    missing = []
-    for a, b in zip(keyframe_ts, keyframe_ts[1:]):
-        inside = int(np.sum((ts > a) & (ts < b)))
-        if inside == 0 and (b - a) > 2.0 * nominal:
-            missing.append((a, b))
-    if missing:
-        intervals = ", ".join(f"[{a}, {b}]" for a, b in missing)
+    kf = np.asarray(keyframe_ts, dtype=np.int64)
+    # samples strictly inside each keyframe interval
+    inside = np.searchsorted(ts, kf[1:], "left") - np.searchsorted(ts, kf[:-1], "right")
+    missing = np.flatnonzero((inside == 0) & (np.diff(kf) > 2.0 * nominal))
+    if missing.size:
+        intervals = ", ".join(f"[{kf[k]}, {kf[k + 1]}]" for k in missing)
         raise ImuDataError(f"no IMU samples inside keyframe intervals: {intervals}")
-
-
-def _filter_to_keyframes(
-    observations: Sequence[Observation], keyframes: set[int]
-) -> list[Observation]:
-    return [o for o in observations if o.image_id in keyframes]
 
 
 def build_fusion_problem(
@@ -374,7 +362,7 @@ def build_fusion_problem(
         if cp_id not in cps_by_id:
             skipped_cps[cp_id] = "no matching control point"
             continue
-        kept = _filter_to_keyframes(obs, kf_set)
+        kept = [o for o in obs if o.image_id in kf_set]
         if len(kept) < 2:
             skipped_cps[cp_id] = f"{len(kept)} keyframe observations"
             continue
@@ -403,7 +391,7 @@ def build_fusion_problem(
     feature_rows: list[tuple[Observation, str]] = []
     if config.mode == "full":
         for track in tracks:
-            kept = _filter_to_keyframes(track.observations, kf_set)
+            kept = [o for o in track.observations if o.image_id in kf_set]
             if len(kept) < 2:
                 skipped_tracks[track.track_id] = f"{len(kept)} keyframe observations"
                 continue
@@ -430,15 +418,8 @@ def build_fusion_problem(
     if gauge_prior:
         # 2D control points leave height and (without features) some yaw
         # freedom; anchor the first keyframe pose
-        fn, jac, cov = _pose_prior(body_pose[keyframe_ts[0]], 1e-4, 1e-4)
-        problem.add_residual_block(
-            fn,
-            [f"kf:{keyframe_ts[0]}:pose"],
-            cov,
-            group="generic",
-            jac=jac,
-            rid="gauge-prior",
-        )
+        ts0 = keyframe_ts[0]
+        _add_gauge_prior(problem, f"kf:{ts0}:pose", body_pose[ts0], 1e-4)
 
     return FusionProblem(
         problem=problem,
@@ -476,7 +457,7 @@ def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
         factors_history.append(factors)
         report = solve(fp.problem)
 
-    pose_ids = [fp.pose_id(ts) for ts in fp.keyframe_ts]
+    pose_ids = [f"kf:{ts}:pose" for ts in fp.keyframe_ts]
     covs = marginal_covariances(fp.problem, pose_ids)
 
     keyframes = []
@@ -504,7 +485,6 @@ def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
     return PseudoGT(
         keyframes=keyframes,
         pose_covariances=[covs[pid] for pid in pose_ids],
-        whitened_residuals=dict(report.group_residuals),
         variance_factors=factors_history,
         report=report,
         bias_excursions=excursions,

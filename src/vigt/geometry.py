@@ -190,12 +190,7 @@ class Rotation:
 
     def log(self) -> np.ndarray:
         """Tangent 3-vector (axis * angle), angle in [0, pi]."""
-        q = self.canonical_quat()
-        n = float(np.linalg.norm(q[1:]))
-        if n < 1e-12:
-            return 2.0 * q[1:] / q[0]
-        angle = 2.0 * np.arctan2(n, q[0])
-        return (angle / n) * q[1:]
+        return quat_log(self.quat)
 
     def matrix(self) -> np.ndarray:
         w, x, y, z = self.quat
@@ -629,9 +624,6 @@ class RigCalibration:
     def __post_init__(self):
         if set(self.cameras) != set(self.camera_from_device):
             raise ValueError("camera ids of models and extrinsics differ")
-
-    def camera_ids(self) -> list[str]:
-        return list(self.cameras)
 
 
 def camera_from_frame(

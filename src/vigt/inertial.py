@@ -17,9 +17,11 @@ Jacobians (S, 3, 3) and linearization biases (S, 6) as (gyro, accel).
 at a time over (S, L, ...) arrays, shorter streams padded with zero-length
 steps; the per-sample rotation maps are computed for all samples before
 the recurrence. The residual and its Jacobians are evaluated for all
-segments in one call each, (S, 9) and (S, 9, k). The scalar functions
-(`preintegrate`, `bias_correct`, `preintegration_residual`,
-`preintegration_residual_jacobians`) are the S = 1 case.
+segments in one call each, (S, 9) and (S, 9, k), from keyframe poses
+given as (S, 7) rows [qw qx qy qz | t], the solver's pose rows. The
+scalar functions (`preintegrate`, `bias_correct`,
+`preintegration_residual`, `preintegration_residual_jacobians`) are the
+S = 1 case.
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ class ImuStream:
                 f"IMU stream [{ts[0]}, {ts[-1]}] does not cover"
                 f" [{t_start_ns}, {t_end_ns}]"
             )
-        inner = (ts > t_start_ns) & (ts < t_end_ns)
+        # the samples strictly inside the interval
+        inner = slice(np.searchsorted(ts, t_start_ns, "right"), np.searchsorted(ts, t_end_ns, "left"))
         parts_t = [np.array([t_start_ns], dtype=np.int64), ts[inner], np.array([t_end_ns], dtype=np.int64)]
         parts_g = [self._interp(t_start_ns, self.gyro), self.gyro[inner], self._interp(t_end_ns, self.gyro)]
         parts_a = [self._interp(t_start_ns, self.accel), self.accel[inner], self._interp(t_end_ns, self.accel)]
@@ -373,10 +376,8 @@ def _residual_terms(stack: SegmentStack, poses_i, vels_i, poses_j, vels_j, biase
     """Rotations of both keyframes, the rotation error, the velocity and
     position terms in keyframe i's frame, the bias-corrected deltas and the
     gyro-bias change, all stacked over segments."""
-    q_i = np.stack([p.rotation.quat for p in poses_i])
-    q_j = np.stack([p.rotation.quat for p in poses_j])
-    t_i = np.stack([p.translation for p in poses_i])
-    t_j = np.stack([p.translation for p in poses_j])
+    q_i, t_i = poses_i[:, :4], poses_i[:, 4:7]
+    q_j, t_j = poses_j[:, :4], poses_j[:, 4:7]
     v_i = np.reshape(vels_i, (-1, 3))
     v_j = np.reshape(vels_j, (-1, 3))
     biases_i = np.reshape(biases_i, (-1, 6))
@@ -396,8 +397,9 @@ def preintegration_residual_stack(
     stack: SegmentStack, poses_i, vels_i, poses_j, vels_j, biases_i
 ) -> np.ndarray:
     """(S, 9) preintegration residuals (rotation, velocity, position), one
-    row per segment: segment s ties keyframe states i and j (sequences of S
-    poses, (S, 3) velocities) given the (S, 6) biases at i."""
+    row per segment: segment s ties keyframe states i and j, given as
+    (S, 7) pose rows [qw qx qy qz | t] and (S, 3) velocities, at the (S, 6)
+    biases of keyframe i."""
     _, _, rot_err, v_term, p_term, d_vel, d_pos, _ = _residual_terms(
         stack, poses_i, vels_i, poses_j, vels_j, biases_i
     )
@@ -408,7 +410,7 @@ def preintegration_residual_jacobians_stack(
     stack: SegmentStack, poses_i, vels_i, poses_j, vels_j, biases_i
 ) -> list[np.ndarray]:
     """Tangent Jacobians (S, 9, k) of :func:`preintegration_residual_stack`
-    for (pose_i, vel_i, pose_j, vel_j, bias_i).
+    for (pose_i, vel_i, pose_j, vel_j, bias_i), poses given as (S, 7) rows.
 
     Pose tangents are (rotation, translation); rotations perturb on the
     right, translations additively in the world frame.
@@ -453,6 +455,12 @@ def preintegration_residual_jacobians_stack(
     return [j_pose_i, j_vel_i, j_pose_j, j_vel_j, j_bias]
 
 
+def _single(seg, pose_i, vel_i, pose_j, vel_j, bias_i) -> tuple:
+    """The S = 1 stack of one segment and its arguments, poses as rows."""
+    rows = [np.concatenate([p.rotation.quat, p.translation])[None] for p in (pose_i, pose_j)]
+    return SegmentStack.of([seg]), rows[0], vel_i, rows[1], vel_j, bias_i.as_vector()
+
+
 def preintegration_residual(
     seg: PreintegratedSegment,
     pose_i: RigidPose,
@@ -462,9 +470,7 @@ def preintegration_residual(
     bias_i: Bias,
 ) -> np.ndarray:
     """9-vector (rotation, velocity, position) preintegration residual."""
-    return preintegration_residual_stack(
-        SegmentStack.of([seg]), [pose_i], vel_i, [pose_j], vel_j, bias_i.as_vector()
-    )[0]
+    return preintegration_residual_stack(*_single(seg, pose_i, vel_i, pose_j, vel_j, bias_i))[0]
 
 
 def preintegration_residual_jacobians(
@@ -477,10 +483,8 @@ def preintegration_residual_jacobians(
 ) -> list[np.ndarray]:
     """Tangent Jacobians for (pose_i, vel_i, pose_j, vel_j, bias_i); see
     :func:`preintegration_residual_jacobians_stack`."""
-    jacs = preintegration_residual_jacobians_stack(
-        SegmentStack.of([seg]), [pose_i], vel_i, [pose_j], vel_j, bias_i.as_vector()
-    )
-    return [j[0] for j in jacs]
+    args = _single(seg, pose_i, vel_i, pose_j, vel_j, bias_i)
+    return [j[0] for j in preintegration_residual_jacobians_stack(*args)]
 
 
 def bias_walk_covariance(noise: ImuNoise, dt) -> np.ndarray:

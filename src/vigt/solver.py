@@ -6,6 +6,14 @@ the whitened Gauss-Newton Hessian, and per-group variance factors.
 Residual blocks stack the rows of one factor, so a factor family is
 evaluated and linearized as arrays, one callback per block.
 
+Parameter values are packed float rows: a Euclidean (d,) vector (tangent
+d), a rotation's unit quaternion [qw qx qy qz] (tangent 3), a rigid pose
+[q | t] (tangent 6: rotation, translation) and a similarity [q | t | s]
+(tangent 7: rotation, translation, log-scale). Rotations update on the
+right, translations add, the scale multiplies by the exponential of its
+tangent coordinate. During a solve all rows live in one flat value
+vector, and a factor reads each slot as one (N, size) array of rows.
+
 A Problem is exclusively owned while :func:`solve` runs; residual and
 Jacobian callbacks must be pure functions of the parameter values.
 """
@@ -22,7 +30,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import RankDeficientError, SolverError, VigtError
-from .geometry import RigidPose, Rotation, Similarity
+from .geometry import RigidPose, Rotation, Similarity, quat_exp, quat_multiply
 
 
 class Manifold(enum.Enum):
@@ -32,43 +40,44 @@ class Manifold(enum.Enum):
     SIMILARITY = "similarity"
 
 
-def _infer_manifold(value) -> Manifold:
+# tangent dimension of the non-Euclidean kinds; their rows hold one more entry
+_TANGENT_DIM = {Manifold.ROTATION: 3, Manifold.RIGID_POSE: 6, Manifold.SIMILARITY: 7}
+
+
+def _pack(value) -> tuple[Manifold, np.ndarray]:
+    """Kind and value row of a parameter value."""
     if isinstance(value, Rotation):
-        return Manifold.ROTATION
+        return Manifold.ROTATION, value.quat.copy()
     if isinstance(value, RigidPose):
-        return Manifold.RIGID_POSE
+        return Manifold.RIGID_POSE, np.concatenate([value.rotation.quat, value.translation])
     if isinstance(value, Similarity):
-        return Manifold.SIMILARITY
-    return Manifold.EUCLIDEAN
+        row = np.concatenate([value.rotation.quat, value.translation, [value.scale]])
+        return Manifold.SIMILARITY, row
+    return Manifold.EUCLIDEAN, np.asarray(value, dtype=float).reshape(-1)
 
 
-def tangent_dim(manifold: Manifold, value) -> int:
-    if manifold is Manifold.EUCLIDEAN:
-        return int(np.asarray(value).size)
+def _unpack(manifold: Manifold, row: np.ndarray):
+    """Parameter value of a row; Euclidean rows are returned as they are."""
     if manifold is Manifold.ROTATION:
-        return 3
+        return Rotation(row)
     if manifold is Manifold.RIGID_POSE:
-        return 6
-    return 7
+        return RigidPose(Rotation(row[:4]), row[4:7])
+    if manifold is Manifold.SIMILARITY:
+        return Similarity(row[7], Rotation(row[:4]), row[4:7])
+    return row
 
 
-def retract(manifold: Manifold, value, delta: np.ndarray):
-    """Local update: rotations right-multiply Exp(d), translations add,
-    scale updates multiplicatively through the log-scale coordinate."""
+def _retract(manifold: Manifold, rows: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Rows moved by tangent steps, one step per row."""
     if manifold is Manifold.EUCLIDEAN:
-        return np.asarray(value, dtype=float) + delta
-    if manifold is Manifold.ROTATION:
-        return value @ Rotation.exp(delta)
-    if manifold is Manifold.RIGID_POSE:
-        return RigidPose(
-            value.rotation @ Rotation.exp(delta[:3]),
-            value.translation + delta[3:6],
-        )
-    return Similarity(
-        value.scale * float(np.exp(delta[6])),
-        value.rotation @ Rotation.exp(delta[:3]),
-        value.translation + delta[3:6],
-    )
+        return rows + deltas
+    out = np.empty_like(rows)
+    out[:, :4] = quat_multiply(rows[:, :4], quat_exp(deltas[:, :3]))
+    if manifold is not Manifold.ROTATION:
+        out[:, 4:7] = rows[:, 4:7] + deltas[:, 3:6]
+    if manifold is Manifold.SIMILARITY:
+        out[:, 7] = rows[:, 7] * np.exp(deltas[:, 6])
+    return out
 
 
 @dataclass
@@ -90,15 +99,17 @@ class HuberLoss:
 
 @dataclass
 class ParameterBlock:
+    """One parameter: its kind and its packed value row."""
+
     id: str
-    value: object
+    value: np.ndarray
     manifold: Manifold
     constant: bool = False
     eliminate: bool = False
 
     @property
     def dim(self) -> int:
-        return tangent_dim(self.manifold, self.value)
+        return _TANGENT_DIM.get(self.manifold, self.value.size)
 
 
 @dataclass
@@ -106,12 +117,13 @@ class ResidualBlock:
     """N stacked rows of one factor, each a d-dimensional residual.
 
     `params` holds one slot per factor argument, each naming the N
-    parameter blocks its rows read. `fn` takes one sequence of N values per
-    slot and returns (N, d) residuals; `jac`, if given, returns one
-    (N, d, k) tangent Jacobian per slot. Row n may depend only on the
-    values at position n of each slot (a slot whose rows all name one
-    block may be read from any position). The covariance is (d, d), shared
-    by all rows, or (N, d, d).
+    parameter blocks its rows read; the blocks of one slot share their
+    kind and row size. `fn` takes one (N, size) array of value rows per
+    slot (see the module docstring for the row layouts) and returns (N, d)
+    residuals; `jac`, if given, returns one (N, d, k) tangent Jacobian per
+    slot. Row n may depend only on row n of each slot (a slot whose rows
+    all name one block may be read from any row). The covariance is
+    (d, d), shared by all rows, or (N, d, d).
     """
 
     id: str
@@ -174,22 +186,15 @@ class Problem:
         self.residuals: dict[str, ResidualBlock] = {}
 
     def add_parameter_block(
-        self,
-        pid: str,
-        value,
-        manifold: Manifold | None = None,
-        *,
-        constant: bool = False,
-        eliminate: bool = False,
+        self, pid: str, value, *, constant: bool = False, eliminate: bool = False
     ) -> ParameterBlock:
+        """Add a Rotation, RigidPose, Similarity or Euclidean vector; it is
+        stored as its value row."""
         if pid in self.params:
             raise ValueError(f"duplicate parameter block '{pid}'")
-        if manifold is None:
-            manifold = _infer_manifold(value)
-        if manifold is Manifold.EUCLIDEAN:
-            value = np.asarray(value, dtype=float).reshape(-1)
-        block = ParameterBlock(pid, value, manifold, constant, eliminate)
-        if eliminate and not (manifold is Manifold.EUCLIDEAN and block.dim == 3):
+        manifold, row = _pack(value)
+        block = ParameterBlock(pid, row, manifold, constant, eliminate)
+        if eliminate and not (block.manifold is Manifold.EUCLIDEAN and block.dim == 3):
             raise ValueError("only 3-dim euclidean blocks can be Schur-eliminated")
         self.params[pid] = block
         return block
@@ -217,48 +222,41 @@ class Problem:
             for pid in slot:
                 if pid not in self.params:
                     raise ValueError(f"residual '{rid}' references unknown block '{pid}'")
-            if len({self.params[pid].dim for pid in slot}) != 1:
-                raise ValueError(f"residual '{rid}': blocks of one slot differ in dimension")
+            if len({(self.params[p].manifold, self.params[p].value.size) for p in slot}) != 1:
+                raise ValueError(f"residual '{rid}': blocks of one slot differ in kind or size")
         block = ResidualBlock(rid, group, slots, fn, covariance, jac, loss)
         self.residuals[rid] = block
         return block
 
     def add_residual_block(
-        self,
-        fn: Callable,
-        params: Sequence[str],
-        covariance,
-        *,
-        group: str = "generic",
-        jac: Callable | None = None,
-        loss: HuberLoss | None = None,
-        rid: str | None = None,
+        self, fn: Callable, params: Sequence[str], covariance, *, jac=None, **options
     ) -> ResidualBlock:
-        """Add one residual row: `fn` takes one value per parameter block
-        and returns a d-vector, `jac` one (d, k) Jacobian per block."""
+        """Add one residual row: `fn` takes one parameter value (as
+        :meth:`value` returns it) per block and returns a d-vector, `jac`
+        one (d, k) Jacobian per block. The keyword options are those of
+        :meth:`add_stacked_block`."""
+
+        def values(slots):
+            return [_unpack(self.params[p].manifold, s[0]) for p, s in zip(params, slots)]
 
         def stacked_fn(*slots):
-            return np.asarray(fn(*[s[0] for s in slots]), dtype=float).reshape(1, -1)
+            return np.asarray(fn(*values(slots)), dtype=float).reshape(1, -1)
 
         def stacked_jac(*slots):
-            return [np.asarray(j, dtype=float)[None] for j in jac(*[s[0] for s in slots])]
+            return [np.asarray(j, dtype=float)[None] for j in jac(*values(slots))]
 
         return self.add_stacked_block(
             stacked_fn,
             [[pid] for pid in params],
             covariance,
-            group=group,
             jac=None if jac is None else stacked_jac,
-            loss=loss,
-            rid=rid,
+            **options,
         )
 
     def value(self, pid: str):
-        return self.params[pid].value
-
-    def groups(self) -> list[str]:
-        seen = dict.fromkeys(r.group for r in self.residuals.values())
-        return list(seen)
+        """The block's value as a Rotation, RigidPose, Similarity or vector."""
+        block = self.params[pid]
+        return _unpack(block.manifold, block.value)
 
     def scale_group_covariance(self, group: str, factor: float):
         """Multiply every measurement covariance in a residual group."""
@@ -293,7 +291,6 @@ class SolveReport:
     group_residuals: dict[str, np.ndarray]
     group_redundancy: dict[str, int]
     cost_history: list[float]
-    group_rss_history: list[dict[str, float]]
 
     @property
     def success(self) -> bool:
@@ -301,16 +298,25 @@ class SolveReport:
 
 
 class _Workspace:
-    """Static structure of a problem: tangent indexing, row layout and the
-    sparsity pattern of the whitened Jacobian."""
+    """Static structure of a problem: the value layout, tangent indexing,
+    row layout and the sparsity pattern of the whitened Jacobian.
+
+    The flat value vector holds every block's row in insertion order, the
+    row of block `pid` from index `value_starts[pid]` on. The tangent holds
+    the retained free blocks in insertion order, then the eliminated
+    points."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        self.free = [b for b in problem.params.values() if not b.constant]
-        if not self.free:
+        blocks = list(problem.params.values())
+        ends = np.cumsum([b.value.size for b in blocks]).tolist()
+        self.value_starts = {b.id: end - b.value.size for b, end in zip(blocks, ends)}
+
+        free = [b for b in blocks if not b.constant]
+        if not free:
             raise SolverError("problem has no free parameter blocks")
-        retained = [b for b in self.free if not b.eliminate]
-        eliminated = [b for b in self.free if b.eliminate]
+        retained = [b for b in free if not b.eliminate]
+        eliminated = [b for b in free if b.eliminate]
         self.offsets: dict[str, int] = {}
         cursor = 0
         for b in retained + eliminated:
@@ -320,25 +326,45 @@ class _Workspace:
         self.n_retained = sum(b.dim for b in retained)
         self.eliminated = eliminated
 
-        # per block: first row, and per slot the rows on a free block;
-        # Jacobian entries of the other rows are never stored. The COO
-        # indices list each slot's (row, residual dim, tangent dim) in order.
+        # per kind of free block: (M, size) value and (M, k) tangent indices
+        # of its blocks; the Euclidean retraction is elementwise, so its
+        # blocks of any size share flat index arrays
+        self.retractions = []
+        for manifold in Manifold:
+            kind = [b for b in free if b.manifold is manifold]
+            if not kind:
+                continue
+            value_idx = [self.value_starts[b.id] + np.arange(b.value.size) for b in kind]
+            tangent_idx = [self.offsets[b.id] + np.arange(b.dim) for b in kind]
+            join = np.concatenate if manifold is Manifold.EUCLIDEAN else np.stack
+            self.retractions.append((manifold, join(value_idx), join(tangent_idx)))
+
+        # per block: first row, the (N, size) value indices of each slot,
+        # and per slot the rows on a free block; Jacobian entries of the
+        # other rows are never stored. The COO indices list each slot's
+        # (row, residual dim, tangent dim) in order.
         self.rows: dict[str, int] = {}
+        self.slot_indices: dict[str, list[np.ndarray]] = {}
         self.free_rows: dict[str, list[np.ndarray]] = {}
         rows_idx, cols_idx = [], []
         cursor = 0
         for r in problem.residuals.values():
             self.rows[r.id] = cursor
+            first = [problem.params[slot[0]] for slot in r.params]
+            self.slot_indices[r.id] = [
+                np.array([self.value_starts[pid] for pid in slot])[:, None]
+                + np.arange(b.value.size)
+                for slot, b in zip(r.params, first)
+            ]
             self.free_rows[r.id] = []
-            for slot in r.params:
-                free = np.flatnonzero([pid in self.offsets for pid in slot])
-                self.free_rows[r.id].append(free)
-                if free.size:
-                    k = problem.params[slot[0]].dim
-                    rows = cursor + (free[:, None] * r.dim + np.arange(r.dim))
-                    cols = np.array([self.offsets[slot[n]] for n in free])
-                    rows_idx.append(rows.repeat(k, axis=1).ravel())
-                    cols_idx.append(np.tile(cols[:, None] + np.arange(k), r.dim).ravel())
+            for slot, b in zip(r.params, first):
+                free_n = np.flatnonzero([pid in self.offsets for pid in slot])
+                self.free_rows[r.id].append(free_n)
+                if free_n.size:
+                    rows = cursor + (free_n[:, None] * r.dim + np.arange(r.dim))
+                    cols = np.array([self.offsets[slot[n]] for n in free_n])
+                    rows_idx.append(rows.repeat(b.dim, axis=1).ravel())
+                    cols_idx.append(np.tile(cols[:, None] + np.arange(b.dim), r.dim).ravel())
             cursor += r.rows * r.dim
         self.n_rows = cursor
         self.pattern = (
@@ -366,17 +392,26 @@ class _Workspace:
             redundancy[group] = rows - exclusive
         return redundancy
 
-    @staticmethod
-    def slot_values(r: ResidualBlock, values: dict[str, object]) -> list[list]:
-        return [[values[pid] for pid in slot] for slot in r.params]
+    def values(self) -> np.ndarray:
+        """The flat value vector of the problem's current values."""
+        return np.concatenate([b.value for b in self.problem.params.values()])
 
-    def evaluate(self, values: dict[str, object]) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
-        """Robust cost, whitened (N, d) residuals per block, raw rss per group."""
+    def store(self, x: np.ndarray) -> None:
+        """Write a flat value vector back into the problem's blocks."""
+        for pid, start in self.value_starts.items():
+            block = self.problem.params[pid]
+            block.value = x[start : start + block.value.size]
+
+    def slots(self, r: ResidualBlock, x: np.ndarray) -> list[np.ndarray]:
+        """One (N, size) array of value rows per slot of a block."""
+        return [x[idx] for idx in self.slot_indices[r.id]]
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+        """Robust cost and whitened (N, d) residuals per block."""
         cost = 0.0
         whitened: dict[str, np.ndarray] = {}
-        group_rss: dict[str, float] = {}
         for r in self.problem.residuals.values():
-            raw = np.asarray(r.fn(*self.slot_values(r, values)), dtype=float)
+            raw = np.asarray(r.fn(*self.slots(r, x)), dtype=float)
             if raw.shape != (r.rows, r.dim):
                 raise SolverError(
                     f"residual '{r.id}' returned shape {raw.shape},"
@@ -390,27 +425,30 @@ class _Workspace:
             w = (r.whitener @ raw[..., None])[..., 0]
             whitened[r.id] = w
             sq = np.einsum("ni,ni->n", w, w)
-            group_rss[r.group] = group_rss.get(r.group, 0.0) + float(sq.sum())
             cost += 0.5 * float((r.loss.cost(sq) if r.loss else sq).sum())
-        return cost, whitened, group_rss
+        return cost, whitened
 
-    def try_evaluate(self, values):
+    def try_evaluate(self, x: np.ndarray):
         """Like evaluate, but a failing trial state just reports inf cost."""
         try:
-            return self.evaluate(values)
+            return self.evaluate(x)
         except VigtError:
-            return np.inf, {}, {}
+            return np.inf, {}
 
     def linearize(
-        self, values: dict[str, object], whitened: dict[str, np.ndarray]
+        self, x: np.ndarray, whitened: dict[str, np.ndarray]
     ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
         """Whitened, robust-scaled Jacobian and residual vector."""
         data = []
         rhs = np.zeros(self.n_rows)
         for r in self.problem.residuals.values():
             row0 = self.rows[r.id]
-            slots = self.slot_values(r, values)
-            jacs = r.jac(*slots) if r.jac is not None else _forward_difference_jacobians(r, slots)
+            slots = self.slots(r, x)
+            if r.jac is None:
+                kinds = [self.problem.params[slot[0]].manifold for slot in r.params]
+                jacs = _forward_difference_jacobians(r, slots, kinds)
+            else:
+                jacs = r.jac(*slots)
             w = whitened[r.id]
             scale = (
                 np.sqrt(r.loss.weight(np.einsum("ni,ni->n", w, w)))[:, None]
@@ -443,28 +481,30 @@ class _Workspace:
         ).tocsr()
         return jac_matrix, rhs
 
-    def apply_step(self, values: dict[str, object], delta: np.ndarray) -> dict[str, object]:
-        out = dict(values)
-        for b in self.free:
-            off = self.offsets[b.id]
-            out[b.id] = retract(b.manifold, values[b.id], delta[off : off + b.dim])
+    def apply_step(self, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """The value vector moved by a tangent step, one retraction per kind."""
+        out = x.copy()
+        for manifold, value_idx, tangent_idx in self.retractions:
+            out[value_idx] = _retract(manifold, x[value_idx], delta[tangent_idx])
         return out
 
 
-def _forward_difference_jacobians(block: ResidualBlock, slots: list[list]):
-    """(N, d, k) Jacobians per slot: each tangent direction perturbs the
-    slot's value in every row at once, as row n reads only position n."""
+def _forward_difference_jacobians(
+    block: ResidualBlock, slots: list[np.ndarray], kinds: Sequence[Manifold]
+):
+    """(N, d, k) Jacobians per slot of (N, size) value rows of the given
+    kinds: each tangent direction perturbs the slot in every row at once,
+    as row n reads only row n."""
     base = np.asarray(block.fn(*slots), dtype=float)
     jacs = []
-    for i, vals in enumerate(slots):
-        manifold = _infer_manifold(vals[0])
-        dim = tangent_dim(manifold, vals[0])
+    for i, (rows, manifold) in enumerate(zip(slots, kinds)):
+        dim = _TANGENT_DIM.get(manifold, rows.shape[1])
         jac = np.zeros(base.shape + (dim,))
         for d in range(dim):
-            delta = np.zeros(dim)
-            delta[d] = _FD_STEP
+            delta = np.zeros((len(rows), dim))
+            delta[:, d] = _FD_STEP
             perturbed = list(slots)
-            perturbed[i] = [retract(manifold, v, delta) for v in vals]
+            perturbed[i] = _retract(manifold, rows, delta)
             jac[..., d] = (np.asarray(block.fn(*perturbed), dtype=float) - base) / _FD_STEP
         jacs.append(jac)
     return jacs
@@ -542,19 +582,18 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
     "max_iterations".
     """
     ws = _Workspace(problem)
-    values = {pid: b.value for pid, b in problem.params.items()}
+    x = ws.values()
 
-    cost, whitened, group_rss = ws.evaluate(values)
+    cost, whitened = ws.evaluate(x)
     initial_cost = cost
     cost_history = [cost]
-    rss_history = [dict(group_rss)]
 
     lam = _INITIAL_LAMBDA
     iterations = 0
     termination = "max_iterations"
 
     for iterations in range(1, options.max_iters + 1):
-        jac, rhs = ws.linearize(values, whitened)
+        jac, rhs = ws.linearize(x, whitened)
         grad = jac.T @ rhs
         hess = (jac.T @ jac).tocsr()
         diag = np.maximum(hess.diagonal(), 1e-12)
@@ -572,8 +611,8 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
                 continue
             if promised is None:
                 promised = _model_decrease(jac, grad, delta)
-            trial = ws.apply_step(values, delta)
-            trial_cost, trial_whitened, trial_rss = ws.try_evaluate(trial)
+            trial = ws.apply_step(x, delta)
+            trial_cost, trial_whitened = ws.try_evaluate(trial)
             if trial_cost < cost:
                 break
             lam *= 10.0
@@ -585,17 +624,14 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
             break
 
         converged = cost - trial_cost <= CONVERGENCE_TOL * cost
-        values, cost = trial, trial_cost
-        whitened, group_rss = trial_whitened, trial_rss
+        x, cost, whitened = trial, trial_cost, trial_whitened
         lam = max(lam * 0.1, 1e-15)
         cost_history.append(cost)
-        rss_history.append(dict(group_rss))
         if converged or cost <= _COST_TOL_REL * initial_cost:
             termination = "converged"
             break
 
-    for pid, v in values.items():
-        problem.params[pid].value = v
+    ws.store(x)
 
     group_res: dict[str, np.ndarray] = {}
     for r in problem.residuals.values():
@@ -610,7 +646,6 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
         group_residuals=group_res,
         group_redundancy=dict(ws.redundancy),
         cost_history=cost_history,
-        group_rss_history=rss_history,
     )
 
 
@@ -629,9 +664,9 @@ def variance_factor(report: SolveReport, group: str) -> float:
 
 def _gauss_newton_hessian(problem: Problem):
     ws = _Workspace(problem)
-    values = {pid: b.value for pid, b in problem.params.items()}
-    _, whitened, _ = ws.evaluate(values)
-    jac, _ = ws.linearize(values, whitened)
+    x = ws.values()
+    _, whitened = ws.evaluate(x)
+    jac, _ = ws.linearize(x, whitened)
     return ws, (jac.T @ jac).tocsc()
 
 
@@ -683,10 +718,6 @@ def marginal_covariances(
     return out
 
 
-def marginal_covariance(problem: Problem, block_id: str) -> np.ndarray:
-    return marginal_covariances(problem, [block_id])[block_id]
-
-
 def _estimate_nullity(hess) -> int:
     n = hess.shape[0]
     if n <= 2000:
@@ -697,14 +728,3 @@ def _estimate_nullity(hess) -> int:
     w = scipy.sparse.linalg.eigsh(hess, k=k, sigma=0.0, return_eigenvectors=False)
     return int(np.sum(np.abs(w) < 1e-10))
 
-
-def write_diagnostics(report: SolveReport, fh) -> None:
-    """Per-iteration cost and per-group variance factors as CSV text."""
-    groups = list(report.group_redundancy)
-    fh.write("iteration,cost," + ",".join(f"vf_{g}" for g in groups) + "\n")
-    for i, (cost, rss) in enumerate(zip(report.cost_history, report.group_rss_history)):
-        cells = [str(i), repr(float(cost))]
-        for g in groups:
-            red = report.group_redundancy[g]
-            cells.append(repr(rss[g] / red) if red > 0 else "")
-        fh.write(",".join(cells) + "\n")

@@ -1,13 +1,16 @@
 """Tests for pseudo-ground-truth fusion on short synthetic scenes."""
 
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
+from vigt import fusion
 from vigt.errors import ImuDataError, UnobservableError
 from vigt.fusion import FusionConfig, build_fusion_problem, optimize_pseudo_gt
 from vigt.inertial import BIAS_CORRECTION_WARN_NORM, ImuStream
+from vigt.solver import Manifold, _retract
 from vigt.synth import (
     SynthConfig,
     default_rig,
@@ -35,15 +38,26 @@ BOUND_RMS_MM = 50.0
 BOUND_MAX_MM = 100.0
 
 
-@pytest.fixture(scope="module")
-def scene():
-    world = gen_world(SCENE)
+def make_scene(config):
+    world = gen_world(config)
     rig = default_rig()
     detections = gen_detections(world, rig, seed=3)
     imu = gen_imu(world, seed=4)
     truth = world.world_trajectory()
     init = perturb_trajectory(truth, white_sigma_pos=0.05, seed=5)
     return world, rig, detections, imu, truth, init
+
+
+@pytest.fixture(scope="module")
+def scene():
+    return make_scene(SCENE)
+
+
+@pytest.fixture(scope="module")
+def scene_2d():
+    """The scene with every control point 2D: the first keyframe pose is
+    anchored by the gauge prior."""
+    return make_scene(dataclasses.replace(SCENE, cp_2d_fraction=1.0))
 
 
 def errors_mm(poses: dict, truth, keyframe_ts) -> np.ndarray:
@@ -138,3 +152,83 @@ def test_no_cp_detection_on_keyframes_is_unobservable(scene):
             init, detections.tracks, off_keyframe, world.cps, imu, rig,
             FusionConfig(keyframe_stride=STRIDE),
         )
+
+
+@pytest.mark.parametrize("mode", ["full", "inertial-only"])
+def test_all_2d_control_points_recover_truth(scene_2d, mode):
+    world, rig, detections, imu, truth, init = scene_2d
+    assert all(cp.dim == 2 for cp in world.cps)
+    fp = build_fusion_problem(
+        init, detections.tracks, detections.cp_observations, world.cps, imu, rig,
+        FusionConfig(mode=mode, keyframe_stride=STRIDE),
+    )
+    assert fp.gauge_prior
+    assert fp.problem.residuals["gauge-prior"].group == "generic"
+    pgt = optimize_pseudo_gt(fp)
+    assert pgt.report.termination == "converged"
+    err = errors_mm({k.timestamp_ns: k.pose for k in pgt.keyframes}, truth, fp.keyframe_ts)
+    # about 40 mm RMS on this scene: the prior holds keyframe 0 at its init
+    assert np.sqrt(np.mean(err**2)) < 100.0
+    for cov in pgt.pose_covariances:
+        assert np.linalg.eigvalsh(cov).min() > 0.0
+
+
+def test_gauge_prior_jacobian_matches_central_differences(scene_2d):
+    world, rig, detections, imu, truth, init = scene_2d
+    fp = build_fusion_problem(
+        init, [], detections.cp_observations, world.cps, imu, rig,
+        FusionConfig(mode="inertial-only", keyframe_stride=STRIDE),
+    )
+    block = fp.problem.residuals["gauge-prior"]
+    assert block.rows == 1 and block.dim == 6
+    assert np.all(np.diag(block.covariance) == 1e-8)
+    (pid,) = block.params[0]
+    prior = fp.problem.params[pid].value[None]
+    np.testing.assert_allclose(block.fn(prior), 0.0, atol=1e-15)
+    # away from the prior, where the rotation error is not small
+    rng = np.random.default_rng(7)
+    pose = _retract(Manifold.RIGID_POSE, prior, rng.normal(scale=0.3, size=(1, 6)))
+    (jac,) = block.jac(pose)
+    step = 1e-6
+    num = np.zeros((1, 6, 6))
+    for d in range(6):
+        delta = np.zeros((1, 6))
+        delta[0, d] = step
+        plus = block.fn(_retract(Manifold.RIGID_POSE, pose, delta))
+        minus = block.fn(_retract(Manifold.RIGID_POSE, pose, -delta))
+        num[..., d] = (plus - minus) / (2 * step)
+    np.testing.assert_allclose(jac, num, rtol=1e-6, atol=1e-8)
+
+
+def test_imu_coverage_check_matches_mask_count():
+    # 200 Hz with two holes; keyframes on random instants and on samples
+    rng = np.random.default_rng(8)
+    ts = np.arange(0, 2_000_000_000, 5_000_000, dtype=np.int64)
+    holes = ((ts > 300_000_000) & (ts < 360_000_000)) | (
+        (ts > 1_000_000_000) & (ts < 1_500_000_000)
+    )
+    ts = ts[~holes]
+    imu = ImuStream(ts, np.zeros((len(ts), 3)), np.zeros((len(ts), 3)))
+    nominal = float(np.median(np.diff(ts)))
+
+    def has_empty_interval(kf):
+        return any(
+            not np.any((ts > a) & (ts < b)) and (b - a) > 2.0 * nominal
+            for a, b in zip(kf, kf[1:])
+        )
+
+    # keyframes on the two samples that bound a hole have none between them
+    bounding = np.array([ts[0], ts[ts <= 300_000_000][-1], ts[ts >= 360_000_000][0], ts[-1]])
+    assert has_empty_interval(bounding)
+    random_sets = [
+        np.unique(
+            np.concatenate([rng.integers(ts[0], ts[-1], 6), rng.choice(ts, 6), [ts[0], ts[-1]]])
+        )
+        for _ in range(30)
+    ]
+    for kf in [bounding] + random_sets:
+        if has_empty_interval(kf):
+            with pytest.raises(ImuDataError):
+                fusion._check_imu_coverage(list(kf), imu)
+        else:
+            fusion._check_imu_coverage(list(kf), imu)

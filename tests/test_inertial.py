@@ -19,6 +19,7 @@ from vigt.inertial import (
     ImuNoise,
     ImuStream,
     PreintegratedSegment,
+    SegmentStack,
     bias_correct,
     bias_walk_covariance,
     preintegrate,
@@ -28,7 +29,7 @@ from vigt.inertial import (
     preintegration_residual_jacobians_stack,
     preintegration_residual_stack,
 )
-from vigt.solver import Manifold, retract
+from vigt.solver import Manifold, _retract
 
 NOISE = ImuNoise(
     gyro_density=1.5e-4,
@@ -169,6 +170,22 @@ def unequal_streams():
         ImuStream(base.timestamps[a:b], base.gyro[a:b], base.accel[a:b])
         for a, b in ((0, 41), (30, 127), (200, 350))
     ]
+
+
+def pose_row(pose):
+    """Value row [qw qx qy qz | t] of a rigid pose."""
+    return np.concatenate([pose.rotation.quat, pose.translation])
+
+
+def row_pose(row):
+    return RigidPose(Rotation(row[:4]), row[4:])
+
+
+def moved(manifold, rows, s, delta):
+    """Copy of (S, size) value rows with row s moved by a tangent step."""
+    out = np.array(rows, dtype=float)
+    out[s] = _retract(manifold, out[s : s + 1], delta[None])[0]
+    return out
 
 
 def segment_biases(rng, n):
@@ -407,32 +424,31 @@ class TestResidual:
 
         jacs = preintegration_residual_jacobians(seg, pose_i, v_i, pose_j, v_j, bias_i)
 
-        from vigt.solver import Manifold, retract
-
-        blocks = [
-            (pose_i, Manifold.RIGID_POSE, 6),
-            (v_i, Manifold.EUCLIDEAN, 3),
-            (pose_j, Manifold.RIGID_POSE, 6),
-            (v_j, Manifold.EUCLIDEAN, 3),
-            (bias_i.as_vector(), Manifold.EUCLIDEAN, 6),
+        # the S = 1 rows of each argument and their kinds
+        rows = [
+            pose_row(pose_i)[None], v_i[None], pose_row(pose_j)[None], v_j[None],
+            bias_i.as_vector()[None],
         ]
+        kinds = [
+            Manifold.RIGID_POSE, Manifold.EUCLIDEAN, Manifold.RIGID_POSE,
+            Manifold.EUCLIDEAN, Manifold.EUCLIDEAN,
+        ]
+        single = SegmentStack.of([seg])
 
         def evaluate(vals):
-            return preintegration_residual(
-                seg, vals[0], vals[1], vals[2], vals[3], Bias.from_vector(vals[4])
-            )
+            return preintegration_residual_stack(single, *vals)[0]
 
-        base_vals = [pose_i, v_i, pose_j, v_j, bias_i.as_vector()]
         step = 1e-6
-        for bi, (val, manifold, dim) in enumerate(blocks):
+        for bi, (manifold, jac) in enumerate(zip(kinds, jacs)):
+            dim = jac.shape[1]
             num = np.zeros((9, dim))
             for d in range(dim):
                 delta = np.zeros(dim)
                 delta[d] = step
-                plus = list(base_vals)
-                plus[bi] = retract(manifold, val, delta)
-                minus = list(base_vals)
-                minus[bi] = retract(manifold, val, -delta)
+                plus = list(rows)
+                plus[bi] = moved(manifold, rows[bi], 0, delta)
+                minus = list(rows)
+                minus[bi] = moved(manifold, rows[bi], 0, -delta)
                 num[:, d] = (evaluate(plus) - evaluate(minus)) / (2 * step)
             scale = np.maximum(np.abs(num), 1.0)
             assert np.max(np.abs(jacs[bi] - num) / scale) < 1e-5, f"block {bi}"
@@ -448,18 +464,20 @@ class TestStackedResidual:
     )
 
     def make_rows(self, rng, n):
-        """Segments and per-row (pose_i, vel_i, pose_j, vel_j, bias_i)
-        slot values of an S = n stack."""
+        """Segments and the (pose_i, vel_i, pose_j, vel_j, bias_i) value
+        rows, (S, size) each, of an S = n stack."""
         stack = preintegrate_stack(unequal_streams()[:n], segment_biases(rng, n), NOISE)
 
         def poses():
-            return [
-                RigidPose(Rotation.exp(rng.normal(size=3)), rng.normal(size=3))
-                for _ in range(n)
-            ]
+            return np.stack(
+                [
+                    pose_row(RigidPose(Rotation.exp(rng.normal(size=3)), rng.normal(size=3)))
+                    for _ in range(n)
+                ]
+            )
 
         def vectors(dim, scale=1.0):
-            return list(rng.normal(scale=scale, size=(n, dim)))
+            return rng.normal(scale=scale, size=(n, dim))
 
         return stack, [poses(), vectors(3), poses(), vectors(3), vectors(6, 2e-3)]
 
@@ -473,6 +491,7 @@ class TestStackedResidual:
         for s in range(3):
             seg = stack.segment(s)
             row = [slot[s] for slot in slots]
+            row[0], row[2] = row_pose(row[0]), row_pose(row[2])
             row[4] = Bias.from_vector(row[4])
             np.testing.assert_allclose(
                 res[s], preintegration_residual(seg, *row), rtol=1e-12, atol=1e-14
@@ -492,9 +511,8 @@ class TestStackedResidual:
                     delta = np.zeros(dim)
                     delta[d] = step
                     plus, minus = list(slots), list(slots)
-                    plus[k], minus[k] = list(slots[k]), list(slots[k])
-                    plus[k][s] = retract(manifold, slots[k][s], delta)
-                    minus[k][s] = retract(manifold, slots[k][s], -delta)
+                    plus[k] = moved(manifold, slots[k], s, delta)
+                    minus[k] = moved(manifold, slots[k], s, -delta)
                     num[..., d] = (
                         preintegration_residual_stack(stack, *plus)
                         - preintegration_residual_stack(stack, *minus)
@@ -524,6 +542,27 @@ class TestStreamSlicing:
         gyro, _ = sinusoid_signals(t)
         expected = 0.5 * (gyro[0] + gyro[2])
         np.testing.assert_allclose(chunk.gyro[0], expected, atol=1e-4)
+
+    def test_between_matches_mask_reference(self):
+        # 200 Hz with jittered instants; bounds on random instants and on
+        # sample instants, the interval ends included
+        rng = np.random.default_rng(21)
+        ts = np.cumsum(rng.integers(4_000_000, 6_000_000, size=400)).astype(np.int64)
+        stream = ImuStream(ts, rng.normal(size=(400, 3)), rng.normal(size=(400, 3)))
+        on_samples = rng.choice(ts[1:-1], size=(40, 2))
+        anywhere = rng.integers(ts[0], ts[-1], size=(40, 2))
+        ends = np.array([[ts[0], ts[-1]], [ts[0], ts[1]], [ts[-2], ts[-1]]])
+        mixed = np.column_stack([on_samples[:, 0], anywhere[:, 1]])
+        for a, b in np.concatenate([on_samples, anywhere, mixed, ends]):
+            a, b = int(min(a, b)), int(max(a, b))
+            if a == b:
+                continue
+            chunk = stream.between(a, b)
+            inner = (ts > a) & (ts < b)
+            np.testing.assert_array_equal(chunk.timestamps[1:-1], ts[inner])
+            np.testing.assert_array_equal(chunk.gyro[1:-1], stream.gyro[inner])
+            np.testing.assert_array_equal(chunk.accel[1:-1], stream.accel[inner])
+            assert (chunk.timestamps[0], chunk.timestamps[-1]) == (a, b)
 
     def test_between_outside_coverage_raises(self):
         stream = sampled_stream(100.0, 1.0, sinusoid_signals)

@@ -1,6 +1,5 @@
 """Tests for the Levenberg-Marquardt engine and covariance extraction."""
 
-import io
 import tracemalloc
 
 import numpy as np
@@ -18,6 +17,7 @@ from vigt.geometry import (
     Similarity,
     project,
     projection_jacobian_batch,
+    quat_to_matrix,
     skew,
 )
 from vigt.solver import (
@@ -25,12 +25,35 @@ from vigt.solver import (
     Manifold,
     Problem,
     SolveOptions,
-    marginal_covariance,
     marginal_covariances,
     solve,
     variance_factor,
-    write_diagnostics,
 )
+
+
+def reference_retract(manifold: Manifold, value, delta: np.ndarray):
+    """Per-object local update, the reference for the row retraction:
+    rotations right-multiply Exp(d), translations add, scale updates
+    multiplicatively through the log-scale coordinate."""
+    if manifold is Manifold.EUCLIDEAN:
+        return np.asarray(value, dtype=float) + delta
+    if manifold is Manifold.ROTATION:
+        return value @ Rotation.exp(delta)
+    if manifold is Manifold.RIGID_POSE:
+        return RigidPose(
+            value.rotation @ Rotation.exp(delta[:3]),
+            value.translation + delta[3:6],
+        )
+    return Similarity(
+        value.scale * float(np.exp(delta[6])),
+        value.rotation @ Rotation.exp(delta[:3]),
+        value.translation + delta[3:6],
+    )
+
+
+def pose_rows(poses) -> np.ndarray:
+    """(N, 7) value rows [q | t] of rigid poses."""
+    return np.stack([np.concatenate([t.rotation.quat, t.translation]) for t in poses])
 
 
 def test_linear_single_residual():
@@ -165,7 +188,7 @@ class TestMarginalCovariance:
         p.add_parameter_block("x", np.array([1.0]))
         p.add_residual_block(lambda x: (x - 1.0) / sigma, ["x"], np.eye(1))
         solve(p)
-        cov = marginal_covariance(p, "x")
+        cov = marginal_covariances(p, ["x"])["x"]
         np.testing.assert_allclose(cov, [[sigma**2]], atol=1e-12)
 
     def test_two_independent_scalars(self):
@@ -189,7 +212,7 @@ class TestMarginalCovariance:
         p.add_parameter_block("x", mu.copy())
         p.add_residual_block(lambda x: x - mu, ["x"], prior_cov)
         solve(p)
-        np.testing.assert_allclose(marginal_covariance(p, "x"), prior_cov, atol=1e-9)
+        np.testing.assert_allclose(marginal_covariances(p, ["x"])["x"], prior_cov, atol=1e-9)
 
     def test_two_orthogonal_cameras_match_closed_form(self):
         # camera A at origin looks +z, camera B looks -x from (10, 0, 5);
@@ -224,7 +247,7 @@ class TestMarginalCovariance:
                 fn, ["p"], sigma_px**2 * np.eye(2), jac=jac, rid=name
             )
         solve(p)
-        cov = marginal_covariance(p, "p")
+        cov = marginal_covariances(p, ["p"])["p"]
 
         # closed-form two-ray oracle: each view constrains the two axes
         # perpendicular to its ray with sigma_px * depth / f
@@ -241,7 +264,7 @@ class TestMarginalCovariance:
         p.add_residual_block(lambda x: np.array([x[0] + x[1]]), ["x"], np.eye(1))
         solve(p, SolveOptions(max_iters=1))
         with pytest.raises(RankDeficientError) as exc:
-            marginal_covariance(p, "x")
+            marginal_covariances(p, ["x"])["x"]
         assert exc.value.nullity == 1
 
     def test_constant_block_rejected(self):
@@ -251,7 +274,7 @@ class TestMarginalCovariance:
         p.add_residual_block(lambda x: x - 1.0, ["x"], np.eye(1))
         solve(p)
         with pytest.raises(ValueError):
-            marginal_covariance(p, "c")
+            marginal_covariances(p, ["c"])["c"]
 
 
 class TestVarianceFactor:
@@ -412,18 +435,6 @@ def test_scale_group_covariance_rescales_whitened_residuals():
     )
 
 
-def test_diagnostics_dump_shape():
-    p = Problem()
-    p.add_parameter_block("x", np.array([0.0]))
-    p.add_residual_block(lambda x: x - 1.0, ["x"], np.eye(1), group="meas")
-    report = solve(p)
-    buf = io.StringIO()
-    write_diagnostics(report, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "iteration,cost,vf_meas"
-    assert len(lines) == len(report.cost_history) + 1
-
-
 def test_programming_error_in_linear_solve_propagates(monkeypatch):
     def broken(ws, hess, grad):
         raise TypeError("bug in the linear solve")
@@ -507,17 +518,16 @@ class TestStackedBlocks:
 
     @staticmethod
     def residual_rows(poses, points, meas):
-        """Body-frame points minus their measurements, one row per pair."""
-        return np.stack([t.rotation.inverse().apply(q - t.translation) for t, q in zip(poses, points)]) - meas
+        """Body-frame points minus their measurements, one row per (N, 7)
+        pose row and (N, 3) point row."""
+        r_t = np.swapaxes(quat_to_matrix(poses[:, :4]), 1, 2)
+        return np.einsum("nij,nj->ni", r_t, points - poses[:, 4:]) - meas
 
     @staticmethod
     def jacobian_rows(poses, points):
-        j_pose, j_point = [], []
-        for t, q in zip(poses, points):
-            r_t = t.rotation.matrix().T
-            j_pose.append(np.hstack([skew(r_t @ (q - t.translation)), -r_t]))
-            j_point.append(r_t)
-        return [np.stack(j_pose), np.stack(j_point)]
+        r_t = np.swapaxes(quat_to_matrix(poses[:, :4]), 1, 2)
+        p_body = np.einsum("nij,nj->ni", r_t, points - poses[:, 4:])
+        return [np.concatenate([skew(p_body), -r_t], axis=2), r_t]
 
     def build(self, stacked: bool, analytic: bool = True) -> Problem:
         rng = np.random.default_rng(6)
@@ -527,7 +537,9 @@ class TestStackedBlocks:
         ]
         points = rng.normal(scale=3.0, size=(self.N_POINTS, 3))
         meas = self.residual_rows(
-            [poses[i] for i, _ in self.ROWS], [points[j] for _, j in self.ROWS], 0.0
+            pose_rows([poses[i] for i, _ in self.ROWS]),
+            np.stack([points[j] for _, j in self.ROWS]),
+            0.0,
         )
         meas += rng.normal(scale=0.1, size=meas.shape)
         meas[[2, 5]] += 4.0  # rows where the Huber loss is active
@@ -565,13 +577,11 @@ class TestStackedBlocks:
             )
             return p
         for n, (i, j) in enumerate(self.ROWS):
-            p.add_residual_block(
-                lambda t, q, n=n: self.residual_rows([t], [q], meas[n])[0],
-                [f"pose{i}", f"pt{j}"],
+            p.add_stacked_block(
+                lambda t, q, n=n: self.residual_rows(t, q, meas[n]),
+                [[f"pose{i}"], [f"pt{j}"]],
                 covs[n],
-                jac=(lambda t, q: [m[0] for m in self.jacobian_rows([t], [q])])
-                if analytic
-                else None,
+                jac=self.jacobian_rows if analytic else None,
                 loss=loss,
                 group="g",
             )
@@ -611,9 +621,112 @@ class TestStackedBlocks:
     def test_forward_differences_match_analytic(self):
         p = self.build(True)
         block = p.residuals["stacked"]
-        vals = [[p.value(pid) for pid in slot] for slot in block.params]
+        vals = [np.stack([p.params[pid].value for pid in slot]) for slot in block.params]
+        kinds = [p.params[slot[0]].manifold for slot in block.params]
+        assert kinds == [Manifold.RIGID_POSE, Manifold.EUCLIDEAN]
         for num, ana in zip(
-            solver._forward_difference_jacobians(block, vals), block.jac(*vals)
+            solver._forward_difference_jacobians(block, vals, kinds), block.jac(*vals)
         ):
             assert num.shape == ana.shape
             np.testing.assert_allclose(num, ana, rtol=1e-5, atol=1e-5)
+
+
+class TestValueRows:
+    """Packed value rows and their retraction."""
+
+    ANGLES = (0.0, 1e-9, 1.0, np.pi - 1e-6)
+    # tangent dimension per kind; the Euclidean values are 5-vectors
+    DIMS = {
+        Manifold.EUCLIDEAN: 5,
+        Manifold.ROTATION: 3,
+        Manifold.RIGID_POSE: 6,
+        Manifold.SIMILARITY: 7,
+    }
+
+    @staticmethod
+    def rotvecs(rng, angles):
+        axes = rng.normal(size=(len(angles), 3))
+        return np.asarray(angles)[:, None] * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+    def random_values(self, rng, manifold):
+        """Values of one kind whose rotation angles cycle through ANGLES
+        four times."""
+        values = []
+        for rotvec in self.rotvecs(rng, self.ANGLES * 4):
+            rot = Rotation.exp(rotvec)
+            if manifold is Manifold.EUCLIDEAN:
+                values.append(rng.normal(size=5))
+            elif manifold is Manifold.ROTATION:
+                values.append(rot)
+            elif manifold is Manifold.RIGID_POSE:
+                values.append(RigidPose(rot, rng.normal(size=3)))
+            else:
+                values.append(Similarity(float(np.exp(rng.normal())), rot, rng.normal(size=3)))
+        return values
+
+    @pytest.mark.parametrize("manifold", list(Manifold))
+    def test_row_retraction_matches_per_object_reference(self, manifold):
+        rng = np.random.default_rng(30)
+        values = self.random_values(rng, manifold)
+        rows = np.stack([solver._pack(v)[1] for v in values])
+        deltas = rng.normal(size=(len(values), self.DIMS[manifold]))
+        if manifold is not Manifold.EUCLIDEAN:
+            # every pairing of value and step angles
+            deltas[:, :3] = self.rotvecs(rng, np.repeat(self.ANGLES, 4))
+        moved = solver._retract(manifold, rows, deltas)
+        expected = np.stack(
+            [solver._pack(reference_retract(manifold, v, d))[1] for v, d in zip(values, deltas)]
+        )
+        assert moved.shape == rows.shape
+        np.testing.assert_allclose(moved, expected, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("manifold", list(Manifold))
+    def test_pack_and_unpack_round_trip(self, manifold):
+        rng = np.random.default_rng(31)
+        for value in self.random_values(rng, manifold):
+            kind, row = solver._pack(value)
+            assert kind is manifold
+            again = solver._pack(solver._unpack(kind, row))[1]
+            np.testing.assert_allclose(again, row, rtol=0.0, atol=1e-15)
+
+    def test_step_retracts_every_free_block(self):
+        rng = np.random.default_rng(32)
+        p = Problem()
+        values = {
+            "rot": Rotation.exp(rng.normal(size=3)),
+            "c": rng.normal(size=4),
+            "pose": RigidPose(Rotation.exp(rng.normal(size=3)), rng.normal(size=3)),
+            "v2": rng.normal(size=2),
+            "sim": Similarity(1.3, Rotation.exp(rng.normal(size=3)), rng.normal(size=3)),
+            "v5": rng.normal(size=5),
+            "pt": rng.normal(size=3),
+        }
+        for pid, value in values.items():
+            p.add_parameter_block(pid, value, constant=(pid == "c"), eliminate=(pid == "pt"))
+        ws = solver._Workspace(p)
+        delta = rng.normal(size=ws.n_tangent)
+        x = ws.apply_step(ws.values(), delta)
+        ws.store(x)
+        for pid, value in values.items():
+            block = p.params[pid]
+            if block.constant:
+                np.testing.assert_array_equal(block.value, solver._pack(value)[1])
+                continue
+            off = ws.offsets[pid]
+            expected = reference_retract(block.manifold, value, delta[off : off + block.dim])
+            np.testing.assert_allclose(block.value, solver._pack(expected)[1], atol=1e-14)
+        # retained free blocks in insertion order, then the eliminated point
+        assert ws.offsets == {"rot": 0, "pose": 3, "v2": 9, "sim": 11, "v5": 18, "pt": 23}
+        assert ws.n_tangent == 26
+
+    @pytest.mark.parametrize(
+        "slot", [["pose", "six"], ["rot", "four"], ["three", "two"]]
+    )
+    def test_slot_mixing_kinds_or_sizes_raises(self, slot):
+        p = Problem()
+        p.add_parameter_block("pose", RigidPose.identity())
+        p.add_parameter_block("rot", Rotation.identity())
+        for pid, dim in (("six", 6), ("four", 4), ("three", 3), ("two", 2)):
+            p.add_parameter_block(pid, np.zeros(dim))
+        with pytest.raises(ValueError, match="kind or size"):
+            p.add_stacked_block(lambda x: x[:, :1], [slot], np.eye(1))

@@ -1,0 +1,150 @@
+"""Parity check of the pipeline's outputs between two versions of `vigt`.
+
+    python3 tools/parity.py dump OUT.npz [--src DIR]
+    python3 tools/parity.py compare A.npz B.npz
+
+`dump` runs the benchmark pipeline (`perfbench/pipeline.run_pipeline`) on
+seed-1 realizations 0-2 of both benchmark workloads and saves, per run: the
+keyframe positions, rotations, velocities and biases, the pose
+covariances, the variance factors of every reweighting round, the CP
+errors, the iteration count and termination of every Levenberg-Marquardt
+solve, and the skipped CPs and tracks. `--src` names the `src/` directory
+of the `vigt` to run (default: this checkout's); the benchmark code is
+always this checkout's, read-only.
+
+`compare` prints the largest deviation of each quantity over all runs:
+absolute for positions, rotations, velocities, biases and CP errors,
+relative to each block's largest entry for pose covariances, relative for
+variance factors, and equal or not for the iteration counts,
+terminations and skipped items. The exit code is 1 when a discrete
+quantity differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("cp-dense", "landmarks")
+SEED = 1
+REALIZATIONS = (0, 1, 2)
+
+# how `compare` measures the deviation of each numeric quantity
+ABSOLUTE = ("positions", "rotations", "velocities", "biases", "cp_errors")
+PER_BLOCK = ("pose_covariances",)
+RELATIVE = ("variance_factors",)
+DISCRETE = ("iterations", "terminations", "skipped_cps", "skipped_tracks")
+
+
+def _run(workload: str, realization: int) -> dict[str, np.ndarray]:
+    from vigt import alignment, fusion
+    from vigt.fusion import VISUAL_GROUPS
+
+    import pipeline
+    from workloads import WORKLOADS as SPECS, make_inputs
+
+    reports = []
+    solve = fusion.solve
+
+    def recorded(problem, *args, **kwargs):
+        report = solve(problem, *args, **kwargs)
+        reports.append(report)
+        return report
+
+    alignment.solve = fusion.solve = recorded
+    try:
+        spec = SPECS[workload]
+        out = pipeline.run_pipeline(make_inputs(spec, SEED, realization), spec.fusion)
+    finally:
+        alignment.solve = fusion.solve = solve
+    keyframes = out.pgt.keyframes
+    return {
+        "positions": np.stack([k.pose.translation for k in keyframes]),
+        "rotations": np.stack([k.pose.rotation.canonical_quat() for k in keyframes]),
+        "velocities": np.stack([k.velocity for k in keyframes]),
+        "biases": np.stack([k.bias.as_vector() for k in keyframes]),
+        "pose_covariances": np.stack(out.pgt.pose_covariances),
+        "variance_factors": np.array(
+            [[f.get(g, np.nan) for g in VISUAL_GROUPS] for f in out.pgt.variance_factors]
+        ),
+        "cp_errors": np.array([out.errors[c] for c in sorted(out.errors)]),
+        "iterations": np.array([r.iterations for r in reports]),
+        "terminations": np.array([r.termination for r in reports]),
+        "skipped_cps": np.array(sorted(out.fp.skipped_cps), dtype=str),
+        "skipped_tracks": np.array(sorted(out.fp.skipped_tracks), dtype=str),
+    }
+
+
+def dump(path: str, src: Path) -> None:
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    arrays = {}
+    for workload in WORKLOADS:
+        for realization in REALIZATIONS:
+            for name, value in _run(workload, realization).items():
+                arrays[f"{workload}/{realization}/{name}"] = value
+    np.savez(path, **arrays)
+    print(f"wrote {len(arrays)} arrays to {path}")
+
+
+def _deviation(name: str, a: np.ndarray, b: np.ndarray) -> float:
+    if a.shape != b.shape:
+        return np.inf
+    if name in PER_BLOCK:
+        scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
+        return float(np.max(np.abs(a - b) / scale, initial=0.0))
+    if name in RELATIVE:
+        both = np.isnan(a) & np.isnan(b)
+        rel = np.abs(a - b) / np.abs(a)
+        return float(np.max(np.where(both, 0.0, rel), initial=0.0))
+    return float(np.max(np.abs(a - b), initial=0.0))
+
+
+def compare(path_a: str, path_b: str) -> int:
+    a, b = np.load(path_a), np.load(path_b)
+    if set(a.files) != set(b.files):
+        print("the files hold different quantities or runs")
+        return 1
+    worst: dict[str, float] = {}
+    differs: dict[str, list[str]] = {}
+    for key in sorted(a.files):
+        name = key.rsplit("/", 1)[1]
+        if name in DISCRETE:
+            if not np.array_equal(a[key], b[key]):
+                differs.setdefault(name, []).append(key)
+        else:
+            worst[name] = max(worst.get(name, 0.0), _deviation(name, a[key], b[key]))
+    for name in ABSOLUTE + PER_BLOCK + RELATIVE:
+        kind = "absolute" if name in ABSOLUTE else "relative"
+        print(f"{name:18s} largest {kind} deviation {worst[name]:.3e}")
+    for name in DISCRETE:
+        where = differs.get(name)
+        print(f"{name:18s} " + ("identical" if not where else "differ: " + ", ".join(where)))
+    return 1 if differs else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_dump = sub.add_parser("dump")
+    p_dump.add_argument("out")
+    p_dump.add_argument("--src", type=Path, default=ROOT / "src")
+    p_compare = sub.add_parser("compare")
+    p_compare.add_argument("a")
+    p_compare.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.out, args.src.resolve())
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
