@@ -6,6 +6,18 @@ the whitened Gauss-Newton Hessian, and per-group variance factors.
 Residual blocks stack the rows of one factor, so a factor family is
 evaluated and linearized as arrays, one callback per block.
 
+One Cholesky path solves every linear system. The points are eliminated
+with batched 3x3 inverses, their Schur terms scattered into the reduced
+system over the retained tangent. That system splits, once per problem
+structure and by a flop estimate, into a leading band and a trailing
+dense border (in fusion: the keyframe states and the control-point
+proxies). Each damped trial factors the band with a banded Cholesky and
+the border's Schur complement with a dense one; a factorization that
+fails raises the damping. Marginal covariances factor the undamped
+system the same way and take the band's diagonal blocks by block
+selected inversion (Takahashi's recursion, as cheap as the factorization),
+plus the border's low-rank correction.
+
 Parameter values are packed float rows: a Euclidean (d,) vector (tangent
 d), a rotation's unit quaternion [qw qx qy qz] (tangent 3), a rigid pose
 [q | t] (tangent 6: rotation, translation) and a similarity [q | t | s]
@@ -184,6 +196,7 @@ class Problem:
     def __init__(self):
         self.params: dict[str, ParameterBlock] = {}
         self.residuals: dict[str, ResidualBlock] = {}
+        self._workspace: _Workspace | None = None  # see _workspace()
 
     def add_parameter_block(
         self, pid: str, value, *, constant: bool = False, eliminate: bool = False
@@ -197,6 +210,7 @@ class Problem:
         if eliminate and not (block.manifold is Manifold.EUCLIDEAN and block.dim == 3):
             raise ValueError("only 3-dim euclidean blocks can be Schur-eliminated")
         self.params[pid] = block
+        self._workspace = None
         return block
 
     def add_stacked_block(
@@ -226,6 +240,7 @@ class Problem:
                 raise ValueError(f"residual '{rid}': blocks of one slot differ in kind or size")
         block = ResidualBlock(rid, group, slots, fn, covariance, jac, loss)
         self.residuals[rid] = block
+        self._workspace = None
         return block
 
     def add_residual_block(
@@ -299,18 +314,21 @@ class SolveReport:
 
 class _Workspace:
     """Static structure of a problem: the value layout, tangent indexing,
-    row layout and the sparsity pattern of the whitened Jacobian.
+    row layout, the sparsity pattern of the whitened Jacobian and the
+    band-plus-border layout of the normal equations.
 
     The flat value vector holds every block's row in insertion order, the
     row of block `pid` from index `value_starts[pid]` on. The tangent holds
     the retained free blocks in insertion order, then the eliminated
-    points."""
+    points. A problem keeps its workspace until a block is added."""
 
     def __init__(self, problem: Problem):
-        self.problem = problem
+        # the problem's dicts, not the problem: it holds the workspace
+        self.params, self.residuals = problem.params, problem.residuals
         blocks = list(problem.params.values())
-        ends = np.cumsum([b.value.size for b in blocks]).tolist()
-        self.value_starts = {b.id: end - b.value.size for b, end in zip(blocks, ends)}
+        sizes = np.array([b.value.size for b in blocks])
+        starts = np.cumsum(sizes) - sizes
+        self.value_starts = {b.id: int(s) for b, s in zip(blocks, starts)}
 
         free = [b for b in blocks if not b.constant]
         if not free:
@@ -323,8 +341,6 @@ class _Workspace:
             self.offsets[b.id] = cursor
             cursor += b.dim
         self.n_tangent = cursor
-        self.n_retained = sum(b.dim for b in retained)
-        self.eliminated = eliminated
 
         # per kind of free block: (M, size) value and (M, k) tangent indices
         # of its blocks; the Euclidean retraction is elementwise, so its
@@ -339,32 +355,55 @@ class _Workspace:
             join = np.concatenate if manifold is Manifold.EUCLIDEAN else np.stack
             self.retractions.append((manifold, join(value_idx), join(tangent_idx)))
 
-        # per block: first row, the (N, size) value indices of each slot,
-        # and per slot the rows on a free block; Jacobian entries of the
-        # other rows are never stored. The COO indices list each slot's
-        # (row, residual dim, tangent dim) in order.
+        # per block (insertion order): tangent offset (-1 if constant), and
+        # its ordinal among the retained blocks or among the points (-1)
+        index = {b.id: i for i, b in enumerate(blocks)}
+        dims = np.array([b.dim for b in blocks])
+        tangent = np.array([self.offsets.get(b.id, -1) for b in blocks])
+        retained_ord = np.full(len(blocks), -1)
+        retained_ord[[index[b.id] for b in retained]] = np.arange(len(retained))
+        point_ord = np.full(len(blocks), -1)
+        point_ord[[index[b.id] for b in eliminated]] = np.arange(len(eliminated))
+
+        # per residual block: first row, the (N, size) value indices of each
+        # slot, and per slot the rows on a free block; Jacobian entries of
+        # the other rows are never stored. The COO indices list each slot's
+        # (row, residual dim, tangent dim) in order. Block pairs that share
+        # a row give the adjacency of the normal equations.
         self.rows: dict[str, int] = {}
         self.slot_indices: dict[str, list[np.ndarray]] = {}
         self.free_rows: dict[str, list[np.ndarray]] = {}
         rows_idx, cols_idx = [], []
+        edges, incidences = [], []
+        entry_blocks, entry_groups = [], []
+        groups: dict[str, int] = {}  # group -> its index in group_rows
+        group_rows: list[int] = []
         cursor = 0
         for r in problem.residuals.values():
             self.rows[r.id] = cursor
-            first = [problem.params[slot[0]] for slot in r.params]
+            slots = [np.fromiter(map(index.__getitem__, s), np.intp, len(s)) for s in r.params]
             self.slot_indices[r.id] = [
-                np.array([self.value_starts[pid] for pid in slot])[:, None]
-                + np.arange(b.value.size)
-                for slot, b in zip(r.params, first)
+                starts[idx][:, None] + np.arange(sizes[idx[0]]) for idx in slots
             ]
             self.free_rows[r.id] = []
-            for slot, b in zip(r.params, first):
-                free_n = np.flatnonzero([pid in self.offsets for pid in slot])
+            for idx in slots:
+                free_n = np.flatnonzero(tangent[idx] >= 0)
                 self.free_rows[r.id].append(free_n)
                 if free_n.size:
+                    dim = dims[idx[0]]
                     rows = cursor + (free_n[:, None] * r.dim + np.arange(r.dim))
-                    cols = np.array([self.offsets[slot[n]] for n in free_n])
-                    rows_idx.append(rows.repeat(b.dim, axis=1).ravel())
-                    cols_idx.append(np.tile(cols[:, None] + np.arange(b.dim), r.dim).ravel())
+                    cols = tangent[idx[free_n]]
+                    rows_idx.append(rows.repeat(dim, axis=1).ravel())
+                    cols_idx.append(np.tile(cols[:, None] + np.arange(dim), r.dim).ravel())
+            for a, idx_a in enumerate(slots):
+                for idx_b in slots[a + 1 :]:
+                    _row_pairs(idx_a, idx_b, retained_ord, point_ord, edges, incidences)
+            group = groups.setdefault(r.group, len(groups))
+            if group == len(group_rows):
+                group_rows.append(0)
+            group_rows[group] += r.rows * r.dim
+            entry_blocks += slots
+            entry_groups.append(np.full(sum(len(s) for s in slots), group))
             cursor += r.rows * r.dim
         self.n_rows = cursor
         self.pattern = (
@@ -372,34 +411,40 @@ class _Workspace:
             np.concatenate(cols_idx or [np.zeros(0, dtype=int)]),
         )
 
-        self.redundancy = self._group_redundancy()
+        retained_dims = np.array([b.dim for b in retained], dtype=int)
+        self.layout = _Layout(
+            retained_dims,
+            np.cumsum(retained_dims) - retained_dims,
+            np.concatenate(edges or [np.zeros((0, 2), dtype=int)]),
+            np.concatenate(incidences or [np.zeros((0, 2), dtype=int)]),
+            len(eliminated),
+        )
 
-    def _group_redundancy(self) -> dict[str, int]:
-        by_group_rows: dict[str, int] = {}
-        param_groups: dict[str, set[str]] = {}
-        for r in self.problem.residuals.values():
-            by_group_rows[r.group] = by_group_rows.get(r.group, 0) + r.rows * r.dim
-            for slot in r.params:
-                for pid in slot:
-                    param_groups.setdefault(pid, set()).add(r.group)
-        redundancy = {}
-        for group, rows in by_group_rows.items():
-            exclusive = sum(
-                self.problem.params[pid].dim
-                for pid, groups in param_groups.items()
-                if groups == {group} and not self.problem.params[pid].constant
-            )
-            redundancy[group] = rows - exclusive
-        return redundancy
+        # redundancy per group: its rows, less the tangent dimension of the
+        # free blocks that no other group reads
+        pairs = np.unique(
+            np.concatenate(entry_blocks or [np.zeros(0, dtype=int)]) * len(groups)
+            + np.concatenate(entry_groups or [np.zeros(0, dtype=int)])
+        )
+        block, group = np.divmod(pairs, max(len(groups), 1))
+        exclusive = (np.bincount(block, minlength=len(blocks))[block] == 1) & (
+            tangent[block] >= 0
+        )
+        exclusive_dims = np.bincount(
+            group[exclusive], dims[block[exclusive]], minlength=len(groups)
+        )
+        self.redundancy = {
+            g: int(group_rows[k] - exclusive_dims[k]) for g, k in groups.items()
+        }
 
     def values(self) -> np.ndarray:
         """The flat value vector of the problem's current values."""
-        return np.concatenate([b.value for b in self.problem.params.values()])
+        return np.concatenate([b.value for b in self.params.values()])
 
     def store(self, x: np.ndarray) -> None:
         """Write a flat value vector back into the problem's blocks."""
         for pid, start in self.value_starts.items():
-            block = self.problem.params[pid]
+            block = self.params[pid]
             block.value = x[start : start + block.value.size]
 
     def slots(self, r: ResidualBlock, x: np.ndarray) -> list[np.ndarray]:
@@ -410,7 +455,7 @@ class _Workspace:
         """Robust cost and whitened (N, d) residuals per block."""
         cost = 0.0
         whitened: dict[str, np.ndarray] = {}
-        for r in self.problem.residuals.values():
+        for r in self.residuals.values():
             raw = np.asarray(r.fn(*self.slots(r, x)), dtype=float)
             if raw.shape != (r.rows, r.dim):
                 raise SolverError(
@@ -441,11 +486,11 @@ class _Workspace:
         """Whitened, robust-scaled Jacobian and residual vector."""
         data = []
         rhs = np.zeros(self.n_rows)
-        for r in self.problem.residuals.values():
+        for r in self.residuals.values():
             row0 = self.rows[r.id]
             slots = self.slots(r, x)
             if r.jac is None:
-                kinds = [self.problem.params[slot[0]].manifold for slot in r.params]
+                kinds = [self.params[slot[0]].manifold for slot in r.params]
                 jacs = _forward_difference_jacobians(r, slots, kinds)
             else:
                 jacs = r.jac(*slots)
@@ -460,7 +505,7 @@ class _Workspace:
                 if not free.size:
                     continue
                 jac = np.asarray(jac, dtype=float)
-                expected = (r.rows, r.dim, self.problem.params[slot[0]].dim)
+                expected = (r.rows, r.dim, self.params[slot[0]].dim)
                 if jac.shape != expected:
                     raise SolverError(
                         f"residual '{r.id}': Jacobian for '{slot[0]}' has shape"
@@ -489,6 +534,13 @@ class _Workspace:
         return out
 
 
+def _workspace(problem: Problem) -> _Workspace:
+    """The problem's workspace, built once per problem structure."""
+    if problem._workspace is None:
+        problem._workspace = _Workspace(problem)
+    return problem._workspace
+
+
 def _forward_difference_jacobians(
     block: ResidualBlock, slots: list[np.ndarray], kinds: Sequence[Manifold]
 ):
@@ -510,58 +562,317 @@ def _forward_difference_jacobians(
     return jacs
 
 
-def _solve_normal_equations(
-    ws: _Workspace, hess: scipy.sparse.csr_matrix, grad: np.ndarray
-) -> np.ndarray:
-    """Solve H d = -g, Schur-eliminating flagged point blocks.
-
-    The eliminated part of H must be block diagonal, one 3x3 block per
-    point: a residual row that reads two eliminated points couples them,
-    which raises ValueError. Memory stays linear in the number of points.
-    """
-    n_r = ws.n_retained
-    if not ws.eliminated or n_r == 0:
-        return _sparse_solve(hess, -grad)
-
-    h_rr = hess[:n_r, :n_r]
-    h_re = hess[:n_r, n_r:].tocsr()
-    h_ee = hess[n_r:, n_r:].tocoo()
-    h_ee.sum_duplicates()
-    g_r, g_e = grad[:n_r], grad[n_r:]
-
-    point_row, point_col = h_ee.row // 3, h_ee.col // 3
-    if np.any((point_row != point_col) & (h_ee.data != 0.0)):
+def _row_pairs(idx_a, idx_b, retained_ord, point_ord, edges, incidences) -> None:
+    """Append the block pairs that the rows of two slots couple: retained
+    pairs [later, earlier] to `edges`, [point, retained block] pairs to
+    `incidences`. A row that reads two eliminated points raises ValueError:
+    their coupling cannot be eliminated point by point."""
+    ra, rb = retained_ord[idx_a], retained_ord[idx_b]
+    pa, pb = point_ord[idx_a], point_ord[idx_b]
+    if np.any((pa >= 0) & (pb >= 0) & (pa != pb)):
         raise ValueError(
             "a residual row reads two Schur-eliminated point blocks; their"
             " coupling cannot be eliminated point by point"
         )
-    on_block = point_row == point_col
-    n_e = ws.n_tangent - n_r
-    blocks = np.zeros((n_e // 3, 3, 3))
-    blocks[point_row[on_block], h_ee.row[on_block] % 3, h_ee.col[on_block] % 3] = (
-        h_ee.data[on_block]
-    )
-    # block-diagonal CSR: row 3p + i holds row i of point p's inverse
-    h_ee_inv = scipy.sparse.csr_matrix(
-        (
-            np.linalg.inv(blocks).ravel(),
-            np.arange(n_e).reshape(-1, 3).repeat(3, axis=0).ravel(),
-            np.arange(0, 3 * n_e + 1, 3),
-        ),
-        shape=(n_e, n_e),
-    )
-
-    reduced = (h_rr - h_re @ h_ee_inv @ h_re.T).tocsc()
-    rhs = -(g_r - h_re @ (h_ee_inv @ g_e))
-    d_r = _sparse_solve(reduced, rhs)
-    d_e = h_ee_inv @ (-g_e - h_re.T @ d_r)
-    return np.concatenate([d_r, d_e])
+    both = (ra >= 0) & (rb >= 0)
+    edges.append(np.stack([np.maximum(ra, rb)[both], np.minimum(ra, rb)[both]], axis=1))
+    for p, r in ((pa, rb), (pb, ra)):
+        seen = (p >= 0) & (r >= 0)
+        incidences.append(np.stack([p[seen], r[seen]], axis=1))
 
 
-def _sparse_solve(mat, rhs: np.ndarray) -> np.ndarray:
-    if mat.shape[0] < 80:
-        return np.linalg.solve(mat.toarray(), rhs)
-    return scipy.sparse.linalg.spsolve(mat.tocsc(), rhs)
+def _pairs_within_groups(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Member pairs (a, b), b <= a, within each run of consecutive members;
+    run g holds counts[g] members."""
+    local = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    a = np.repeat(np.arange(local.size), local + 1)
+    first = np.cumsum(local + 1) - (local + 1)  # a's first pair
+    b = a - local[a] + (np.arange(a.size) - first[a])
+    return a, b
+
+
+class _Layout:
+    """Band-plus-border layout of the normal equations with the points
+    eliminated.
+
+    The retained tangent keeps insertion order. Its leading blocks form a
+    band of N unknowns and half-bandwidth kd, the trailing blocks a dense
+    border of nb unknowns. Two retained blocks are adjacent when a residual
+    row or an eliminated point couples them; the band holds every adjacent
+    pair among its blocks. The split minimizes the flop estimate
+    N (kd + nb)^2 + nb^3 / 3 of a banded Cholesky factorization, the
+    border's band solves and its dense Cholesky factorization.
+
+    The reduced system lives in one flat buffer: the band's lower half in
+    LAPACK band storage (kd + 1, N), the band-border coupling (N, nb), the
+    border (nb, nb), of which only the lower triangle is read, and one
+    trash entry that padding is scattered to. Each eliminated point couples
+    to its incidences, the retained blocks it shares rows with; every pair
+    of incidences of one point adds a block of that point's Schur term.
+    """
+
+    def __init__(self, dims, offsets, edges, incidences, n_points):
+        n_blocks = len(dims)
+        self.n_blocks = n_blocks
+        self.n = int(dims.sum())
+        self.n_points = n_points
+        incidences = np.unique(incidences, axis=0)  # sorted by point, then block
+        self.inc_point, inc_block = incidences[:, 0], incidences[:, 1]
+        self.inc_keys = self.inc_point * n_blocks + inc_block
+        pair_a, pair_b = _pairs_within_groups(np.bincount(self.inc_point, minlength=n_points))
+        # pairs ordered by the block pair they add to, so that their
+        # scatter writes nearby entries one after another
+        order = np.lexsort((inc_block[pair_b], inc_block[pair_a]))
+        self.pair_a, self.pair_b = pair_a[order], pair_b[order]
+
+        # half-bandwidth of the leading blocks [0, s) for every split s
+        later = np.concatenate([edges[:, 0], inc_block[self.pair_a], np.arange(n_blocks)])
+        earlier = np.concatenate([edges[:, 1], inc_block[self.pair_b], np.arange(n_blocks)])
+        widest = np.zeros(n_blocks, dtype=int)
+        np.maximum.at(widest, later, offsets[later] + dims[later] - 1 - offsets[earlier])
+        kd = np.concatenate([[0], np.maximum.accumulate(widest)]).astype(float)
+        band = np.append(offsets, self.n).astype(float)
+        border = self.n - band
+        flops = band * (kd + border) ** 2 + border**3 / 3.0
+        split = n_blocks - int(np.argmin(flops[::-1]))  # ties favour the band
+        self.band_n = int(band[split])
+        self.kd = int(kd[split])
+        self.nb = self.n - self.band_n
+        self.coupling_at = (self.kd + 1) * self.band_n
+        self.border_at = self.coupling_at + self.band_n * self.nb
+        self.size = self.border_at + self.nb * self.nb
+
+        # retained scalar -> its block and its offset there
+        self.block_of = np.repeat(np.arange(n_blocks), dims)
+        self.block_offset = np.arange(self.n) - np.repeat(offsets, dims)
+        # (M, D) scalar indices of each incidence's block; padding is n
+        width = int(dims[inc_block].max()) if inc_block.size else 1
+        pad = np.arange(width)
+        self.inc_index = np.where(
+            pad < dims[inc_block][:, None], offsets[inc_block][:, None] + pad, self.n
+        )
+        rows = self.inc_index[self.pair_a][:, :, None]
+        cols = self.inc_index[self.pair_b][:, None, :]
+        self.pair_dest = self.dest(rows, cols)
+
+    def dest(self, i, j):
+        """Buffer index of retained entry (i, j); the trash entry for
+        padding and for the upper triangle."""
+        n, nb = self.band_n, self.nb
+        coupling = self.coupling_at + j * nb + (i - n)
+        border = self.border_at + (i - n) * nb + (j - n)
+        at = np.where(i < n, (i - j) * n + j, np.where(j < n, coupling, border))
+        return np.where((i < self.n) & (j <= i), at, self.size)
+
+    def normal_equations(self, hess) -> "_NormalEquations":
+        """Gather the undamped system H from the sparse Gauss-Newton Hessian."""
+        hess = hess.tocsr()
+        hess.sum_duplicates()
+        coo = hess.tocoo()
+        r, c, v = coo.row, coo.col, coo.data
+        n = self.n
+        lower = (r < n) & (c <= r)
+        buffer = np.bincount(
+            self.dest(r[lower], c[lower]), v[lower], minlength=self.size + 1
+        )
+        couple = (r < n) & (c >= n)
+        point, k = np.divmod(c[couple] - n, 3)
+        rows = r[couple]
+        inc = np.searchsorted(self.inc_keys, point * self.n_blocks + self.block_of[rows])
+        coupling = np.zeros(self.inc_index.shape + (3,))
+        coupling[inc, self.block_offset[rows], k] = v[couple]
+        own = (r >= n) & (c >= n)
+        points = np.zeros((self.n_points, 3, 3))
+        points[(r[own] - n) // 3, (r[own] - n) % 3, (c[own] - n) % 3] = v[own]
+        diag = np.maximum(hess.diagonal(), 1e-12)
+        return _NormalEquations(self, buffer, coupling, points, diag)
+
+
+@dataclass
+class _NormalEquations:
+    """The undamped normal equations of one Levenberg-Marquardt iteration:
+    the retained system in the layout's buffer, the (M, D, 3) coupling rows
+    of each incidence, the (P, 3, 3) point blocks, and the diagonal the
+    damping scales."""
+
+    layout: _Layout
+    buffer: np.ndarray
+    coupling: np.ndarray
+    points: np.ndarray
+    diag: np.ndarray
+
+    def factor(self, lam: float) -> "_Factor":
+        """Factor H + lam diag(H); a matrix that is not positive definite
+        raises LinAlgError."""
+        return _Factor(self, lam)
+
+
+class _Factor:
+    """Cholesky factorization of one damped system [[A, C], [C', B]] with
+    the points eliminated: the banded factor L of the band A, Y = L^-1 C,
+    the dense factor of the border's Schur complement S = B - Y'Y, and the
+    inverse point blocks."""
+
+    def __init__(self, system: _NormalEquations, lam: float):
+        lay = self.layout = system.layout
+        n, band_n, nb = lay.n, lay.band_n, lay.nb
+        damp = lam * system.diag
+        buffer = system.buffer.copy()
+        band = buffer[: lay.coupling_at].reshape(lay.kd + 1, band_n)
+        band[0] += damp[:band_n]
+        border = buffer[lay.border_at : lay.size].reshape(nb, nb)
+        border[np.diag_indices(nb)] += damp[band_n:n]
+        self.points = system.points + damp[n:].reshape(-1, 3)[:, :, None] * np.eye(3)
+        self.point_inverse = np.linalg.inv(self.points)
+        self.point_coupling = system.coupling
+        # point p's Schur term couples every pair of its incidences
+        weighted = system.coupling @ self.point_inverse[lay.inc_point]
+        terms = weighted[lay.pair_a] @ system.coupling[lay.pair_b].transpose(0, 2, 1)
+        buffer -= np.bincount(lay.pair_dest.ravel(), terms.ravel(), minlength=lay.size + 1)
+
+        if band_n:
+            band = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
+        self.band = band
+        self.solved = self.band_solve(buffer[lay.coupling_at : lay.border_at].reshape(band_n, nb))
+        if nb:
+            border = scipy.linalg.cholesky(
+                border - self.solved.T @ self.solved, lower=True, check_finite=False
+            )
+        self.border = border
+
+    def band_solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """L^-1 rhs ("N") or L^-T rhs ("T") for one or more right-hand sides."""
+        if not rhs.size:  # LAPACK is not called with no right-hand side
+            return rhs.copy()
+        out, _ = scipy.linalg.lapack.dtbtrs(
+            self.band, rhs.reshape(len(rhs), -1), uplo="L", trans=trans
+        )
+        return out.reshape(rhs.shape)
+
+    def solve(self, grad: np.ndarray) -> np.ndarray:
+        """The step d of (H + lam diag(H)) d = -grad."""
+        lay = self.layout
+        n, band_n = lay.n, lay.band_n
+        rhs = -grad[:n]
+        g_points = grad[n:].reshape(-1, 3)
+        if lay.n_points:
+            y = np.einsum("pij,pj->pi", self.point_inverse, g_points)
+            t = np.einsum("mdk,mk->md", self.point_coupling, y[lay.inc_point])
+            rhs = rhs + np.bincount(lay.inc_index.ravel(), t.ravel(), minlength=n + 1)[:n]
+        step = np.empty(n)
+        z = self.band_solve(rhs[:band_n])
+        if lay.nb:
+            step[band_n:] = scipy.linalg.cho_solve(
+                (self.border, True), rhs[band_n:] - self.solved.T @ z, check_finite=False
+            )
+            z = z - self.solved @ step[band_n:]
+        step[:band_n] = self.band_solve(z, "T")
+        if not lay.n_points:
+            return step
+        retained = np.append(step, 0.0)[lay.inc_index]
+        u = np.einsum("mdk,md->mk", self.point_coupling, retained)
+        back = np.bincount(
+            (lay.inc_point[:, None] * 3 + np.arange(3)).ravel(),
+            u.ravel(),
+            minlength=3 * lay.n_points,
+        ).reshape(-1, 3)
+        points = np.einsum("pij,pj->pi", self.point_inverse, -g_points - back)
+        return np.concatenate([step, points.ravel()])
+
+    def squared_pivots(self) -> np.ndarray:
+        """Squared pivots of the Cholesky factorization with the points
+        eliminated first."""
+        lay = self.layout
+        point_pivots = np.diagonal(np.linalg.cholesky(self.points), axis1=1, axis2=2)
+        return np.concatenate(
+            [
+                point_pivots.ravel(),
+                self.band[0] if lay.band_n else np.zeros(0),
+                np.diagonal(self.border),
+            ]
+        ) ** 2
+
+    def covariances(self, starts: Sequence[int], dims: Sequence[int]) -> list[np.ndarray]:
+        """Diagonal blocks of the inverse reduced system at the given
+        retained tangent offsets and dimensions: the band's by block
+        selected inversion plus the border's low-rank correction
+        W S^-1 W' with W = A^-1 C, the border's from the inverse factor of
+        S."""
+        lay = self.layout
+        band = _BandInverse(self.band, lay.kd) if lay.band_n else None
+        border_inv = (
+            scipy.linalg.solve_triangular(
+                self.border, np.eye(lay.nb), lower=True, check_finite=False
+            )
+            if lay.nb
+            else np.zeros((0, 0))
+        )
+        # S^-1 = border_inv' border_inv, and W = A^-1 C = L^-T Y
+        correction = border_inv @ self.band_solve(self.solved, "T").T
+        out = []
+        for a, d in zip(starts, dims):
+            if a < lay.band_n:
+                v = correction[:, a : a + d]
+                out.append(band.block(a, d) + v.T @ v)
+            else:
+                j = a - lay.band_n
+                v = border_inv[j:, j : j + d]
+                out.append(v.T @ v)
+        return out
+
+
+def _band_block(cb: np.ndarray, kd: int, rows: slice, cols: slice) -> np.ndarray:
+    """Dense block of a lower band matrix in LAPACK storage."""
+    i = np.arange(rows.start, rows.stop)[:, None]
+    j = np.arange(cols.start, cols.stop)[None, :]
+    off = i - j
+    return np.where((off >= 0) & (off <= kd), cb[np.clip(off, 0, kd), j], 0.0)
+
+
+class _BandInverse:
+    """The block tridiagonal part of A^-1 from A's banded Cholesky factor L,
+    by block selected inversion (Takahashi's recursion).
+
+    With chunks of at least kd + 1 unknowns L is block lower bidiagonal,
+    and Z = A^-1 satisfies, chunk k from the last one down, with
+    T = L[k+1, k] L[k, k]^-1:
+        Z[k+1, k] = -Z[k+1, k+1] T
+        Z[k, k]   = L[k, k]^-T L[k, k]^-1 + T' Z[k+1, k+1] T
+    which costs O(N kd^2), as the factorization does."""
+
+    def __init__(self, cb: np.ndarray, kd: int):
+        n = cb.shape[1]
+        self.chunk = max(kd + 1, 64)
+        self.bounds = bounds = list(range(0, n, self.chunk)) + [n]
+        count = len(bounds) - 1
+        self.diag: list[np.ndarray] = [np.zeros(0)] * count
+        self.sub: list[np.ndarray] = [np.zeros(0)] * max(count - 1, 0)
+        for k in reversed(range(count)):
+            here = slice(bounds[k], bounds[k + 1])
+            diag = _band_block(cb, kd, here, here)
+            inv = scipy.linalg.solve_triangular(
+                diag, np.eye(len(diag)), lower=True, check_finite=False
+            )
+            z = inv.T @ inv
+            if k + 1 < count:
+                t = _band_block(cb, kd, slice(bounds[k + 1], bounds[k + 2]), here) @ inv
+                self.sub[k] = -self.diag[k + 1] @ t
+                z -= t.T @ self.sub[k]
+            self.diag[k] = z
+
+    def block(self, start: int, dim: int) -> np.ndarray:
+        """Z[start : start + dim, start : start + dim]; dim <= kd + 1."""
+        k = start // self.chunk
+        lo = start - self.bounds[k]
+        if start + dim <= self.bounds[k + 1]:
+            return self.diag[k][lo : lo + dim, lo : lo + dim]
+        rest = start + dim - self.bounds[k + 1]
+        return np.block(
+            [
+                [self.diag[k][lo:, lo:], self.sub[k][:rest, lo:].T],
+                [self.sub[k][:rest, lo:], self.diag[k + 1][:rest, :rest]],
+            ]
+        )
 
 
 def _model_decrease(jac, grad: np.ndarray, delta: np.ndarray) -> float:
@@ -581,7 +892,7 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
     damping lowers the cost, though the model promises a decrease) and
     "max_iterations".
     """
-    ws = _Workspace(problem)
+    ws = _workspace(problem)
     x = ws.values()
 
     cost, whitened = ws.evaluate(x)
@@ -595,15 +906,13 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
     for iterations in range(1, options.max_iters + 1):
         jac, rhs = ws.linearize(x, whitened)
         grad = jac.T @ rhs
-        hess = (jac.T @ jac).tocsr()
-        diag = np.maximum(hess.diagonal(), 1e-12)
+        system = ws.layout.normal_equations(jac.T @ jac)
 
         promised = None  # model decrease along the least-damped step
         while lam <= _LAMBDA_MAX:
-            damped = hess + scipy.sparse.diags(lam * diag)
             try:
-                delta = _solve_normal_equations(ws, damped, grad)
-            except (np.linalg.LinAlgError, RuntimeError):  # singular factorization
+                delta = system.factor(lam).solve(grad)
+            except np.linalg.LinAlgError:  # not positive definite
                 lam *= 10.0
                 continue
             if not np.all(np.isfinite(delta)):
@@ -662,43 +971,35 @@ def variance_factor(report: SolveReport, group: str) -> float:
     return float(res @ res) / redundancy
 
 
-def _gauss_newton_hessian(problem: Problem):
-    ws = _Workspace(problem)
-    x = ws.values()
-    _, whitened = ws.evaluate(x)
-    jac, _ = ws.linearize(x, whitened)
-    return ws, (jac.T @ jac).tocsc()
-
-
 def marginal_covariances(
     problem: Problem, block_ids: Sequence[str]
 ) -> dict[str, np.ndarray]:
-    """Tangent-space marginal covariance of the requested blocks.
+    """Tangent-space marginal covariance of the requested retained blocks.
 
     The problem must be at its solution and gauge-fixed (through constant
-    blocks, prior factors, or absolute measurements); a singular Hessian
-    raises :class:`RankDeficientError` with the estimated null-space
-    dimension.
+    blocks, prior factors, or absolute measurements); a singular or
+    near-singular Hessian (a squared Cholesky pivot below 1e-12 of the
+    largest) raises :class:`RankDeficientError` with the estimated
+    null-space dimension.
     """
     for pid in block_ids:
         if pid not in problem.params:
             raise KeyError(f"unknown parameter block '{pid}'")
         if problem.params[pid].constant:
             raise ValueError(f"block '{pid}' is constant; covariance undefined")
-    ws, hess = _gauss_newton_hessian(problem)
-
-    dense = hess.shape[0] <= 600
+        if problem.params[pid].eliminate:
+            raise ValueError(f"block '{pid}' is Schur-eliminated; covariance not computed")
+    ws = _workspace(problem)
+    x = ws.values()
+    _, whitened = ws.evaluate(x)
+    jac, _ = ws.linearize(x, whitened)
+    hess = jac.T @ jac
     try:
-        if dense:
-            chol = scipy.linalg.cho_factor(hess.toarray())
-            solve_cols = lambda rhs: scipy.linalg.cho_solve(chol, rhs)
-        else:
-            lu = scipy.sparse.linalg.splu(hess.tocsc())
-            u_diag = np.abs(lu.U.diagonal())
-            if u_diag.min() < 1e-12 * max(u_diag.max(), 1.0):
-                raise np.linalg.LinAlgError("near-singular factorization")
-            solve_cols = lu.solve
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, RuntimeError):
+        factor = ws.layout.normal_equations(hess).factor(0.0)
+        pivots = factor.squared_pivots()
+        if pivots.min(initial=np.inf) < 1e-12 * max(pivots.max(initial=0.0), 1.0):
+            raise np.linalg.LinAlgError("near-singular factorization")
+    except np.linalg.LinAlgError:
         nullity = _estimate_nullity(hess)
         raise RankDeficientError(
             f"Gauss-Newton Hessian is rank-deficient"
@@ -706,16 +1007,10 @@ def marginal_covariances(
             nullity=nullity,
         ) from None
 
-    out = {}
-    for pid in block_ids:
-        off = ws.offsets[pid]
-        dim = problem.params[pid].dim
-        rhs = np.zeros((hess.shape[0], dim))
-        rhs[np.arange(off, off + dim), np.arange(dim)] = 1.0
-        cols = solve_cols(rhs)
-        block = cols[off : off + dim, :]
-        out[pid] = 0.5 * (block + block.T)
-    return out
+    covs = factor.covariances(
+        [ws.offsets[pid] for pid in block_ids], [problem.params[pid].dim for pid in block_ids]
+    )
+    return {pid: 0.5 * (c + c.T) for pid, c in zip(block_ids, covs)}
 
 
 def _estimate_nullity(hess) -> int:

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from vigt import fusion
+from vigt import fusion, solver
 from vigt.errors import ImuDataError, UnobservableError
 from vigt.fusion import FusionConfig, build_fusion_problem, optimize_pseudo_gt
 from vigt.inertial import BIAS_CORRECTION_WARN_NORM, ImuStream
@@ -123,6 +123,36 @@ def test_gyro_bias_excursions_past_a_lowered_threshold_logged_once(
     expected = sum(np.linalg.norm(kf.bias.gyro) > threshold for kf in pgt.keyframes[:-1])
     assert 0 < expected == pgt.bias_excursions
     assert len([r for r in caplog.records if r.name == "vigt.fusion"]) == 1
+
+
+def test_optimize_builds_one_workspace(scene, monkeypatch):
+    # the reweighting solves and the marginal covariances share the
+    # problem's workspace
+    world, rig, detections, imu, truth, init = scene
+    fp = build_fusion_problem(
+        init, detections.tracks, detections.cp_observations, world.cps, imu, rig,
+        FusionConfig(mode="inertial-only", keyframe_stride=STRIDE),
+    )
+    built, calls = [], []
+
+    class Counting(solver._Workspace):
+        def __init__(self, problem):
+            built.append(problem)
+            super().__init__(problem)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "_Workspace", Counting)
+    monkeypatch.setattr(fusion, "solve", counted(fusion.solve))
+    monkeypatch.setattr(fusion, "marginal_covariances", counted(fusion.marginal_covariances))
+    optimize_pseudo_gt(fp)
+    assert calls == ["solve"] * (fp.config.reweight_rounds + 1) + ["marginal_covariances"]
+    assert built == [fp.problem]
 
 
 def test_imu_gap_raises(scene):

@@ -377,13 +377,19 @@ def test_schur_step_matches_sparse_solve_in_linear_memory():
         p.add_parameter_block(f"pose{i}", np.zeros(6))
     for j in range(n_pts):
         p.add_parameter_block(f"pt{j}", np.zeros(3), eliminate=True)
-    ws = solver._Workspace(p)
     point = np.repeat(np.arange(n_pts), 4)
     pose = rng.integers(n_poses, size=len(point))
+    # the rows that give the normal equations their structure
+    p.add_stacked_block(
+        lambda t, q: q[:, :1],
+        [[f"pose{i}" for i in pose], [f"pt{j}" for j in point]],
+        np.eye(1),
+    )
+    ws = solver._Workspace(p)
     cols = np.hstack(
         [
             6 * pose[:, None] + np.arange(6),
-            ws.n_retained + 3 * point[:, None] + np.arange(3),
+            ws.layout.n + 3 * point[:, None] + np.arange(3),
         ]
     )
     jac = scipy.sparse.csr_matrix(
@@ -395,13 +401,184 @@ def test_schur_step_matches_sparse_solve_in_linear_memory():
 
     tracemalloc.start()
     try:
-        step = solver._solve_normal_equations(ws, hess, grad)
+        step = ws.layout.normal_equations(hess).factor(0.0).solve(grad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     expected = scipy.sparse.linalg.spsolve(hess.tocsc(), -grad)
     np.testing.assert_allclose(step, expected, rtol=1e-9, atol=1e-12)
     assert peak < 50e6
+
+
+def linear_rows(p: Problem, slots, dim: int, rng, rid: str):
+    """N stacked linear rows sum_s M_s x_s - b on Euclidean blocks, with
+    random (N, dim, k) matrices per slot."""
+    k = [p.params[slot[0]].dim for slot in slots]
+    mats = [rng.normal(size=(len(slots[0]), dim, ks)) for ks in k]
+    b = rng.normal(size=(len(slots[0]), dim))
+
+    def fn(*values):
+        return sum(np.einsum("nij,nj->ni", m, v) for m, v in zip(mats, values)) - b
+
+    p.add_stacked_block(fn, slots, np.eye(dim), jac=lambda *values: mats, rid=rid)
+
+
+def block_problem(seed: int, chain: int, border: int, points: int, far_point: bool):
+    """A chain of retained blocks (6- and 3-vectors, each tied to the next),
+    border blocks tied to far-apart chain blocks, and eliminated points
+    seen from 2-3 consecutive chain blocks; a far point is seen from the
+    second and the second-to-last. Every block has a prior row."""
+    rng = np.random.default_rng(seed)
+    p = Problem()
+    chain_ids = [f"c{i}" for i in range(chain)]
+    for i, pid in enumerate(chain_ids):
+        p.add_parameter_block(pid, rng.normal(size=6 if i % 2 == 0 else 3))
+    border_ids = [f"b{i}" for i in range(border)]
+    for pid in border_ids:
+        p.add_parameter_block(pid, rng.normal(size=3))
+    point_ids = [f"pt{j}" for j in range(points + far_point)]
+    for pid in point_ids:
+        p.add_parameter_block(pid, rng.normal(size=3), eliminate=True)
+    for pid in p.params:
+        linear_rows(p, [[pid]], p.params[pid].dim, rng, f"prior-{pid}")
+    for i in range(chain - 1):
+        linear_rows(p, [[chain_ids[i]], [chain_ids[i + 1]]], 3, rng, f"link{i}")
+    seen = {}
+    for i, pid in enumerate(border_ids):
+        seen[pid] = [0, (i + 1) * chain // (border + 1), chain - 1]
+    for j in range(points):
+        first = int(rng.integers(chain - 2))
+        seen[point_ids[j]] = range(first, first + int(rng.integers(2, 4)))
+    if far_point:
+        seen[point_ids[-1]] = [1, chain - 2]
+    for pid, at in seen.items():
+        for i in at:
+            linear_rows(p, [[chain_ids[i]], [pid]], 2, rng, f"{pid}-c{i}")
+    return p
+
+
+def dense_system(p: Problem):
+    ws = solver._Workspace(p)
+    x = ws.values()
+    _, whitened = ws.evaluate(x)
+    jac, rhs = ws.linearize(x, whitened)
+    return ws, jac.T @ jac, jac.T @ rhs
+
+
+BLOCK_PROBLEMS = {
+    "band-border-points": dict(chain=30, border=3, points=12, far_point=False),
+    "far-point": dict(chain=30, border=3, points=12, far_point=True),
+    "no-border": dict(chain=30, border=0, points=12, far_point=False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_PROBLEMS))
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 10.0])
+def test_band_border_step_matches_dense_solve(case, seed, lam):
+    ws, hess, grad = dense_system(block_problem(seed, **BLOCK_PROBLEMS[case]))
+    lay = ws.layout
+    if case == "band-border-points":
+        assert lay.band_n > 0 and lay.nb > 0
+    if case == "no-border":
+        assert lay.nb == 0 and lay.band_n == lay.n
+    dense = hess.toarray()
+    dense += lam * np.diag(np.maximum(np.diagonal(dense), 1e-12))
+    expected = np.linalg.solve(dense, -grad)
+    step = lay.normal_equations(hess).factor(lam).solve(grad)
+    assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_PROBLEMS))
+@pytest.mark.parametrize("seed", range(3))
+def test_band_border_marginals_match_dense_inverse(case, seed):
+    p = block_problem(seed, **BLOCK_PROBLEMS[case])
+    ws, hess, _ = dense_system(p)
+    inverse = np.linalg.inv(hess.toarray())
+    retained = [pid for pid, b in p.params.items() if not b.eliminate]
+    covs = marginal_covariances(p, retained)
+    for pid in retained:
+        at, dim = ws.offsets[pid], p.params[pid].dim
+        expected = inverse[at : at + dim, at : at + dim]
+        assert np.abs(covs[pid] - expected).max() <= 1e-8 * np.abs(expected).max()
+
+
+def test_marginals_of_eliminated_point_rejected():
+    p = block_problem(0, chain=4, border=0, points=1, far_point=False)
+    with pytest.raises(ValueError, match="Schur-eliminated"):
+        marginal_covariances(p, ["pt0"])
+
+
+def test_near_singular_hessian_reports_nullity():
+    # the second direction is observed 1e-7 as strongly as the first:
+    # Cholesky succeeds, but its squared pivot is 4e-14 of the first
+    p = Problem()
+    p.add_parameter_block("x", np.zeros(2))
+    mat = np.array([[1.0, 1.0], [1e-7, -1e-7]])
+    p.add_residual_block(lambda x: mat @ x, ["x"], np.eye(2), jac=lambda x: [mat])
+    np.linalg.cholesky(mat.T @ mat)
+    with pytest.raises(RankDeficientError) as exc:
+        marginal_covariances(p, ["x"])
+    assert exc.value.nullity == 1
+
+
+def test_workspace_built_once_and_dropped_on_new_blocks(monkeypatch):
+    built = []
+
+    class Counting(solver._Workspace):
+        def __init__(self, problem):
+            built.append(problem)
+            super().__init__(problem)
+
+    monkeypatch.setattr(solver, "_Workspace", Counting)
+    p = Problem()
+    p.add_parameter_block("x", np.array([0.0]))
+    p.add_residual_block(lambda x: x - 3.0, ["x"], np.eye(1))
+    for _ in range(4):
+        solve(p)
+    marginal_covariances(p, ["x"])
+    assert len(built) == 1
+    # a block added after a solve is seen by the next one
+    p.add_parameter_block("y", np.array([0.0]))
+    p.add_residual_block(lambda x, y: y - x, ["x", "y"], np.eye(1))
+    solve(p)
+    assert len(built) == 2
+    np.testing.assert_allclose(p.value("y"), [3.0], atol=1e-8)
+    assert marginal_covariances(p, ["y"])["y"][0, 0] == pytest.approx(2.0)
+
+
+def reference_redundancy(p: Problem) -> dict[str, int]:
+    """Per group: its rows less the tangent dimension of the free blocks
+    no other group reads, counted block by block."""
+    rows: dict[str, int] = {}
+    groups_of: dict[str, set[str]] = {}
+    for r in p.residuals.values():
+        rows[r.group] = rows.get(r.group, 0) + r.rows * r.dim
+        for slot in r.params:
+            for pid in slot:
+                groups_of.setdefault(pid, set()).add(r.group)
+    return {
+        g: n - sum(
+            p.params[pid].dim
+            for pid, groups in groups_of.items()
+            if groups == {g} and not p.params[pid].constant
+        )
+        for g, n in rows.items()
+    }
+
+
+def test_group_redundancy_matches_reference():
+    p = block_problem(1, chain=8, border=2, points=4, far_point=True)
+    # a constant block, and groups that share some blocks but not others
+    p.add_parameter_block("fixed", np.zeros(3), constant=True)
+    for i, r in enumerate(list(p.residuals.values())):
+        r.group = ("prior", "link", "obs")[i % 3]
+    rng = np.random.default_rng(2)
+    linear_rows(p, [["fixed"], ["pt0"]], 2, rng, "fixed-pt0")
+    linear_rows(p, [["c1", "c3"]], 2, rng, "extra")
+    p.residuals["extra"].group = "extra"
+    ws = solver._Workspace(p)
+    assert ws.redundancy == reference_redundancy(p)
 
 
 def test_row_reading_two_eliminated_points_raises():
@@ -436,10 +613,10 @@ def test_scale_group_covariance_rescales_whitened_residuals():
 
 
 def test_programming_error_in_linear_solve_propagates(monkeypatch):
-    def broken(ws, hess, grad):
+    def broken(system, lam):
         raise TypeError("bug in the linear solve")
 
-    monkeypatch.setattr(solver, "_solve_normal_equations", broken)
+    monkeypatch.setattr(solver._NormalEquations, "factor", broken)
     p = Problem()
     p.add_parameter_block("x", np.array([0.0]))
     p.add_residual_block(lambda x: x - 3.0, ["x"], np.eye(1))
@@ -447,11 +624,24 @@ def test_programming_error_in_linear_solve_propagates(monkeypatch):
         solve(p)
 
 
+def test_runtime_error_in_linear_solve_propagates(monkeypatch):
+    # only LinAlgError, a failed Cholesky factorization, raises the damping
+    def broken(system, lam):
+        raise RuntimeError("factorization failed")
+
+    monkeypatch.setattr(solver._NormalEquations, "factor", broken)
+    p = Problem()
+    p.add_parameter_block("x", np.array([0.0]))
+    p.add_residual_block(lambda x: x - 3.0, ["x"], np.eye(1))
+    with pytest.raises(RuntimeError, match="factorization failed"):
+        solve(p)
+
+
 def test_singular_linear_solve_raises_damping(monkeypatch):
-    def singular(ws, hess, grad):
+    def singular(system, lam):
         raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(solver, "_solve_normal_equations", singular)
+    monkeypatch.setattr(solver._NormalEquations, "factor", singular)
     p = Problem()
     p.add_parameter_block("x", np.array([0.0]))
     p.add_residual_block(lambda x: x - 3.0, ["x"], np.eye(1))

@@ -1,0 +1,136 @@
+"""Session-length sweep of the pseudo-GT stage.
+
+    python3 tools/scaling.py [--src DIR] [--repeat N]
+
+Builds one seeded synthetic scene per case and times
+`fusion.build_fusion_problem` and `fusion.optimize_pseudo_gt`, whose time
+includes `marginal_covariances` (also reported on its own). Scene:
+`SynthConfig(seed=21, cam_rate_hz=10, cp_count=max(4, T/2),
+cp_2d_fraction=0.5, detection_sigma_px=0.5, cp_noise_scale=1)` for a
+length of T seconds, the true world trajectory with 2 cm white position
+noise as the initial trajectory, and `FusionConfig(keyframe_stride=3)`.
+Cases: 10, 30 and 90 s without landmarks, and 30 s with 150 landmarks.
+
+With `--repeat N` each case is optimized N times on fresh builds and the
+median is kept. The lines above the last are a table and the 30/10 and
+90/30 ratios of the optimize time without landmarks; the last line is one
+JSON object with the same figures. `--src` names the `src/` directory of
+the `vigt` to run (default: this checkout's).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+# (length in seconds, landmarks)
+CASES = ((10, 0), (30, 0), (90, 0), (30, 150))
+
+
+def _scene(length: int, landmarks: int):
+    from vigt.synth import (
+        SynthConfig,
+        default_rig,
+        gen_detections,
+        gen_imu,
+        gen_world,
+        perturb_trajectory,
+    )
+
+    config = SynthConfig(
+        seed=21,
+        duration_s=float(length),
+        cam_rate_hz=10.0,
+        cp_count=max(4, length // 2),
+        cp_2d_fraction=0.5,
+        landmark_count=landmarks,
+        detection_sigma_px=0.5,
+        cp_noise_scale=1.0,
+    )
+    world = gen_world(config)
+    rig = default_rig()
+    detections = gen_detections(world, rig, seed=3)
+    imu = gen_imu(world, seed=4)
+    init = perturb_trajectory(world.world_trajectory(), white_sigma_pos=0.02, seed=5)
+    return world, rig, detections, imu, init
+
+
+def _run_case(length: int, landmarks: int, repeat: int) -> dict:
+    from vigt import fusion
+
+    world, rig, detections, imu, init = _scene(length, landmarks)
+    config = fusion.FusionConfig(keyframe_stride=3)
+    marginal_s = []
+    marginals = fusion.marginal_covariances
+
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return marginals(*args, **kwargs)
+        finally:
+            marginal_s.append(time.perf_counter() - t0)
+
+    builds, optimizes = [], []
+    fusion.marginal_covariances = timed
+    try:
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            fp = fusion.build_fusion_problem(
+                init, detections.tracks, detections.cp_observations, world.cps, imu, rig, config
+            )
+            t1 = time.perf_counter()
+            fusion.optimize_pseudo_gt(fp)
+            t2 = time.perf_counter()
+            builds.append(t1 - t0)
+            optimizes.append(t2 - t1)
+    finally:
+        fusion.marginal_covariances = marginals
+    unknowns = sum(b.dim for b in fp.problem.params.values() if not b.constant)
+    return {
+        "length_s": length,
+        "landmarks": len(fp.landmark_ids),
+        "keyframes": len(fp.keyframe_ts),
+        "unknowns": unknowns,
+        "build_s": statistics.median(builds),
+        "optimize_s": statistics.median(optimizes),
+        "marginals_s": statistics.median(marginal_s),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--repeat", type=int, default=1)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+
+    rows = [_run_case(length, landmarks, args.repeat) for length, landmarks in CASES]
+    print(
+        f"{'length':>6s} {'landmarks':>9s} {'keyframes':>9s} {'unknowns':>8s}"
+        f" {'build':>8s} {'optimize':>9s} {'marginals':>9s}"
+    )
+    for r in rows:
+        print(
+            f"{r['length_s']:5d}s {r['landmarks']:9d} {r['keyframes']:9d} {r['unknowns']:8d}"
+            f" {r['build_s']:7.3f}s {r['optimize_s']:8.3f}s {r['marginals_s']:8.3f}s"
+        )
+    optimize = {r["length_s"]: r["optimize_s"] for r in rows if r["landmarks"] == 0}
+    ratios = {"30/10": optimize[30] / optimize[10], "90/30": optimize[90] / optimize[30]}
+    print("optimize time ratios without landmarks: " + ", ".join(
+        f"{k} {v:.2f}x" for k, v in ratios.items()
+    ))
+    print(json.dumps({"cases": rows, "ratios": ratios}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
