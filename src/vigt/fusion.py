@@ -67,7 +67,7 @@ from .triangulation import (
     Observation,
     TriangulationConfig,
     ViewSet,
-    triangulate_cp,
+    triangulate_all,
 )
 
 VISUAL_GROUPS = ("feature-reprojection", "marker-reprojection")
@@ -351,30 +351,44 @@ def build_fusion_problem(
         imu_from_device=RigidPose.identity(),
         imu_noise=rig.imu_noise,
     )
-    tri_cfg = config.triangulation
 
     cps_by_id = {cp.cp_id: cp for cp in cps}
+    # CP proxies and landmarks, by parameter block id, triangulate in one
+    # lockstep batch
+    kept = {
+        f"cp:{cp_id}": [o for o in obs if o.image_id in kf_set]
+        for cp_id, obs in cp_detections.items()
+        if cp_id in cps_by_id
+    }
+    if config.mode == "full":
+        for track in tracks:
+            kept[f"lm:{track.track_id}"] = [
+                o for o in track.observations if o.image_id in kf_set
+            ]
+    tris, tri_failures = triangulate_all(
+        {pid: obs for pid, obs in kept.items() if len(obs) >= 2},
+        body_pose,
+        body_rig,
+        config.triangulation,
+    )
+
+    def skip_reason(pid: str) -> str:
+        return tri_failures.get(pid, f"{len(kept[pid])} keyframe observations")
+
     cp_ids: list[str] = []
     skipped_cps: dict[str, str] = {}
     marker_rows: list[tuple[Observation, str]] = []
     loss = HuberLoss()
-    for cp_id, obs in cp_detections.items():
+    for cp_id in cp_detections:
+        pid = f"cp:{cp_id}"
         if cp_id not in cps_by_id:
             skipped_cps[cp_id] = "no matching control point"
-            continue
-        kept = [o for o in obs if o.image_id in kf_set]
-        if len(kept) < 2:
-            skipped_cps[cp_id] = f"{len(kept)} keyframe observations"
-            continue
-        try:
-            tri = triangulate_cp(cp_id, kept, body_pose, body_rig, tri_cfg)
-        except VigtError as exc:
-            skipped_cps[cp_id] = f"{type(exc).__name__}: {exc}"
-            continue
-        pid = f"cp:{cp_id}"
-        problem.add_parameter_block(pid, tri.position.copy())
-        cp_ids.append(cp_id)
-        marker_rows += [(o, pid) for o in tri.inliers]
+        elif pid not in tris:
+            skipped_cps[cp_id] = skip_reason(pid)
+        else:
+            problem.add_parameter_block(pid, tris[pid].position.copy())
+            cp_ids.append(cp_id)
+            marker_rows += [(o, pid) for o in tris[pid].inliers]
 
     if not marker_rows:
         raise UnobservableError(
@@ -391,16 +405,11 @@ def build_fusion_problem(
     feature_rows: list[tuple[Observation, str]] = []
     if config.mode == "full":
         for track in tracks:
-            kept = [o for o in track.observations if o.image_id in kf_set]
-            if len(kept) < 2:
-                skipped_tracks[track.track_id] = f"{len(kept)} keyframe observations"
-                continue
-            try:
-                tri = triangulate_cp(track.track_id, kept, body_pose, body_rig, tri_cfg)
-            except VigtError as exc:
-                skipped_tracks[track.track_id] = f"{type(exc).__name__}: {exc}"
-                continue
             pid = f"lm:{track.track_id}"
+            if pid not in tris:
+                skipped_tracks[track.track_id] = skip_reason(pid)
+                continue
+            tri = tris[pid]
             problem.add_parameter_block(pid, tri.position.copy(), eliminate=True)
             track.landmark = tri.position.copy()
             landmark_ids.append(track.track_id)

@@ -440,14 +440,35 @@ def project(cam: CameraModel, p_cam: np.ndarray) -> np.ndarray:
 def unproject(cam: CameraModel, px: np.ndarray) -> np.ndarray:
     """Back-project pixels to unit ray directions in the camera frame."""
     pix = np.atleast_2d(np.asarray(px, dtype=float))
-    mx = (pix[:, 0] - cam.cx) / cam.fx
-    my = (pix[:, 1] - cam.cy) / cam.fy
+    dirs, failures = unproject_segments(cam, pix, np.zeros(len(pix), dtype=int))
+    if failures:
+        raise failures[0]
+    if np.asarray(px).ndim == 1:
+        return dirs[0]
+    return dirs
+
+
+def unproject_segments(
+    cam: CameraModel, px: np.ndarray, segment: np.ndarray
+) -> tuple[np.ndarray, dict[int, UnprojectionError]]:
+    """Back-project (N, 2) pixels to (N, 3) unit camera-frame rays, each
+    segment of pixels exactly as `unproject` would alone: segment[k] labels
+    pixel k, and the radial-tangential inversion stops per segment once its
+    largest update is below tolerance. Also returns the UnprojectionError
+    of every segment that does not invert, keyed by its label; the rays of
+    such a segment are NaN."""
+    labels, seg = np.unique(np.asarray(segment), return_inverse=True)
+    mx = (px[:, 0] - cam.cx) / cam.fx
+    my = (px[:, 1] - cam.cy) / cam.fy
+    failures: dict[int, UnprojectionError] = {}
 
     if cam.kind is CameraKind.PINHOLE:
         dirs = np.stack([mx, my, np.ones_like(mx)], axis=1)
     elif cam.kind is CameraKind.RADTAN4:
         k1, k2, p1, p2 = cam.distortion
         xn, yn = mx.copy(), my.copy()
+        running = np.ones(len(labels), dtype=bool)
+        step = np.zeros(len(labels))
         for _ in range(_INVERSION_ITERS):
             r2 = xn * xn + yn * yn
             radial = 1.0 + k1 * r2 + k2 * r2 * r2
@@ -455,16 +476,19 @@ def unproject(cam: CameraModel, px: np.ndarray) -> np.ndarray:
             dy = p1 * (r2 + 2.0 * yn * yn) + 2.0 * p2 * xn * yn
             xn_new = (mx - dx) / radial
             yn_new = (my - dy) / radial
-            step = np.max(np.hypot(xn_new - xn, yn_new - yn))
-            xn, yn = xn_new, yn_new
-            if step < _INVERSION_TOL:
+            moving = running[seg]
+            seg_step = np.zeros(len(labels))
+            np.maximum.at(seg_step, seg[moving], np.hypot(xn_new - xn, yn_new - yn)[moving])
+            step[running] = seg_step[running]
+            xn, yn = np.where(moving, xn_new, xn), np.where(moving, yn_new, yn)
+            running &= ~(step < _INVERSION_TOL)
+            if not running.any():
                 break
-        else:
-            if step >= _INVERSION_TOL:
-                raise UnprojectionError(
-                    f"radial-tangential inversion did not converge"
-                    f" within {_INVERSION_ITERS} iterations (step {step:.2e})"
-                )
+        for s in np.flatnonzero(running & (step >= _INVERSION_TOL)):
+            failures[int(labels[s])] = UnprojectionError(
+                f"radial-tangential inversion did not converge"
+                f" within {_INVERSION_ITERS} iterations (step {step[s]:.2e})"
+            )
         dirs = np.stack([xn, yn, np.ones_like(xn)], axis=1)
     else:
         k = cam.distortion
@@ -474,10 +498,12 @@ def unproject(cam: CameraModel, px: np.ndarray) -> np.ndarray:
             f = _kb4_theta_d(theta, k) - theta_d
             theta = theta - f / _kb4_theta_d_prime(theta, k)
         residual = np.abs(_kb4_theta_d(theta, k) - theta_d)
-        if np.any(residual > 1e-9):
-            raise UnprojectionError(
+        worst = np.zeros(len(labels))
+        np.maximum.at(worst, seg, residual)
+        for s in np.unique(seg[residual > 1e-9]):
+            failures[int(labels[s])] = UnprojectionError(
                 f"fisheye angle inversion did not converge"
-                f" within {_INVERSION_ITERS} iterations (residual {residual.max():.2e})"
+                f" within {_INVERSION_ITERS} iterations (residual {worst[s]:.2e})"
             )
         small = theta_d < 1e-12
         inv = np.where(small, 1.0, theta_d)
@@ -491,10 +517,9 @@ def unproject(cam: CameraModel, px: np.ndarray) -> np.ndarray:
             axis=1,
         )
 
+    dirs[np.isin(labels[seg], list(failures))] = np.nan
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    if np.asarray(px).ndim == 1:
-        return dirs[0]
-    return dirs
+    return dirs, failures
 
 
 def clamp_depth(cam: CameraModel, p_cam: np.ndarray) -> np.ndarray:

@@ -214,6 +214,11 @@ class SegmentStack:
         return SegmentStack(**{name: np.array(col) for name, col in columns.items()})
 
 
+# segments integrated at once; the per-sample maps take 45 doubles per
+# sample of every segment in the chunk
+_SEGMENT_CHUNK = 128
+
+
 def _transpose(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2)
 
@@ -232,13 +237,33 @@ def preintegrate_stack(
     Every stream needs at least two samples; its first and last timestamps
     define its interval. Shorter streams are padded with zero-length
     steps, which leave every recurrence unchanged, so the loop runs once
-    per sample index of the longest stream.
+    per sample index of the longest stream. The segments are integrated
+    `_SEGMENT_CHUNK` at a time, each chunk padded to the longest stream of
+    the call, so the per-sample maps held at once are bounded and every
+    segment's arithmetic is that of one unchunked call.
     """
     n_seg = len(streams)
     biases = np.asarray(biases, dtype=float).reshape(n_seg, 6)
     if n_seg == 0 or min(len(s) for s in streams) < 2:
         raise ImuDataError("preintegration needs at least one sample interval")
     n = max(len(s) for s in streams)
+    chunks = [
+        _integrate(streams[c : c + _SEGMENT_CHUNK], biases[c : c + _SEGMENT_CHUNK], noise, n)
+        for c in range(0, n_seg, _SEGMENT_CHUNK)
+    ]
+    return SegmentStack(
+        **{
+            f.name: np.concatenate([getattr(c, f.name) for c in chunks])
+            for f in fields(SegmentStack)
+        }
+    )
+
+
+def _integrate(
+    streams: Sequence[ImuStream], biases: np.ndarray, noise: ImuNoise, n: int
+) -> SegmentStack:
+    """`preintegrate_stack` of the given streams, padded to n samples."""
+    n_seg = len(streams)
     ts = np.zeros((n_seg, n))  # seconds from each stream's start
     gyro = np.zeros((n_seg, n, 3))
     accel = np.zeros((n_seg, n, 3))

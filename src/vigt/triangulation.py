@@ -1,16 +1,33 @@
-"""Control-point triangulation from pixel detections.
+"""Control-point triangulation from pixel detections, every point of a
+call in lockstep.
 
-Robust initialization (LO-RANSAC over two-view midpoint hypotheses),
-nonlinear refinement of the reprojection error over the inlier set, and
-the Gauss-Newton covariance of the refined point. Camera poses are treated
-as fixed inputs; they may carry a scale when the trajectory lives in a
-monocular SLAM frame.
+All stages work on one `ViewSet` that stacks the views of all points, rows
+grouped by point, so each camera model projects the views of every point
+in one call:
+
+- LO-RANSAC (Chum, Matas & Kittler, "Locally Optimized RANSAC", DAGM
+  2003). Each point draws its own two-view pairs (`_sample_pairs`), and the
+  midpoint hypotheses of all points are scored in passes over flat
+  (hypothesis, view) entries. Local optimization runs in rounds: in each,
+  every point takes its next hypothesis, in its own order, that beats its
+  best so far, and all of those are refined in one batched call.
+- Refinement: one Levenberg-Marquardt loop over (P, 3) points, each with
+  its own damping and stopping rule (`ViewSet.refine`).
+- Covariance: the inverse Gauss-Newton Hessian of every point at once.
+
+A point's sums add its own terms one at a time (`np.bincount`), in the
+order `np.einsum` takes them over that point's rows alone, so its result
+does not depend on the other points of the batch and equals the
+one-point-at-a-time computation bit for bit. The failure of one point (a
+`VigtError`) never changes another's result. Camera poses are fixed
+inputs; they may carry a scale when the trajectory lives in a monocular
+SLAM frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,11 +36,11 @@ from .errors import (
     DegenerateGeometryError,
     InsufficientObservationsError,
     NoConsensusError,
+    UnprojectionError,
     VigtError,
 )
 from .geometry import (
     CameraKind,
-    CameraModel,
     RigCalibration,
     RigidPose,
     Similarity,
@@ -31,12 +48,12 @@ from .geometry import (
     clamp_depth,
     projection_jacobian_batch,
     try_project,
-    unproject,
+    unproject_segments,
 )
 from .solver import CONVERGENCE_TOL
 
-# RANSAC hypotheses projected per batch; bounds the temporary arrays
-_SCORE_CHUNK = 64
+# (hypothesis, view) entries scored per pass; bounds the temporary arrays
+_SCORE_ENTRIES = 8192
 
 
 def default_pixel_covariance(sigma_px: float = 1.0) -> np.ndarray:
@@ -78,29 +95,60 @@ class TriangulationConfig:
     min_pair_angle_deg: float = 0.5
 
 
+def _point_sums(point: np.ndarray, terms: np.ndarray, n_points: int) -> np.ndarray:
+    """Per-point sums (n_points, *out) of (n, T, *out) terms, T per row.
+
+    Each sum adds its point's terms one at a time in (row, term) order, so
+    it does not depend on the other points, and with the terms laid out as
+    `np.einsum` visits them it equals the einsum over the point's rows
+    alone."""
+    out = terms.shape[2:]
+    width = int(np.prod(out, dtype=int))
+    codes = np.repeat(point, terms.shape[1])[:, None] * width + np.arange(width)
+    sums = np.bincount(codes.ravel(), weights=terms.reshape(-1), minlength=n_points * width)
+    return sums.reshape((n_points,) + out)
+
+
+def _stacked(fn: Callable, shape: tuple, *mats: np.ndarray):
+    """`fn` over stacked matrices, and the mask of the entries on which it
+    raises LinAlgError, left NaN; every other entry is `fn` of it alone."""
+    try:
+        return fn(*mats), np.zeros(shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        out, bad = np.full(shape, np.nan), np.zeros(shape[0], dtype=bool)
+        for k in range(shape[0]):
+            try:
+                out[k] = fn(*(m[k] for m in mats))
+            except np.linalg.LinAlgError:
+                bad[k] = True
+        return out, bad
+
+
+def _solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(mats, rhs[..., None])[..., 0]
+
+
 class ViewSet:
-    """Observations of one point, stacked for batched evaluation.
+    """Observations of one or more points, stacked for batched evaluation.
 
     View k maps a point p of the working frame into its camera as
     p_cam = a[k] @ p + b[k] and measured pixels[k] with inverse pixel
-    covariance weights[k]. Views are grouped by camera model, so each
-    model projects all of its views in one call.
+    covariance weights[k]. It observes point point[k] of n_points; the
+    rows of each point are contiguous, in point order (starts, sizes).
+    Each camera model projects all of its views in one call.
     """
 
-    def __init__(self, observations, a, b, cameras, camera_index):
+    def __init__(self, observations, a, b, pixels, weights, cameras, camera_index, point):
         self.observations = tuple(observations)
         self.a, self.b = a, b  # (N, 3, 3), (N, 3)
+        self.pixels, self.weights = pixels, weights  # (N, 2), (N, 2, 2)
         self.cameras = cameras  # distinct models
         self.camera_index = camera_index  # view k uses cameras[camera_index[k]]
-        self.pixels = np.array([o.pixel for o in self.observations]).reshape(-1, 2)
-        self.weights = np.linalg.inv(
-            np.array([o.pixel_cov for o in self.observations]).reshape(-1, 2, 2)
-        )
-        self.groups = [
-            (cam, idx)
-            for k, cam in enumerate(cameras)
-            if (idx := np.flatnonzero(camera_index == k)).size
-        ]
+        self.point = point  # (N,) int
+        self.n_points = int(point[-1]) + 1 if len(point) else 0
+        self.sizes = np.bincount(point, minlength=self.n_points)
+        self.starts = np.concatenate(([0], np.cumsum(self.sizes)))
+        self.groups = self._by_camera(np.arange(len(point)))
 
     @classmethod
     def build(
@@ -108,130 +156,222 @@ class ViewSet:
         observations: Sequence[Observation],
         poses: Mapping[int, RigidPose | Similarity],
         rig: RigCalibration,
+        point: np.ndarray | None = None,
     ) -> "ViewSet":
+        """Views of the observations; `point[k]` numbers the point that
+        observation k sees (default: all one point). The camera map of
+        each distinct (image, camera) pair is computed once."""
         n = len(observations)
-        a, b = np.empty((n, 3, 3)), np.empty((n, 3))
-        camera_index = np.empty(n, dtype=int)
+        frames: dict[tuple[int, str], int] = {}
+        frame_index = np.empty(n, dtype=int)
         camera_ids: dict[str, int] = {}
+        camera_index = np.empty(n, dtype=int)
         for k, obs in enumerate(observations):
-            if obs.image_id not in poses:
-                raise VigtError(f"no pose for image id {obs.image_id}")
-            a[k], b[k] = camera_from_frame(
-                poses[obs.image_id], rig.camera_from_device[obs.camera_id]
-            )
+            frame_index[k] = frames.setdefault((obs.image_id, obs.camera_id), len(frames))
             camera_index[k] = camera_ids.setdefault(obs.camera_id, len(camera_ids))
-        cameras = tuple(rig.cameras[cid] for cid in camera_ids)
-        return cls(observations, a, b, cameras, camera_index)
+        a, b = np.empty((len(frames), 3, 3)), np.empty((len(frames), 3))
+        for f, (image_id, camera_id) in enumerate(frames):
+            if image_id not in poses:
+                raise VigtError(f"no pose for image id {image_id}")
+            a[f], b[f] = camera_from_frame(poses[image_id], rig.camera_from_device[camera_id])
+        return cls(
+            observations,
+            a[frame_index],
+            b[frame_index],
+            np.array([o.pixel for o in observations]).reshape(-1, 2),
+            np.linalg.inv(np.array([o.pixel_cov for o in observations]).reshape(-1, 2, 2)),
+            tuple(rig.cameras[cid] for cid in camera_ids),
+            camera_index,
+            np.zeros(n, dtype=int) if point is None else np.asarray(point),
+        )
 
-    def take(self, rows: np.ndarray) -> "ViewSet":
-        """The views at the given integer rows."""
+    def take(self, rows: np.ndarray, point: np.ndarray | None = None) -> "ViewSet":
+        """The views at the given integer rows, observing `point` (default:
+        the numbers of their own points)."""
+        rows = np.asarray(rows, dtype=int)
         return ViewSet(
             [self.observations[k] for k in rows],
             self.a[rows],
             self.b[rows],
+            self.pixels[rows],
+            self.weights[rows],
             self.cameras,
             self.camera_index[rows],
+            self.point[rows] if point is None else point,
         )
 
-    def _points_in_camera(self, p: np.ndarray) -> np.ndarray:
-        """(N, 3) camera-frame points for a (3,) point, (H, N, 3) for (H, 3)."""
-        return np.einsum("nij,...j->...ni", self.a, p) + self.b
+    def _by_camera(self, rows: np.ndarray) -> list:
+        """(camera, positions in `rows`) of each camera model among the rows."""
+        cam_of = self.camera_index[rows]
+        return [
+            (cam, idx)
+            for k, cam in enumerate(self.cameras)
+            if (idx := np.flatnonzero(cam_of == k)).size
+        ]
 
-    def centers_and_rays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Camera centres and unit rays through the measured pixels, both
-        (N, 3) in the working frame."""
-        a_inv = np.linalg.inv(self.a)
-        dirs = np.empty_like(self.b)
-        for cam, idx in self.groups:
-            dirs[idx] = unproject(cam, self.pixels[idx])
-        rays = np.einsum("nij,nj->ni", a_inv, dirs)
-        centers = -np.einsum("nij,nj->ni", a_inv, self.b)
-        return centers, rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    def _select(self, rows):
+        return (slice(None), self.groups) if rows is None else (rows, self._by_camera(rows))
+
+    @staticmethod
+    def _rows(values: np.ndarray, rows) -> np.ndarray:
+        """values[rows] for a slice, or by np.take, the faster gather, for
+        an index array."""
+        return values[rows] if isinstance(rows, slice) else np.take(values, rows, axis=0)
+
+    def _in_camera(self, rows, p: np.ndarray) -> np.ndarray:
+        """(n, 3) camera-frame points of the rows (an index array or a
+        slice), for a (3,) point or one (n, 3) point per row."""
+        a, b = self._rows(self.a, rows), self._rows(self.b, rows)
+        return np.einsum("nij,nj->ni", a, np.broadcast_to(p, b.shape)) + b
+
+    def _errors(self, rows, p: np.ndarray) -> np.ndarray:
+        sel, groups = self._select(rows)
+        p_cam, pixels = self._in_camera(sel, p), self._rows(self.pixels, sel)
+        err = np.empty(len(p_cam))
+        for cam, idx in groups:
+            uv, valid = try_project(cam, np.take(p_cam, idx, axis=0))
+            d = uv - np.take(pixels, idx, axis=0)
+            # the pixel distance, summed as np.linalg.norm does
+            err[idx] = np.where(valid, np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]), np.inf)
+        return err
+
+    def _in_front(self, rows, p: np.ndarray) -> np.ndarray:
+        """Whether the point lies in front of each row's view; the fisheye
+        model sees all around."""
+        sel, groups = self._select(rows)
+        front = self._in_camera(sel, p)[:, 2] > 0.0
+        for cam, idx in groups:
+            if cam.kind is CameraKind.KANNALA_BRANDT4:
+                front[idx] = True
+        return front
+
+    def _residuals(self, rows, p: np.ndarray) -> np.ndarray:
+        sel, groups = self._select(rows)
+        p_cam, pixels = self._in_camera(sel, p), self._rows(self.pixels, sel)
+        res = np.empty((len(p_cam), 2))
+        for cam, idx in groups:
+            uv, _ = try_project(cam, clamp_depth(cam, p_cam[idx]))
+            res[idx] = uv - pixels[idx]
+        return res
+
+    def _jacobians(self, rows, p: np.ndarray) -> np.ndarray:
+        sel, groups = self._select(rows)
+        p_cam = self._in_camera(sel, p)
+        jac = np.empty((len(p_cam), 2, 3))
+        for cam, idx in groups:
+            jac[idx] = projection_jacobian_batch(cam, clamp_depth(cam, p_cam[idx]))
+        return jac @ self._rows(self.a, sel)
 
     def errors(self, p: np.ndarray) -> np.ndarray:
         """Pixel reprojection error of every view, inf where the point does
         not project: (N,) for a (3,) point, (H, N) for (H, 3) points."""
-        p_cam = self._points_in_camera(p)
-        err = np.empty(p_cam.shape[:-1])
-        for cam, idx in self.groups:
-            shape = p_cam.shape[:-2] + (len(idx),)
-            uv, valid = try_project(cam, p_cam[..., idx, :].reshape(-1, 3))
-            e = np.linalg.norm(uv.reshape(shape + (2,)) - self.pixels[idx], axis=-1)
-            err[..., idx] = np.where(valid.reshape(shape), e, np.inf)
-        return err
-
-    def in_front(self, p: np.ndarray) -> np.ndarray:
-        """Whether the point lies in front of each view, shaped as errors();
-        the fisheye model sees all around."""
-        front = self._points_in_camera(p)[..., 2] > 0.0
-        for cam, idx in self.groups:
-            if cam.kind is CameraKind.KANNALA_BRANDT4:
-                front[..., idx] = True
-        return front
-
-    def _rows_in_camera(self, p: np.ndarray) -> np.ndarray:
-        """(N, 3) camera-frame points for a (3,) point or one (N, 3) point
-        per view."""
-        return np.einsum("nij,nj->ni", self.a, np.broadcast_to(p, self.b.shape)) + self.b
+        p = np.asarray(p, dtype=float)
+        pts = p.reshape(-1, 3)
+        n = len(self.b)
+        flat = self._errors(np.tile(np.arange(n), len(pts)), np.repeat(pts, n, axis=0))
+        return flat.reshape(p.shape[:-1] + (n,))
 
     def residuals(self, p: np.ndarray) -> np.ndarray:
         """(N, 2) projection at clamped depth minus measurement, for a (3,)
         point or one (N, 3) point per view."""
-        p_cam = self._rows_in_camera(p)
-        res = np.empty_like(self.pixels)
-        for cam, idx in self.groups:
-            uv, _ = try_project(cam, clamp_depth(cam, p_cam[idx]))
-            res[idx] = uv - self.pixels[idx]
-        return res
+        return self._residuals(None, p)
 
     def jacobians(self, p: np.ndarray) -> np.ndarray:
         """(N, 2, 3) d(pixel)/d(p) of every view, at clamped depth, for a
         (3,) point or one (N, 3) point per view."""
-        p_cam = self._rows_in_camera(p)
-        jac = np.empty((len(self.b), 2, 3))
+        return self._jacobians(None, p)
+
+    def centers_and_rays(self) -> tuple[np.ndarray, np.ndarray, dict[int, UnprojectionError]]:
+        """Camera centres and unit rays through the measured pixels, both
+        (N, 3) in the working frame, and the UnprojectionError of each point
+        whose pixels do not unproject, keyed by point: that of the first of
+        its camera models, in its own view order, that fails."""
+        a_inv = np.linalg.inv(self.a)
+        dirs = np.empty_like(self.b)
+        failures: dict[int, UnprojectionError] = {}
+        first_row: dict[int, int] = {}
         for cam, idx in self.groups:
-            jac[idx] = projection_jacobian_batch(cam, clamp_depth(cam, p_cam[idx]))
-        return jac @ self.a
+            dirs[idx], failed = unproject_segments(cam, self.pixels[idx], self.point[idx])
+            for p, exc in failed.items():
+                row = idx[np.argmax(self.point[idx] == p)]
+                if row < first_row.get(p, len(self.b)):
+                    first_row[p], failures[p] = row, exc
+        rays = np.einsum("nij,nj->ni", a_inv, dirs)
+        centers = -np.einsum("nij,nj->ni", a_inv, self.b)
+        return centers, rays / np.linalg.norm(rays, axis=1, keepdims=True), failures
 
-    def refine(self, point: np.ndarray) -> np.ndarray:
-        """Levenberg-Marquardt minimum of the weighted reprojection cost
-        sum_k r_k' weights[k] r_k, started at `point`.
+    def _costs(self, rows, res: np.ndarray) -> np.ndarray:
+        """(n_points,) weighted squared residuals summed over the rows."""
+        sel = slice(None) if rows is None else rows
+        # terms of einsum("ni,nij,nj->", ...), in its order
+        terms = (res[:, :, None] * self.weights[sel]) * res[:, None, :]
+        return _point_sums(self.point[sel], terms.reshape(-1, 4), self.n_points)
 
-        Damping is multiplicative on the Hessian diagonal. A step is kept
-        only if it lowers the cost, so the result is never worse than the
-        start. Stops after 50 iterations, when no damping lowers the cost,
-        or once a step lowers it by at most the solver's CONVERGENCE_TOL of
-        it.
+    def refine(self, points: np.ndarray) -> np.ndarray:
+        """Levenberg-Marquardt minimum of each point's weighted reprojection
+        cost sum_k r_k' weights[k] r_k over its views, started at `points`
+        ((n_points, 3), or (3,) for a set of one point).
+
+        Every point keeps its own damping, multiplicative on its Hessian
+        diagonal, and takes a step only if it lowers its cost, so the result
+        is never worse than the start. A point stops after 50 steps, when
+        no damping up to 1e10 lowers its cost, or once a step lowers it by
+        at most the solver's CONVERGENCE_TOL of it. All points take their
+        trial steps in lockstep, one batched evaluation per round.
         """
-        p = np.asarray(point, dtype=float)
-        res = self.residuals(p)
-        cost = np.einsum("ni,nij,nj->", res, self.weights, res)
-        lam = 1e-4
-        for _ in range(50):
-            jac = self.jacobians(p)
-            jt_w = np.einsum("nji,njk->nik", jac, self.weights)
-            grad = np.einsum("nij,nj->i", jt_w, res)
-            hess = np.einsum("nij,njk->ik", jt_w, jac)
-            damping = np.diag(np.maximum(np.diag(hess), 1e-12))
-            while lam <= 1e10:
-                try:
-                    step = np.linalg.solve(hess + lam * damping, -grad)
-                except np.linalg.LinAlgError:
-                    step = np.full(3, np.nan)
-                trial = p + step
-                trial_res = self.residuals(trial)
-                trial_cost = np.einsum("ni,nij,nj->", trial_res, self.weights, trial_res)
-                if trial_cost < cost:  # false for a non-finite step or cost
-                    break
-                lam *= 10.0
-            else:
-                break  # no damping lowers the cost
-            converged = cost - trial_cost <= CONVERGENCE_TOL * cost
-            p, res, cost = trial, trial_res, trial_cost
-            lam = max(lam * 0.1, 1e-15)
-            if converged:
-                break
-        return p
+        n_points, pt = self.n_points, self.point
+        p = np.array(points, dtype=float).reshape(n_points, 3)
+        res = self._residuals(None, p[pt])
+        cost = self._costs(None, res)
+        lam = np.full(n_points, 1e-4)
+        steps = np.zeros(n_points, dtype=int)
+        active = np.ones(n_points, dtype=bool)
+        stale = np.ones(n_points, dtype=bool)  # linearize before the next trial
+        grad, hess = np.zeros((n_points, 3)), np.zeros((n_points, 3, 3))
+        damping = np.zeros((n_points, 3, 3))
+        diag = np.arange(3)
+        while active.any():
+            rows = np.flatnonzero(stale[pt])
+            if rows.size:
+                jac = self._jacobians(rows, p[pt[rows]])
+                jt_w = np.einsum("nji,njk->nik", jac, self.weights[rows])
+                # the terms of einsum("nij,nj->i") and ("nij,njk->ik"), in
+                # their order
+                g_terms = np.einsum("nij,nj->ni", jt_w, res[rows])[:, None]
+                h_terms = np.swapaxes(jt_w, 1, 2)[:, :, :, None] * jac[:, :, None, :]
+                g = _point_sums(pt[rows], g_terms, n_points)
+                h = _point_sums(pt[rows], h_terms, n_points)
+                grad[stale], hess[stale] = g[stale], h[stale]
+                d = np.zeros((np.count_nonzero(stale), 3, 3))
+                d[:, diag, diag] = np.maximum(h[stale][:, diag, diag], 1e-12)
+                damping[stale] = d
+                stale[:] = False
+            act = np.flatnonzero(active)
+            step, _ = _stacked(
+                _solve, (len(act), 3), hess[act] + lam[act, None, None] * damping[act], -grad[act]
+            )
+            trial = p.copy()
+            trial[act] += step
+            rows = np.flatnonzero(active[pt])
+            trial_res = self._residuals(rows, trial[pt[rows]])
+            trial_cost = self._costs(rows, trial_res)
+            # false for a non-finite step or cost
+            better = active & (trial_cost < cost)
+            converged = np.zeros(n_points, dtype=bool)
+            converged[better] = (
+                cost[better] - trial_cost[better] <= CONVERGENCE_TOL * cost[better]
+            )
+            keep = better[pt[rows]]
+            p[better], cost[better] = trial[better], trial_cost[better]
+            res[rows[keep]] = trial_res[keep]
+            lam[better] = np.maximum(lam[better] * 0.1, 1e-15)
+            steps[better] += 1
+            stale[better] = True
+            active &= ~(converged | (steps >= 50))
+            worse = active & ~better
+            lam[worse] *= 10.0
+            active &= ~(worse & (lam > 1e10))
+        return p.reshape(np.shape(points))
 
 
 def _sample_pairs(n: int, max_pairs: int, seed: int) -> np.ndarray:
@@ -262,19 +402,244 @@ def _midpoints(centers: np.ndarray, rays: np.ndarray, pairs: np.ndarray):
     return 0.5 * (c1 + s1[:, None] * r1 + c2 + s2[:, None] * r2), defined
 
 
+def _entries(views: ViewSet, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of every view of each listed point (`owner`, (K,) point
+    numbers), concatenated, and the list position each row belongs to."""
+    sizes = views.sizes[owner]
+    local = np.repeat(np.arange(len(owner)), sizes)
+    offsets = np.arange(len(local)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return views.starts[owner][local] + offsets, local
+
+
+def _beats(count, mean, best_count, best_mean) -> np.ndarray:
+    """Whether the score (count, -mean) ranks above (best_count, -best_mean)
+    as a tuple."""
+    return (count > best_count) | ((count == best_count) & (mean < best_mean))
+
+
+def _inlier_scores(local: np.ndarray, errors: np.ndarray, threshold: float, n: int):
+    """Inlier mask of flat errors, and the inlier count and mean inlier
+    error of each of the n owners that `local` numbers."""
+    inliers = errors <= threshold
+    counts = np.bincount(local[inliers], minlength=n)
+    sums = np.bincount(local, weights=np.where(inliers, errors, 0.0), minlength=n)
+    return inliers, counts, sums / np.maximum(counts, 1)
+
+
 def _local_optimization(
-    views: ViewSet, point: np.ndarray, inliers: np.ndarray, score: tuple, threshold: float
+    views: ViewSet,
+    points: np.ndarray,
+    inliers: np.ndarray,
+    counts: np.ndarray,
+    means: np.ndarray,
+    threshold: float,
 ):
-    """Refine a hypothesis on its inliers. The refined point replaces it
-    only if it keeps 2 or more inliers; otherwise the hypothesis stays,
-    with its own score."""
-    refined = views.take(np.flatnonzero(inliers)).refine(point)
-    errors = views.errors(refined)
-    new_inliers = errors <= threshold
-    count = int(new_inliers.sum())
-    if count < 2:
-        return point, inliers, score
-    return refined, new_inliers, (count, -float(errors[new_inliers].mean()))
+    """Refine one hypothesis per point of `views` ((n_points, 3) points,
+    (N,) inlier mask, their inlier counts and mean errors) on its inliers,
+    all in one batched call. A refined point replaces its hypothesis only if
+    it keeps 2 or more inliers; otherwise the hypothesis stays, with its own
+    score. Returns the points, inlier mask, counts and means."""
+    refined = views.take(np.flatnonzero(inliers)).refine(points)
+    new, new_counts, new_means = _inlier_scores(
+        views.point, views._errors(None, refined[views.point]), threshold, views.n_points
+    )
+    ok = new_counts >= 2
+    return (
+        np.where(ok[:, None], refined, points),
+        np.where(ok[views.point], new, inliers),
+        np.where(ok, new_counts, counts),
+        np.where(ok, new_means, means),
+    )
+
+
+def _lo_ransac(views: ViewSet, config: TriangulationConfig):
+    """LO-RANSAC of every point of `views`, as `triangulate_ransac` of each
+    alone: the (n_points, 3) points, the (N,) inlier mask of their views,
+    and the error of each point that fails, keyed by point."""
+    n_points = views.n_points
+    centers, rays, unprojection = views.centers_and_rays()
+    failures: dict[int, VigtError] = dict(unprojection)
+
+    # every point draws its own pairs; points with as many views draw the same
+    sizes = views.sizes.tolist()
+    samples = {n: _sample_pairs(n, config.max_iters, config.seed) for n in set(sizes)}
+    pair_point = np.repeat(np.arange(n_points), [len(samples[n]) for n in sizes])
+    pairs = np.concatenate([samples[n] for n in sizes]) + views.starts[pair_point, None]
+    min_sin = np.sin(np.deg2rad(config.min_pair_angle_deg))
+    failed = np.zeros(n_points, dtype=bool)
+    failed[list(failures)] = True
+
+    # score the midpoint hypothesis of every usable pair of every point, a
+    # bounded number of (hypothesis, view) entries per pass
+    counts, means = np.zeros(len(pairs), dtype=int), np.zeros(len(pairs))
+    candidate = np.zeros(len(pairs), dtype=bool)
+    any_usable = np.zeros(n_points, dtype=bool)
+    ends = np.cumsum(views.sizes[pair_point])
+    start = 0
+    while start < len(pairs):
+        budget = ends[start] - views.sizes[pair_point[start]] + _SCORE_ENTRIES
+        chunk = slice(start, max(start + 1, int(np.searchsorted(ends, budget, "right"))))
+        i, j = pairs[chunk, 0], pairs[chunk, 1]
+        usable = (np.linalg.norm(centers[j] - centers[i], axis=1) >= 1e-12) & (
+            np.linalg.norm(np.cross(rays[i], rays[j]), axis=1) >= min_sin
+        )
+        any_usable[pair_point[chunk][usable]] = True
+        midpoints, defined = _midpoints(centers, rays, pairs[chunk])
+        hyp = np.flatnonzero(usable & defined & ~failed[pair_point[chunk]])
+        pts = midpoints[hyp]
+        rows, local = _entries(views, pair_point[chunk][hyp])
+        errors = views._errors(rows, pts[local])
+        _, count, mean = _inlier_scores(local, errors, config.threshold_px, len(hyp))
+        front = views._in_front(pairs[chunk][hyp].ravel(), np.repeat(pts, 2, axis=0))
+        counts[start + hyp], means[start + hyp] = count, mean
+        candidate[start + hyp] = front.reshape(-1, 2).all(axis=1) & (count >= 2)
+        start = chunk.stop
+    for p in np.flatnonzero(~any_usable):
+        failures.setdefault(
+            int(p),
+            DegenerateGeometryError(
+                "all observation pairs are near-parallel or have zero baseline"
+            ),
+        )
+        failed[p] = True
+
+    # local optimization in rounds: every point refines its next hypothesis
+    # that beats its best so far, all points in one batched call. Bests only
+    # rise, so a hypothesis that does not beat its point's best never will.
+    best_point = np.zeros((n_points, 3))
+    best_inliers = np.zeros(len(views.b), dtype=bool)
+    best_count, best_mean = np.full(n_points, -1), np.full(n_points, np.inf)
+    pending = np.flatnonzero(candidate)  # in point order, then own order
+    while True:
+        owner = pair_point[pending]
+        beats = _beats(counts[pending], means[pending], best_count[owner], best_mean[owner])
+        pending = pending[beats]
+        points, first = np.unique(pair_point[pending], return_index=True)
+        if not points.size:
+            break
+        sel = pending[first]
+        pending = np.delete(pending, first)
+        hyp_pts = _midpoints(centers, rays, pairs[sel])[0]
+        rows, local = _entries(views, points)
+        inliers = views._errors(rows, hyp_pts[local]) <= config.threshold_px
+        point, inl, count, mean = _local_optimization(
+            views.take(rows, point=local),
+            hyp_pts,
+            inliers,
+            counts[sel],
+            means[sel],
+            config.threshold_px,
+        )
+        better = _beats(count, mean, best_count[points], best_mean[points])
+        won = points[better]
+        best_point[won], best_count[won] = point[better], count[better]
+        best_mean[won] = mean[better]
+        best_inliers[rows[better[local]]] = inl[better[local]]
+
+    for p in np.flatnonzero((best_count < 0) & ~failed):
+        failures[int(p)] = NoConsensusError("no triangulation hypothesis had 2 or more inliers")
+    return best_point, best_inliers, failures
+
+
+def _refine_points(views: ViewSet, init: np.ndarray):
+    """Refinement of every point of `views` from (n_points, 3) `init`, with
+    its mean inlier error and covariance: positions, mean errors,
+    covariances and the error of each point that fails, keyed by point."""
+    points = views.refine(init)
+    at = points[views.point]
+    failures: dict[int, VigtError] = {}
+    behind = np.flatnonzero(~views._in_front(None, at))
+    for p, k in zip(*np.unique(views.point[behind], return_index=True)):
+        obs = views.observations[behind[k]]
+        failures[int(p)] = BehindCameraError(
+            f"refined point is behind camera '{obs.camera_id}' at image {obs.image_id}"
+        )
+    errors = _point_sums(views.point, views._errors(None, at)[:, None], views.n_points)
+    covariances, singular = _covariances(views, points)
+    for p, exc in singular.items():
+        failures.setdefault(p, exc)
+    return points, errors / views.sizes, covariances, failures
+
+
+def _covariances(views: ViewSet, points: np.ndarray):
+    """Inverse Gauss-Newton Hessian (J' Sigma_px^-1 J)^-1 of each point's
+    reprojection problem at (n_points, 3) `points`, and the error of each
+    point whose Hessian is singular, keyed by point."""
+    jac = views.jacobians(points[views.point])
+    # the terms of einsum("nji,njk,nkl->il", jac, weights, jac), in its
+    # (n, j, k) order
+    terms = (
+        jac[:, :, None, :, None] * views.weights[:, :, :, None, None]
+    ) * jac[:, None, :, None, :]
+    h = _point_sums(views.point, terms.reshape(-1, 4, 3, 3), views.n_points)
+    cov, singular = _stacked(np.linalg.inv, h.shape, h)
+    failures: dict[int, VigtError] = {
+        int(p): DegenerateGeometryError(
+            "triangulation Hessian is singular; observation geometry is degenerate"
+        )
+        for p in np.flatnonzero(singular)
+    }
+    ill = np.zeros(len(h), dtype=bool)
+    ill[~singular] = np.linalg.cond(h[~singular]) > 1e14
+    for p in np.flatnonzero(ill):
+        failures[int(p)] = DegenerateGeometryError("triangulation Hessian is numerically singular")
+    return 0.5 * (cov + np.swapaxes(cov, 1, 2)), failures
+
+
+def _too_few(n: int) -> InsufficientObservationsError:
+    return InsufficientObservationsError(
+        f"triangulation needs at least 2 observations, got {n}"
+    )
+
+
+def _triangulate(
+    detections: Mapping[str, Sequence[Observation]],
+    poses: Mapping[int, RigidPose | Similarity],
+    rig: RigCalibration,
+    config: TriangulationConfig,
+) -> tuple[dict[str, TriangulatedCP], dict[str, VigtError]]:
+    """LO-RANSAC, refinement and covariance of every point, all points in
+    lockstep; each failure is the error that point alone would raise."""
+    failures: dict[str, VigtError] = {}
+    ids: list[str] = []
+    observations: list[Observation] = []
+    for cp_id, obs in detections.items():
+        missing = next((o.image_id for o in obs if o.image_id not in poses), None)
+        if len(obs) < 2:
+            failures[cp_id] = _too_few(len(obs))
+        elif missing is not None:
+            failures[cp_id] = VigtError(f"no pose for image id {missing}")
+        else:
+            ids.append(cp_id)
+            observations += obs
+    results: dict[str, TriangulatedCP] = {}
+    if ids:
+        sizes = [len(detections[cp_id]) for cp_id in ids]
+        views = ViewSet.build(observations, poses, rig, np.repeat(np.arange(len(ids)), sizes))
+        init, inliers, ransac_failed = _lo_ransac(views, config)
+        ok = np.ones(len(ids), dtype=bool)
+        ok[list(ransac_failed)] = False
+        solved, renumber = np.flatnonzero(ok), np.cumsum(ok) - 1
+        rows = np.flatnonzero(inliers)
+        final = views.take(rows, point=renumber[views.point[rows]])
+        points, errors, covariances, refine_failed = _refine_points(final, init[solved])
+        for p, exc in ransac_failed.items():
+            failures[ids[p]] = exc
+        for k, p in enumerate(solved):
+            if k in refine_failed:
+                failures[ids[p]] = refine_failed[k]
+                continue
+            results[ids[p]] = TriangulatedCP(
+                cp_id=ids[p],
+                position=points[k].copy(),
+                covariance=covariances[k],
+                inliers=final.observations[final.starts[k] : final.starts[k + 1]],
+                mean_reproj_error_px=float(errors[k]),
+            )
+    return (
+        {cp_id: results[cp_id] for cp_id in detections if cp_id in results},
+        {cp_id: failures[cp_id] for cp_id in detections if cp_id in failures},
+    )
 
 
 def triangulate_ransac(
@@ -291,48 +656,11 @@ def triangulate_ransac(
     exhaustively when few, sampled otherwise.
     """
     if len(observations) < 2:
-        raise InsufficientObservationsError(
-            f"triangulation needs at least 2 observations, got {len(observations)}"
-        )
-    views = ViewSet.build(observations, poses, rig)
-    pairs = _sample_pairs(len(observations), config.max_iters, config.seed)
-    centers, rays = views.centers_and_rays()
-
-    i, j = pairs[:, 0], pairs[:, 1]
-    min_sin = np.sin(np.deg2rad(config.min_pair_angle_deg))
-    usable = (np.linalg.norm(centers[j] - centers[i], axis=1) >= 1e-12) & (
-        np.linalg.norm(np.cross(rays[i], rays[j]), axis=1) >= min_sin
-    )
-    if not usable.any():
-        raise DegenerateGeometryError(
-            "all observation pairs are near-parallel or have zero baseline"
-        )
-    points, defined = _midpoints(centers, rays, pairs)
-    hypotheses = np.flatnonzero(usable & defined)
-
-    # scores are (inlier count, -mean inlier error) and rank as tuples
-    best_point, best_inliers, best_score = None, None, (-1, -np.inf)
-    for start in range(0, len(hypotheses), _SCORE_CHUNK):
-        chunk = hypotheses[start : start + _SCORE_CHUNK]
-        pts = points[chunk]
-        visible = np.take_along_axis(views.in_front(pts), pairs[chunk], axis=1).all(axis=1)
-        errors = views.errors(pts)
-        inliers = errors <= config.threshold_px
-        counts = inliers.sum(axis=1)
-        means = np.where(inliers, errors, 0.0).sum(axis=1) / np.maximum(counts, 1)
-        for k in np.flatnonzero(visible & (counts >= 2)):
-            score = (int(counts[k]), -float(means[k]))
-            if score <= best_score:
-                continue
-            point, inl, score = _local_optimization(
-                views, pts[k], inliers[k], score, config.threshold_px
-            )
-            if score > best_score:
-                best_point, best_inliers, best_score = point, inl, score
-
-    if best_point is None:
-        raise NoConsensusError("no triangulation hypothesis had 2 or more inliers")
-    return best_point, tuple(int(k) for k in np.flatnonzero(best_inliers))
+        raise _too_few(len(observations))
+    points, inliers, failures = _lo_ransac(ViewSet.build(observations, poses, rig), config)
+    if failures:
+        raise failures[0]
+    return points[0], tuple(int(k) for k in np.flatnonzero(inliers))
 
 
 def refine_triangulation(
@@ -347,24 +675,17 @@ def refine_triangulation(
         raise InsufficientObservationsError(
             f"refinement needs at least 2 inlier observations, got {len(inliers)}"
         )
-    views = ViewSet.build(inliers, poses, rig)
-    point = views.refine(init_point)
-
-    behind = np.flatnonzero(~views.in_front(point))
-    if behind.size:
-        obs = views.observations[behind[0]]
-        raise BehindCameraError(
-            f"refined point is behind camera '{obs.camera_id}'"
-            f" at image {obs.image_id}"
-        )
-    mean_err = float(np.mean(views.errors(point)))
-    cov = triangulation_covariance(point, inliers, poses, rig)
+    points, errors, covariances, failures = _refine_points(
+        ViewSet.build(inliers, poses, rig), np.reshape(init_point, (1, 3))
+    )
+    if failures:
+        raise failures[0]
     return TriangulatedCP(
         cp_id=cp_id,
-        position=point,
-        covariance=cov,
+        position=points[0],
+        covariance=covariances[0],
         inliers=tuple(inliers),
-        mean_reproj_error_px=mean_err,
+        mean_reproj_error_px=float(errors[0]),
     )
 
 
@@ -378,20 +699,12 @@ def triangulation_covariance(
     solution: (J' Sigma_px^-1 J)^-1."""
     if len(inliers) < 2:
         raise InsufficientObservationsError("covariance needs at least 2 observations")
-    views = ViewSet.build(inliers, poses, rig)
-    jac = views.jacobians(point)
-    h = np.einsum("nji,njk,nkl->il", jac, views.weights, jac)
-    try:
-        cov = np.linalg.inv(h)
-    except np.linalg.LinAlgError:
-        raise DegenerateGeometryError(
-            "triangulation Hessian is singular; observation geometry is degenerate"
-        ) from None
-    if np.linalg.cond(h) > 1e14:
-        raise DegenerateGeometryError(
-            "triangulation Hessian is numerically singular"
-        )
-    return 0.5 * (cov + cov.T)
+    covariances, failures = _covariances(
+        ViewSet.build(inliers, poses, rig), np.reshape(point, (1, 3))
+    )
+    if failures:
+        raise failures[0]
+    return covariances[0]
 
 
 def triangulate_cp(
@@ -402,9 +715,10 @@ def triangulate_cp(
     config: TriangulationConfig = TriangulationConfig(),
 ) -> TriangulatedCP:
     """RANSAC + refinement + covariance for one control point."""
-    point, inlier_idx = triangulate_ransac(observations, poses, rig, config)
-    inliers = [observations[k] for k in inlier_idx]
-    return refine_triangulation(point, inliers, poses, rig, cp_id=cp_id)
+    results, failures = _triangulate({cp_id: observations}, poses, rig, config)
+    if failures:
+        raise failures[cp_id]
+    return results[cp_id]
 
 
 def triangulate_all(
@@ -413,12 +727,7 @@ def triangulate_all(
     rig: RigCalibration,
     config: TriangulationConfig = TriangulationConfig(),
 ) -> tuple[dict[str, TriangulatedCP], dict[str, str]]:
-    """Triangulate every control point; failures are collected, not raised."""
-    results: dict[str, TriangulatedCP] = {}
-    failures: dict[str, str] = {}
-    for cp_id, obs in detections.items():
-        try:
-            results[cp_id] = triangulate_cp(cp_id, obs, poses, rig, config)
-        except VigtError as exc:
-            failures[cp_id] = f"{type(exc).__name__}: {exc}"
-    return results, failures
+    """Triangulate every control point in one lockstep batch; failures are
+    collected, not raised."""
+    results, failures = _triangulate(detections, poses, rig, config)
+    return results, {cp_id: f"{type(exc).__name__}: {exc}" for cp_id, exc in failures.items()}

@@ -1,10 +1,13 @@
 """Tests for IMU preintegration, covariance, and residuals."""
 
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from vigt import inertial
 from vigt.errors import ImuDataError
 from vigt.geometry import (
     RigidPose,
@@ -210,6 +213,41 @@ class TestLockstep:
         for s, stream in enumerate(streams):
             alone = preintegrate(stream, Bias.from_vector(biases[s]), NOISE)
             assert_segments_close(stack.segment(s), alone, 1e-12)
+
+
+    def test_chunks_match_one_unchunked_call(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        base = sampled_stream(200.0, 3.0, sinusoid_signals)
+        starts = rng.integers(0, len(base) - 25, size=300)
+        streams = [
+            ImuStream(base.timestamps[a:b], base.gyro[a:b], base.accel[a:b])
+            for a, b in zip(starts, starts + rng.integers(2, 25, size=300))
+        ]
+        biases = segment_biases(rng, len(streams))
+        assert len(streams) > 2 * inertial._SEGMENT_CHUNK
+        chunked = preintegrate_stack(streams, biases, NOISE)
+        monkeypatch.setattr(inertial, "_SEGMENT_CHUNK", len(streams))
+        whole = preintegrate_stack(streams, biases, NOISE)
+        for f in dataclasses.fields(SegmentStack):
+            np.testing.assert_array_equal(getattr(chunked, f.name), getattr(whole, f.name))
+
+    def test_memory_bounded_on_ten_minute_stream(self):
+        # 2400 keyframe intervals of 0.25 s over 10 min of 200 Hz samples;
+        # holding every sample's rotation maps at once took 71 MB
+        stream = sampled_stream(200.0, 600.0, sinusoid_signals)
+        streams = [
+            ImuStream(stream.timestamps[k], stream.gyro[k], stream.accel[k])
+            for k in (slice(a, a + 51) for a in range(0, len(stream) - 50, 50))
+        ]
+        biases = np.zeros((len(streams), 6))
+        tracemalloc.start()
+        try:
+            preintegrate_stack(streams, biases, NOISE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(streams) == 2400
+        assert peak < 16e6
 
 
 class TestPreintegrate:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vigt.errors import DegenerateGeometryError, InsufficientObservationsError
+from vigt.errors import (
+    BehindCameraError,
+    DegenerateGeometryError,
+    InsufficientObservationsError,
+    NoConsensusError,
+    VigtError,
+)
 from vigt.geometry import (
     CameraKind,
     CameraModel,
@@ -16,14 +22,17 @@ from vigt.geometry import (
     project,
     try_project,
 )
+from vigt.solver import CONVERGENCE_TOL
 from vigt.triangulation import (
     Observation,
     TriangulationConfig,
     ViewSet,
     _local_optimization,
     _midpoints,
+    _refine_points,
     _sample_pairs,
     refine_triangulation,
+    triangulate_all,
     triangulate_cp,
     triangulate_ransac,
     triangulation_covariance,
@@ -163,19 +172,19 @@ class TestLocalOptimization:
             observe(point, poses[1], rig, 1, sigma=0.01),
         ]
         views = ViewSet.build(obs, poses, rig)
-        centers, rays = views.centers_and_rays()
+        centers, rays, _ = views.centers_and_rays()
         hypothesis = _midpoints(centers, rays, np.array([[0, 1]]))[0][0]
         errors = views.errors(hypothesis)
         assert np.all(errors <= 4.0)
         assert (views.errors(views.refine(hypothesis)) <= 4.0).sum() == 1
 
         score = (2, -float(errors.mean()))
-        kept, inliers, kept_score = _local_optimization(
-            views, hypothesis, errors <= 4.0, score, 4.0
+        kept, inliers, count, mean = _local_optimization(
+            views, hypothesis[None], errors <= 4.0, np.array([2]), np.array([-score[1]]), 4.0
         )
-        np.testing.assert_array_equal(kept, hypothesis)
+        np.testing.assert_array_equal(kept[0], hypothesis)
         assert inliers.all()
-        assert kept_score == score
+        assert (int(count[0]), -float(mean[0])) == score
 
 
 class TestRefine:
@@ -410,3 +419,312 @@ class TestViewSet:
                     project(cam, a @ (p + dp) + b) - project(cam, a @ (p - dp) + b)
                 ) / (2 * step)
             np.testing.assert_allclose(jacs[k], num, rtol=1e-5, atol=1e-4)
+
+
+# Reference oracles: LO-RANSAC and Levenberg-Marquardt refinement one point
+# at a time (hypotheses scored 64 at a time, LO on each improving hypothesis
+# in order, einsum sums). The lockstep batch must equal them.
+
+
+def oracle_refine(views, point):
+    p = np.asarray(point, dtype=float)
+    res = views.residuals(p)
+    cost = np.einsum("ni,nij,nj->", res, views.weights, res)
+    lam = 1e-4
+    for _ in range(50):
+        jac = views.jacobians(p)
+        jt_w = np.einsum("nji,njk->nik", jac, views.weights)
+        grad = np.einsum("nij,nj->i", jt_w, res)
+        hess = np.einsum("nij,njk->ik", jt_w, jac)
+        damping = np.diag(np.maximum(np.diag(hess), 1e-12))
+        while lam <= 1e10:
+            try:
+                step = np.linalg.solve(hess + lam * damping, -grad)
+            except np.linalg.LinAlgError:
+                step = np.full(3, np.nan)
+            trial = p + step
+            trial_res = views.residuals(trial)
+            trial_cost = np.einsum("ni,nij,nj->", trial_res, views.weights, trial_res)
+            if trial_cost < cost:
+                break
+            lam *= 10.0
+        else:
+            break
+        converged = cost - trial_cost <= CONVERGENCE_TOL * cost
+        p, res, cost = trial, trial_res, trial_cost
+        lam = max(lam * 0.1, 1e-15)
+        if converged:
+            break
+    return p
+
+
+def oracle_in_front(views, pts):
+    front = (np.einsum("nij,...j->...ni", views.a, pts) + views.b)[..., 2] > 0.0
+    kinds = [views.cameras[c].kind for c in views.camera_index]
+    fisheye = np.array([kind is CameraKind.KANNALA_BRANDT4 for kind in kinds])
+    return front | fisheye
+
+
+def oracle_ransac(observations, poses, rig, config):
+    if len(observations) < 2:
+        raise InsufficientObservationsError(
+            f"triangulation needs at least 2 observations, got {len(observations)}"
+        )
+    views = ViewSet.build(observations, poses, rig)
+    pairs = _sample_pairs(len(observations), config.max_iters, config.seed)
+    centers, rays, failures = views.centers_and_rays()
+    if failures:
+        raise failures[0]
+    i, j = pairs[:, 0], pairs[:, 1]
+    min_sin = np.sin(np.deg2rad(config.min_pair_angle_deg))
+    usable = (np.linalg.norm(centers[j] - centers[i], axis=1) >= 1e-12) & (
+        np.linalg.norm(np.cross(rays[i], rays[j]), axis=1) >= min_sin
+    )
+    if not usable.any():
+        raise DegenerateGeometryError(
+            "all observation pairs are near-parallel or have zero baseline"
+        )
+    points, defined = _midpoints(centers, rays, pairs)
+    hypotheses = np.flatnonzero(usable & defined)
+    best_point, best_inliers, best_score = None, None, (-1, -np.inf)
+    for start in range(0, len(hypotheses), 64):
+        chunk = hypotheses[start : start + 64]
+        pts = points[chunk]
+        visible = np.take_along_axis(oracle_in_front(views, pts), pairs[chunk], axis=1).all(axis=1)
+        errors = views.errors(pts)
+        inliers = errors <= config.threshold_px
+        counts = inliers.sum(axis=1)
+        means = np.where(inliers, errors, 0.0).sum(axis=1) / np.maximum(counts, 1)
+        for k in np.flatnonzero(visible & (counts >= 2)):
+            score = (int(counts[k]), -float(means[k]))
+            if score <= best_score:
+                continue
+            point, inl = pts[k], inliers[k]
+            refined = oracle_refine(views.take(np.flatnonzero(inl)), point)
+            refined_errors = views.errors(refined)
+            new_inliers = refined_errors <= config.threshold_px
+            if new_inliers.sum() >= 2:
+                point, inl = refined, new_inliers
+                score = (int(new_inliers.sum()), -float(refined_errors[new_inliers].mean()))
+            if score > best_score:
+                best_point, best_inliers, best_score = point, inl, score
+    if best_point is None:
+        raise NoConsensusError("no triangulation hypothesis had 2 or more inliers")
+    return best_point, tuple(int(k) for k in np.flatnonzero(best_inliers))
+
+
+def oracle_triangulate(observations, poses, rig, config):
+    """(position, covariance, inlier indices, mean error) of one point, or
+    the exception the per-point path raised."""
+    try:
+        point, idx = oracle_ransac(observations, poses, rig, config)
+        views = ViewSet.build([observations[k] for k in idx], poses, rig)
+        point = oracle_refine(views, point)
+        behind = np.flatnonzero(~oracle_in_front(views, point))
+        if behind.size:
+            obs = views.observations[behind[0]]
+            raise BehindCameraError(
+                f"refined point is behind camera '{obs.camera_id}'"
+                f" at image {obs.image_id}"
+            )
+        mean_err = float(np.mean(views.errors(point)))
+        jac = views.jacobians(point)
+        h = np.einsum("nji,njk,nkl->il", jac, views.weights, jac)
+        try:
+            cov = np.linalg.inv(h)
+        except np.linalg.LinAlgError:
+            raise DegenerateGeometryError(
+                "triangulation Hessian is singular; observation geometry is degenerate"
+            ) from None
+        if np.linalg.cond(h) > 1e14:
+            raise DegenerateGeometryError("triangulation Hessian is numerically singular")
+        return point, 0.5 * (cov + cov.T), idx, mean_err
+    except VigtError as exc:
+        return exc
+
+
+SCENE_POSES = 12
+
+
+@st.composite
+def point_batches(draw):
+    """Several points near the origin, each seen by 1-40 views of mixed
+    camera models from a shared set of images, with outlier pixels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poses = {}
+    for k in range(SCENE_POSES):
+        offset = rng.normal(size=3)
+        center = rng.uniform(3.0, 9.0) * offset / np.linalg.norm(offset)
+        poses[k] = look_at(center, rng.normal(scale=0.3, size=3))
+    outlier_rate = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    detections = {}
+    for p in range(draw(st.integers(1, 6))):
+        target = rng.normal(scale=0.5, size=3)
+        n = draw(st.integers(1, 40))
+        obs = []
+        for _ in range(n):
+            image = int(rng.integers(SCENE_POSES))
+            cid = sorted(MODELS)[rng.integers(len(MODELS))]
+            a, b = camera_from_frame(poses[image], MIXED_RIG.camera_from_device[cid])
+            uv, valid = try_project(MODELS[cid], a @ target + b)
+            if not valid or rng.uniform() < outlier_rate:
+                uv = rng.normal([320.0, 240.0], 150.0)
+            sigma = rng.uniform(0.3, 2.0)
+            pixel = uv + rng.normal(scale=0.5, size=2)
+            obs.append(Observation(image, cid, pixel, np.eye(2) * sigma**2))
+        detections[f"p{p}"] = obs
+    max_iters = draw(st.sampled_from([20, 500]))
+    return detections, poses, TriangulationConfig(max_iters=max_iters)
+
+
+class TestLockstep:
+    @settings(max_examples=80, deadline=None)
+    @given(point_batches())
+    def test_batch_matches_per_point_oracle(self, scene):
+        detections, poses, config = scene
+        results, failures = triangulate_all(detections, poses, MIXED_RIG, config)
+        for cp_id, obs in detections.items():
+            expected = oracle_triangulate(obs, poses, MIXED_RIG, config)
+            if isinstance(expected, VigtError):
+                assert failures[cp_id] == f"{type(expected).__name__}: {expected}"
+                continue
+            point, cov, idx, mean_err = expected
+            tri = results[cp_id]
+            assert tri.inliers == tuple(obs[k] for k in idx)
+            np.testing.assert_array_equal(tri.position, point)
+            np.testing.assert_allclose(tri.covariance, cov, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(tri.mean_reproj_error_px, mean_err, rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(point_batches())
+    def test_point_alone_or_in_batch_is_identical(self, scene):
+        detections, poses, config = scene
+        results, failures = triangulate_all(detections, poses, MIXED_RIG, config)
+        for cp_id, obs in detections.items():
+            alone, alone_failures = triangulate_all({cp_id: obs}, poses, MIXED_RIG, config)
+            if cp_id in failures:
+                assert alone_failures == {cp_id: failures[cp_id]}
+                continue
+            tri, ref = results[cp_id], alone[cp_id]
+            np.testing.assert_array_equal(tri.position, ref.position)
+            np.testing.assert_array_equal(tri.covariance, ref.covariance)
+            assert tri.mean_reproj_error_px == ref.mean_reproj_error_px
+            assert tri.inliers == ref.inliers
+
+    def test_failures_stay_with_their_point(self):
+        rng = np.random.default_rng(11)
+        poses = {}
+        for k in range(8):
+            offset = rng.normal(size=3)
+            center = rng.uniform(4.0, 8.0) * offset / np.linalg.norm(offset)
+            poses[k] = look_at(center, np.zeros(3))
+        poses[8] = poses[9] = look_at(np.array([0.0, -6.0, 0.5]), np.zeros(3))
+
+        def seen(target, images, cid="pinhole", cov=np.eye(2)):
+            obs = []
+            for k in images:
+                a, b = camera_from_frame(poses[k], MIXED_RIG.camera_from_device[cid])
+                obs.append(Observation(k, cid, project(MODELS[cid], a @ target + b), cov))
+            return obs
+
+        good = {f"good{k}": seen(rng.normal(scale=0.4, size=3), range(k, k + 5)) for k in range(3)}
+        far_off = seen(np.zeros(3), [0, 1])
+        far_off[1] = Observation(1, "pinhole", far_off[1].pixel + np.array([0.0, 150.0]))
+        detections = {
+            "good0": good["good0"],
+            "one view": seen(np.zeros(3), [0]),
+            "no pose": seen(np.zeros(3), [0, 1]) + [Observation(42, "pinhole", [320.0, 240.0])],
+            "good1": good["good1"],
+            "parallel": seen(np.zeros(3), [8, 9]),
+            "no consensus": far_off,
+            "unprojection": seen(np.zeros(3), [2, 3])
+            + [Observation(4, "radtan", [5000.0, 4000.0])],
+            "fisheye unprojection": [Observation(5, "fisheye", [1e5, 1e5])]
+            + seen(np.zeros(3), [6, 7]),
+            # each view constrains its u axis only: a rank-2 Hessian
+            "singular": seen(np.zeros(3), [4, 5], cov=np.diag([1.0, 1e20])),
+            "good2": good["good2"],
+        }
+        expected = {
+            "one view": "InsufficientObservationsError: triangulation needs at least 2"
+            " observations, got 1",
+            "no pose": "VigtError: no pose for image id 42",
+            "parallel": "DegenerateGeometryError: all observation pairs are near-parallel"
+            " or have zero baseline",
+            "no consensus": "NoConsensusError: no triangulation hypothesis had 2 or more"
+            " inliers",
+            "unprojection": "UnprojectionError: radial-tangential inversion did not"
+            " converge within 20 iterations (step 1.33e+01)",
+            "fisheye unprojection": "UnprojectionError: fisheye angle inversion did not"
+            " converge within 20 iterations (residual 7.25e+11)",
+            "singular": "DegenerateGeometryError: triangulation Hessian is numerically"
+            " singular",
+        }
+        config = TriangulationConfig()
+        results, failures = triangulate_all(detections, poses, MIXED_RIG, config)
+        assert failures == expected
+        assert list(results) == ["good0", "good1", "good2"]
+        for cp_id, obs in good.items():
+            alone, _ = triangulate_all({cp_id: obs}, poses, MIXED_RIG, config)
+            np.testing.assert_array_equal(results[cp_id].position, alone[cp_id].position)
+            np.testing.assert_array_equal(results[cp_id].covariance, alone[cp_id].covariance)
+        for cp_id, message in expected.items():
+            exc = oracle_triangulate(detections[cp_id], poses, MIXED_RIG, config)
+            assert f"{type(exc).__name__}: {exc}" == message
+
+    def test_refinement_failures_stay_with_their_point(self):
+        # camera 0 sits at the origin looking along +z and sees its
+        # principal point; a point on its axis behind it has zero residual
+        # there, so refinement keeps it behind the camera
+        rig = single_camera_rig()
+        behind = np.array([0.0, 0.0, -5.0])
+        poses = {0: RigidPose.identity(), 1: look_at([5.0, 0.0, -5.0], behind)}
+        rng = np.random.default_rng(12)
+        good = np.array([0.3, -0.2, 4.0])
+        for k in range(2, 7):
+            poses[k] = look_at(good + rng.normal(scale=3.0, size=3), good)
+        points = {
+            "good": (good, [observe(good, poses[k], rig, k) for k in range(2, 7)]),
+            "behind": (
+                behind,
+                [Observation(0, "cam", [0.0, 0.0]), observe(behind, poses[1], rig, 1)],
+            ),
+            "singular": (good, [
+                Observation(o.image_id, "cam", o.pixel, np.diag([1.0, 1e20]))
+                for o in [observe(good, poses[k], rig, k) for k in (2, 3)]
+            ]),
+        }
+        points["unweighted"] = (good, points["good"][1][:3])
+        observations = [o for _, obs in points.values() for o in obs]
+        numbers = np.repeat(np.arange(4), [len(obs) for _, obs in points.values()])
+        views = ViewSet.build(observations, poses, rig, numbers)
+        # a zero Hessian, which np.linalg.inv rejects
+        views.weights[numbers == 3] = 0.0
+        init = np.stack([p for p, _ in points.values()])
+        positions, errors, covariances, failures = _refine_points(views, init)
+        assert {k: f"{type(e).__name__}: {e}" for k, e in failures.items()} == {
+            1: "BehindCameraError: refined point is behind camera 'cam' at image 0",
+            2: "DegenerateGeometryError: triangulation Hessian is numerically singular",
+            3: "DegenerateGeometryError: triangulation Hessian is singular; observation"
+            " geometry is degenerate",
+        }
+        alone = refine_triangulation(good, points["good"][1], poses, rig)
+        np.testing.assert_array_equal(positions[0], alone.position)
+        np.testing.assert_array_equal(covariances[0], alone.covariance)
+        assert errors[0] == alone.mean_reproj_error_px
+        with pytest.raises(BehindCameraError):
+            refine_triangulation(behind, points["behind"][1], poses, rig)
+
+
+class TestBuild:
+    @settings(max_examples=30, deadline=None)
+    @given(point_batches())
+    def test_camera_maps_match_per_observation_maps(self, scene):
+        detections, poses, _ = scene
+        observations = [o for obs in detections.values() for o in obs]
+        views = ViewSet.build(observations, poses, MIXED_RIG)
+        for k, obs in enumerate(observations):
+            extrinsics = MIXED_RIG.camera_from_device[obs.camera_id]
+            a, b = camera_from_frame(poses[obs.image_id], extrinsics)
+            np.testing.assert_array_equal(views.a[k], a)
+            np.testing.assert_array_equal(views.b[k], b)

@@ -8,15 +8,19 @@ seed-1 realizations 0-2 of both benchmark workloads and saves, per run: the
 keyframe positions, rotations, velocities and biases, the pose
 covariances, the variance factors of every reweighting round, the CP
 errors, the iteration count and termination of every Levenberg-Marquardt
-solve, and the skipped CPs and tracks. `--src` names the `src/` directory
+solve, and the skipped CPs and tracks. From the eval stage's
+`triangulation.triangulate_all` it records every CP's position,
+covariance, mean reprojection error and inlier (image, camera) ids, and
+the failures; from fusion, the landmark ids and positions. `--src` names the `src/` directory
 of the `vigt` to run (default: this checkout's); the benchmark code is
 always this checkout's, read-only.
 
 `compare` prints the largest deviation of each quantity over all runs:
-absolute for positions, rotations, velocities, biases and CP errors,
-relative to each block's largest entry for pose covariances, relative for
-variance factors, and equal or not for the iteration counts,
-terminations and skipped items. The exit code is 1 when a discrete
+absolute for positions, rotations, velocities, biases, CP errors, CP and
+landmark positions and CP mean errors, relative to each block's largest
+entry for pose and CP covariances, relative for variance factors, and
+equal or not for the iteration counts, terminations, skipped items,
+inlier sets, triangulation failures and landmark ids. The exit code is 1 when a discrete
 quantity differs.
 """
 
@@ -38,14 +42,44 @@ SEED = 1
 REALIZATIONS = (0, 1, 2)
 
 # how `compare` measures the deviation of each numeric quantity
-ABSOLUTE = ("positions", "rotations", "velocities", "biases", "cp_errors")
-PER_BLOCK = ("pose_covariances",)
+ABSOLUTE = (
+    "positions",
+    "rotations",
+    "velocities",
+    "biases",
+    "cp_errors",
+    "tri_positions",
+    "tri_mean_errors",
+    "landmarks",
+)
+PER_BLOCK = ("pose_covariances", "tri_covariances")
 RELATIVE = ("variance_factors",)
-DISCRETE = ("iterations", "terminations", "skipped_cps", "skipped_tracks")
+DISCRETE = (
+    "iterations",
+    "terminations",
+    "skipped_cps",
+    "skipped_tracks",
+    "tri_inliers",
+    "tri_failures",
+    "landmark_ids",
+)
+
+
+def _triangulations(tris: dict, failures: dict) -> dict[str, np.ndarray]:
+    ids = sorted(tris)
+    return {
+        "tri_positions": np.array([tris[c].position for c in ids]).reshape(-1, 3),
+        "tri_covariances": np.array([tris[c].covariance for c in ids]).reshape(-1, 3, 3),
+        "tri_mean_errors": np.array([tris[c].mean_reproj_error_px for c in ids]),
+        "tri_inliers": np.array(
+            [f"{c}:{o.image_id}:{o.camera_id}" for c in ids for o in tris[c].inliers], dtype=str
+        ),
+        "tri_failures": np.array([f"{c}: {failures[c]}" for c in sorted(failures)], dtype=str),
+    }
 
 
 def _run(workload: str, realization: int) -> dict[str, np.ndarray]:
-    from vigt import alignment, fusion
+    from vigt import alignment, fusion, triangulation
     from vigt.fusion import VISUAL_GROUPS
 
     import pipeline
@@ -59,14 +93,31 @@ def _run(workload: str, realization: int) -> dict[str, np.ndarray]:
         reports.append(report)
         return report
 
+    # the eval stage calls it through the module; fusion holds its own name
+    evaluated = []
+    triangulate_all = triangulation.triangulate_all
+
+    def recorded_triangulation(*args, **kwargs):
+        result = triangulate_all(*args, **kwargs)
+        evaluated.append(result)
+        return result
+
     alignment.solve = fusion.solve = recorded
+    triangulation.triangulate_all = recorded_triangulation
     try:
         spec = SPECS[workload]
-        out = pipeline.run_pipeline(make_inputs(spec, SEED, realization), spec.fusion)
+        inputs = make_inputs(spec, SEED, realization)
+        out = pipeline.run_pipeline(inputs, spec.fusion)
     finally:
         alignment.solve = fusion.solve = solve
+        triangulation.triangulate_all = triangulate_all
     keyframes = out.pgt.keyframes
+    (tris, failures), = evaluated
+    landmarks = {t.track_id: t.landmark for t in inputs.detections.tracks}
     return {
+        **_triangulations(tris, failures),
+        "landmark_ids": np.array(out.fp.landmark_ids, dtype=str),
+        "landmarks": np.array([landmarks[t] for t in out.fp.landmark_ids]).reshape(-1, 3),
         "positions": np.stack([k.pose.translation for k in keyframes]),
         "rotations": np.stack([k.pose.rotation.canonical_quat() for k in keyframes]),
         "velocities": np.stack([k.velocity for k in keyframes]),

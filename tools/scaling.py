@@ -3,8 +3,11 @@
     python3 tools/scaling.py [--src DIR] [--repeat N]
 
 Builds one seeded synthetic scene per case and times
-`fusion.build_fusion_problem` and `fusion.optimize_pseudo_gt`, whose time
-includes `marginal_covariances` (also reported on its own). Scene:
+`fusion.build_fusion_problem`, whose time includes the triangulation of
+the CP proxies and landmarks (`fusion.triangulate_all`, or the per-point
+`fusion.triangulate_cp` of older sources; also reported on its own), and
+`fusion.optimize_pseudo_gt`, whose time includes `marginal_covariances`
+(also reported on its own). Scene:
 `SynthConfig(seed=21, cam_rate_hz=10, cp_count=max(4, T/2),
 cp_2d_fraction=0.5, detection_sigma_px=0.5, cp_noise_scale=1)` for a
 length of T seconds, the true world trajectory with 2 cm white position
@@ -21,6 +24,7 @@ the `vigt` to run (default: this checkout's).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -64,25 +68,38 @@ def _scene(length: int, landmarks: int):
     return world, rig, detections, imu, init
 
 
+@contextlib.contextmanager
+def _timing(module, name: str, seconds: list[float]):
+    """Add the time of every call of `module.name` to `seconds`."""
+    fn = getattr(module, name)
+
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds[-1] += time.perf_counter() - t0
+
+    setattr(module, name, timed)
+    try:
+        yield
+    finally:
+        setattr(module, name, fn)
+
+
 def _run_case(length: int, landmarks: int, repeat: int) -> dict:
     from vigt import fusion
 
     world, rig, detections, imu, init = _scene(length, landmarks)
     config = fusion.FusionConfig(keyframe_stride=3)
-    marginal_s = []
-    marginals = fusion.marginal_covariances
-
-    def timed(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return marginals(*args, **kwargs)
-        finally:
-            marginal_s.append(time.perf_counter() - t0)
-
-    builds, optimizes = [], []
-    fusion.marginal_covariances = timed
-    try:
+    triangulate = "triangulate_all" if hasattr(fusion, "triangulate_all") else "triangulate_cp"
+    builds, optimizes, triangulate_s, marginal_s = [], [], [], []
+    with _timing(fusion, triangulate, triangulate_s), _timing(
+        fusion, "marginal_covariances", marginal_s
+    ):
         for _ in range(repeat):
+            triangulate_s.append(0.0)
+            marginal_s.append(0.0)
             t0 = time.perf_counter()
             fp = fusion.build_fusion_problem(
                 init, detections.tracks, detections.cp_observations, world.cps, imu, rig, config
@@ -92,8 +109,6 @@ def _run_case(length: int, landmarks: int, repeat: int) -> dict:
             t2 = time.perf_counter()
             builds.append(t1 - t0)
             optimizes.append(t2 - t1)
-    finally:
-        fusion.marginal_covariances = marginals
     unknowns = sum(b.dim for b in fp.problem.params.values() if not b.constant)
     return {
         "length_s": length,
@@ -101,6 +116,7 @@ def _run_case(length: int, landmarks: int, repeat: int) -> dict:
         "keyframes": len(fp.keyframe_ts),
         "unknowns": unknowns,
         "build_s": statistics.median(builds),
+        "triangulate_s": statistics.median(triangulate_s),
         "optimize_s": statistics.median(optimizes),
         "marginals_s": statistics.median(marginal_s),
     }
@@ -116,12 +132,13 @@ def main(argv=None) -> int:
     rows = [_run_case(length, landmarks, args.repeat) for length, landmarks in CASES]
     print(
         f"{'length':>6s} {'landmarks':>9s} {'keyframes':>9s} {'unknowns':>8s}"
-        f" {'build':>8s} {'optimize':>9s} {'marginals':>9s}"
+        f" {'build':>8s} {'triangulate':>11s} {'optimize':>9s} {'marginals':>9s}"
     )
     for r in rows:
         print(
             f"{r['length_s']:5d}s {r['landmarks']:9d} {r['keyframes']:9d} {r['unknowns']:8d}"
-            f" {r['build_s']:7.3f}s {r['optimize_s']:8.3f}s {r['marginals_s']:8.3f}s"
+            f" {r['build_s']:7.3f}s {r['triangulate_s']:10.3f}s {r['optimize_s']:8.3f}s"
+            f" {r['marginals_s']:8.3f}s"
         )
     optimize = {r["length_s"]: r["optimize_s"] for r in rows if r["landmarks"] == 0}
     ratios = {"30/10": optimize[30] / optimize[10], "90/30": optimize[90] / optimize[30]}
