@@ -6,6 +6,12 @@ the whitened Gauss-Newton Hessian, and per-group variance factors.
 Residual blocks stack the rows of one factor, so a factor family is
 evaluated and linearized as arrays, one callback per block.
 
+The normal equations are accumulated straight from the whitened per-slot
+Jacobians: each iteration forms one batched product J_a' J_b per pair of
+slots of a block and sums every entry into its place in the storage of
+the system by one bincount. Those places, like the whole layout, are
+fixed once per problem structure; no sparse Jacobian is formed.
+
 One Cholesky path solves every linear system. The points are eliminated
 with batched 3x3 inverses, their Schur terms scattered into the reduced
 system over the retained tangent. That system splits, once per problem
@@ -312,10 +318,24 @@ class SolveReport:
         return self.termination == "converged"
 
 
+@dataclass(frozen=True)
+class _FreeSlot:
+    """The rows of one slot of a residual block that name a free block:
+    their positions in the block (None when all rows do), their (n, d)
+    rows of the residual vector and the (n, k) tangent columns of their
+    blocks."""
+
+    slot: int
+    rows: np.ndarray | None
+    residual_rows: np.ndarray
+    cols: np.ndarray
+
+
 class _Workspace:
     """Static structure of a problem: the value layout, tangent indexing,
-    row layout, the sparsity pattern of the whitened Jacobian and the
-    band-plus-border layout of the normal equations.
+    row layout, the free rows of every slot, the band-plus-border layout
+    of the normal equations and where each entry of the per-slot Jacobian
+    products J_a' J_b lands in it.
 
     The flat value vector holds every block's row in insertion order, the
     row of block `pid` from index `value_starts[pid]` on. The tangent holds
@@ -366,14 +386,14 @@ class _Workspace:
         point_ord[[index[b.id] for b in eliminated]] = np.arange(len(eliminated))
 
         # per residual block: first row, the (N, size) value indices of each
-        # slot, and per slot the rows on a free block; Jacobian entries of
-        # the other rows are never stored. The COO indices list each slot's
-        # (row, residual dim, tangent dim) in order. Block pairs that share
-        # a row give the adjacency of the normal equations.
+        # slot, and the range of its slots with rows on a free block in
+        # `free_slots`; Jacobian entries of the other rows are never stored.
+        # Block pairs that share a row give the adjacency of the normal
+        # equations.
         self.rows: dict[str, int] = {}
         self.slot_indices: dict[str, list[np.ndarray]] = {}
-        self.free_rows: dict[str, list[np.ndarray]] = {}
-        rows_idx, cols_idx = [], []
+        self.free_slots: list[_FreeSlot] = []
+        self.slots_of: dict[str, range] = {}
         edges, incidences = [], []
         entry_blocks, entry_groups = [], []
         groups: dict[str, int] = {}  # group -> its index in group_rows
@@ -385,16 +405,19 @@ class _Workspace:
             self.slot_indices[r.id] = [
                 starts[idx][:, None] + np.arange(sizes[idx[0]]) for idx in slots
             ]
-            self.free_rows[r.id] = []
-            for idx in slots:
+            first = len(self.free_slots)
+            for s, idx in enumerate(slots):
                 free_n = np.flatnonzero(tangent[idx] >= 0)
-                self.free_rows[r.id].append(free_n)
                 if free_n.size:
-                    dim = dims[idx[0]]
-                    rows = cursor + (free_n[:, None] * r.dim + np.arange(r.dim))
-                    cols = tangent[idx[free_n]]
-                    rows_idx.append(rows.repeat(dim, axis=1).ravel())
-                    cols_idx.append(np.tile(cols[:, None] + np.arange(dim), r.dim).ravel())
+                    self.free_slots.append(
+                        _FreeSlot(
+                            s,
+                            None if free_n.size == r.rows else free_n,
+                            cursor + (free_n[:, None] * r.dim + np.arange(r.dim)),
+                            tangent[idx[free_n]][:, None] + np.arange(dims[idx[0]]),
+                        )
+                    )
+            self.slots_of[r.id] = range(first, len(self.free_slots))
             for a, idx_a in enumerate(slots):
                 for idx_b in slots[a + 1 :]:
                     _row_pairs(idx_a, idx_b, retained_ord, point_ord, edges, incidences)
@@ -406,10 +429,6 @@ class _Workspace:
             entry_groups.append(np.full(sum(len(s) for s in slots), group))
             cursor += r.rows * r.dim
         self.n_rows = cursor
-        self.pattern = (
-            np.concatenate(rows_idx or [np.zeros(0, dtype=int)]),
-            np.concatenate(cols_idx or [np.zeros(0, dtype=int)]),
-        )
 
         retained_dims = np.array([b.dim for b in retained], dtype=int)
         self.layout = _Layout(
@@ -419,6 +438,7 @@ class _Workspace:
             np.concatenate(incidences or [np.zeros((0, 2), dtype=int)]),
             len(eliminated),
         )
+        self._map_products()
 
         # redundancy per group: its rows, less the tangent dimension of the
         # free blocks that no other group reads
@@ -436,6 +456,57 @@ class _Workspace:
         self.redundancy = {
             g: int(group_rows[k] - exclusive_dims[k]) for g, k in groups.items()
         }
+
+    def _map_products(self) -> None:
+        """For each pair of free slots (a, b >= a) of one residual block:
+        the rows both have free, and the place of their (R, k_a, k_b)
+        products J_a' J_b in one flat vector. A product entry is H[i, j]
+        and, for a != b, also H[j, i]. `product_dest` holds its place in
+        the layout's storage, the one of the two that is stored, or the
+        trash entry for the upper triangle of a retained block's own
+        product. Only an entry on a diagonal block in both orders is
+        stored twice: `mirror_src` lists those entries, their second
+        places follow in `product_dest`."""
+        lay = self.layout
+        self.pairs = []
+        dest, mirror_src, mirror_dest = [], [], []
+        at = 0
+        for span in self.slots_of.values():
+            for a in span:
+                for b in range(a, span.stop):
+                    sa, sb = self.free_slots[a], self.free_slots[b]
+                    take_a = take_b = None
+                    cols_a, cols_b = sa.cols, sb.cols
+                    if a != b and (sa.rows is not None or sb.rows is not None):
+                        _, take_a, take_b = np.intersect1d(
+                            _free_positions(sa), _free_positions(sb), return_indices=True
+                        )
+                        if not take_a.size:
+                            continue
+                        cols_a, cols_b = cols_a[take_a], cols_b[take_b]
+                    shape = (len(cols_a), cols_a.shape[1], cols_b.shape[1])
+                    i = np.broadcast_to(cols_a[:, :, None], shape).ravel()
+                    j = np.broadcast_to(cols_b[:, None, :], shape).ravel()
+                    to = lay.entry_dest(i, j)
+                    if a != b:
+                        mirror = lay.entry_dest(j, i)
+                        both = (to != lay.size) & (mirror != lay.size)
+                        to = np.where(to == lay.size, mirror, to)
+                        mirror_src.append(at + np.flatnonzero(both))
+                        mirror_dest.append(mirror[both])
+                    dest.append(to)
+                    self.pairs.append((a, b, take_a, take_b, slice(at, at + i.size), shape))
+                    at += i.size
+        self.n_products = at
+        none = [np.zeros(0, dtype=np.intp)]
+        self.mirror_src = np.concatenate(mirror_src or none)
+        self.product_dest = np.concatenate(dest + mirror_dest or none)
+        # tangent column and residual row of each per-slot Jacobian entry
+        # of J' r and J d
+        self.grad_dest = np.concatenate([s.cols.ravel() for s in self.free_slots] or none)
+        self.row_dest = np.concatenate(
+            [s.residual_rows.ravel() for s in self.free_slots] or none
+        )
 
     def values(self) -> np.ndarray:
         """The flat value vector of the problem's current values."""
@@ -482,18 +553,21 @@ class _Workspace:
 
     def linearize(
         self, x: np.ndarray, whitened: dict[str, np.ndarray]
-    ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-        """Whitened, robust-scaled Jacobian and residual vector."""
-        data = []
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Whitened, robust-scaled (n, d, k) Jacobian of the free rows of
+        each of `free_slots`, and the residual vector."""
+        jacs = []
         rhs = np.zeros(self.n_rows)
         for r in self.residuals.values():
+            if not self.slots_of[r.id]:
+                continue  # no free rows: nothing to linearize
             row0 = self.rows[r.id]
             slots = self.slots(r, x)
             if r.jac is None:
                 kinds = [self.params[slot[0]].manifold for slot in r.params]
-                jacs = _forward_difference_jacobians(r, slots, kinds)
+                raw = _forward_difference_jacobians(r, slots, kinds)
             else:
-                jacs = r.jac(*slots)
+                raw = r.jac(*slots)
             w = whitened[r.id]
             scale = (
                 np.sqrt(r.loss.weight(np.einsum("ni,ni->n", w, w)))[:, None]
@@ -501,30 +575,78 @@ class _Workspace:
                 else 1.0
             )
             rhs[row0 : row0 + r.rows * r.dim] = (scale * w).ravel()
-            for slot, jac, free in zip(r.params, jacs, self.free_rows[r.id]):
-                if not free.size:
-                    continue
-                jac = np.asarray(jac, dtype=float)
-                expected = (r.rows, r.dim, self.params[slot[0]].dim)
+            for free in map(self.free_slots.__getitem__, self.slots_of[r.id]):
+                jac = np.asarray(raw[free.slot], dtype=float)
+                expected = (r.rows, r.dim, free.cols.shape[1])
                 if jac.shape != expected:
                     raise SolverError(
-                        f"residual '{r.id}': Jacobian for '{slot[0]}' has shape"
-                        f" {jac.shape}, expected {expected}",
+                        f"residual '{r.id}': Jacobian for '{r.params[free.slot][0]}'"
+                        f" has shape {jac.shape}, expected {expected}",
                         block_id=r.id,
                     )
-                jw = (r.whitener @ jac)[free]
+                jw = r.whitener @ jac
+                if free.rows is not None:
+                    jw = jw[free.rows]
                 if not np.all(np.isfinite(jw)):
                     raise SolverError(
                         f"non-finite Jacobian in block '{r.id}'", block_id=r.id
                     )
                 if r.loss:
-                    jw *= scale[free, :, None]
-                data.append(jw.ravel())
-        jac_matrix = scipy.sparse.coo_matrix(
-            (np.concatenate(data or [np.zeros(0)]), self.pattern),
+                    jw *= (scale if free.rows is None else scale[free.rows])[:, :, None]
+                jacs.append(jw)
+        return jacs, rhs
+
+    def normal_equations(self, jacs: list[np.ndarray]) -> "_NormalEquations":
+        """The undamped normal equations J'J of the per-slot Jacobians of
+        :meth:`linearize`: one batched product per pair of free slots, all
+        summed into the layout's storage by one bincount."""
+        # matmul runs its batch far faster on contiguous transposes
+        transposed = [np.ascontiguousarray(jac.transpose(0, 2, 1)) for jac in jacs]
+        products = np.empty(self.n_products + self.mirror_src.size)
+        for a, b, take_a, take_b, at, shape in self.pairs:
+            ja, jb = transposed[a], jacs[b]
+            if take_a is not None:
+                ja, jb = ja[take_a], jb[take_b]
+            np.matmul(ja, jb, out=products[at].reshape(shape))
+        products[self.n_products :] = products[self.mirror_src]
+        storage = np.bincount(self.product_dest, products, minlength=self.layout.storage_size)
+        return self.layout.system(storage)
+
+    def gradient(self, jacs: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+        """J' r of the per-slot Jacobians and the residual vector."""
+        parts = [
+            np.einsum("ndk,nd->nk", jac, rhs[s.residual_rows]).ravel()
+            for s, jac in zip(self.free_slots, jacs)
+        ]
+        return np.bincount(
+            self.grad_dest, np.concatenate(parts or [np.zeros(0)]), minlength=self.n_tangent
+        )
+
+    def curvature(self, jacs: list[np.ndarray], delta: np.ndarray) -> float:
+        """|J delta|^2 of the per-slot Jacobians."""
+        parts = [
+            np.einsum("ndk,nk->nd", jac, delta[s.cols]).ravel()
+            for s, jac in zip(self.free_slots, jacs)
+        ]
+        moved = np.bincount(
+            self.row_dest, np.concatenate(parts or [np.zeros(0)]), minlength=self.n_rows
+        )
+        return float(moved @ moved)
+
+    def hessian(self, jacs: list[np.ndarray]) -> scipy.sparse.csr_matrix:
+        """J'J as a sparse matrix, for the rank diagnosis of a system whose
+        factorization failed."""
+        none = np.zeros(0, dtype=np.intp)
+        data, rows, cols = [np.zeros(0)], [none], [none]
+        for s, jac in zip(self.free_slots, jacs):
+            data.append(jac.ravel())
+            rows.append(np.broadcast_to(s.residual_rows[:, :, None], jac.shape).ravel())
+            cols.append(np.broadcast_to(s.cols[:, None, :], jac.shape).ravel())
+        jac = scipy.sparse.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.n_rows, self.n_tangent),
-        ).tocsr()
-        return jac_matrix, rhs
+        )
+        return (jac.T @ jac).tocsr()
 
     def apply_step(self, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """The value vector moved by a tangent step, one retraction per kind."""
@@ -539,6 +661,11 @@ def _workspace(problem: Problem) -> _Workspace:
     if problem._workspace is None:
         problem._workspace = _Workspace(problem)
     return problem._workspace
+
+
+def _free_positions(slot: _FreeSlot) -> np.ndarray:
+    """Positions in its residual block of a slot's free rows."""
+    return np.arange(len(slot.cols)) if slot.rows is None else slot.rows
 
 
 def _forward_difference_jacobians(
@@ -609,6 +736,9 @@ class _Layout:
     trash entry that padding is scattered to. Each eliminated point couples
     to its incidences, the retained blocks it shares rows with; every pair
     of incidences of one point adds a block of that point's Schur term.
+    The assembled normal equations are stored as that buffer, the (M, D, 3)
+    coupling rows of the incidences and the (P, 3, 3) point blocks, one
+    after the other in one vector.
     """
 
     def __init__(self, dims, offsets, edges, incidences, n_points):
@@ -654,6 +784,11 @@ class _Layout:
         rows = self.inc_index[self.pair_a][:, :, None]
         cols = self.inc_index[self.pair_b][:, None, :]
         self.pair_dest = self.dest(rows, cols)
+        # the assembled system's storage: the buffer with its trash entry,
+        # the (M, D, 3) coupling rows, the (P, 3, 3) point blocks
+        self.coupling_start = self.size + 1
+        self.points_start = self.coupling_start + self.inc_index.size * 3
+        self.storage_size = self.points_start + 9 * n_points
 
     def dest(self, i, j):
         """Buffer index of retained entry (i, j); the trash entry for
@@ -664,28 +799,46 @@ class _Layout:
         at = np.where(i < n, (i - j) * n + j, np.where(j < n, coupling, border))
         return np.where((i < self.n) & (j <= i), at, self.size)
 
-    def normal_equations(self, hess) -> "_NormalEquations":
-        """Gather the undamped system H from the sparse Gauss-Newton Hessian."""
-        hess = hess.tocsr()
-        hess.sum_duplicates()
-        coo = hess.tocoo()
-        r, c, v = coo.row, coo.col, coo.data
+    def entry_dest(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Storage index of each tangent entry H[i, j]: in the buffer for a
+        retained pair, the coupling rows for a retained row and a point
+        column, the point blocks for a pair within one point. The trash
+        entry for the retained upper triangle and for a point row outside
+        its own block, whose transposes are stored."""
         n = self.n
-        lower = (r < n) & (c <= r)
-        buffer = np.bincount(
-            self.dest(r[lower], c[lower]), v[lower], minlength=self.size + 1
+        at = self.dest(i, j)
+        point_j, k_j = np.divmod(j - n, 3)
+        coupling = (i < n) & (j >= n)
+        if coupling.any():
+            rows = i[coupling]
+            keys = point_j[coupling] * self.n_blocks + self.block_of[rows]
+            inc = np.searchsorted(self.inc_keys, keys)
+            width = self.inc_index.shape[1]
+            at[coupling] = (
+                self.coupling_start
+                + (inc * width + self.block_offset[rows]) * 3
+                + k_j[coupling]
+            )
+        own = (i >= n) & (j >= n)  # a row reads at most one point
+        at[own] = self.points_start + (i[own] - n) * 3 + k_j[own]
+        return at
+
+    def system(self, storage: np.ndarray) -> "_NormalEquations":
+        """The normal equations held in an assembled storage vector; the
+        damping diagonal is H's, floored at 1e-12."""
+        buffer = storage[: self.coupling_start]
+        coupling = storage[self.coupling_start : self.points_start].reshape(
+            self.inc_index.shape + (3,)
         )
-        couple = (r < n) & (c >= n)
-        point, k = np.divmod(c[couple] - n, 3)
-        rows = r[couple]
-        inc = np.searchsorted(self.inc_keys, point * self.n_blocks + self.block_of[rows])
-        coupling = np.zeros(self.inc_index.shape + (3,))
-        coupling[inc, self.block_offset[rows], k] = v[couple]
-        own = (r >= n) & (c >= n)
-        points = np.zeros((self.n_points, 3, 3))
-        points[(r[own] - n) // 3, (r[own] - n) % 3, (c[own] - n) % 3] = v[own]
-        diag = np.maximum(hess.diagonal(), 1e-12)
-        return _NormalEquations(self, buffer, coupling, points, diag)
+        points = storage[self.points_start :].reshape(-1, 3, 3)
+        diag = np.concatenate(
+            [
+                buffer[: self.band_n],
+                buffer[self.border_at : self.size : self.nb + 1],
+                np.diagonal(points, axis1=1, axis2=2).ravel(),
+            ]
+        )
+        return _NormalEquations(self, buffer, coupling, points, np.maximum(diag, 1e-12))
 
 
 @dataclass
@@ -875,10 +1028,12 @@ class _BandInverse:
         )
 
 
-def _model_decrease(jac, grad: np.ndarray, delta: np.ndarray) -> float:
+def _model_decrease(
+    ws: _Workspace, jacs: list[np.ndarray], grad: np.ndarray, delta: np.ndarray
+) -> float:
     """Largest decrease of the Gauss-Newton model along `delta`, taken at
     its best step length, so heavy damping alone does not shrink it."""
-    curvature = float(np.sum((jac @ delta) ** 2))
+    curvature = ws.curvature(jacs, delta)
     slope = float(grad @ delta)
     return slope * slope / (2.0 * curvature) if curvature > 0.0 else 0.0
 
@@ -904,9 +1059,9 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
     termination = "max_iterations"
 
     for iterations in range(1, options.max_iters + 1):
-        jac, rhs = ws.linearize(x, whitened)
-        grad = jac.T @ rhs
-        system = ws.layout.normal_equations(jac.T @ jac)
+        jacs, rhs = ws.linearize(x, whitened)
+        grad = ws.gradient(jacs, rhs)
+        system = ws.normal_equations(jacs)
 
         promised = None  # model decrease along the least-damped step
         while lam <= _LAMBDA_MAX:
@@ -919,7 +1074,7 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
                 lam *= 10.0
                 continue
             if promised is None:
-                promised = _model_decrease(jac, grad, delta)
+                promised = _model_decrease(ws, jacs, grad, delta)
             trial = ws.apply_step(x, delta)
             trial_cost, trial_whitened = ws.try_evaluate(trial)
             if trial_cost < cost:
@@ -992,15 +1147,14 @@ def marginal_covariances(
     ws = _workspace(problem)
     x = ws.values()
     _, whitened = ws.evaluate(x)
-    jac, _ = ws.linearize(x, whitened)
-    hess = jac.T @ jac
+    jacs, _ = ws.linearize(x, whitened)
     try:
-        factor = ws.layout.normal_equations(hess).factor(0.0)
+        factor = ws.normal_equations(jacs).factor(0.0)
         pivots = factor.squared_pivots()
         if pivots.min(initial=np.inf) < 1e-12 * max(pivots.max(initial=0.0), 1.0):
             raise np.linalg.LinAlgError("near-singular factorization")
     except np.linalg.LinAlgError:
-        nullity = _estimate_nullity(hess)
+        nullity = _estimate_nullity(ws.hessian(jacs))
         raise RankDeficientError(
             f"Gauss-Newton Hessian is rank-deficient"
             f" (null-space dimension {nullity}); fix the gauge first",
@@ -1014,12 +1168,17 @@ def marginal_covariances(
 
 
 def _estimate_nullity(hess) -> int:
+    """The number of eigenvalues of H below 1e-10 of its largest (at least
+    1). Above 2000 unknowns the smallest are found by shift-invert just
+    below the spectrum, where H - sigma I stays positive definite."""
     n = hess.shape[0]
     if n <= 2000:
         w = np.linalg.eigvalsh(hess.toarray())
         scale = max(float(w.max()), 1.0)
-        return int(np.sum(w < 1e-10 * scale))
-    k = min(12, n - 1)
-    w = scipy.sparse.linalg.eigsh(hess, k=k, sigma=0.0, return_eigenvectors=False)
-    return int(np.sum(np.abs(w) < 1e-10))
-
+    else:
+        top = scipy.sparse.linalg.eigsh(hess, k=1, which="LA", return_eigenvectors=False)
+        scale = max(float(top[0]), 1.0)
+        w = scipy.sparse.linalg.eigsh(
+            hess, k=min(12, n - 1), sigma=-1e-6 * scale, return_eigenvectors=False
+        )
+    return int(np.sum(w < 1e-10 * scale))

@@ -379,13 +379,22 @@ def test_schur_step_matches_sparse_solve_in_linear_memory():
         p.add_parameter_block(f"pt{j}", np.zeros(3), eliminate=True)
     point = np.repeat(np.arange(n_pts), 4)
     pose = rng.integers(n_poses, size=len(point))
-    # the rows that give the normal equations their structure
+    # the rows that give the normal equations their structure, and one
+    # identity row per unknown, so that H = J'J + I
+    values = rng.normal(size=(len(point), 9))
+    jac_pose, jac_point = values[:, None, :6], values[:, None, 6:]
     p.add_stacked_block(
         lambda t, q: q[:, :1],
         [[f"pose{i}" for i in pose], [f"pt{j}" for j in point]],
         np.eye(1),
+        jac=lambda t, q: [jac_pose, jac_point],
     )
+    for ids, dim in (([f"pose{i}" for i in range(n_poses)], 6), (list(p.params)[n_poses:], 3)):
+        eye = np.broadcast_to(np.eye(dim), (len(ids), dim, dim))
+        p.add_stacked_block(lambda v: v, [ids], np.eye(dim), jac=lambda v, eye=eye: [eye])
     ws = solver._Workspace(p)
+    x = ws.values()
+    jacs, _ = ws.linearize(x, ws.evaluate(x)[1])
     cols = np.hstack(
         [
             6 * pose[:, None] + np.arange(6),
@@ -393,24 +402,24 @@ def test_schur_step_matches_sparse_solve_in_linear_memory():
         ]
     )
     jac = scipy.sparse.csr_matrix(
-        (rng.normal(size=cols.size), cols.ravel(), np.arange(0, cols.size + 1, 9)),
+        (values.ravel(), cols.ravel(), np.arange(0, cols.size + 1, 9)),
         shape=(len(point), ws.n_tangent),
     )
-    hess = (jac.T @ jac + scipy.sparse.identity(ws.n_tangent)).tocsr()
+    hess = (jac.T @ jac + scipy.sparse.identity(ws.n_tangent)).tocsc()
     grad = rng.normal(size=ws.n_tangent)
 
     tracemalloc.start()
     try:
-        step = ws.layout.normal_equations(hess).factor(0.0).solve(grad)
+        step = ws.normal_equations(jacs).factor(0.0).solve(grad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    expected = scipy.sparse.linalg.spsolve(hess.tocsc(), -grad)
+    expected = scipy.sparse.linalg.spsolve(hess, -grad)
     np.testing.assert_allclose(step, expected, rtol=1e-9, atol=1e-12)
     assert peak < 50e6
 
 
-def linear_rows(p: Problem, slots, dim: int, rng, rid: str):
+def linear_rows(p: Problem, slots, dim: int, rng, rid: str, loss=None):
     """N stacked linear rows sum_s M_s x_s - b on Euclidean blocks, with
     random (N, dim, k) matrices per slot."""
     k = [p.params[slot[0]].dim for slot in slots]
@@ -420,7 +429,7 @@ def linear_rows(p: Problem, slots, dim: int, rng, rid: str):
     def fn(*values):
         return sum(np.einsum("nij,nj->ni", m, v) for m, v in zip(mats, values)) - b
 
-    p.add_stacked_block(fn, slots, np.eye(dim), jac=lambda *values: mats, rid=rid)
+    p.add_stacked_block(fn, slots, np.eye(dim), jac=lambda *values: mats, rid=rid, loss=loss)
 
 
 def block_problem(seed: int, chain: int, border: int, points: int, far_point: bool):
@@ -457,12 +466,56 @@ def block_problem(seed: int, chain: int, border: int, points: int, far_point: bo
     return p
 
 
+def extended_block_problem(seed: int, **case):
+    """A block problem with rows the assembly treats apart: a Huber loss
+    active on some rows, slots that mix constant and free blocks, a block
+    named by two slots of one row and a point named by two slots of one
+    row."""
+    p = block_problem(seed, **case)
+    rng = np.random.default_rng(100 + seed)
+    p.add_parameter_block("k6", rng.normal(size=6), constant=True)
+    p.add_parameter_block("k3", rng.normal(size=3), constant=True)
+    linear_rows(p, [["c0", "k6", "c2", "k6"], ["c1", "c1", "k3", "c3"]], 3, rng, "mixed")
+    linear_rows(p, [["c4", "c6"], ["c4", "c8"]], 4, rng, "twice")
+    linear_rows(p, [["pt0"], ["c0"], ["pt0"]], 2, rng, "point-twice")
+    linear_rows(
+        p, [[f"c{i}" for i in range(0, 12, 2)], ["k3", "c1", "c3", "c5", "k3", "k3"]], 2, rng,
+        "huber", HuberLoss(4.0),
+    )
+    return p
+
+
 def dense_system(p: Problem):
+    """The workspace, and J'J and J'r from the whitened, robust-scaled
+    dense Jacobian, built row by row."""
     ws = solver._Workspace(p)
     x = ws.values()
-    _, whitened = ws.evaluate(x)
-    jac, rhs = ws.linearize(x, whitened)
-    return ws, jac.T @ jac, jac.T @ rhs
+    jac = np.zeros((ws.n_rows, ws.n_tangent))
+    res = np.zeros(ws.n_rows)
+    for r in p.residuals.values():
+        slots = ws.slots(r, x)
+        raw, jacs = r.fn(*slots), r.jac(*slots)
+        whitener = np.broadcast_to(r.whitener, (r.rows, r.dim, r.dim))
+        for n in range(r.rows):
+            w = whitener[n] @ raw[n]
+            scale = np.sqrt(r.loss.weight(w @ w)) if r.loss else 1.0
+            row = ws.rows[r.id] + n * r.dim
+            res[row : row + r.dim] = scale * w
+            for slot, j in zip(r.params, jacs):
+                block = p.params[slot[n]]
+                if not block.constant:
+                    at = ws.offsets[slot[n]]
+                    jac[row : row + r.dim, at : at + block.dim] += scale * whitener[n] @ j[n]
+    assert np.isfinite(res).all() and np.abs(res).max() > 0.0
+    return ws, jac.T @ jac, jac.T @ res
+
+
+def assembled(ws):
+    """The per-slot linearization at the problem's values: the normal
+    equations and the gradient."""
+    x = ws.values()
+    jacs, rhs = ws.linearize(x, ws.evaluate(x)[1])
+    return ws.normal_equations(jacs), ws.gradient(jacs, rhs)
 
 
 BLOCK_PROBLEMS = {
@@ -482,11 +535,58 @@ def test_band_border_step_matches_dense_solve(case, seed, lam):
         assert lay.band_n > 0 and lay.nb > 0
     if case == "no-border":
         assert lay.nb == 0 and lay.band_n == lay.n
-    dense = hess.toarray()
-    dense += lam * np.diag(np.maximum(np.diagonal(dense), 1e-12))
+    dense = hess + lam * np.diag(np.maximum(np.diagonal(hess), 1e-12))
     expected = np.linalg.solve(dense, -grad)
-    step = lay.normal_equations(hess).factor(lam).solve(grad)
+    system, gradient = assembled(ws)
+    step = system.factor(lam).solve(gradient)
     assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_PROBLEMS))
+@pytest.mark.parametrize("seed", range(3))
+def test_assembly_matches_dense_normal_equations(case, seed):
+    p = extended_block_problem(seed, **BLOCK_PROBLEMS[case])
+    ws, hess, grad = dense_system(p)
+    lay = ws.layout
+    n = lay.n
+    system, gradient = assembled(ws)
+    scale = np.abs(hess).max()
+
+    # the Huber loss down-weights some rows of its block, not all
+    huber = ws.evaluate(ws.values())[1]["huber"]
+    assert 0 < np.sum(np.sum(huber**2, axis=1) > 4.0**2) < len(huber)
+
+    # the retained system, lower triangle, at its buffer positions; the
+    # band holds every nonzero of its rows, and the trash entry is not read
+    i, j = np.tril_indices(n)
+    stored = (i >= lay.band_n) | (i - j <= lay.kd)
+    assert not hess[i[~stored], j[~stored]].any()
+    expected = np.zeros(lay.size + 1)
+    expected[lay.dest(i[stored], j[stored])] = hess[i[stored], j[stored]]
+    np.testing.assert_allclose(
+        system.buffer[: lay.size], expected[: lay.size], rtol=0.0, atol=1e-12 * scale
+    )
+
+    # coupling rows of each (point, retained block) incidence; the padding
+    # of narrower blocks stays zero
+    padded = np.vstack([hess[:n], np.zeros((1, hess.shape[1]))])
+    cols = n + 3 * lay.inc_point[:, None] + np.arange(3)
+    coupling = padded[lay.inc_index[:, :, None], cols[:, None, :]]
+    np.testing.assert_allclose(system.coupling, coupling, rtol=0.0, atol=1e-12 * scale)
+    # every point-block coupling of H is held by some incidence row
+    held = np.zeros((n, hess.shape[1] - n), dtype=bool)
+    m, d = np.nonzero(lay.inc_index < n)
+    held[lay.inc_index[m, d][:, None], cols[m] - n] = True
+    assert not hess[:n, n:][~held].any()
+
+    points = np.stack(
+        [hess[n + 3 * k : n + 3 * k + 3, n + 3 * k : n + 3 * k + 3] for k in range(lay.n_points)]
+    )
+    np.testing.assert_allclose(system.points, points, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(
+        system.diag, np.maximum(np.diagonal(hess), 1e-12), rtol=0.0, atol=1e-12 * scale
+    )
+    np.testing.assert_allclose(gradient, grad, rtol=0.0, atol=1e-12 * np.abs(grad).max())
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_PROBLEMS))
@@ -494,7 +594,7 @@ def test_band_border_step_matches_dense_solve(case, seed, lam):
 def test_band_border_marginals_match_dense_inverse(case, seed):
     p = block_problem(seed, **BLOCK_PROBLEMS[case])
     ws, hess, _ = dense_system(p)
-    inverse = np.linalg.inv(hess.toarray())
+    inverse = np.linalg.inv(hess)
     retained = [pid for pid, b in p.params.items() if not b.eliminate]
     covs = marginal_covariances(p, retained)
     for pid in retained:
@@ -519,6 +619,26 @@ def test_near_singular_hessian_reports_nullity():
     np.linalg.cholesky(mat.T @ mat)
     with pytest.raises(RankDeficientError) as exc:
         marginal_covariances(p, ["x"])
+    assert exc.value.nullity == 1
+
+
+def test_rank_deficiency_above_2000_unknowns_reports_nullity():
+    # differences of 2100 consecutive scalars, measured to 1e-6: H is 1e12
+    # times a path graph's Laplacian, singular along the constant vector
+    # only, so its null eigenvalue is round-off far above 1e-10
+    n = 2100
+    p = Problem()
+    for i in range(n):
+        p.add_parameter_block(f"x{i}", np.array([float(i % 7)]))
+    ones = np.ones((n - 1, 1, 1))
+    p.add_stacked_block(
+        lambda a, b: b - a,
+        [[f"x{i}" for i in range(n - 1)], [f"x{i}" for i in range(1, n)]],
+        np.eye(1) * 1e-12,
+        jac=lambda a, b: [-ones, ones],
+    )
+    with pytest.raises(RankDeficientError) as exc:
+        marginal_covariances(p, ["x0"])
     assert exc.value.nullity == 1
 
 

@@ -7,9 +7,9 @@
 seed-1 realizations 0-2 of both benchmark workloads and saves, per run: the
 keyframe positions, rotations, velocities and biases, the pose
 covariances, the variance factors of every reweighting round, the CP
-errors, the iteration count and termination of every Levenberg-Marquardt
-solve, and the skipped CPs and tracks. From the eval stage's
-`triangulation.triangulate_all` it records every CP's position,
+errors, the iteration count, termination and cost history of every
+Levenberg-Marquardt solve, and the skipped CPs and tracks. From the eval
+stage's `triangulation.triangulate_all` it records every CP's position,
 covariance, mean reprojection error and inlier (image, camera) ids, and
 the failures; from fusion, the landmark ids and positions. `--src` names the `src/` directory
 of the `vigt` to run (default: this checkout's); the benchmark code is
@@ -18,10 +18,15 @@ always this checkout's, read-only.
 `compare` prints the largest deviation of each quantity over all runs:
 absolute for positions, rotations, velocities, biases, CP errors, CP and
 landmark positions and CP mean errors, relative to each block's largest
-entry for pose and CP covariances, relative for variance factors, and
-equal or not for the iteration counts, terminations, skipped items,
-inlier sets, triangulation failures and landmark ids. The exit code is 1 when a discrete
-quantity differs.
+entry for pose and CP covariances, relative for variance factors and
+cost histories, and equal or not for the iteration counts, terminations,
+skipped items, inlier sets, triangulation failures and landmark ids. The
+exit code is 1 when a discrete quantity differs. Cost histories are
+compared over the accepted steps both solves made; a solve that accepted
+one step more or fewer is listed but does not fail the comparison: a step
+at the numerical floor, which lowers the cost by less than
+`solver.CONVERGENCE_TOL` of it, may be accepted or not by round-off
+alone, and both end as converged after the same number of iterations.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ ABSOLUTE = (
     "landmarks",
 )
 PER_BLOCK = ("pose_covariances", "tri_covariances")
-RELATIVE = ("variance_factors",)
+RELATIVE = ("variance_factors", "cost_history")
 DISCRETE = (
     "iterations",
     "terminations",
@@ -76,6 +81,14 @@ def _triangulations(tris: dict, failures: dict) -> dict[str, np.ndarray]:
         ),
         "tri_failures": np.array([f"{c}: {failures[c]}" for c in sorted(failures)], dtype=str),
     }
+
+
+def _padded(rows: list[list[float]]) -> np.ndarray:
+    """The rows as one array, NaN past the end of each."""
+    out = np.full((len(rows), max(len(r) for r in rows)), np.nan)
+    for k, row in enumerate(rows):
+        out[k, : len(row)] = row
+    return out
 
 
 def _run(workload: str, realization: int) -> dict[str, np.ndarray]:
@@ -129,6 +142,7 @@ def _run(workload: str, realization: int) -> dict[str, np.ndarray]:
         "cp_errors": np.array([out.errors[c] for c in sorted(out.errors)]),
         "iterations": np.array([r.iterations for r in reports]),
         "terminations": np.array([r.termination for r in reports]),
+        "cost_history": _padded([r.cost_history for r in reports]),
         "skipped_cps": np.array(sorted(out.fp.skipped_cps), dtype=str),
         "skipped_tracks": np.array(sorted(out.fp.skipped_tracks), dtype=str),
     }
@@ -146,6 +160,10 @@ def dump(path: str, src: Path) -> None:
 
 
 def _deviation(name: str, a: np.ndarray, b: np.ndarray) -> float:
+    if name == "cost_history" and len(a) == len(b):  # the steps both solves accepted
+        width = min(a.shape[1], b.shape[1])
+        a, b = a[:, :width], b[:, :width]
+        a, b = np.where(np.isnan(b), np.nan, a), np.where(np.isnan(a), np.nan, b)
     if a.shape != b.shape:
         return np.inf
     if name in PER_BLOCK:
@@ -170,8 +188,12 @@ def compare(path_a: str, path_b: str) -> int:
         if name in DISCRETE:
             if not np.array_equal(a[key], b[key]):
                 differs.setdefault(name, []).append(key)
-        else:
-            worst[name] = max(worst.get(name, 0.0), _deviation(name, a[key], b[key]))
+            continue
+        worst[name] = max(worst.get(name, 0.0), _deviation(name, a[key], b[key]))
+        if name == "cost_history" and len(a[key]) == len(b[key]):
+            steps_a, steps_b = (np.sum(~np.isnan(x), axis=1) - 1 for x in (a[key], b[key]))
+            for k in np.flatnonzero(steps_a != steps_b):
+                print(f"{key}: solve {k} accepted {steps_a[k]} and {steps_b[k]} steps")
     for name in ABSOLUTE + PER_BLOCK + RELATIVE:
         kind = "absolute" if name in ABSOLUTE else "relative"
         print(f"{name:18s} largest {kind} deviation {worst[name]:.3e}")

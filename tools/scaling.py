@@ -7,7 +7,10 @@ Builds one seeded synthetic scene per case and times
 the CP proxies and landmarks (`fusion.triangulate_all`, or the per-point
 `fusion.triangulate_cp` of older sources; also reported on its own), and
 `fusion.optimize_pseudo_gt`, whose time includes `marginal_covariances`
-(also reported on its own). Scene:
+(also reported on its own). It also counts the Levenberg-Marquardt
+iterations of the optimize's `fusion.solve` calls and reports the optimize
+time per iteration, so that a change in the cost of an iteration can be
+told apart from a change in their number. Scene:
 `SynthConfig(seed=21, cam_rate_hz=10, cp_count=max(4, T/2),
 cp_2d_fraction=0.5, detection_sigma_px=0.5, cp_noise_scale=1)` for a
 length of T seconds, the true world trajectory with 2 cm white position
@@ -69,6 +72,23 @@ def _scene(length: int, landmarks: int):
 
 
 @contextlib.contextmanager
+def _iterations(module, counts: list[int]):
+    """Add the iterations of every `module.solve` call to `counts`."""
+    fn = module.solve
+
+    def counted(*args, **kwargs):
+        report = fn(*args, **kwargs)
+        counts[-1] += report.iterations
+        return report
+
+    module.solve = counted
+    try:
+        yield
+    finally:
+        module.solve = fn
+
+
+@contextlib.contextmanager
 def _timing(module, name: str, seconds: list[float]):
     """Add the time of every call of `module.name` to `seconds`."""
     fn = getattr(module, name)
@@ -93,13 +113,14 @@ def _run_case(length: int, landmarks: int, repeat: int) -> dict:
     world, rig, detections, imu, init = _scene(length, landmarks)
     config = fusion.FusionConfig(keyframe_stride=3)
     triangulate = "triangulate_all" if hasattr(fusion, "triangulate_all") else "triangulate_cp"
-    builds, optimizes, triangulate_s, marginal_s = [], [], [], []
+    builds, optimizes, triangulate_s, marginal_s, iterations = [], [], [], [], []
     with _timing(fusion, triangulate, triangulate_s), _timing(
         fusion, "marginal_covariances", marginal_s
-    ):
+    ), _iterations(fusion, iterations):
         for _ in range(repeat):
             triangulate_s.append(0.0)
             marginal_s.append(0.0)
+            iterations.append(0)
             t0 = time.perf_counter()
             fp = fusion.build_fusion_problem(
                 init, detections.tracks, detections.cp_observations, world.cps, imu, rig, config
@@ -119,6 +140,8 @@ def _run_case(length: int, landmarks: int, repeat: int) -> dict:
         "triangulate_s": statistics.median(triangulate_s),
         "optimize_s": statistics.median(optimizes),
         "marginals_s": statistics.median(marginal_s),
+        "lm_iters": statistics.median(iterations),
+        "optimize_ms_per_iter": 1e3 * statistics.median(optimizes) / statistics.median(iterations),
     }
 
 
@@ -133,12 +156,13 @@ def main(argv=None) -> int:
     print(
         f"{'length':>6s} {'landmarks':>9s} {'keyframes':>9s} {'unknowns':>8s}"
         f" {'build':>8s} {'triangulate':>11s} {'optimize':>9s} {'marginals':>9s}"
+        f" {'LM iters':>8s} {'per iter':>9s}"
     )
     for r in rows:
         print(
             f"{r['length_s']:5d}s {r['landmarks']:9d} {r['keyframes']:9d} {r['unknowns']:8d}"
             f" {r['build_s']:7.3f}s {r['triangulate_s']:10.3f}s {r['optimize_s']:8.3f}s"
-            f" {r['marginals_s']:8.3f}s"
+            f" {r['marginals_s']:8.3f}s {r['lm_iters']:8g} {r['optimize_ms_per_iter']:7.2f}ms"
         )
     optimize = {r["length_s"]: r["optimize_s"] for r in rows if r["landmarks"] == 0}
     ratios = {"30/10": optimize[30] / optimize[10], "90/30": optimize[90] / optimize[30]}
