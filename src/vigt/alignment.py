@@ -191,7 +191,8 @@ def joint_sparse_align(
     Reprojection factors keep each proxy glued to its detections while the
     survey factors pull the transformed proxies onto the measured control
     points; both are whitened by their own covariances. 2D control points
-    contribute horizontal components only.
+    contribute horizontal components only. The detections of every proxy
+    form one stacked reprojection block, each row naming its proxy.
     """
     by_id = {cp.cp_id: cp for cp in cps}
     usable = [
@@ -214,23 +215,22 @@ def joint_sparse_align(
 
     problem = Problem()
     problem.add_parameter_block("T", init)
-    loss = HuberLoss()
+    rows: list[tuple[Observation, str]] = []
     for cid in usable:
         tri = triangulations[cid]
         pid = f"proxy:{cid}"
         problem.add_parameter_block(pid, tri.position.copy())
-
-        obs_list = tri.inliers if observations is None else observations[cid]
-        views = ViewSet.build(obs_list, poses, rig)
-        problem.add_stacked_block(
-            views.residuals,
-            [[pid] * len(views.observations)],
-            np.stack([o.pixel_cov for o in views.observations]),
-            group="marker-reprojection",
-            jac=lambda proxies, views=views: [views.jacobians(proxies)],
-            loss=loss,
-            rid=f"reproj:{cid}",
-        )
+        rows += [(o, pid) for o in (tri.inliers if observations is None else observations[cid])]
+    views = ViewSet.build([o for o, _ in rows], poses, rig)
+    problem.add_stacked_block(
+        views.residuals,
+        [[pid for _, pid in rows]],
+        np.stack([o.pixel_cov for o in views.observations]),
+        group="marker-reprojection",
+        jac=lambda proxies: [views.jacobians(proxies)],
+        loss=HuberLoss(),
+        rid="marker-reprojection",
+    )
 
     for dim in dict.fromkeys(by_id[cid].dim for cid in usable):
         same = [cid for cid in usable if by_id[cid].dim == dim]

@@ -1042,8 +1042,9 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
     """Minimize the problem in place; returns the report.
 
     Terminations: "converged" (a step lowered the cost by at most
-    CONVERGENCE_TOL of it, the cost reached the zero-residual floor, or no
-    damping lowers the cost at the numerical floor), "no_progress" (no
+    CONVERGENCE_TOL of it, the cost reached the zero-residual floor, or a
+    trial was rejected at the numerical floor, where the model promises a
+    decrease of at most CONVERGENCE_TOL of the cost), "no_progress" (no
     damping lowers the cost, though the model promises a decrease) and
     "max_iterations".
     """
@@ -1064,6 +1065,7 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
         system = ws.normal_equations(jacs)
 
         promised = None  # model decrease along the least-damped step
+        trial_cost = np.inf
         while lam <= _LAMBDA_MAX:
             try:
                 delta = system.factor(lam).solve(grad)
@@ -1077,10 +1079,12 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
                 promised = _model_decrease(ws, jacs, grad, delta)
             trial = ws.apply_step(x, delta)
             trial_cost, trial_whitened = ws.try_evaluate(trial)
-            if trial_cost < cost:
+            # a rejected trial at the numerical floor ends the search: more
+            # damping cannot lower the cost by more than the tolerance
+            if trial_cost < cost or promised <= CONVERGENCE_TOL * cost:
                 break
             lam *= 10.0
-        else:
+        if not trial_cost < cost:
             # no damping lowers the cost: at the numerical floor only if the
             # model promised no more than the convergence tolerance
             floor = promised is not None and promised <= CONVERGENCE_TOL * cost

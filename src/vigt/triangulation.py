@@ -10,7 +10,10 @@ in one call:
   midpoint hypotheses of all points are scored in passes over flat
   (hypothesis, view) entries. Local optimization runs in rounds: in each,
   every point takes its next hypothesis, in its own order, that beats its
-  best so far, and all of those are refined in one batched call.
+  best so far, and all of those are refined in one batched call. A point
+  refines each distinct inlier set once, which bounds the cost of LO
+  (Lebeda, Matas & Chum, "Fixing the Locally Optimized RANSAC", BMVC
+  2012); a later hypothesis with the same set takes the first outcome.
 - Refinement: one Levenberg-Marquardt loop over (P, 3) points, each with
   its own damping and stopping rule (`ViewSet.refine`).
 - Covariance: the inverse Gauss-Newton Hessian of every point at once.
@@ -433,20 +436,38 @@ def _local_optimization(
     counts: np.ndarray,
     means: np.ndarray,
     threshold: float,
+    memos: Sequence[dict],
 ):
     """Refine one hypothesis per point of `views` ((n_points, 3) points,
-    (N,) inlier mask, their inlier counts and mean errors) on its inliers,
-    all in one batched call. A refined point replaces its hypothesis only if
-    it keeps 2 or more inliers; otherwise the hypothesis stays, with its own
-    score. Returns the points, inlier mask, counts and means."""
-    refined = views.take(np.flatnonzero(inliers)).refine(points)
-    new, new_counts, new_means = _inlier_scores(
-        views.point, views._errors(None, refined[views.point]), threshold, views.n_points
-    )
+    (N,) inlier mask, their inlier counts and mean errors) on its inliers.
+    A refined point replaces its hypothesis only if it keeps 2 or more
+    inliers; otherwise the hypothesis stays, with its own score. Returns the
+    points, inlier mask, counts and means.
+
+    Each inlier set is refined once: `memos` holds one dict per point,
+    keyed by the bytes of an inlier mask over that point's views, with the
+    outcome of the first refinement of that set (refined point, its inlier
+    mask, count and mean). A hypothesis whose set is in its memo takes the
+    stored outcome, under the same 2-inlier rule; the others are refined in
+    one batched call, none when every set is known."""
+    keys = [m.tobytes() for m in np.split(inliers, views.starts[1:-1])]
+    miss = np.array([key not in memo for key, memo in zip(keys, memos)], dtype=bool)
+    if miss.any():
+        rows = np.flatnonzero(miss[views.point])
+        fresh = views.take(rows, point=(np.cumsum(miss) - 1)[views.point[rows]])
+        refined = fresh.take(np.flatnonzero(inliers[rows])).refine(points[miss])
+        new, new_counts, new_means = _inlier_scores(
+            fresh.point, fresh._errors(None, refined[fresh.point]), threshold, fresh.n_points
+        )
+        masks = np.split(new, fresh.starts[1:-1])
+        for k, p in enumerate(np.flatnonzero(miss)):
+            memos[p][keys[p]] = refined[k], masks[k], new_counts[k], new_means[k]
+    refined, new, new_counts, new_means = zip(*(memo[key] for key, memo in zip(keys, memos)))
+    new_counts = np.array(new_counts)
     ok = new_counts >= 2
     return (
         np.where(ok[:, None], refined, points),
-        np.where(ok[views.point], new, inliers),
+        np.where(ok[views.point], np.concatenate(new), inliers),
         np.where(ok, new_counts, counts),
         np.where(ok, new_means, means),
     )
@@ -455,7 +476,12 @@ def _local_optimization(
 def _lo_ransac(views: ViewSet, config: TriangulationConfig):
     """LO-RANSAC of every point of `views`, as `triangulate_ransac` of each
     alone: the (n_points, 3) points, the (N,) inlier mask of their views,
-    and the error of each point that fails, keyed by point."""
+    and the error of each point that fails, keyed by point.
+
+    Each point keeps a memo of the inlier sets it has refined: a hypothesis
+    whose inlier set is in it takes the outcome of that set's first
+    refinement, and a round in which no point has a new set refines
+    nothing."""
     n_points = views.n_points
     centers, rays, unprojection = views.centers_and_rays()
     failures: dict[int, VigtError] = dict(unprojection)
@@ -504,11 +530,13 @@ def _lo_ransac(views: ViewSet, config: TriangulationConfig):
         failed[p] = True
 
     # local optimization in rounds: every point refines its next hypothesis
-    # that beats its best so far, all points in one batched call. Bests only
-    # rise, so a hypothesis that does not beat its point's best never will.
+    # that beats its best so far, all points in one batched call, each
+    # inlier set once. Bests only rise, so a hypothesis that does not beat
+    # its point's best never will.
     best_point = np.zeros((n_points, 3))
     best_inliers = np.zeros(len(views.b), dtype=bool)
     best_count, best_mean = np.full(n_points, -1), np.full(n_points, np.inf)
+    memos: list[dict] = [{} for _ in range(n_points)]
     pending = np.flatnonzero(candidate)  # in point order, then own order
     while True:
         owner = pair_point[pending]
@@ -529,6 +557,7 @@ def _lo_ransac(views: ViewSet, config: TriangulationConfig):
             counts[sel],
             means[sel],
             config.threshold_px,
+            [memos[p] for p in points],
         )
         better = _beats(count, mean, best_count[points], best_mean[points])
         won = points[better]
@@ -651,9 +680,11 @@ def triangulate_ransac(
     """LO-RANSAC triangulation: returns (point, inlier indices).
 
     Two-view midpoint hypotheses rank by inlier count, then by mean inlier
-    error; each one that beats the best so far is refined on its inliers.
-    Deterministic for a fixed seed and input order. Pairs are enumerated
-    exhaustively when few, sampled otherwise.
+    error; each one that beats the best so far is refined on its inliers,
+    each distinct inlier set once: a later hypothesis with the same set
+    takes the outcome of its first refinement. Deterministic for a fixed
+    seed and input order. Pairs are enumerated exhaustively when few,
+    sampled otherwise.
     """
     if len(observations) < 2:
         raise _too_few(len(observations))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vigt import alignment
 from vigt.alignment import (
     ControlPoint,
     cp_alignment_errors,
@@ -21,10 +22,12 @@ from vigt.geometry import (
     Similarity,
     project,
 )
+from vigt.solver import HuberLoss, Problem, solve
 from vigt.triangulation import (
     Observation,
     TriangulatedCP,
     TriangulationConfig,
+    ViewSet,
     triangulate_all,
 )
 
@@ -245,6 +248,66 @@ class TestJointAlign:
         assert transform_distance(moved.transform, expected, pts) < 1e-9
         for r0, r1 in zip(base.records, moved.records):
             assert abs(r0.error_2d - r1.error_2d) < 1e-9
+
+    @staticmethod
+    def per_cp_problem(tris, poses, cps, init) -> Problem:
+        """The alignment problem with one reprojection block per CP."""
+        by_id = {cp.cp_id: cp for cp in cps}
+        problem = Problem()
+        problem.add_parameter_block("T", init)
+        for cid, tri in tris.items():
+            problem.add_parameter_block(f"proxy:{cid}", tri.position.copy())
+            views = ViewSet.build(tri.inliers, poses, RIG)
+            problem.add_stacked_block(
+                views.residuals,
+                [[f"proxy:{cid}"] * len(tri.inliers)],
+                np.stack([o.pixel_cov for o in tri.inliers]),
+                group="marker-reprojection",
+                jac=lambda proxies, views=views: [views.jacobians(proxies)],
+                loss=HuberLoss(),
+                rid=f"reproj:{cid}",
+            )
+        for dim in (3, 2):
+            same = [cid for cid in tris if by_id[cid].dim == dim]
+            if same:
+                fn, jac = alignment._world_factor(
+                    np.stack([by_id[cid].position for cid in same]), dim
+                )
+                problem.add_stacked_block(
+                    fn,
+                    [["T"] * len(same), [f"proxy:{cid}" for cid in same]],
+                    np.stack([by_id[cid].covariance for cid in same]),
+                    group="cp-world",
+                    jac=jac,
+                    rid=f"world:{dim}d",
+                )
+        return problem
+
+    @pytest.mark.parametrize("n_cp, n_3d", [(3, 3), (6, 2), (10, 4)])
+    def test_one_reprojection_block_matches_one_per_cp(self, monkeypatch, n_cp, n_3d):
+        rng = np.random.default_rng(12)
+        poses, detections, cps, _, local_pts = make_scene(rng, n_cp=n_cp, n_3d=n_3d, noise_px=1.0)
+        tris = self.triangulate(detections, poses)
+        problems = []
+
+        def recorded(problem, *args):
+            problems.append(problem)
+            return solve(problem, *args)
+
+        monkeypatch.setattr(alignment, "solve", recorded)
+        result = joint_sparse_align(tris, poses, RIG, cps)
+        (problem,) = problems
+        blocks = [r for r in problem.residuals.values() if r.group == "marker-reprojection"]
+        assert [r.id for r in blocks] == ["marker-reprojection"]
+        assert blocks[0].rows == sum(len(t.inliers) for t in tris.values())
+
+        init, _ = initialize_alignment(tris, cps)
+        reference = self.per_cp_problem(tris, poses, cps, init)
+        report = solve(reference)
+        assert result.report.iterations == report.iterations
+        assert transform_distance(result.transform, reference.value("T"), local_pts) < 1e-9
+        for cid, proxy in result.proxies.items():
+            np.testing.assert_allclose(proxy, reference.value(f"proxy:{cid}"), atol=1e-9, rtol=0)
 
     def test_too_few_constraints_degenerate(self):
         rng = np.random.default_rng(9)

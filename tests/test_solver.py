@@ -819,6 +819,47 @@ def test_iteration_count_stable_under_tiny_data_change(seed):
     assert moved.iterations == base.iterations
 
 
+def balanced_pair() -> Problem:
+    """x = 2, the exact minimum of (x - 1)^2 + (x - 3)^2: the gradient and
+    the step are 0, so the first trial leaves the cost as it is."""
+    p = Problem()
+    p.add_parameter_block("x", np.array([2.0]))
+    p.add_residual_block(lambda x: np.array([x[0] - 1.0, x[0] - 3.0]), ["x"], np.eye(2))
+    return p
+
+
+def refit_exponential(seed: int) -> Problem:
+    """The exponential fit, solved once: a second solve starts at its
+    minimum."""
+    p = exponential_fit(seed)
+    solve(p)
+    return p
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+def test_solve_started_at_its_minimum_factors_once_in_its_last_iteration(monkeypatch, seed):
+    # the model promises at most CONVERGENCE_TOL of the cost there, so a
+    # rejected trial ends the iteration instead of raising the damping
+    p = balanced_pair() if seed is None else refit_exponential(seed)
+    factors: list[int] = []  # _Factor constructions per iteration
+    construct, linearize = solver._Factor.__init__, solver._Workspace.linearize
+
+    def counted(self, *args):
+        factors[-1] += 1
+        construct(self, *args)
+
+    def next_iteration(self, *args):
+        factors.append(0)
+        return linearize(self, *args)
+
+    monkeypatch.setattr(solver._Factor, "__init__", counted)
+    monkeypatch.setattr(solver._Workspace, "linearize", next_iteration)
+    report = solve(p)
+    assert report.termination == "converged"
+    assert len(factors) == report.iterations
+    assert factors[-1] <= 1
+
+
 class TestStackedBlocks:
     """One block of N stacked rows against N single-row blocks."""
 

@@ -180,11 +180,53 @@ class TestLocalOptimization:
 
         score = (2, -float(errors.mean()))
         kept, inliers, count, mean = _local_optimization(
-            views, hypothesis[None], errors <= 4.0, np.array([2]), np.array([-score[1]]), 4.0
+            views, hypothesis[None], errors <= 4.0, np.array([2]), np.array([-score[1]]), 4.0, [{}]
         )
         np.testing.assert_array_equal(kept[0], hypothesis)
         assert inliers.all()
         assert (int(count[0]), -float(mean[0])) == score
+
+
+    def test_each_inlier_set_refined_once(self, monkeypatch):
+        # View 0 sees the point from 2 m with a loose 100 px sigma and a 5 px
+        # offset, views 1-7 from 6 m with a tight 0.01 px sigma. Every
+        # hypothesis of a pair with view 0 keeps all 8 views as inliers;
+        # refining them moves onto the tight rays and drops view 0. Each of
+        # those hypotheses beats the 7-inlier best, but the set is the same.
+        rig = single_camera_rig()
+        point = np.array([0.0, 0.0, 5.0])
+        rng = np.random.default_rng(5)
+        poses = {0: look_at([0.0, 0.0, 3.0], point)}
+        for k in range(1, 8):
+            d = rng.normal(size=3)
+            poses[k] = look_at(point + 6.0 * d / np.linalg.norm(d), point)
+        near = observe(point, poses[0], rig, 0, sigma=100.0)
+        obs = [Observation(0, "cam", near.pixel + np.array([3.0, 4.0]), near.pixel_cov)]
+        obs += [observe(point, poses[k], rig, k, sigma=0.01) for k in range(1, 8)]
+
+        views = ViewSet.build(obs, poses, rig)
+        centers, rays, _ = views.centers_and_rays()
+        config = TriangulationConfig()
+        pairs = _sample_pairs(len(obs), config.max_iters, config.seed)
+        masks = views.errors(_midpoints(centers, rays, pairs)[0]) <= 4.0
+        candidate_sets = {m.tobytes() for m in masks if m.sum() >= 2}
+        assert np.count_nonzero(masks.all(axis=1)) == 7
+        assert (views.errors(views.refine(point)) <= 4.0).sum() == 7
+
+        refined_sets = []  # the observations of every refined point
+        refine = ViewSet.refine
+
+        def recorded(self, points):
+            for k in range(self.n_points):
+                refined_sets.append(self.observations[self.starts[k] : self.starts[k + 1]])
+            return refine(self, points)
+
+        monkeypatch.setattr(ViewSet, "refine", recorded)
+        est, inliers = triangulate_ransac(obs, poses, rig, config)
+        assert inliers == tuple(range(1, 8))
+        assert len(refined_sets) <= len(candidate_sets)
+        assert len(set(refined_sets)) == len(refined_sets)
+        np.testing.assert_allclose(est, point, atol=1e-9)
 
 
 class TestRefine:
@@ -423,7 +465,9 @@ class TestViewSet:
 
 # Reference oracles: LO-RANSAC and Levenberg-Marquardt refinement one point
 # at a time (hypotheses scored 64 at a time, LO on each improving hypothesis
-# in order, einsum sums). The lockstep batch must equal them.
+# in order, einsum sums). Each inlier set is refined once: a hypothesis
+# whose inlier set was refined before takes that first outcome, under the
+# same 2-inlier rule. The lockstep batch must equal them.
 
 
 def oracle_refine(views, point):
@@ -487,6 +531,7 @@ def oracle_ransac(observations, poses, rig, config):
     points, defined = _midpoints(centers, rays, pairs)
     hypotheses = np.flatnonzero(usable & defined)
     best_point, best_inliers, best_score = None, None, (-1, -np.inf)
+    memo = {}  # inlier mask bytes -> the first LO of that set
     for start in range(0, len(hypotheses), 64):
         chunk = hypotheses[start : start + 64]
         pts = points[chunk]
@@ -500,9 +545,13 @@ def oracle_ransac(observations, poses, rig, config):
             if score <= best_score:
                 continue
             point, inl = pts[k], inliers[k]
-            refined = oracle_refine(views.take(np.flatnonzero(inl)), point)
-            refined_errors = views.errors(refined)
-            new_inliers = refined_errors <= config.threshold_px
+            key = inl.tobytes()
+            if key not in memo:
+                refined = oracle_refine(views.take(np.flatnonzero(inl)), point)
+                refined_errors = views.errors(refined)
+                new_inliers = refined_errors <= config.threshold_px
+                memo[key] = refined, new_inliers, refined_errors
+            refined, new_inliers, refined_errors = memo[key]
             if new_inliers.sum() >= 2:
                 point, inl = refined, new_inliers
                 score = (int(new_inliers.sum()), -float(refined_errors[new_inliers].mean()))

@@ -1,8 +1,11 @@
-"""Session-length sweep of the pseudo-GT stage.
+"""Session-length sweep of the eval and pseudo-GT stages.
 
     python3 tools/scaling.py [--src DIR] [--repeat N]
 
-Builds one seeded synthetic scene per case and times
+Builds one seeded synthetic scene per case. The eval stage runs on the
+initial trajectory: `triangulation.triangulate_all` over every CP's
+detections and `alignment.joint_sparse_align` are timed, and the
+`ViewSet.refine` calls of the triangulation are counted. It then times
 `fusion.build_fusion_problem`, whose time includes the triangulation of
 the CP proxies and landmarks (`fusion.triangulate_all`, or the per-point
 `fusion.triangulate_cp` of older sources; also reported on its own), and
@@ -17,11 +20,12 @@ length of T seconds, the true world trajectory with 2 cm white position
 noise as the initial trajectory, and `FusionConfig(keyframe_stride=3)`.
 Cases: 10, 30 and 90 s without landmarks, and 30 s with 150 landmarks.
 
-With `--repeat N` each case is optimized N times on fresh builds and the
-median is kept. The lines above the last are a table and the 30/10 and
-90/30 ratios of the optimize time without landmarks; the last line is one
-JSON object with the same figures. `--src` names the `src/` directory of
-the `vigt` to run (default: this checkout's).
+With `--repeat N` each case's eval stage runs N times, and it is
+optimized N times on fresh builds; the medians are kept. The lines above
+the last are a table and the 30/10 and 90/30 ratios of the optimize time
+without landmarks; the last line is one JSON object with the same
+figures. `--src` names the `src/` directory of the `vigt` to run
+(default: this checkout's).
 """
 
 from __future__ import annotations
@@ -107,10 +111,45 @@ def _timing(module, name: str, seconds: list[float]):
         setattr(module, name, fn)
 
 
+def _eval_stage(world, rig, detections, init, repeat: int) -> dict:
+    """Median times of the eval stage's triangulation and alignment on the
+    initial trajectory, and the refine calls of one triangulation."""
+    from vigt import alignment, triangulation
+
+    refine = triangulation.ViewSet.refine
+    calls = [0]
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return refine(self, *args, **kwargs)
+
+    poses = init.pose_map()
+    triangulate_s, align_s = [], []
+    triangulation.ViewSet.refine = counted
+    try:
+        for _ in range(repeat):
+            calls[0] = 0
+            t0 = time.perf_counter()
+            tris, _ = triangulation.triangulate_all(detections.cp_observations, poses, rig)
+            t1 = time.perf_counter()
+            alignment.joint_sparse_align(tris, poses, rig, world.cps)
+            t2 = time.perf_counter()
+            triangulate_s.append(t1 - t0)
+            align_s.append(t2 - t1)
+    finally:
+        triangulation.ViewSet.refine = refine
+    return {
+        "eval_triangulate_s": statistics.median(triangulate_s),
+        "eval_align_s": statistics.median(align_s),
+        "eval_refine_calls": calls[0],
+    }
+
+
 def _run_case(length: int, landmarks: int, repeat: int) -> dict:
     from vigt import fusion
 
     world, rig, detections, imu, init = _scene(length, landmarks)
+    evaluated = _eval_stage(world, rig, detections, init, repeat)
     config = fusion.FusionConfig(keyframe_stride=3)
     triangulate = "triangulate_all" if hasattr(fusion, "triangulate_all") else "triangulate_cp"
     builds, optimizes, triangulate_s, marginal_s, iterations = [], [], [], [], []
@@ -142,6 +181,7 @@ def _run_case(length: int, landmarks: int, repeat: int) -> dict:
         "marginals_s": statistics.median(marginal_s),
         "lm_iters": statistics.median(iterations),
         "optimize_ms_per_iter": 1e3 * statistics.median(optimizes) / statistics.median(iterations),
+        **evaluated,
     }
 
 
@@ -156,13 +196,15 @@ def main(argv=None) -> int:
     print(
         f"{'length':>6s} {'landmarks':>9s} {'keyframes':>9s} {'unknowns':>8s}"
         f" {'build':>8s} {'triangulate':>11s} {'optimize':>9s} {'marginals':>9s}"
-        f" {'LM iters':>8s} {'per iter':>9s}"
+        f" {'LM iters':>8s} {'per iter':>9s} {'eval tri':>9s} {'align':>8s} {'refines':>7s}"
     )
     for r in rows:
         print(
             f"{r['length_s']:5d}s {r['landmarks']:9d} {r['keyframes']:9d} {r['unknowns']:8d}"
             f" {r['build_s']:7.3f}s {r['triangulate_s']:10.3f}s {r['optimize_s']:8.3f}s"
             f" {r['marginals_s']:8.3f}s {r['lm_iters']:8g} {r['optimize_ms_per_iter']:7.2f}ms"
+            f" {r['eval_triangulate_s']:8.3f}s {r['eval_align_s']:7.3f}s"
+            f" {r['eval_refine_calls']:7d}"
         )
     optimize = {r["length_s"]: r["optimize_s"] for r in rows if r["landmarks"] == 0}
     ratios = {"30/10": optimize[30] / optimize[10], "90/30": optimize[90] / optimize[30]}
