@@ -609,30 +609,6 @@ def projection_jacobian_batch(cam: CameraModel, pts: np.ndarray) -> np.ndarray:
     return jac
 
 
-def undistort_points(
-    cam_src: CameraModel, cam_dst: CameraModel, pts
-) -> list[np.ndarray | None]:
-    """Remap pixels from one camera model into a pinhole view.
-
-    Entries whose ray falls outside the destination frustum come back
-    as None.
-    """
-    if cam_dst.kind is not CameraKind.PINHOLE:
-        raise ValueError("destination camera must be pinhole")
-    out: list[np.ndarray | None] = []
-    for pt in np.atleast_2d(np.asarray(pts, dtype=float)):
-        ray = unproject(cam_src, pt)
-        if ray[2] <= 1e-9:
-            out.append(None)
-            continue
-        uv, valid = try_project(cam_dst, ray)
-        if not valid or not cam_dst.contains(uv)[0]:
-            out.append(None)
-            continue
-        out.append(uv)
-    return out
-
-
 @dataclass(frozen=True)
 class RigCalibration:
     """Sensor rig: camera models with extrinsics plus the IMU mounting.

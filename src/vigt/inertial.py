@@ -18,10 +18,7 @@ at a time over (S, L, ...) arrays, shorter streams padded with zero-length
 steps; the per-sample rotation maps are computed for all samples before
 the recurrence. The residual and its Jacobians are evaluated for all
 segments in one call each, (S, 9) and (S, 9, k), from keyframe poses
-given as (S, 7) rows [qw qx qy qz | t], the solver's pose rows. The
-scalar functions (`preintegrate`, `bias_correct`,
-`preintegration_residual`, `preintegration_residual_jacobians`) are the
-S = 1 case.
+given as (S, 7) rows [qw qx qy qz | t], the solver's pose rows.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ import numpy as np
 
 from .errors import ImuDataError
 from .geometry import (
-    RigidPose,
     Rotation,
     quat_exp,
     quat_log,
@@ -139,79 +135,34 @@ class ImuStream:
         return (1.0 - w) * values[lo : lo + 1] + w * values[hi : hi + 1]
 
 
-@dataclass
-class PreintegratedSegment:
-    """Relative motion accumulated between two instants.
-
-    Covariance and bias Jacobians live on the (rotation, velocity,
-    position) tangent, in that order.
-    """
-
-    t_start_ns: int
-    t_end_ns: int
-    dt: float  # seconds
-    delta_rot: Rotation
-    delta_vel: np.ndarray
-    delta_pos: np.ndarray
-    covariance: np.ndarray  # (9, 9)
-    d_rot_d_bg: np.ndarray  # (3, 3)
-    d_vel_d_bg: np.ndarray
-    d_vel_d_ba: np.ndarray
-    d_pos_d_bg: np.ndarray
-    d_pos_d_ba: np.ndarray
-    lin_bias: Bias
-    gap_warning: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class SegmentStack:
-    """S preintegrated segments as arrays over a leading segment axis.
+    """S preintegrated segments, the relative motion accumulated between
+    two instants, as arrays over a leading segment axis; a one-segment
+    interval is the S = 1 stack.
 
-    The fields are those of :class:`PreintegratedSegment`, stacked:
-    `delta_rot` holds (S, 4) unit quaternions (w, x, y, z) and `lin_bias`
-    (S, 6) rows (gyro, accel).
+    Covariances and bias Jacobians live on the (rotation, velocity,
+    position) tangent, in that order. `gap_warning` flags a segment whose
+    longest sample interval exceeds five times its median one.
     """
 
-    t_start_ns: np.ndarray  # (S,) int64
-    t_end_ns: np.ndarray  # (S,) int64
+    t_start_ns: np.ndarray  # (S,) int64, first sample
+    t_end_ns: np.ndarray  # (S,) int64, last sample
     dt: np.ndarray  # (S,) seconds
-    delta_rot: np.ndarray  # (S, 4)
+    delta_rot: np.ndarray  # (S, 4) unit quaternions (w, x, y, z)
     delta_vel: np.ndarray  # (S, 3)
     delta_pos: np.ndarray  # (S, 3)
     covariance: np.ndarray  # (S, 9, 9)
     d_rot_d_bg: np.ndarray  # (S, 3, 3)
-    d_vel_d_bg: np.ndarray
+    d_vel_d_bg: np.ndarray  # (S, 3, 3) each
     d_vel_d_ba: np.ndarray
     d_pos_d_bg: np.ndarray
     d_pos_d_ba: np.ndarray
-    lin_bias: np.ndarray  # (S, 6)
+    lin_bias: np.ndarray  # (S, 6) linearization biases (gyro, accel)
     gap_warning: np.ndarray  # (S,) bool
 
     def __len__(self):
         return len(self.dt)
-
-    def segment(self, s: int) -> PreintegratedSegment:
-        """Segment s on its own."""
-        row = {f.name: getattr(self, f.name)[s] for f in fields(self)}
-        row.update(
-            t_start_ns=int(row["t_start_ns"]),
-            t_end_ns=int(row["t_end_ns"]),
-            dt=float(row["dt"]),
-            delta_rot=Rotation(row["delta_rot"]),
-            lin_bias=Bias.from_vector(row["lin_bias"]),
-            gap_warning=bool(row["gap_warning"]),
-        )
-        return PreintegratedSegment(**row)
-
-    @staticmethod
-    def of(segments: Sequence[PreintegratedSegment]) -> "SegmentStack":
-        """The given segments, stacked in order."""
-        columns = {
-            f.name: [getattr(seg, f.name) for seg in segments] for f in fields(SegmentStack)
-        }
-        columns["delta_rot"] = [r.quat for r in columns["delta_rot"]]
-        columns["lin_bias"] = [b.as_vector() for b in columns["lin_bias"]]
-        return SegmentStack(**{name: np.array(col) for name, col in columns.items()})
 
 
 # segments integrated at once; the per-sample maps take 45 doubles per
@@ -355,13 +306,11 @@ def _integrate(
     )
 
 
-def preintegrate(stream: ImuStream, bias: Bias, noise: ImuNoise) -> PreintegratedSegment:
-    """Integrate a sample stream into relative motion deltas.
-
-    The stream must contain at least two samples; its first and last
-    timestamps define the integration interval.
-    """
-    return preintegrate_stack([stream], bias.as_vector()[None], noise).segment(0)
+def preintegrate(stream: ImuStream, bias: Bias, noise: ImuNoise) -> SegmentStack:
+    """Integrate one sample stream into the one-segment stack of its
+    relative motion deltas; see :func:`preintegrate_stack`. `perfbench`
+    calls it in its per-sample preintegration microbenchmark."""
+    return preintegrate_stack([stream], bias.as_vector()[None], noise)
 
 
 def bias_correct_stack(
@@ -385,12 +334,13 @@ def bias_correct_stack(
 
 
 def bias_correct(
-    seg: PreintegratedSegment, bias: Bias
+    seg: SegmentStack, bias: Bias
 ) -> tuple[Rotation, np.ndarray, np.ndarray, bool]:
-    """First-order update of the deltas to a new bias, without
-    re-integration. Returns (rotation, velocity, position, warned); see
-    :func:`bias_correct_stack`."""
-    rot, vel, pos, warned = bias_correct_stack(SegmentStack.of([seg]), bias.as_vector())
+    """First-order update of a one-segment stack's deltas to a new bias,
+    without re-integration. Returns (rotation, velocity, position, warned);
+    see :func:`bias_correct_stack`. `perfbench` traces it and counts the
+    `warned` results."""
+    rot, vel, pos, warned = bias_correct_stack(seg, bias.as_vector())
     return Rotation(rot[0]), vel[0], pos[0], bool(warned[0])
 
 
@@ -478,38 +428,6 @@ def preintegration_residual_jacobians_stack(
     j_bias[:, 6:9, 3:6] = -stack.d_pos_d_ba
 
     return [j_pose_i, j_vel_i, j_pose_j, j_vel_j, j_bias]
-
-
-def _single(seg, pose_i, vel_i, pose_j, vel_j, bias_i) -> tuple:
-    """The S = 1 stack of one segment and its arguments, poses as rows."""
-    rows = [np.concatenate([p.rotation.quat, p.translation])[None] for p in (pose_i, pose_j)]
-    return SegmentStack.of([seg]), rows[0], vel_i, rows[1], vel_j, bias_i.as_vector()
-
-
-def preintegration_residual(
-    seg: PreintegratedSegment,
-    pose_i: RigidPose,
-    vel_i: np.ndarray,
-    pose_j: RigidPose,
-    vel_j: np.ndarray,
-    bias_i: Bias,
-) -> np.ndarray:
-    """9-vector (rotation, velocity, position) preintegration residual."""
-    return preintegration_residual_stack(*_single(seg, pose_i, vel_i, pose_j, vel_j, bias_i))[0]
-
-
-def preintegration_residual_jacobians(
-    seg: PreintegratedSegment,
-    pose_i: RigidPose,
-    vel_i: np.ndarray,
-    pose_j: RigidPose,
-    vel_j: np.ndarray,
-    bias_i: Bias,
-) -> list[np.ndarray]:
-    """Tangent Jacobians for (pose_i, vel_i, pose_j, vel_j, bias_i); see
-    :func:`preintegration_residual_jacobians_stack`."""
-    args = _single(seg, pose_i, vel_i, pose_j, vel_j, bias_i)
-    return [j[0] for j in preintegration_residual_jacobians_stack(*args)]
 
 
 def bias_walk_covariance(noise: ImuNoise, dt) -> np.ndarray:

@@ -255,7 +255,8 @@ class Problem:
         """Add one residual row: `fn` takes one parameter value (as
         :meth:`value` returns it) per block and returns a d-vector, `jac`
         one (d, k) Jacobian per block. The keyword options are those of
-        :meth:`add_stacked_block`."""
+        :meth:`add_stacked_block`. `perfbench` builds the chain problem of
+        its marginal-covariance microbenchmark with it."""
 
         def values(slots):
             return [_unpack(self.params[p].manifold, s[0]) for p, s in zip(params, slots)]
@@ -286,11 +287,6 @@ class Problem:
         for block in self.residuals.values():
             if block.group == group:
                 block.set_covariance(block.covariance * factor)
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    max_iters: int = 100
 
 
 # A Levenberg-Marquardt solve has converged once a step lowers the cost by
@@ -1038,8 +1034,9 @@ def _model_decrease(
     return slope * slope / (2.0 * curvature) if curvature > 0.0 else 0.0
 
 
-def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveReport:
-    """Minimize the problem in place; returns the report.
+def solve(problem: Problem, max_iters: int = 100) -> SolveReport:
+    """Minimize the problem in place, in at most `max_iters` iterations;
+    returns the report.
 
     Terminations: "converged" (a step lowered the cost by at most
     CONVERGENCE_TOL of it, the cost reached the zero-residual floor, or a
@@ -1059,7 +1056,7 @@ def solve(problem: Problem, options: SolveOptions = SolveOptions()) -> SolveRepo
     iterations = 0
     termination = "max_iterations"
 
-    for iterations in range(1, options.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         jacs, rhs = ws.linearize(x, whitened)
         grad = ws.gradient(jacs, rhs)
         system = ws.normal_equations(jacs)

@@ -12,7 +12,7 @@ Everything is deterministic under the config seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,6 +31,7 @@ from .geometry import (
     try_project,
 )
 from .inertial import GRAVITY_W, Bias, ImuNoise, ImuStream
+from .metrics import gravity_error, scale_error
 from .triangulation import Observation
 
 DEFAULT_IMU_NOISE = ImuNoise(
@@ -500,7 +501,19 @@ def gen_imu(
     noisy: bool = True,
 ) -> ImuStream:
     """Ideal IMU from the analytic curve, plus constant bias and white
-    noise at the configured densities."""
+    noise at the configured densities.
+
+    The samples are simulated in the local frame, metric and with gravity
+    along its -z. A `world_from_local` that scales or tilts that frame
+    would leave them inconsistent with the world trajectory, so it raises
+    ValueError."""
+    frame = world.world_from_local
+    scale_pct, tilt_deg = scale_error(frame), gravity_error(frame)
+    if scale_pct > 1e-9 or tilt_deg > 1e-9:
+        raise ValueError(
+            "IMU simulation needs a metric, gravity-aligned world_from_local;"
+            f" got a scale error of {scale_pct:.3g} % and a tilt of {tilt_deg:.3g} deg"
+        )
     config = world.config
     rate = rate_hz or config.imu_rate_hz
     noise = noise or config.imu_noise

@@ -684,7 +684,8 @@ def triangulate_ransac(
     each distinct inlier set once: a later hypothesis with the same set
     takes the outcome of its first refinement. Deterministic for a fixed
     seed and input order. Pairs are enumerated exhaustively when few,
-    sampled otherwise.
+    sampled otherwise. The pipeline runs `triangulate_all`; `perfbench`
+    calls this one-point form in its RANSAC microbenchmark and traces it.
     """
     if len(observations) < 2:
         raise _too_few(len(observations))
@@ -692,64 +693,6 @@ def triangulate_ransac(
     if failures:
         raise failures[0]
     return points[0], tuple(int(k) for k in np.flatnonzero(inliers))
-
-
-def refine_triangulation(
-    init_point: np.ndarray,
-    inliers: Sequence[Observation],
-    poses: Mapping[int, RigidPose | Similarity],
-    rig: RigCalibration,
-    cp_id: str = "",
-) -> TriangulatedCP:
-    """Minimize the inlier reprojection error from a RANSAC initialization."""
-    if len(inliers) < 2:
-        raise InsufficientObservationsError(
-            f"refinement needs at least 2 inlier observations, got {len(inliers)}"
-        )
-    points, errors, covariances, failures = _refine_points(
-        ViewSet.build(inliers, poses, rig), np.reshape(init_point, (1, 3))
-    )
-    if failures:
-        raise failures[0]
-    return TriangulatedCP(
-        cp_id=cp_id,
-        position=points[0],
-        covariance=covariances[0],
-        inliers=tuple(inliers),
-        mean_reproj_error_px=float(errors[0]),
-    )
-
-
-def triangulation_covariance(
-    point: np.ndarray,
-    inliers: Sequence[Observation],
-    poses: Mapping[int, RigidPose | Similarity],
-    rig: RigCalibration,
-) -> np.ndarray:
-    """Inverse Gauss-Newton Hessian of the reprojection problem at the
-    solution: (J' Sigma_px^-1 J)^-1."""
-    if len(inliers) < 2:
-        raise InsufficientObservationsError("covariance needs at least 2 observations")
-    covariances, failures = _covariances(
-        ViewSet.build(inliers, poses, rig), np.reshape(point, (1, 3))
-    )
-    if failures:
-        raise failures[0]
-    return covariances[0]
-
-
-def triangulate_cp(
-    cp_id: str,
-    observations: Sequence[Observation],
-    poses: Mapping[int, RigidPose | Similarity],
-    rig: RigCalibration,
-    config: TriangulationConfig = TriangulationConfig(),
-) -> TriangulatedCP:
-    """RANSAC + refinement + covariance for one control point."""
-    results, failures = _triangulate({cp_id: observations}, poses, rig, config)
-    if failures:
-        raise failures[cp_id]
-    return results[cp_id]
 
 
 def triangulate_all(

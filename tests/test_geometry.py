@@ -27,7 +27,6 @@ from vigt.geometry import (
     so3_right_jacobian,
     so3_right_jacobian_inverse,
     try_project,
-    undistort_points,
     unproject,
 )
 
@@ -297,37 +296,6 @@ class TestClampDepth:
             expected = batch.copy()
             expected[:, 2] = np.maximum(batch[:, 2], MIN_DEPTH)
         np.testing.assert_array_equal(out, expected)
-
-
-class TestUndistort:
-    def test_identity_mapping(self):
-        pts = np.array([[10.0, 20.0], [320.0, 240.0], [600.0, 400.0]])
-        out = undistort_points(PINHOLE_CAM, PINHOLE_CAM, pts)
-        for res, pt in zip(out, pts):
-            np.testing.assert_allclose(res, pt, atol=1e-9)
-
-    def test_kb4_to_pinhole_roundtrip(self):
-        dst = CameraModel(
-            CameraKind.PINHOLE, 250.0, 250.0, 639.5, 479.5, width=1280, height=960
-        )
-        pts = np.array([[200.0, 150.0], [319.5, 239.5], [420.0, 330.0]])
-        mapped = undistort_points(KB4_CAM, dst, pts)
-        for res, pt in zip(mapped, pts):
-            assert res is not None
-            ray = unproject(dst, res)
-            back = project(KB4_CAM, ray)
-            np.testing.assert_allclose(back, pt, atol=1e-5)
-
-    def test_ray_outside_frustum_unmappable(self):
-        # 95 degrees off-axis: visible to the fisheye, not to a narrow pinhole
-        narrow = CameraModel(
-            CameraKind.PINHOLE, 800.0, 800.0, 319.5, 239.5, width=640, height=480
-        )
-        theta = np.deg2rad(95.0)
-        ray = np.array([np.sin(theta), 0.0, np.cos(theta)])
-        px = project(KB4_CAM, ray)
-        out = undistort_points(KB4_CAM, narrow, [px])
-        assert out[0] is None
 
 
 class TestCameraFromFrame:

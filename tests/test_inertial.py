@@ -21,14 +21,11 @@ from vigt.inertial import (
     Bias,
     ImuNoise,
     ImuStream,
-    PreintegratedSegment,
     SegmentStack,
     bias_correct,
     bias_walk_covariance,
     preintegrate,
     preintegrate_stack,
-    preintegration_residual,
-    preintegration_residual_jacobians,
     preintegration_residual_jacobians_stack,
     preintegration_residual_stack,
 )
@@ -83,7 +80,8 @@ def integrate_states(stream, r0, v0, p0, gravity):
 
 def reference_preintegrate(stream, bias, noise):
     """One segment integrated sample by sample, with per-sample maps
-    computed inside the loop: the reference for the lockstep integration."""
+    computed inside the loop, as a one-segment stack: the reference for
+    the lockstep integration."""
     ts = (stream.timestamps - stream.timestamps[0]) * 1e-9
     dts = np.diff(ts)
     gyro = stream.gyro - bias.gyro
@@ -121,11 +119,11 @@ def reference_preintegrate(stream, bias, noise):
         d_pos = d_pos + d_vel * dt + 0.5 * (r_half @ a) * dt**2
         d_vel = d_vel + (r_half @ a) * dt
         d_rot = d_rot @ step
-    return PreintegratedSegment(
-        t_start_ns=int(stream.timestamps[0]),
-        t_end_ns=int(stream.timestamps[-1]),
-        dt=float(ts[-1]),
-        delta_rot=Rotation.from_matrix(d_rot),
+    row = dict(
+        t_start_ns=stream.timestamps[0],
+        t_end_ns=stream.timestamps[-1],
+        dt=ts[-1],
+        delta_rot=Rotation.from_matrix(d_rot).quat,
         delta_vel=d_vel,
         delta_pos=d_pos,
         covariance=0.5 * (cov + cov.T),
@@ -134,9 +132,10 @@ def reference_preintegrate(stream, bias, noise):
         d_vel_d_ba=j_v_ba,
         d_pos_d_bg=j_p_bg,
         d_pos_d_ba=j_p_ba,
-        lin_bias=bias,
+        lin_bias=bias.as_vector(),
         gap_warning=bool(len(dts) > 2 and dts.max() > 5.0 * np.median(dts)),
     )
+    return SegmentStack(**{name: np.array([value]) for name, value in row.items()})
 
 
 ARRAY_FIELDS = (
@@ -152,18 +151,29 @@ ARRAY_FIELDS = (
 
 
 def assert_segments_close(seg, ref, rtol):
-    """Equal metadata; rotations and arrays within `rtol` of each array's
-    largest entry."""
-    assert (seg.t_start_ns, seg.t_end_ns, seg.dt, seg.gap_warning) == (
-        ref.t_start_ns, ref.t_end_ns, ref.dt, ref.gap_warning
-    )
-    np.testing.assert_array_equal(seg.lin_bias.as_vector(), ref.lin_bias.as_vector())
-    assert seg.delta_rot.angle_to(ref.delta_rot) <= rtol
+    """Stacks of equal length with equal metadata; rotations and arrays
+    within `rtol` of each array's largest entry."""
+    for name in ("t_start_ns", "t_end_ns", "dt", "gap_warning", "lin_bias"):
+        np.testing.assert_array_equal(getattr(seg, name), getattr(ref, name), err_msg=name)
+    for q, q_ref in zip(seg.delta_rot, ref.delta_rot, strict=True):
+        assert Rotation(q).angle_to(Rotation(q_ref)) <= rtol
     for name in ARRAY_FIELDS:
         want = getattr(ref, name)
         np.testing.assert_allclose(
             getattr(seg, name), want, rtol=0.0, atol=rtol * np.abs(want).max(), err_msg=name
         )
+
+
+def rot(stack, s=0):
+    """Rotation delta of segment s."""
+    return Rotation(stack.delta_rot[s])
+
+
+def take(stack, s):
+    """Segment s of a stack as a one-segment stack."""
+    return SegmentStack(
+        **{f.name: getattr(stack, f.name)[s : s + 1] for f in dataclasses.fields(stack)}
+    )
 
 
 def unequal_streams():
@@ -180,8 +190,13 @@ def pose_row(pose):
     return np.concatenate([pose.rotation.quat, pose.translation])
 
 
-def row_pose(row):
-    return RigidPose(Rotation(row[:4]), row[4:])
+def one_row(pose_i, vel_i, pose_j, vel_j, bias_i):
+    """The S = 1 value rows (pose_i, vel_i, pose_j, vel_j, bias_i) of one
+    segment's states."""
+    return [
+        pose_row(pose_i)[None], np.reshape(vel_i, (1, 3)), pose_row(pose_j)[None],
+        np.reshape(vel_j, (1, 3)), bias_i.as_vector()[None],
+    ]
 
 
 def moved(manifold, rows, s, delta):
@@ -212,7 +227,7 @@ class TestLockstep:
         assert len(stack) == len(streams)
         for s, stream in enumerate(streams):
             alone = preintegrate(stream, Bias.from_vector(biases[s]), NOISE)
-            assert_segments_close(stack.segment(s), alone, 1e-12)
+            assert_segments_close(take(stack, s), alone, 1e-12)
 
 
     def test_chunks_match_one_unchunked_call(self, monkeypatch):
@@ -254,40 +269,40 @@ class TestPreintegrate:
     def test_zero_measurements(self):
         stream = constant_stream(101, 100.0, np.zeros(3), np.zeros(3))
         seg = preintegrate(stream, Bias.zero(), NOISE)
-        assert seg.delta_rot.angle_to(Rotation.identity()) < 1e-12
-        np.testing.assert_allclose(seg.delta_vel, 0.0, atol=1e-12)
-        np.testing.assert_allclose(seg.delta_pos, 0.0, atol=1e-12)
-        assert seg.dt == pytest.approx(1.0)
+        assert rot(seg).angle_to(Rotation.identity()) < 1e-12
+        np.testing.assert_allclose(seg.delta_vel[0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(seg.delta_pos[0], 0.0, atol=1e-12)
+        assert seg.dt[0] == pytest.approx(1.0)
 
     def test_constant_force_double_integral(self):
         stream = constant_stream(1001, 1000.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
         seg = preintegrate(stream, Bias.zero(), NOISE)
-        np.testing.assert_allclose(seg.delta_vel, [1.0, 0.0, 0.0], atol=1e-6)
-        np.testing.assert_allclose(seg.delta_pos, [0.5, 0.0, 0.0], atol=1e-6)
+        np.testing.assert_allclose(seg.delta_vel[0], [1.0, 0.0, 0.0], atol=1e-6)
+        np.testing.assert_allclose(seg.delta_pos[0], [0.5, 0.0, 0.0], atol=1e-6)
 
     def test_constant_gyro_matches_euler_oracle(self):
         gyro = np.array([0.0, 0.0, 1.0])
         stream = constant_stream(1001, 1000.0, gyro, np.zeros(3))
         seg = preintegrate(stream, Bias.zero(), NOISE)
-        assert seg.delta_rot.angle_to(Rotation.exp([0.0, 0.0, 1.0])) < 1e-6
+        assert rot(seg).angle_to(Rotation.exp([0.0, 0.0, 1.0])) < 1e-6
 
         # brute-force 10 kHz Euler integration of the same constant signal
         r = np.eye(3)
         dt = 1e-4
         for _ in range(10_000):
             r = r @ so3_exp_matrix(gyro * dt)
-        assert seg.delta_rot.angle_to(Rotation.from_matrix(r)) < 1e-5
+        assert rot(seg).angle_to(Rotation.from_matrix(r)) < 1e-5
 
     def test_wiggly_motion_matches_fine_step_oracle(self):
         stream = sampled_stream(1000.0, 1.0, sinusoid_signals)
         seg = preintegrate(stream, Bias.zero(), NOISE)
         fine = sampled_stream(10_000.0, 1.0, sinusoid_signals)
-        rot, vel, pos = integrate_states(
+        rot_f, vel, pos = integrate_states(
             fine, Rotation.identity(), np.zeros(3), np.zeros(3), np.zeros(3)
         )
-        assert seg.delta_rot.angle_to(rot) < 1e-5
-        np.testing.assert_allclose(seg.delta_vel, vel, atol=1e-5)
-        np.testing.assert_allclose(seg.delta_pos, pos, atol=1e-5)
+        assert rot(seg).angle_to(rot_f) < 1e-5
+        np.testing.assert_allclose(seg.delta_vel[0], vel, atol=1e-5)
+        np.testing.assert_allclose(seg.delta_pos[0], pos, atol=1e-5)
 
     def test_non_increasing_timestamps_rejected(self):
         ts = np.array([0, 10, 10], dtype=np.int64)
@@ -305,7 +320,7 @@ class TestPreintegrate:
         ) * 10_000_000  # 10 ms nominal, 4.5 s hole
         stream = ImuStream(ts.astype(np.int64), np.zeros((100, 3)), np.zeros((100, 3)))
         seg = preintegrate(stream, Bias.zero(), NOISE)
-        assert seg.gap_warning
+        assert seg.gap_warning[0]
 
     def test_concatenation_consistency(self):
         stream = sampled_stream(500.0, 2.0, sinusoid_signals)
@@ -316,23 +331,23 @@ class TestPreintegrate:
         seg_a = preintegrate(a, Bias.zero(), NOISE)
         seg_b = preintegrate(b, Bias.zero(), NOISE)
 
-        rot = seg_a.delta_rot @ seg_b.delta_rot
-        vel = seg_a.delta_vel + seg_a.delta_rot.apply(seg_b.delta_vel)
+        rot_ab = rot(seg_a) @ rot(seg_b)
+        vel = seg_a.delta_vel[0] + rot(seg_a).apply(seg_b.delta_vel[0])
         pos = (
-            seg_a.delta_pos
-            + seg_a.delta_vel * seg_b.dt
-            + seg_a.delta_rot.apply(seg_b.delta_pos)
+            seg_a.delta_pos[0]
+            + seg_a.delta_vel[0] * seg_b.dt[0]
+            + rot(seg_a).apply(seg_b.delta_pos[0])
         )
-        assert seg_full.delta_rot.angle_to(rot) < 1e-6
-        np.testing.assert_allclose(seg_full.delta_vel, vel, atol=1e-6)
-        np.testing.assert_allclose(seg_full.delta_pos, pos, atol=1e-6)
+        assert rot(seg_full).angle_to(rot_ab) < 1e-6
+        np.testing.assert_allclose(seg_full.delta_vel[0], vel, atol=1e-6)
+        np.testing.assert_allclose(seg_full.delta_pos[0], pos, atol=1e-6)
 
     def test_covariance_trace_grows_with_samples(self):
         stream = sampled_stream(500.0, 2.0, sinusoid_signals)
         traces = []
         for n in (100, 300, 600, 1001):
             sub = ImuStream(stream.timestamps[:n], stream.gyro[:n], stream.accel[:n])
-            traces.append(np.trace(preintegrate(sub, Bias.zero(), NOISE).covariance))
+            traces.append(np.trace(preintegrate(sub, Bias.zero(), NOISE).covariance[0]))
         assert all(b > a for a, b in zip(traces, traces[1:]))
 
     def test_covariance_calibrated_against_monte_carlo(self):
@@ -341,7 +356,7 @@ class TestPreintegrate:
         rate, dur = 200.0, 0.5
         clean = sampled_stream(rate, dur, sinusoid_signals)
         seg0 = preintegrate(clean, Bias.zero(), NOISE)
-        w = np.linalg.cholesky(np.linalg.inv(seg0.covariance))
+        w = np.linalg.cholesky(np.linalg.inv(seg0.covariance[0]))
         sg = NOISE.gyro_density * np.sqrt(rate)
         sa = NOISE.accel_density * np.sqrt(rate)
         samples = []
@@ -354,9 +369,9 @@ class TestPreintegrate:
             seg = preintegrate(noisy, Bias.zero(), NOISE)
             err = np.concatenate(
                 [
-                    (seg0.delta_rot.inverse() @ seg.delta_rot).log(),
-                    seg.delta_vel - seg0.delta_vel,
-                    seg.delta_pos - seg0.delta_pos,
+                    (rot(seg0).inverse() @ rot(seg)).log(),
+                    seg.delta_vel[0] - seg0.delta_vel[0],
+                    seg.delta_pos[0] - seg0.delta_pos[0],
                 ]
             )
             samples.append(w.T @ err)
@@ -368,31 +383,31 @@ class TestBiasCorrect:
     def test_zero_correction_is_identity(self):
         stream = sampled_stream(500.0, 1.0, sinusoid_signals)
         seg = preintegrate(stream, Bias.zero(), NOISE)
-        rot, vel, pos, warned = bias_correct(seg, Bias.zero())
+        r, vel, pos, warned = bias_correct(seg, Bias.zero())
         assert not warned
-        assert rot.angle_to(seg.delta_rot) < 1e-12
-        np.testing.assert_array_equal(vel, seg.delta_vel)
-        np.testing.assert_array_equal(pos, seg.delta_pos)
+        assert r.angle_to(rot(seg)) < 1e-12
+        np.testing.assert_array_equal(vel, seg.delta_vel[0])
+        np.testing.assert_array_equal(pos, seg.delta_pos[0])
 
     def test_small_gyro_bias_matches_reintegration(self):
         gyro = np.array([0.0, 0.0, 1.0])
         stream = constant_stream(1001, 1000.0, gyro, np.zeros(3))
         seg = preintegrate(stream, Bias.zero(), NOISE)
         delta = Bias(np.array([0.0, 0.0, 1e-3]), np.zeros(3))
-        rot, _, _, warned = bias_correct(seg, delta)
+        r, _, _, warned = bias_correct(seg, delta)
         assert not warned
         seg_re = preintegrate(stream, delta, NOISE)
-        assert rot.angle_to(seg_re.delta_rot) < 1e-6
+        assert r.angle_to(rot(seg_re)) < 1e-6
 
     def test_general_small_bias_first_order(self):
         stream = sampled_stream(1000.0, 1.0, sinusoid_signals)
         seg = preintegrate(stream, Bias.zero(), NOISE)
         delta = Bias(np.array([4e-4, -3e-4, 5e-4]), np.array([1e-3, -2e-3, 1.5e-3]))
-        rot, vel, pos, _ = bias_correct(seg, delta)
+        r, vel, pos, _ = bias_correct(seg, delta)
         seg_re = preintegrate(stream, delta, NOISE)
-        assert rot.angle_to(seg_re.delta_rot) < 1e-6
-        np.testing.assert_allclose(vel, seg_re.delta_vel, atol=1e-5)
-        np.testing.assert_allclose(pos, seg_re.delta_pos, atol=1e-5)
+        assert r.angle_to(rot(seg_re)) < 1e-6
+        np.testing.assert_allclose(vel, seg_re.delta_vel[0], atol=1e-5)
+        np.testing.assert_allclose(pos, seg_re.delta_pos[0], atol=1e-5)
 
     def test_large_correction_warns(self):
         stream = constant_stream(101, 100.0, np.zeros(3), np.zeros(3))
@@ -426,8 +441,8 @@ class TestResidual:
     def test_consistent_states_zero_residual(self):
         rng = np.random.default_rng(11)
         seg, (pose_i, v_i), (pose_j, v_j) = self.make_consistent(rng)
-        res = preintegration_residual(seg, pose_i, v_i, pose_j, v_j, Bias.zero())
-        assert np.abs(res).max() < 1e-8
+        res = preintegration_residual_stack(seg, *one_row(pose_i, v_i, pose_j, v_j, Bias.zero()))
+        assert np.abs(res[0]).max() < 1e-8
 
     def test_free_fall_zero_residual(self):
         # zero specific force, states in free fall under gravity
@@ -435,18 +450,18 @@ class TestResidual:
         seg = preintegrate(stream, Bias.zero(), NOISE)
         pose_i = RigidPose(Rotation.identity(), np.zeros(3))
         v0 = np.array([1.0, 0.0, 0.0])
-        t = seg.dt
+        t = seg.dt[0]
         pose_j = RigidPose(Rotation.identity(), v0 * t + 0.5 * GRAVITY_W * t**2)
         v1 = v0 + GRAVITY_W * t
-        res = preintegration_residual(seg, pose_i, v0, pose_j, v1, Bias.zero())
-        assert np.abs(res).max() < 1e-10
+        res = preintegration_residual_stack(seg, *one_row(pose_i, v0, pose_j, v1, Bias.zero()))
+        assert np.abs(res[0]).max() < 1e-10
 
     def test_velocity_perturbation_maps_to_velocity_rows(self):
         rng = np.random.default_rng(12)
         seg, (pose_i, v_i), (pose_j, v_j) = self.make_consistent(rng)
-        res = preintegration_residual(
-            seg, pose_i, v_i, pose_j, v_j + pose_i.rotation.apply([0.1, 0.0, 0.0]),
-            Bias.zero(),
+        (res,) = preintegration_residual_stack(
+            seg, *one_row(pose_i, v_i, pose_j, v_j + pose_i.rotation.apply([0.1, 0.0, 0.0]),
+            Bias.zero()),
         )
         np.testing.assert_allclose(res[3:6], [0.1, 0.0, 0.0], atol=1e-8)
         assert np.abs(res[[0, 1, 2, 6, 7, 8]]).max() < 1e-8
@@ -460,21 +475,16 @@ class TestResidual:
         v_i, v_j = rng.normal(size=3), rng.normal(size=3)
         bias_i = Bias(rng.normal(scale=2e-3, size=3), rng.normal(scale=2e-2, size=3))
 
-        jacs = preintegration_residual_jacobians(seg, pose_i, v_i, pose_j, v_j, bias_i)
-
         # the S = 1 rows of each argument and their kinds
-        rows = [
-            pose_row(pose_i)[None], v_i[None], pose_row(pose_j)[None], v_j[None],
-            bias_i.as_vector()[None],
-        ]
+        rows = one_row(pose_i, v_i, pose_j, v_j, bias_i)
         kinds = [
             Manifold.RIGID_POSE, Manifold.EUCLIDEAN, Manifold.RIGID_POSE,
             Manifold.EUCLIDEAN, Manifold.EUCLIDEAN,
         ]
-        single = SegmentStack.of([seg])
+        jacs = [j[0] for j in preintegration_residual_jacobians_stack(seg, *rows)]
 
         def evaluate(vals):
-            return preintegration_residual_stack(single, *vals)[0]
+            return preintegration_residual_stack(seg, *vals)[0]
 
         step = 1e-6
         for bi, (manifold, jac) in enumerate(zip(kinds, jacs)):
@@ -527,15 +537,13 @@ class TestStackedResidual:
         assert res.shape == (3, 9)
         assert [j.shape for j in jacs] == [(3, 9, dim) for _, dim in self.SLOTS]
         for s in range(3):
-            seg = stack.segment(s)
-            row = [slot[s] for slot in slots]
-            row[0], row[2] = row_pose(row[0]), row_pose(row[2])
-            row[4] = Bias.from_vector(row[4])
+            seg = take(stack, s)
+            row = [slot[s : s + 1] for slot in slots]
             np.testing.assert_allclose(
-                res[s], preintegration_residual(seg, *row), rtol=1e-12, atol=1e-14
+                res[s], preintegration_residual_stack(seg, *row)[0], rtol=1e-12, atol=1e-14
             )
-            for j_stack, j_one in zip(jacs, preintegration_residual_jacobians(seg, *row)):
-                np.testing.assert_allclose(j_stack[s], j_one, rtol=1e-12, atol=1e-14)
+            for j_stack, j_one in zip(jacs, preintegration_residual_jacobians_stack(seg, *row)):
+                np.testing.assert_allclose(j_stack[s], j_one[0], rtol=1e-12, atol=1e-14)
 
     def test_jacobians_match_central_differences_row_by_row(self):
         rng = np.random.default_rng(20)

@@ -24,7 +24,6 @@ from vigt.solver import (
     HuberLoss,
     Manifold,
     Problem,
-    SolveOptions,
     marginal_covariances,
     solve,
     variance_factor,
@@ -75,7 +74,7 @@ def test_rosenbrock():
     p = Problem()
     p.add_parameter_block("x", np.array([-1.2, 1.0]))
     p.add_residual_block(residual, ["x"], np.eye(2))
-    report = solve(p, SolveOptions(max_iters=200))
+    report = solve(p, max_iters=200)
     np.testing.assert_allclose(p.value("x"), [1.0, 1.0], atol=1e-6)
     assert report.final_cost <= report.initial_cost
 
@@ -136,7 +135,7 @@ def test_similarity_block_retraction():
     p = Problem()
     p.add_parameter_block("t", Similarity.identity())
     p.add_residual_block(residual, ["t"], np.eye(18))
-    solve(p, SolveOptions(max_iters=200))
+    solve(p, max_iters=200)
     est = p.value("t")
     assert est.scale == pytest.approx(target.scale, abs=1e-8)
     assert est.rotation.angle_to(target.rotation) < 1e-8
@@ -154,8 +153,8 @@ def test_whitened_cost_invariant_under_joint_rescale():
         p.add_residual_block(lambda x, k=k: k * (x - z), ["x"], k**2 * cov)
         return p
 
-    rep1 = solve(make(1.0), SolveOptions(max_iters=0))
-    rep2 = solve(make(7.0), SolveOptions(max_iters=0))
+    rep1 = solve(make(1.0), max_iters=0)
+    rep2 = solve(make(7.0), max_iters=0)
     np.testing.assert_allclose(
         rep1.group_residuals["generic"], rep2.group_residuals["generic"], atol=1e-10
     )
@@ -262,7 +261,7 @@ class TestMarginalCovariance:
         p = Problem()
         p.add_parameter_block("x", np.zeros(2))
         p.add_residual_block(lambda x: np.array([x[0] + x[1]]), ["x"], np.eye(1))
-        solve(p, SolveOptions(max_iters=1))
+        solve(p, max_iters=1)
         with pytest.raises(RankDeficientError) as exc:
             marginal_covariances(p, ["x"])["x"]
         assert exc.value.nullity == 1
@@ -287,7 +286,7 @@ class TestVarianceFactor:
         )
         # x is not actually observable from this residual; give it a prior
         p.add_residual_block(lambda x: x, ["x"], np.eye(1), group="prior")
-        report = solve(p, SolveOptions(max_iters=0))
+        report = solve(p, max_iters=0)
         # redundancy: 100 rows, x not exclusive to "meas" (prior shares it)
         assert report.group_redundancy["meas"] == 100
         assert variance_factor(report, "meas") == pytest.approx(1.0)
@@ -298,7 +297,7 @@ class TestVarianceFactor:
         z = 2.0 * np.concatenate([np.ones(50), -np.ones(50)])
         p.add_residual_block(lambda x: x * 0.0 - z, ["x"], np.eye(100), group="meas")
         p.add_residual_block(lambda x: x, ["x"], np.eye(1), group="prior")
-        report = solve(p, SolveOptions(max_iters=0))
+        report = solve(p, max_iters=0)
         assert variance_factor(report, "meas") == pytest.approx(4.0)
 
     def test_monte_carlo_recovers_noise_inflation(self):
@@ -358,8 +357,8 @@ def test_schur_elimination_matches_direct_solve():
     direct = build(False)
     rng.bit_generator.state = rng_state
     schur = build(True)
-    rep_a = solve(direct, SolveOptions(max_iters=50))
-    rep_b = solve(schur, SolveOptions(max_iters=50))
+    rep_a = solve(direct, max_iters=50)
+    rep_b = solve(schur, max_iters=50)
     assert rep_a.final_cost == pytest.approx(rep_b.final_cost, rel=1e-8)
     for j in range(len(points)):
         np.testing.assert_allclose(
@@ -724,9 +723,9 @@ def test_scale_group_covariance_rescales_whitened_residuals():
     p.add_parameter_block("x", np.zeros(1))
     p.add_residual_block(lambda x: x - 2.0, ["x"], np.eye(1), group="meas")
     p.add_residual_block(lambda x: x, ["x"], np.eye(1), group="anchor")
-    rep1 = solve(p, SolveOptions(max_iters=0))
+    rep1 = solve(p, max_iters=0)
     p.scale_group_covariance("meas", 4.0)
-    rep2 = solve(p, SolveOptions(max_iters=0))
+    rep2 = solve(p, max_iters=0)
     np.testing.assert_allclose(
         rep2.group_residuals["meas"], rep1.group_residuals["meas"] / 2.0, atol=1e-12
     )
@@ -939,7 +938,7 @@ class TestStackedBlocks:
         return p
 
     def test_huber_active_on_some_rows(self):
-        report = solve(self.build(True), SolveOptions(max_iters=0))
+        report = solve(self.build(True), max_iters=0)
         sq = (report.group_residuals["g"].reshape(-1, 3) ** 2).sum(axis=1)
         assert 0 < np.sum(sq > 1.5**2) < len(self.ROWS)
 
@@ -948,8 +947,8 @@ class TestStackedBlocks:
         reports, problems = [], []
         for stacked in (True, False):
             p = self.build(stacked, analytic)
-            reports.append(solve(p, SolveOptions(max_iters=0)))
-            step = solve(p, SolveOptions(max_iters=1))
+            reports.append(solve(p, max_iters=0))
+            step = solve(p, max_iters=1)
             assert step.iterations == 1 and step.final_cost < step.initial_cost
             problems.append(p)
         a, b = reports

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vigt.geometry import Rotation, Similarity, so3_exp_matrix
+from vigt.geometry import Rotation, Similarity
 from vigt.inertial import GRAVITY_W, Bias, preintegrate
 from vigt.metrics import coverage_check
 from vigt.synth import (
@@ -168,9 +168,9 @@ class TestGenImu:
         vel_expected = r0.matrix().T @ (v1 - v0 - g * dt)
         pos_expected = r0.matrix().T @ (p1 - p0 - v0 * dt - 0.5 * g * dt**2)
 
-        assert seg.delta_rot.angle_to(rot_expected) < 1e-4
-        np.testing.assert_allclose(seg.delta_vel, vel_expected, atol=1e-4)
-        np.testing.assert_allclose(seg.delta_pos, pos_expected, atol=1e-4)
+        assert Rotation(seg.delta_rot[0]).angle_to(rot_expected) < 1e-4
+        np.testing.assert_allclose(seg.delta_vel[0], vel_expected, atol=1e-4)
+        np.testing.assert_allclose(seg.delta_pos[0], pos_expected, atol=1e-4)
 
     def test_gyro_bias_drifts_preintegrated_rotation(self):
         # small-angle prediction needs small body rotation over the span;
@@ -188,8 +188,27 @@ class TestGenImu:
         seg_c = preintegrate(
             imu_clean.between(0, int(span * 1e9)), Bias.zero(), world.config.imu_noise
         )
-        drift = seg_c.delta_rot.angle_to(seg_b.delta_rot)
+        drift = Rotation(seg_c.delta_rot[0]).angle_to(Rotation(seg_b.delta_rot[0]))
         assert drift == pytest.approx(0.01 * span, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "world_from_local",
+        [
+            Similarity(1.0, Rotation.exp([0.02, 0.0, 0.7]), np.zeros(3)),
+            Similarity(1.4, Rotation.identity(), np.zeros(3)),
+        ],
+        ids=["tilted", "scaled"],
+    )
+    def test_non_metric_or_tilted_world_frame_rejected(self, world_from_local):
+        world = gen_world(SynthConfig(seed=13, duration_s=2.0, world_from_local=world_from_local))
+        with pytest.raises(ValueError, match="gravity-aligned"):
+            gen_imu(world)
+
+    def test_yaw_only_world_frame_accepted(self):
+        # a yaw and a translation, scale 1, as in the benchmark workloads
+        frame = Similarity(1.0, Rotation.exp([0.0, 0.0, 0.7]), [120.0, -45.0, 3.0])
+        world = gen_world(SynthConfig(seed=13, duration_s=2.0, world_from_local=frame))
+        assert len(gen_imu(world)) > 0
 
     def test_imu_noise_std_calibrated(self):
         world = gen_world(SynthConfig(seed=8, duration_s=20.0, imu_rate_hz=200.0))

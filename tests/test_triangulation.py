@@ -27,15 +27,13 @@ from vigt.triangulation import (
     Observation,
     TriangulationConfig,
     ViewSet,
+    _covariances,
     _local_optimization,
     _midpoints,
     _refine_points,
     _sample_pairs,
-    refine_triangulation,
     triangulate_all,
-    triangulate_cp,
     triangulate_ransac,
-    triangulation_covariance,
 )
 
 CAM = CameraModel(
@@ -70,6 +68,29 @@ def observe(point, pose, rig, image_id, noise=0.0, rng=None, sigma=1.0):
     if noise > 0.0:
         uv = uv + rng.normal(scale=noise, size=2)
     return Observation(image_id, "cam", uv, np.eye(2) * sigma**2)
+
+
+def refine_alone(point, obs, poses, rig):
+    """Refinement of one point from `point` on its views: position, mean
+    inlier error, covariance and the failure, None if it succeeds."""
+    positions, errors, covariances, failures = _refine_points(
+        ViewSet.build(obs, poses, rig), np.reshape(point, (1, 3))
+    )
+    return positions[0], errors[0], covariances[0], failures.get(0)
+
+
+def covariance_at(point, obs, poses, rig):
+    """Covariance of one point's reprojection problem at `point`."""
+    covariances, failures = _covariances(ViewSet.build(obs, poses, rig), np.reshape(point, (1, 3)))
+    assert not failures
+    return covariances[0]
+
+
+def triangulate_one(obs, poses, rig):
+    """One point triangulated alone by `triangulate_all`, which must not fail."""
+    results, failures = triangulate_all({"x": obs}, poses, rig)
+    assert not failures, failures
+    return results["x"]
 
 
 class TestRansac:
@@ -248,16 +269,17 @@ class TestRefine:
         rng = np.random.default_rng(4)
         point = np.array([0.5, 0.5, 4.0])
         rig, poses, obs = self.make_views(rng, point, n=6)
-        cp = refine_triangulation(point, obs, poses, rig, cp_id="x")
-        np.testing.assert_allclose(cp.position, point, atol=1e-9)
-        assert cp.mean_reproj_error_px < 1e-9
+        position, mean_error, _, failure = refine_alone(point, obs, poses, rig)
+        assert failure is None
+        np.testing.assert_allclose(position, point, atol=1e-9)
+        assert mean_error < 1e-9
 
     def test_single_inlier_insufficient(self):
         rng = np.random.default_rng(5)
         point = np.array([0.0, 0.0, 4.0])
         rig, poses, obs = self.make_views(rng, point, n=2)
-        with pytest.raises(InsufficientObservationsError):
-            refine_triangulation(point, obs[:1], poses, rig)
+        _, failures = triangulate_all({"x": obs[:1]}, poses, rig)
+        assert failures["x"].startswith(InsufficientObservationsError.__name__)
 
     def test_monte_carlo_error_within_predicted_bound(self):
         # 1-px noise in 10 views: the estimate should stay within 3 predicted
@@ -266,17 +288,19 @@ class TestRefine:
         rng = np.random.default_rng(6)
         point = np.array([0.0, 1.0, 3.0])
         rig, poses, _ = self.make_views(rng, point, n=10)
-        hits = 0
         trials = 1000
-        for _ in range(trials):
-            obs = [
-                observe(point, poses[i], rig, i, noise=1.0, rng=rng)
-                for i in range(10)
-            ]
-            cp = refine_triangulation(point, obs, poses, rig)
-            err = np.linalg.norm(cp.position - point)
-            bound = 3.0 * np.sqrt(np.linalg.eigvalsh(cp.covariance).max())
-            hits += err <= bound
+        obs = [
+            observe(point, poses[i], rig, i, noise=1.0, rng=rng)
+            for _ in range(trials)
+            for i in range(10)
+        ]
+        # every trial is one point of a single lockstep refinement
+        views = ViewSet.build(obs, poses, rig, np.repeat(np.arange(trials), 10))
+        positions, _, covariances, failures = _refine_points(views, np.tile(point, (trials, 1)))
+        assert not failures
+        err = np.linalg.norm(positions - point, axis=1)
+        bound = 3.0 * np.sqrt(np.linalg.eigvalsh(covariances).max(axis=1))
+        hits = np.count_nonzero(err <= bound)
         assert hits / trials >= 0.93
 
     def test_refinement_does_not_increase_error(self):
@@ -289,8 +313,9 @@ class TestRefine:
         def total_error(p):
             return float(np.sum(ViewSet.build(inliers, poses, rig).errors(p) ** 2))
 
-        cp = refine_triangulation(init, inliers, poses, rig)
-        assert total_error(cp.position) <= total_error(init) + 1e-12
+        position, _, _, failure = refine_alone(init, inliers, poses, rig)
+        assert failure is None
+        assert total_error(position) <= total_error(init) + 1e-12
 
 
 class TestCovariance:
@@ -303,7 +328,7 @@ class TestCovariance:
             1: look_at([d, 0.0, 5.0], point),
         }
         obs = [observe(point, poses[i], rig, i, sigma=sigma) for i in (0, 1)]
-        cov = triangulation_covariance(point, obs, poses, rig)
+        cov = covariance_at(point, obs, poses, rig)
         # closed-form two-ray oracle: each ray constrains its two transverse
         # axes at sigma*d/f; the shared axis gets both constraints
         s = (sigma * d / f) ** 2
@@ -319,8 +344,8 @@ class TestCovariance:
         }
         obs1 = [observe(point, poses[i], rig, i, sigma=1.0) for i in (0, 1)]
         obs2 = [observe(point, poses[i], rig, i, sigma=2.0) for i in (0, 1)]
-        c1 = triangulation_covariance(point, obs1, poses, rig)
-        c2 = triangulation_covariance(point, obs2, poses, rig)
+        c1 = covariance_at(point, obs1, poses, rig)
+        c2 = covariance_at(point, obs2, poses, rig)
         np.testing.assert_allclose(c2, 4.0 * c1, rtol=1e-12)
 
     def test_near_parallel_rays_elongated(self):
@@ -333,7 +358,7 @@ class TestCovariance:
             1: look_at([base, 0.0, 0.0], point),
         }
         obs = [observe(point, poses[i], rig, i) for i in (0, 1)]
-        cov = triangulation_covariance(point, obs, poses, rig)
+        cov = covariance_at(point, obs, poses, rig)
         w, v = np.linalg.eigh(cov)
         assert w[-1] / w[0] > 1e3
         # the long axis points along the mean ray direction (~ +z)
@@ -349,11 +374,11 @@ class TestEquivariance:
         poses = {i: look_at(c, point) for i, c in enumerate(centers)}
         obs = [observe(point, poses[i], rig, i, noise=0.5, rng=rng) for i in range(4)]
 
-        cp = triangulate_cp("x", obs, poses, rig)
+        cp = triangulate_one(obs, poses, rig)
 
         g = RigidPose(Rotation.exp(rng.normal(size=3)), rng.normal(scale=3.0, size=3))
         moved = {i: g @ p for i, p in poses.items()}
-        cp_g = triangulate_cp("x", obs, moved, rig)
+        cp_g = triangulate_one(obs, moved, rig)
 
         np.testing.assert_allclose(cp_g.position, g.apply(cp.position), atol=1e-9)
         r = g.rotation.matrix()
@@ -373,7 +398,7 @@ class TestEquivariance:
             i: Similarity(g.scale, g.rotation @ p.rotation, g.apply(p.translation))
             for i, p in poses.items()
         }
-        cp = triangulate_cp("x", obs, scaled, rig)
+        cp = triangulate_one(obs, scaled, rig)
         np.testing.assert_allclose(cp.position, g.apply(point), atol=1e-8)
 
 
@@ -757,12 +782,15 @@ class TestLockstep:
             3: "DegenerateGeometryError: triangulation Hessian is singular; observation"
             " geometry is degenerate",
         }
-        alone = refine_triangulation(good, points["good"][1], poses, rig)
-        np.testing.assert_array_equal(positions[0], alone.position)
-        np.testing.assert_array_equal(covariances[0], alone.covariance)
-        assert errors[0] == alone.mean_reproj_error_px
-        with pytest.raises(BehindCameraError):
-            refine_triangulation(behind, points["behind"][1], poses, rig)
+        position, mean_error, covariance, failure = refine_alone(
+            good, points["good"][1], poses, rig
+        )
+        assert failure is None
+        np.testing.assert_array_equal(positions[0], position)
+        np.testing.assert_array_equal(covariances[0], covariance)
+        assert errors[0] == mean_error
+        *_, failure = refine_alone(behind, points["behind"][1], poses, rig)
+        assert isinstance(failure, BehindCameraError)
 
 
 class TestBuild:
