@@ -184,7 +184,6 @@ def joint_sparse_align(
     rig,
     cps: Sequence[ControlPoint],
     init: Similarity | None = None,
-    observations: Mapping[str, Sequence[Observation]] | None = None,
 ) -> SparseAlignment:
     """Jointly refine the world-from-local transform and proxy points.
 
@@ -220,7 +219,7 @@ def joint_sparse_align(
         tri = triangulations[cid]
         pid = f"proxy:{cid}"
         problem.add_parameter_block(pid, tri.position.copy())
-        rows += [(o, pid) for o in (tri.inliers if observations is None else observations[cid])]
+        rows += [(o, pid) for o in tri.inliers]
     views = ViewSet.build([o for o, _ in rows], poses, rig)
     problem.add_stacked_block(
         views.residuals,

@@ -3,10 +3,13 @@
 Joint optimization of keyframe poses, velocities, and IMU biases together
 with control-point proxies and feature landmarks, over four
 covariance-weighted factor families: marker reprojections, world control
-points (with deflated survey covariance), feature reprojections, and IMU
-preintegration (plus bias random-walk ties). Visual measurement
-covariances are re-estimated between rounds from the variance factor of
-their residual group.
+points (survey covariance deflated by `_CP_DEFLATION`), feature
+reprojections, and IMU preintegration (plus bias random-walk ties). Both
+reprojection families start at `_SIGMA_PX` per pixel axis, and the
+proxies and landmarks are triangulated with the default
+`TriangulationConfig`. Visual measurement covariances are re-estimated
+in `_REWEIGHT_ROUNDS` rounds from the variance factor of their residual
+group.
 
 The input trajectory must already be metrically aligned into the world
 frame (see the alignment module); the world frame is gravity-aligned.
@@ -26,7 +29,7 @@ ties the same S pairs of bias states.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -63,16 +66,17 @@ from .solver import (
     solve,
     variance_factor,
 )
-from .triangulation import (
-    Observation,
-    TriangulationConfig,
-    ViewSet,
-    triangulate_all,
-)
+from .triangulation import Observation, ViewSet, triangulate_all
 
 VISUAL_GROUPS = ("feature-reprojection", "marker-reprojection")
 # floor of a visual group's variance factor when reweighting its covariance
 _MIN_VARIANCE_FACTOR = 1e-8
+# solves after the first, each after reweighting the visual groups
+_REWEIGHT_ROUNDS = 3
+# multiplies the survey covariance of every control point
+_CP_DEFLATION = 0.25
+# initial detection and feature sigma, before reweighting
+_SIGMA_PX = 1.0
 
 _log = logging.getLogger(__name__)
 
@@ -96,19 +100,12 @@ class FeatureTrack:
 
 @dataclass(frozen=True)
 class FusionConfig:
-    reweight_rounds: int = 3
-    cp_deflation: float = 0.25  # multiplies the survey covariance
     keyframe_stride: int = 5
     mode: str = "full"  # "full" | "inertial-only"
-    sigma_detect_px: float = 1.0
-    sigma_feature_px: float = 1.0
-    triangulation: TriangulationConfig = field(default_factory=TriangulationConfig)
 
     def __post_init__(self):
-        if self.reweight_rounds < 1:
-            raise ValueError("reweighting needs at least 1 round")
-        if not 0.0 < self.cp_deflation <= 1.0:
-            raise ValueError("cp_deflation must lie in (0, 1]")
+        if self.keyframe_stride < 1:
+            raise ValueError(f"keyframe_stride must be at least 1, got {self.keyframe_stride}")
         if self.mode not in ("full", "inertial-only"):
             raise ValueError(f"unknown fusion mode {self.mode!r}")
 
@@ -179,7 +176,6 @@ def _add_reprojections(
     problem: Problem,
     rows: list[tuple[Observation, str]],
     body_rig: RigCalibration,
-    sigma_px: float,
     loss: HuberLoss,
     group: str,
 ) -> None:
@@ -192,7 +188,7 @@ def _add_reprojections(
     problem.add_stacked_block(
         fn,
         [[f"kf:{o.image_id}:pose" for o in observations], [pid for _, pid in rows]],
-        np.eye(2) * sigma_px**2,
+        np.eye(2) * _SIGMA_PX**2,
         group=group,
         jac=jac,
         loss=loss,
@@ -200,9 +196,7 @@ def _add_reprojections(
     )
 
 
-def _add_cp_world(
-    problem: Problem, cps: list[ControlPoint], deflation: float
-) -> None:
+def _add_cp_world(problem: Problem, cps: list[ControlPoint]) -> None:
     """Survey factors on the CP proxies, one stacked block per CP
     dimension."""
     for dim in dict.fromkeys(cp.dim for cp in cps):
@@ -213,7 +207,7 @@ def _add_cp_world(
         problem.add_stacked_block(
             lambda proxies, targets=targets, dim=dim: targets - proxies[:, :dim],
             [[f"cp:{cp.cp_id}" for cp in same]],
-            np.stack([cp.covariance for cp in same]) * deflation,
+            np.stack([cp.covariance for cp in same]) * _CP_DEFLATION,
             group="cp-world",
             jac=lambda proxies, j=j_proxy: [np.broadcast_to(j, (len(proxies),) + j.shape)],
             rid=f"world:{dim}d",
@@ -366,10 +360,7 @@ def build_fusion_problem(
                 o for o in track.observations if o.image_id in kf_set
             ]
     tris, tri_failures = triangulate_all(
-        {pid: obs for pid, obs in kept.items() if len(obs) >= 2},
-        body_pose,
-        body_rig,
-        config.triangulation,
+        {pid: obs for pid, obs in kept.items() if len(obs) >= 2}, body_pose, body_rig
     )
 
     def skip_reason(pid: str) -> str:
@@ -395,10 +386,8 @@ def build_fusion_problem(
             "no control-point observations at keyframes; the problem has no"
             " absolute position information"
         )
-    _add_reprojections(
-        problem, marker_rows, body_rig, config.sigma_detect_px, loss, "marker-reprojection"
-    )
-    _add_cp_world(problem, [cps_by_id[cid] for cid in cp_ids], config.cp_deflation)
+    _add_reprojections(problem, marker_rows, body_rig, loss, "marker-reprojection")
+    _add_cp_world(problem, [cps_by_id[cid] for cid in cp_ids])
 
     landmark_ids: list[str] = []
     skipped_tracks: dict[str, str] = {}
@@ -415,10 +404,7 @@ def build_fusion_problem(
             landmark_ids.append(track.track_id)
             feature_rows += [(o, pid) for o in tri.inliers]
     if feature_rows:
-        _add_reprojections(
-            problem, feature_rows, body_rig, config.sigma_feature_px, loss,
-            "feature-reprojection",
-        )
+        _add_reprojections(problem, feature_rows, body_rig, loss, "feature-reprojection")
 
     segments = _add_inertial(problem, keyframe_ts, imu, rig.imu_noise)
 
@@ -453,7 +439,7 @@ def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
     """
     factors_history: list[dict[str, float]] = []
     report = solve(fp.problem)
-    for _ in range(fp.config.reweight_rounds):
+    for _ in range(_REWEIGHT_ROUNDS):
         factors: dict[str, float] = {}
         for group in VISUAL_GROUPS:
             if group not in report.group_residuals:

@@ -361,15 +361,6 @@ class CameraModel:
                 f" got {len(self.distortion)}"
             )
 
-    def contains(self, px: np.ndarray) -> np.ndarray:
-        px = np.atleast_2d(np.asarray(px, dtype=float))
-        return (
-            (px[:, 0] >= 0.0)
-            & (px[:, 0] <= self.width - 1)
-            & (px[:, 1] >= 0.0)
-            & (px[:, 1] <= self.height - 1)
-        )
-
 
 def _kb4_theta_d(theta, k):
     t2 = theta * theta
@@ -437,22 +428,11 @@ def project(cam: CameraModel, p_cam: np.ndarray) -> np.ndarray:
     return uv
 
 
-def unproject(cam: CameraModel, px: np.ndarray) -> np.ndarray:
-    """Back-project pixels to unit ray directions in the camera frame."""
-    pix = np.atleast_2d(np.asarray(px, dtype=float))
-    dirs, failures = unproject_segments(cam, pix, np.zeros(len(pix), dtype=int))
-    if failures:
-        raise failures[0]
-    if np.asarray(px).ndim == 1:
-        return dirs[0]
-    return dirs
-
-
 def unproject_segments(
     cam: CameraModel, px: np.ndarray, segment: np.ndarray
 ) -> tuple[np.ndarray, dict[int, UnprojectionError]]:
     """Back-project (N, 2) pixels to (N, 3) unit camera-frame rays, each
-    segment of pixels exactly as `unproject` would alone: segment[k] labels
+    segment of pixels exactly as it would be alone: segment[k] labels
     pixel k, and the radial-tangential inversion stops per segment once its
     largest update is below tolerance. Also returns the UnprojectionError
     of every segment that does not invert, keyed by its label; the rays of

@@ -12,65 +12,34 @@ import numpy as np
 from .geometry import Similarity, Trajectory
 from .alignment import umeyama_init
 
-
-@dataclass(frozen=True)
-class ScoreTable:
-    """Piecewise-linear score anchors, clamped outside the anchor range."""
-
-    anchors: tuple[tuple[float, float], ...] = (
-        (0.05, 100.0),
-        (0.20, 90.0),
-        (0.50, 75.0),
-        (1.0, 60.0),
-        (2.0, 40.0),
-        (5.0, 20.0),
-        (10.0, 0.0),
-    )
-
-    def __post_init__(self):
-        errs = [e for e, _ in self.anchors]
-        vals = [s for _, s in self.anchors]
-        if any(b <= a for a, b in zip(errs, errs[1:])):
-            raise ValueError("anchor errors must be strictly increasing")
-        if any(b > a for a, b in zip(vals, vals[1:])):
-            raise ValueError("anchor scores must be non-increasing")
-
-    def evaluate(self, error_m: float) -> float:
-        if error_m < 0.0:
-            raise ValueError(f"error must be non-negative, got {error_m}")
-        errs = [e for e, _ in self.anchors]
-        vals = [s for _, s in self.anchors]
-        if error_m <= errs[0]:
-            return vals[0]
-        if error_m >= errs[-1]:
-            return vals[-1]
-        return float(np.interp(error_m, errs, vals))
-
-
-DEFAULT_SCORE_TABLE = ScoreTable()
+# piecewise-linear score anchors (error in metres, score); np.interp clamps
+# to the end anchors outside their range
+_SCORE_ANCHORS = np.array(
+    [(0.05, 100.0), (0.20, 90.0), (0.50, 75.0), (1.0, 60.0), (2.0, 40.0), (5.0, 20.0), (10.0, 0.0)]
+)
 
 DEFAULT_ASSOC_TOL_NS = 10_000_000  # 10 ms
 
 
-def score(error_m: float, table: ScoreTable = DEFAULT_SCORE_TABLE) -> float:
+def score(error_m: float) -> float:
     """Score one CP alignment error; infinite errors score 0."""
     if np.isinf(error_m):
         return 0.0
-    return table.evaluate(error_m)
+    if error_m < 0.0:
+        raise ValueError(f"error must be non-negative, got {error_m}")
+    return float(np.interp(error_m, _SCORE_ANCHORS[:, 0], _SCORE_ANCHORS[:, 1]))
 
 
-def sequence_score(
-    errors: Iterable[float], table: ScoreTable = DEFAULT_SCORE_TABLE
-) -> float:
+def sequence_score(errors: Iterable[float]) -> float:
     """Mean score over all control points; missing CPs (inf) score 0."""
     errors = list(errors)
     if not errors:
         raise ValueError("sequence has no control points to score")
-    return float(np.mean([score(e, table) for e in errors]))
+    return float(np.mean([score(e) for e in errors]))
 
 
 def cp_recall(errors: Iterable[float], tau_m: float = 1.0) -> float:
-    """Percentage of control points with alignment error below tau."""
+    """Percentage of control points with alignment error at most tau."""
     errors = np.asarray(list(errors), dtype=float)
     if errors.size == 0:
         raise ValueError("sequence has no control points")

@@ -186,9 +186,10 @@ def waypoint_curve(duration_s: float, waypoints: np.ndarray) -> TrajectoryCurve:
     return TrajectoryCurve(spline, dspline, ddspline, euler)
 
 
-def platform_curve(duration_s: float, speed: float = 7.0) -> TrajectoryCurve:
+def platform_curve(duration_s: float) -> TrajectoryCurve:
     """Vehicle-like motion: constant forward velocity with low-frequency
     sway, nearly fixed heading."""
+    speed = 7.0  # m/s
     f1, f2 = 2.0 * np.pi * 0.25, 2.0 * np.pi * 0.4
     a1, a2 = 0.3, 0.06
 
@@ -322,8 +323,6 @@ class SynthWorld:
 class SynthDetections:
     cp_observations: dict[str, list[Observation]]
     tracks: list[FeatureTrack]
-    true_sigma_px: float
-    assumed_sigma_px: float
 
 
 def _time_grid(duration_s: float, rate_hz: float) -> np.ndarray:
@@ -403,26 +402,18 @@ def gen_world(config: SynthConfig) -> SynthWorld:
 
 
 def gen_detections(
-    world: SynthWorld,
-    rig: RigCalibration,
-    sigma_px: float | None = None,
-    assumed_sigma_px: float | None = None,
-    seed: int | None = None,
-    max_range_m: float | None = None,
+    world: SynthWorld, rig: RigCalibration, seed: int | None = None
 ) -> SynthDetections:
-    """Project control points and landmarks into every camera and frame.
+    """Project control points and landmarks into every camera and frame,
+    up to `config.max_range_m` from the camera.
 
-    `sigma_px` is the injected Gaussian noise; `assumed_sigma_px` is the
-    detection sigma stamped on the observations (defaults to the injected
-    sigma, or 1 px for noiseless runs, matching the pipeline default).
+    The world's `config.detection_sigma_px` is the injected Gaussian
+    noise. The detection sigma stamped on the observations is that sigma,
+    or 1 px for noiseless runs, matching the pipeline default.
     """
     config = world.config
-    if sigma_px is None:
-        sigma_px = config.detection_sigma_px
-    if assumed_sigma_px is None:
-        assumed_sigma_px = sigma_px if sigma_px > 0.0 else 1.0
-    if max_range_m is None:
-        max_range_m = config.max_range_m
+    sigma_px = config.detection_sigma_px
+    assumed_sigma_px = sigma_px if sigma_px > 0.0 else 1.0
     rng = np.random.default_rng(config.seed + 1 if seed is None else seed)
 
     ids = list(world.cp_local) + list(world.landmarks_local)
@@ -453,7 +444,7 @@ def gen_detections(
             ok = (
                 valid
                 & (dist > 0.3)
-                & (dist <= max_range_m)
+                & (dist <= config.max_range_m)
                 & (cos_theta > fov_cap)
             )
             in_bounds = np.zeros(len(pts), dtype=bool)
@@ -484,24 +475,14 @@ def gen_detections(
         for tid, obs_list in track_obs.items()
         if len(obs_list) >= 2
     ]
-    return SynthDetections(
-        cp_observations=cp_obs,
-        tracks=tracks,
-        true_sigma_px=float(sigma_px),
-        assumed_sigma_px=float(assumed_sigma_px),
-    )
+    return SynthDetections(cp_observations=cp_obs, tracks=tracks)
 
 
-def gen_imu(
-    world: SynthWorld,
-    rate_hz: float | None = None,
-    noise: ImuNoise | None = None,
-    bias: Bias | None = None,
-    seed: int | None = None,
-    noisy: bool = True,
-) -> ImuStream:
-    """Ideal IMU from the analytic curve, plus constant bias and white
-    noise at the configured densities.
+def gen_imu(world: SynthWorld, seed: int | None = None, noisy: bool = True) -> ImuStream:
+    """Ideal IMU from the analytic curve at the world's
+    `config.imu_rate_hz`, plus the constant `config.gyro_bias` and
+    `config.accel_bias` and, when `noisy`, white noise at the densities of
+    `config.imu_noise`.
 
     The samples are simulated in the local frame, metric and with gravity
     along its -z. A `world_from_local` that scales or tilts that frame
@@ -515,9 +496,8 @@ def gen_imu(
             f" got a scale error of {scale_pct:.3g} % and a tilt of {tilt_deg:.3g} deg"
         )
     config = world.config
-    rate = rate_hz or config.imu_rate_hz
-    noise = noise or config.imu_noise
-    bias = bias or Bias(np.array(config.gyro_bias), np.array(config.accel_bias))
+    rate, noise = config.imu_rate_hz, config.imu_noise
+    bias = Bias(np.array(config.gyro_bias), np.array(config.accel_bias))
     rng = np.random.default_rng(config.seed + 2 if seed is None else seed)
 
     ts = _time_grid(config.duration_s, rate)
@@ -540,12 +520,11 @@ def gen_imu(
 def perturb_trajectory(
     traj: Trajectory,
     white_sigma_pos: float = 0.0,
-    white_sigma_rot_rad: float = 0.0,
     scale_drift_rate: float = 0.0,
     dropout: tuple[float, float] | None = None,
     seed: int = 0,
 ) -> Trajectory:
-    """Inject known error patterns: white pose noise, a linear-in-time
+    """Inject known error patterns: white position noise, a linear-in-time
     scale factor on positions, and a dropout interval (seconds from start).
     """
     rng = np.random.default_rng(seed)
@@ -557,11 +536,8 @@ def perturb_trajectory(
         if dropout is not None and dropout[0] <= t_rel < dropout[1]:
             continue
         p = pose.translation * (1.0 + scale_drift_rate * t_rel)
-        r = pose.rotation
         if white_sigma_pos > 0.0:
             p = p + rng.normal(scale=white_sigma_pos, size=3)
-        if white_sigma_rot_rad > 0.0:
-            r = r @ Rotation.exp(rng.normal(scale=white_sigma_rot_rad, size=3))
         ts_out.append(ts)
-        poses_out.append(RigidPose(r, p))
+        poses_out.append(RigidPose(pose.rotation, p))
     return Trajectory(np.array(ts_out, dtype=np.int64), tuple(poses_out))

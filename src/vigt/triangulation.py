@@ -57,6 +57,12 @@ from .solver import CONVERGENCE_TOL
 
 # (hypothesis, view) entries scored per pass; bounds the temporary arrays
 _SCORE_ENTRIES = 8192
+# reprojection error, px, up to which a view is an inlier of a hypothesis
+_THRESHOLD_PX = 4.0
+# seed of the pair sampling, so a point's pairs depend only on its view count
+_SEED = 42
+# pairs whose rays meet at a smaller angle, in degrees, make no hypothesis
+_MIN_PAIR_ANGLE_DEG = 0.5
 
 
 def default_pixel_covariance(sigma_px: float = 1.0) -> np.ndarray:
@@ -92,10 +98,7 @@ class TriangulatedCP:
 
 @dataclass(frozen=True)
 class TriangulationConfig:
-    threshold_px: float = 4.0
-    max_iters: int = 500
-    seed: int = 42
-    min_pair_angle_deg: float = 0.5
+    max_iters: int = 500  # two-view hypotheses drawn per point, at most
 
 
 def _point_sums(point: np.ndarray, terms: np.ndarray, n_points: int) -> np.ndarray:
@@ -488,10 +491,10 @@ def _lo_ransac(views: ViewSet, config: TriangulationConfig):
 
     # every point draws its own pairs; points with as many views draw the same
     sizes = views.sizes.tolist()
-    samples = {n: _sample_pairs(n, config.max_iters, config.seed) for n in set(sizes)}
+    samples = {n: _sample_pairs(n, config.max_iters, _SEED) for n in set(sizes)}
     pair_point = np.repeat(np.arange(n_points), [len(samples[n]) for n in sizes])
     pairs = np.concatenate([samples[n] for n in sizes]) + views.starts[pair_point, None]
-    min_sin = np.sin(np.deg2rad(config.min_pair_angle_deg))
+    min_sin = np.sin(np.deg2rad(_MIN_PAIR_ANGLE_DEG))
     failed = np.zeros(n_points, dtype=bool)
     failed[list(failures)] = True
 
@@ -515,7 +518,7 @@ def _lo_ransac(views: ViewSet, config: TriangulationConfig):
         pts = midpoints[hyp]
         rows, local = _entries(views, pair_point[chunk][hyp])
         errors = views._errors(rows, pts[local])
-        _, count, mean = _inlier_scores(local, errors, config.threshold_px, len(hyp))
+        _, count, mean = _inlier_scores(local, errors, _THRESHOLD_PX, len(hyp))
         front = views._in_front(pairs[chunk][hyp].ravel(), np.repeat(pts, 2, axis=0))
         counts[start + hyp], means[start + hyp] = count, mean
         candidate[start + hyp] = front.reshape(-1, 2).all(axis=1) & (count >= 2)
@@ -549,14 +552,14 @@ def _lo_ransac(views: ViewSet, config: TriangulationConfig):
         pending = np.delete(pending, first)
         hyp_pts = _midpoints(centers, rays, pairs[sel])[0]
         rows, local = _entries(views, points)
-        inliers = views._errors(rows, hyp_pts[local]) <= config.threshold_px
+        inliers = views._errors(rows, hyp_pts[local]) <= _THRESHOLD_PX
         point, inl, count, mean = _local_optimization(
             views.take(rows, point=local),
             hyp_pts,
             inliers,
             counts[sel],
             means[sel],
-            config.threshold_px,
+            _THRESHOLD_PX,
             [memos[p] for p in points],
         )
         better = _beats(count, mean, best_count[points], best_mean[points])
@@ -683,8 +686,8 @@ def triangulate_ransac(
     error; each one that beats the best so far is refined on its inliers,
     each distinct inlier set once: a later hypothesis with the same set
     takes the outcome of its first refinement. Deterministic for a fixed
-    seed and input order. Pairs are enumerated exhaustively when few,
-    sampled otherwise. The pipeline runs `triangulate_all`; `perfbench`
+    input order. Pairs are enumerated exhaustively when few, sampled with
+    a fixed seed otherwise. The pipeline runs `triangulate_all`; `perfbench`
     calls this one-point form in its RANSAC microbenchmark and traces it.
     """
     if len(observations) < 2:

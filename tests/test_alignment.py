@@ -26,7 +26,6 @@ from vigt.solver import HuberLoss, Problem, solve
 from vigt.triangulation import (
     Observation,
     TriangulatedCP,
-    TriangulationConfig,
     ViewSet,
     triangulate_all,
 )
@@ -83,7 +82,7 @@ def make_scene(rng, n_cp=8, n_poses=14, noise_px=0.0, n_3d=None, world_from_loca
             if p_cam[2] <= 0.2:
                 continue
             uv = project(CAM, p_cam)
-            if not CAM.contains(uv)[0]:
+            if not (0.0 <= uv[0] <= CAM.width - 1 and 0.0 <= uv[1] <= CAM.height - 1):
                 continue
             if noise_px > 0.0:
                 uv = uv + rng.normal(scale=noise_px, size=2)
@@ -146,10 +145,8 @@ class TestUmeyama:
 
 
 class TestJointAlign:
-    def triangulate(self, detections, poses, seed=42):
-        tris, failures = triangulate_all(
-            detections, poses, RIG, TriangulationConfig(seed=seed)
-        )
+    def triangulate(self, detections, poses):
+        tris, failures = triangulate_all(detections, poses, RIG)
         assert not failures, failures
         return tris
 

@@ -8,7 +8,7 @@ import pytest
 
 from vigt import fusion, solver
 from vigt.errors import ImuDataError, UnobservableError
-from vigt.fusion import FusionConfig, build_fusion_problem, optimize_pseudo_gt
+from vigt.fusion import FusionConfig, PseudoGT, build_fusion_problem, optimize_pseudo_gt
 from vigt.inertial import BIAS_CORRECTION_WARN_NORM, ImuStream
 from vigt.solver import Manifold, _retract
 from vigt.synth import (
@@ -151,8 +151,34 @@ def test_optimize_builds_one_workspace(scene, monkeypatch):
     monkeypatch.setattr(fusion, "solve", counted(fusion.solve))
     monkeypatch.setattr(fusion, "marginal_covariances", counted(fusion.marginal_covariances))
     optimize_pseudo_gt(fp)
-    assert calls == ["solve"] * (fp.config.reweight_rounds + 1) + ["marginal_covariances"]
+    assert calls == ["solve"] * (fusion._REWEIGHT_ROUNDS + 1) + ["marginal_covariances"]
     assert built == [fp.problem]
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_non_positive_keyframe_stride_rejected(stride):
+    with pytest.raises(ValueError, match="keyframe_stride"):
+        FusionConfig(keyframe_stride=stride)
+
+
+def test_median_position_uncertainty_reads_the_position_blocks():
+    # largest position sigmas 0.05, 0.01 and 0.03 m; the rotation block and
+    # the rotation-position cross terms must not count
+    wide = np.eye(6) * 1e-4
+    wide[3:6, 3:6] = np.diag([1e-4, 25e-4, 4e-4])
+    wide[0:3, 3:6] = wide[3:6, 0:3] = 1e-3
+    tight = np.eye(6) * 1e-4
+    # correlated x and y: eigenvalues 9e-4, 1e-4 and 1e-4, diagonal 5e-4
+    correlated = np.eye(6) * 100.0
+    correlated[3:6, 3:6] = [[5e-4, 4e-4, 0.0], [4e-4, 5e-4, 0.0], [0.0, 0.0, 1e-4]]
+    pgt = PseudoGT(
+        keyframes=[],
+        pose_covariances=[wide, tight, correlated],
+        variance_factors=[],
+        report=None,
+        bias_excursions=0,
+    )
+    assert pgt.median_position_uncertainty() == pytest.approx(0.03, rel=1e-12)
 
 
 def test_imu_gap_raises(scene):

@@ -27,7 +27,7 @@ from vigt.geometry import (
     so3_right_jacobian,
     so3_right_jacobian_inverse,
     try_project,
-    unproject,
+    unproject_segments,
 )
 
 
@@ -68,6 +68,13 @@ RADTAN_CAM = CameraModel(
 PINHOLE_CAM = CameraModel(
     CameraKind.PINHOLE, fx=400.0, fy=400.0, cx=319.5, cy=239.5, width=640, height=480
 )
+
+
+def unproject_one(cam, px) -> np.ndarray:
+    """The unit camera-frame ray of one pixel, a segment of its own."""
+    rays, failures = unproject_segments(cam, np.array([px], dtype=float), np.zeros(1, dtype=int))
+    assert not failures
+    return rays[0]
 
 
 class TestRotation:
@@ -222,12 +229,12 @@ class TestProjection:
 
     def test_pinhole_unproject_center(self):
         cam = CameraModel(CameraKind.PINHOLE, 100.0, 100.0, 0.0, 0.0)
-        np.testing.assert_allclose(unproject(cam, [0.0, 0.0]), [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(unproject_one(cam, [0.0, 0.0]), [0.0, 0.0, 1.0])
 
     def test_pinhole_unproject_45deg(self):
         cam = CameraModel(CameraKind.PINHOLE, 100.0, 100.0, 0.0, 0.0)
         expected = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
-        np.testing.assert_allclose(unproject(cam, [100.0, 0.0]), expected, atol=1e-12)
+        np.testing.assert_allclose(unproject_one(cam, [100.0, 0.0]), expected, atol=1e-12)
 
     def test_roundtrip_grid_all_models(self):
         # 10x10 pixel grid, round trip through unproject/project per model
@@ -235,7 +242,8 @@ class TestProjection:
             u = np.linspace(5.0, cam.width - 5.0, 10)
             v = np.linspace(5.0, cam.height - 5.0, 10)
             grid = np.stack(np.meshgrid(u, v), axis=-1).reshape(-1, 2)
-            rays = unproject(cam, grid)
+            rays, failures = unproject_segments(cam, grid, np.zeros(len(grid), dtype=int))
+            assert not failures, cam.kind
             for depth in (1.0, 7.3):
                 back = project(cam, rays * depth)
                 err = np.linalg.norm(back - grid, axis=1)

@@ -1,5 +1,7 @@
 """Tests for the synthetic-world generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from vigt.synth import (
     perturb_trajectory,
 )
 
+# noiseless detections: detection_sigma_px defaults to 0
 EVAL_CFG = SynthConfig(seed=42, duration_s=30.0, cp_count=10, landmark_count=20)
 
 
@@ -91,7 +94,7 @@ class TestGenDetections:
     def test_noiseless_reprojection_exact(self):
         world = gen_world(EVAL_CFG)
         rig = default_rig()
-        det = gen_detections(world, rig, sigma_px=0.0)
+        det = gen_detections(world, rig)
         poses = world.trajectory.pose_map()
         checked = 0
         for cid, obs_list in det.cp_observations.items():
@@ -109,15 +112,16 @@ class TestGenDetections:
 
     def test_every_cp_observed_in_default_scene(self):
         world = gen_world(EVAL_CFG)
-        det = gen_detections(world, default_rig(), sigma_px=0.0)
+        det = gen_detections(world, default_rig())
         for cid, obs in det.cp_observations.items():
             assert len(obs) >= 5, f"{cid} has only {len(obs)} observations"
 
     def test_noise_magnitude_calibrated(self):
-        world = gen_world(EVAL_CFG)
         rig = default_rig()
-        clean = gen_detections(world, rig, sigma_px=0.0)
-        noisy = gen_detections(world, rig, sigma_px=1.0)
+        clean = gen_detections(gen_world(EVAL_CFG), rig)
+        noisy = gen_detections(
+            gen_world(dataclasses.replace(EVAL_CFG, detection_sigma_px=1.0)), rig
+        )
         diffs = []
         for cid in clean.cp_observations:
             for a, b in zip(clean.cp_observations[cid], noisy.cp_observations[cid]):
@@ -175,12 +179,15 @@ class TestGenImu:
     def test_gyro_bias_drifts_preintegrated_rotation(self):
         # small-angle prediction needs small body rotation over the span;
         # the platform curve barely rotates
-        world = gen_world(SynthConfig(
+        config = SynthConfig(
             seed=7, duration_s=5.0, trajectory="platform",
             gyro_bias=(0.01, 0.0, 0.0), imu_rate_hz=500.0,
-        ))
+        )
+        world = gen_world(config)
         imu_biased = gen_imu(world, noisy=False)
-        imu_clean = gen_imu(world, bias=Bias.zero(), noisy=False)
+        imu_clean = gen_imu(
+            gen_world(dataclasses.replace(config, gyro_bias=(0.0, 0.0, 0.0))), noisy=False
+        )
         span = 1.0
         seg_b = preintegrate(
             imu_biased.between(0, int(span * 1e9)), Bias.zero(), world.config.imu_noise

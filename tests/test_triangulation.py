@@ -24,6 +24,9 @@ from vigt.geometry import (
 )
 from vigt.solver import CONVERGENCE_TOL
 from vigt.triangulation import (
+    _MIN_PAIR_ANGLE_DEG,
+    _SEED,
+    _THRESHOLD_PX,
     Observation,
     TriangulationConfig,
     ViewSet,
@@ -153,7 +156,7 @@ class TestRansac:
             observe(point, poses[i], rig, i, noise=1.0, rng=rng)
             for i in range(len(centers))
         ]
-        cfg = TriangulationConfig(max_iters=100, seed=7)
+        cfg = TriangulationConfig(max_iters=100)
         est1, in1 = triangulate_ransac(obs, poses, rig, cfg)
         est2, in2 = triangulate_ransac(obs, poses, rig, cfg)
         np.testing.assert_array_equal(est1, est2)
@@ -228,7 +231,7 @@ class TestLocalOptimization:
         views = ViewSet.build(obs, poses, rig)
         centers, rays, _ = views.centers_and_rays()
         config = TriangulationConfig()
-        pairs = _sample_pairs(len(obs), config.max_iters, config.seed)
+        pairs = _sample_pairs(len(obs), config.max_iters, _SEED)
         masks = views.errors(_midpoints(centers, rays, pairs)[0]) <= 4.0
         candidate_sets = {m.tobytes() for m in masks if m.sum() >= 2}
         assert np.count_nonzero(masks.all(axis=1)) == 7
@@ -540,12 +543,12 @@ def oracle_ransac(observations, poses, rig, config):
             f"triangulation needs at least 2 observations, got {len(observations)}"
         )
     views = ViewSet.build(observations, poses, rig)
-    pairs = _sample_pairs(len(observations), config.max_iters, config.seed)
+    pairs = _sample_pairs(len(observations), config.max_iters, _SEED)
     centers, rays, failures = views.centers_and_rays()
     if failures:
         raise failures[0]
     i, j = pairs[:, 0], pairs[:, 1]
-    min_sin = np.sin(np.deg2rad(config.min_pair_angle_deg))
+    min_sin = np.sin(np.deg2rad(_MIN_PAIR_ANGLE_DEG))
     usable = (np.linalg.norm(centers[j] - centers[i], axis=1) >= 1e-12) & (
         np.linalg.norm(np.cross(rays[i], rays[j]), axis=1) >= min_sin
     )
@@ -562,7 +565,7 @@ def oracle_ransac(observations, poses, rig, config):
         pts = points[chunk]
         visible = np.take_along_axis(oracle_in_front(views, pts), pairs[chunk], axis=1).all(axis=1)
         errors = views.errors(pts)
-        inliers = errors <= config.threshold_px
+        inliers = errors <= _THRESHOLD_PX
         counts = inliers.sum(axis=1)
         means = np.where(inliers, errors, 0.0).sum(axis=1) / np.maximum(counts, 1)
         for k in np.flatnonzero(visible & (counts >= 2)):
@@ -574,7 +577,7 @@ def oracle_ransac(observations, poses, rig, config):
             if key not in memo:
                 refined = oracle_refine(views.take(np.flatnonzero(inl)), point)
                 refined_errors = views.errors(refined)
-                new_inliers = refined_errors <= config.threshold_px
+                new_inliers = refined_errors <= _THRESHOLD_PX
                 memo[key] = refined, new_inliers, refined_errors
             refined, new_inliers, refined_errors = memo[key]
             if new_inliers.sum() >= 2:

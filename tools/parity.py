@@ -20,13 +20,15 @@ absolute for positions, rotations, velocities, biases, CP errors, CP and
 landmark positions and CP mean errors, relative to each block's largest
 entry for pose and CP covariances, relative for variance factors and
 cost histories, and equal or not for the iteration counts, terminations,
-skipped items, inlier sets, triangulation failures and landmark ids. The
-exit code is 1 when a discrete quantity differs. Cost histories are
-compared over the accepted steps both solves made; a solve that accepted
-one step more or fewer is listed but does not fail the comparison: a step
-at the numerical floor, which lowers the cost by less than
-`solver.CONVERGENCE_TOL` of it, may be accepted or not by round-off
-alone, and both end as converged after the same number of iterations.
+skipped items, inlier sets, triangulation failures and landmark ids. Equal
+entries, infinite or NaN ones included, deviate by 0, and an entry that is
+NaN on one side only by inf. The exit code is 1 when a discrete quantity
+differs. Cost histories are compared over the accepted steps both solves
+made; a solve that accepted one step more or fewer is listed but does not
+fail the comparison: a step at the numerical floor, which lowers the cost
+by less than `solver.CONVERGENCE_TOL` of it, may be accepted or not by
+round-off alone, and both end as converged after the same number of
+iterations.
 """
 
 from __future__ import annotations
@@ -166,14 +168,15 @@ def _deviation(name: str, a: np.ndarray, b: np.ndarray) -> float:
         a, b = np.where(np.isnan(b), np.nan, a), np.where(np.isnan(a), np.nan, b)
     if a.shape != b.shape:
         return np.inf
-    if name in PER_BLOCK:
-        scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
-        return float(np.max(np.abs(a - b) / scale, initial=0.0))
-    if name in RELATIVE:
-        both = np.isnan(a) & np.isnan(b)
-        rel = np.abs(a - b) / np.abs(a)
-        return float(np.max(np.where(both, 0.0, rel), initial=0.0))
-    return float(np.max(np.abs(a - b), initial=0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = np.abs(a - b)
+        if name in PER_BLOCK:
+            dev = dev / np.abs(a).max(axis=(-2, -1), keepdims=True)
+        elif name in RELATIVE:
+            dev = dev / np.abs(a)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    dev = np.where(np.isnan(dev), np.inf, dev)
+    return float(np.max(np.where(same, 0.0, dev), initial=0.0))
 
 
 def compare(path_a: str, path_b: str) -> int:
