@@ -22,16 +22,16 @@ DEFAULT_ASSOC_TOL_NS = 10_000_000  # 10 ms
 
 
 def score(error_m: float) -> float:
-    """Score one CP alignment error; infinite errors score 0."""
-    if np.isinf(error_m):
-        return 0.0
-    if error_m < 0.0:
-        raise ValueError(f"error must be non-negative, got {error_m}")
+    """Score one CP alignment error; +inf (a missing CP) scores 0, and a
+    negative or NaN error is a ValueError."""
+    if not error_m >= 0.0:
+        raise ValueError(f"error must be a non-negative number, got {error_m}")
     return float(np.interp(error_m, _SCORE_ANCHORS[:, 0], _SCORE_ANCHORS[:, 1]))
 
 
 def sequence_score(errors: Iterable[float]) -> float:
-    """Mean score over all control points; missing CPs (inf) score 0."""
+    """Mean score over all control points; missing CPs (inf) score 0, and a
+    negative or NaN error is a ValueError."""
     errors = list(errors)
     if not errors:
         raise ValueError("sequence has no control points to score")

@@ -6,13 +6,18 @@ grouped by point, so each camera model projects the views of every point
 in one call:
 
 - LO-RANSAC (Chum, Matas & Kittler, "Locally Optimized RANSAC", DAGM
-  2003). Each point draws its own two-view pairs (`_sample_pairs`), and the
-  midpoint hypotheses of all points are scored in passes over flat
-  (hypothesis, view) entries. Local optimization runs in rounds: in each,
-  every point takes its next hypothesis, in its own order, that beats its
-  best so far, and all of those are refined in one batched call. A point
-  refines each distinct inlier set once, which bounds the cost of LO
-  (Lebeda, Matas & Chum, "Fixing the Locally Optimized RANSAC", BMVC
+  2003). Each point draws its own two-view pairs in a random order fixed by
+  its view count (`_sample_pairs`), at most `max_iters` of them, and stops
+  at the first k of them with k >= log(eta) / log(1 - eps_k^2), eps_k the
+  best raw inlier fraction of a candidate among its first k midpoint
+  hypotheses and eta = 0.01 (Fischler & Bolles, "Random Sample Consensus",
+  CACM 1981): by then an all-inlier pair has been missed with probability
+  at most eta. The hypotheses of all unfinished points are scored in passes
+  over flat (hypothesis, view) entries. Local optimization runs in rounds:
+  in each, every point takes its next hypothesis, in its own order, that
+  beats its best so far, and all of those are refined in one batched call.
+  A point refines each distinct inlier set once, which bounds the cost of
+  LO (Lebeda, Matas & Chum, "Fixing the Locally Optimized RANSAC", BMVC
   2012); a later hypothesis with the same set takes the first outcome.
 - Refinement: one Levenberg-Marquardt loop over (P, 3) points, each with
   its own damping and stopping rule (`ViewSet.refine`).
@@ -55,7 +60,7 @@ from .geometry import (
 )
 from .solver import CONVERGENCE_TOL
 
-# (hypothesis, view) entries scored per pass; bounds the temporary arrays
+# (hypothesis, view) entries scored at a time; bounds the temporary arrays
 _SCORE_ENTRIES = 8192
 # reprojection error, px, up to which a view is an inlier of a hypothesis
 _THRESHOLD_PX = 4.0
@@ -63,6 +68,12 @@ _THRESHOLD_PX = 4.0
 _SEED = 42
 # pairs whose rays meet at a smaller angle, in degrees, make no hypothesis
 _MIN_PAIR_ANGLE_DEG = 0.5
+# a point stops drawing pairs once the chance of having missed an all-inlier
+# pair is at most this (Fischler & Bolles, "Random Sample Consensus", CACM
+# 1981; the customary 1 - 0.99 confidence)
+_ETA = 0.01
+# hypotheses each point scores in the first pass; every later pass doubles it
+_FIRST_PASS = 4
 
 
 def default_pixel_covariance(sigma_px: float = 1.0) -> np.ndarray:
@@ -98,7 +109,9 @@ class TriangulatedCP:
 
 @dataclass(frozen=True)
 class TriangulationConfig:
-    max_iters: int = 500  # two-view hypotheses drawn per point, at most
+    # two-view hypotheses drawn per point, at most: the cap of the stopping
+    # rule k >= log(0.01) / log(1 - eps^2), on pairs in a seeded random order
+    max_iters: int = 500
 
 
 def _point_sums(point: np.ndarray, terms: np.ndarray, n_points: int) -> np.ndarray:
@@ -381,14 +394,11 @@ class ViewSet:
 
 
 def _sample_pairs(n: int, max_pairs: int, seed: int) -> np.ndarray:
-    """(P, 2) view pairs i < j: all of them in lexicographic order when
-    there are at most `max_pairs`, else `max_pairs` drawn without
-    replacement by their lexicographic index."""
+    """(P, 2) view pairs i < j in a random order fixed by n and the seed:
+    min(n(n-1)/2, `max_pairs`) of them, drawn without replacement by their
+    lexicographic index, so every pair when there are at most `max_pairs`."""
     total = n * (n - 1) // 2
-    if total > max_pairs:
-        k = np.random.default_rng(seed).choice(total, size=max_pairs, replace=False)
-    else:
-        k = np.arange(total)
+    k = np.random.default_rng(seed).choice(total, size=min(total, max_pairs), replace=False)
     # pairs (i, i+1) .. (i, n-1) have indices starts[i] ..
     starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     i = np.searchsorted(starts, k, side="right") - 1
@@ -476,10 +486,54 @@ def _local_optimization(
     )
 
 
+def _score_pairs(
+    views: ViewSet, centers: np.ndarray, rays: np.ndarray, pairs: np.ndarray, owner: np.ndarray
+):
+    """Score the midpoint hypothesis of each (P, 2) pair of view rows, pair
+    k of point owner[k], against every view of its point, at most
+    `_SCORE_ENTRIES` (hypothesis, view) entries at a time. Returns whether
+    each pair is usable (a baseline, and rays at least _MIN_PAIR_ANGLE_DEG
+    apart), and each hypothesis's inlier count, mean inlier error and
+    whether it is a candidate: usable, in front of both views of its pair
+    and with 2 or more inliers."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    usable = (np.linalg.norm(centers[j] - centers[i], axis=1) >= 1e-12) & (
+        np.linalg.norm(np.cross(rays[i], rays[j]), axis=1)
+        >= np.sin(np.deg2rad(_MIN_PAIR_ANGLE_DEG))
+    )
+    midpoints, defined = _midpoints(centers, rays, pairs)
+    counts, means = np.zeros(len(pairs), dtype=int), np.zeros(len(pairs))
+    candidate = np.zeros(len(pairs), dtype=bool)
+    scored = np.flatnonzero(usable & defined)
+    ends = np.cumsum(views.sizes[owner[scored]])
+    start = 0
+    while start < len(scored):
+        budget = ends[start] - views.sizes[owner[scored[start]]] + _SCORE_ENTRIES
+        hyp = scored[start : max(start + 1, int(np.searchsorted(ends, budget, "right")))]
+        pts = midpoints[hyp]
+        rows, local = _entries(views, owner[hyp])
+        errors = views._errors(rows, pts[local])
+        _, counts[hyp], means[hyp] = _inlier_scores(local, errors, _THRESHOLD_PX, len(hyp))
+        front = views._in_front(pairs[hyp].ravel(), np.repeat(pts, 2, axis=0))
+        candidate[hyp] = front.reshape(-1, 2).all(axis=1) & (counts[hyp] >= 2)
+        start += len(hyp)
+    return usable, counts, means, candidate
+
+
 def _lo_ransac(views: ViewSet, config: TriangulationConfig):
     """LO-RANSAC of every point of `views`, as `triangulate_ransac` of each
     alone: the (n_points, 3) points, the (N,) inlier mask of their views,
-    and the error of each point that fails, keyed by point.
+    the error of each point that fails, keyed by point, and the (n_points,)
+    number of hypotheses each point drew.
+
+    A point draws its pairs in the order `_sample_pairs` gives and stops
+    after the first k of them for which k >= log(eta) / log(1 - eps_k^2),
+    eps_k the best raw inlier fraction of a candidate among them (`_ETA`),
+    or after all of them. The points score their hypotheses in passes, each
+    unfinished point its next `_FIRST_PASS` in the first and twice as many
+    in every later one; a point leaves once it stops, and what it scored
+    past its stop is discarded, so its stop and result do not depend on the
+    other points.
 
     Each point keeps a memo of the inlier sets it has refined: a hypothesis
     whose inlier set is in it takes the outcome of that set's first
@@ -488,47 +542,50 @@ def _lo_ransac(views: ViewSet, config: TriangulationConfig):
     n_points = views.n_points
     centers, rays, unprojection = views.centers_and_rays()
     failures: dict[int, VigtError] = dict(unprojection)
+    failed = np.zeros(n_points, dtype=bool)
+    failed[list(failures)] = True
 
     # every point draws its own pairs; points with as many views draw the same
     sizes = views.sizes.tolist()
     samples = {n: _sample_pairs(n, config.max_iters, _SEED) for n in set(sizes)}
-    pair_point = np.repeat(np.arange(n_points), [len(samples[n]) for n in sizes])
+    n_pairs = np.array([len(samples[n]) for n in sizes], dtype=int)
+    first_pair = np.cumsum(n_pairs) - n_pairs
+    pair_point = np.repeat(np.arange(n_points), n_pairs)
     pairs = np.concatenate([samples[n] for n in sizes]) + views.starts[pair_point, None]
-    min_sin = np.sin(np.deg2rad(_MIN_PAIR_ANGLE_DEG))
-    failed = np.zeros(n_points, dtype=bool)
-    failed[list(failures)] = True
 
-    # score the midpoint hypothesis of every usable pair of every point, a
-    # bounded number of (hypothesis, view) entries per pass
+    # score in passes until every point has stopped; the stop of a point
+    # is fixed by its own hypotheses alone
     counts, means = np.zeros(len(pairs), dtype=int), np.zeros(len(pairs))
     candidate = np.zeros(len(pairs), dtype=bool)
     any_usable = np.zeros(n_points, dtype=bool)
-    ends = np.cumsum(views.sizes[pair_point])
-    start = 0
-    while start < len(pairs):
-        budget = ends[start] - views.sizes[pair_point[start]] + _SCORE_ENTRIES
-        chunk = slice(start, max(start + 1, int(np.searchsorted(ends, budget, "right"))))
-        i, j = pairs[chunk, 0], pairs[chunk, 1]
-        usable = (np.linalg.norm(centers[j] - centers[i], axis=1) >= 1e-12) & (
-            np.linalg.norm(np.cross(rays[i], rays[j]), axis=1) >= min_sin
-        )
-        any_usable[pair_point[chunk][usable]] = True
-        midpoints, defined = _midpoints(centers, rays, pairs[chunk])
-        hyp = np.flatnonzero(usable & defined & ~failed[pair_point[chunk]])
-        pts = midpoints[hyp]
-        rows, local = _entries(views, pair_point[chunk][hyp])
-        errors = views._errors(rows, pts[local])
-        _, count, mean = _inlier_scores(local, errors, _THRESHOLD_PX, len(hyp))
-        front = views._in_front(pairs[chunk][hyp].ravel(), np.repeat(pts, 2, axis=0))
-        counts[start + hyp], means[start + hyp] = count, mean
-        candidate[start + hyp] = front.reshape(-1, 2).all(axis=1) & (count >= 2)
-        start = chunk.stop
-    for p in np.flatnonzero(~any_usable):
-        failures.setdefault(
-            int(p),
-            DegenerateGeometryError(
-                "all observation pairs are near-parallel or have zero baseline"
-            ),
+    drawn = np.zeros(n_points, dtype=int)
+    stop = np.where(failed, 0, n_pairs)  # the cap until the rule stops a point
+    best = np.zeros(n_points, dtype=int)  # raw inlier count of its best candidate
+    width = _FIRST_PASS
+    while (live := np.flatnonzero(drawn < stop)).size:
+        take = np.minimum(width, stop[live] - drawn[live])
+        owner = np.repeat(live, take)
+        # the number of each hypothesis in its point's own order, from 0
+        nth = np.arange(len(owner)) + np.repeat(drawn[live] - np.cumsum(take) + take, take)
+        at = first_pair[owner] + nth
+        usable, count, mean, cand = _score_pairs(views, centers, rays, pairs[at], owner)
+        # the best raw inlier count up to each hypothesis of its point: a
+        # running maximum, kept apart per point by an offset
+        offset = np.repeat(np.arange(len(live)) * (views.sizes.max() + 1), take)
+        running = np.maximum.accumulate(np.where(cand, count, 0) + offset) - offset
+        eps = np.maximum(running, best[owner]) / views.sizes[owner]
+        done = (1.0 - eps * eps) ** (nth + 1) <= _ETA
+        stopped, first = np.unique(owner[done], return_index=True)
+        stop[stopped] = nth[done][first] + 1
+        keep = nth < stop[owner]
+        any_usable[owner[usable & keep]] = True
+        counts[at], means[at], candidate[at] = count, mean, cand & keep
+        np.maximum.at(best, owner[keep], running[keep])
+        drawn[live] = np.minimum(drawn[live] + take, stop[live])
+        width *= 2
+    for p in np.flatnonzero(~any_usable & ~failed):
+        failures[int(p)] = DegenerateGeometryError(
+            "all observation pairs are near-parallel or have zero baseline"
         )
         failed[p] = True
 
@@ -570,7 +627,7 @@ def _lo_ransac(views: ViewSet, config: TriangulationConfig):
 
     for p in np.flatnonzero((best_count < 0) & ~failed):
         failures[int(p)] = NoConsensusError("no triangulation hypothesis had 2 or more inliers")
-    return best_point, best_inliers, failures
+    return best_point, best_inliers, failures, drawn
 
 
 def _refine_points(views: ViewSet, init: np.ndarray):
@@ -648,7 +705,7 @@ def _triangulate(
     if ids:
         sizes = [len(detections[cp_id]) for cp_id in ids]
         views = ViewSet.build(observations, poses, rig, np.repeat(np.arange(len(ids)), sizes))
-        init, inliers, ransac_failed = _lo_ransac(views, config)
+        init, inliers, ransac_failed, _ = _lo_ransac(views, config)
         ok = np.ones(len(ids), dtype=bool)
         ok[list(ransac_failed)] = False
         solved, renumber = np.flatnonzero(ok), np.cumsum(ok) - 1
@@ -686,13 +743,17 @@ def triangulate_ransac(
     error; each one that beats the best so far is refined on its inliers,
     each distinct inlier set once: a later hypothesis with the same set
     takes the outcome of its first refinement. Deterministic for a fixed
-    input order. Pairs are enumerated exhaustively when few, sampled with
-    a fixed seed otherwise. The pipeline runs `triangulate_all`; `perfbench`
-    calls this one-point form in its RANSAC microbenchmark and traces it.
+    input order. The view pairs come in a random order fixed by the number
+    of observations and a fixed seed: all of them when there are at most
+    `config.max_iters`, else that many. Drawing stops at the first k pairs
+    with k >= log(eta) / log(1 - eps_k^2), eps_k the best raw inlier
+    fraction of a hypothesis among them, eta = 0.01, or after all of them.
+    The pipeline runs `triangulate_all`; `perfbench` calls this one-point
+    form in its RANSAC microbenchmark and traces it.
     """
     if len(observations) < 2:
         raise _too_few(len(observations))
-    points, inliers, failures = _lo_ransac(ViewSet.build(observations, poses, rig), config)
+    points, inliers, failures, _ = _lo_ransac(ViewSet.build(observations, poses, rig), config)
     if failures:
         raise failures[0]
     return points[0], tuple(int(k) for k in np.flatnonzero(inliers))

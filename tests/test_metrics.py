@@ -58,6 +58,11 @@ class TestScore:
         with pytest.raises(ValueError):
             score(-0.1)
 
+    @pytest.mark.parametrize("error", [-np.inf, np.nan])
+    def test_minus_infinity_and_nan_rejected(self, error):
+        with pytest.raises(ValueError, match="non-negative number"):
+            score(error)
+
     def test_monotone_non_increasing(self):
         es = np.linspace(0.0, 12.0, 500)
         ss = [score(float(e)) for e in es]
@@ -77,6 +82,11 @@ class TestSequenceScore:
     def test_empty_is_error(self):
         with pytest.raises(ValueError):
             sequence_score([])
+
+    @pytest.mark.parametrize("error", [-0.1, -np.inf, np.nan])
+    def test_negative_or_nan_error_rejected(self, error):
+        with pytest.raises(ValueError, match="non-negative number"):
+            sequence_score([0.1, error])
 
     def test_permutation_invariant(self):
         errs = [0.1, 0.4, 2.2, np.inf, 0.9]

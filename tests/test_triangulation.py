@@ -22,8 +22,11 @@ from vigt.geometry import (
     project,
     try_project,
 )
+from vigt import triangulation
 from vigt.solver import CONVERGENCE_TOL
 from vigt.triangulation import (
+    _ETA,
+    _FIRST_PASS,
     _MIN_PAIR_ANGLE_DEG,
     _SEED,
     _THRESHOLD_PX,
@@ -32,6 +35,7 @@ from vigt.triangulation import (
     ViewSet,
     _covariances,
     _local_optimization,
+    _lo_ransac,
     _midpoints,
     _refine_points,
     _sample_pairs,
@@ -173,11 +177,19 @@ class TestPairSampling:
         expected = [all_pairs[int(k)] for k in idx]
         assert [tuple(p) for p in _sample_pairs(n, max_iters, seed).tolist()] == expected
 
-    def test_exhaustive_in_lexicographic_order(self):
+    def test_every_pair_once_in_an_order_fixed_by_n_and_seed(self):
         for n, max_iters in ((2, 1), (5, 10), (14, 91), (6, 500)):
-            expected = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            pairs = _sample_pairs(n, max_iters, seed=7)
-            assert [tuple(p) for p in pairs.tolist()] == expected
+            all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            pairs = [tuple(p) for p in _sample_pairs(n, max_iters, seed=7).tolist()]
+            assert sorted(pairs) == all_pairs
+            # oracle: all the enumerated pairs, chosen in a seeded order
+            rng = np.random.default_rng(7)
+            order = rng.choice(len(all_pairs), size=len(all_pairs), replace=False)
+            assert pairs == [all_pairs[int(k)] for k in order]
+        # not in lexicographic order, and another seed gives another order
+        pairs = _sample_pairs(14, 91, seed=7).tolist()
+        assert pairs != sorted(pairs)
+        assert _sample_pairs(14, 91, seed=8).tolist() != pairs
 
 
 class TestLocalOptimization:
@@ -492,10 +504,12 @@ class TestViewSet:
 
 
 # Reference oracles: LO-RANSAC and Levenberg-Marquardt refinement one point
-# at a time (hypotheses scored 64 at a time, LO on each improving hypothesis
-# in order, einsum sums). Each inlier set is refined once: a hypothesis
-# whose inlier set was refined before takes that first outcome, under the
-# same 2-inlier rule. The lockstep batch must equal them.
+# at a time (every drawn pair scored at once, the stopping rule applied to
+# the point's pairs in their drawn order, then LO on each improving
+# hypothesis before the stop, in order, einsum sums). Each inlier set is
+# refined once: a hypothesis whose inlier set was refined before takes that
+# first outcome, under the same 2-inlier rule. The lockstep batch must equal
+# them.
 
 
 def oracle_refine(views, point):
@@ -537,7 +551,20 @@ def oracle_in_front(views, pts):
     return front | fisheye
 
 
-def oracle_ransac(observations, poses, rig, config):
+def oracle_stop(raw_counts, n):
+    """Hypotheses a point of n views draws, given the raw inlier count of
+    each drawn pair's hypothesis in order (0 if it is no candidate): the
+    first k with (1 - eps_k^2)^k <= eta, eps_k the best of the first k
+    counts over n, or all of them."""
+    best = 0
+    for k, count in enumerate(raw_counts, start=1):
+        best = max(best, int(count))
+        if (1.0 - (best / n) * (best / n)) ** k <= _ETA:
+            return k
+    return len(raw_counts)
+
+
+def oracle_ransac(observations, poses, rig, config, stopping=True):
     if len(observations) < 2:
         raise InsufficientObservationsError(
             f"triangulation needs at least 2 observations, got {len(observations)}"
@@ -558,43 +585,48 @@ def oracle_ransac(observations, poses, rig, config):
         )
     points, defined = _midpoints(centers, rays, pairs)
     hypotheses = np.flatnonzero(usable & defined)
+    pts = points[hypotheses]
+    visible = np.take_along_axis(
+        oracle_in_front(views, pts), pairs[hypotheses], axis=1
+    ).all(axis=1)
+    errors = views.errors(pts)
+    inliers = errors <= _THRESHOLD_PX
+    counts = inliers.sum(axis=1)
+    means = np.where(inliers, errors, 0.0).sum(axis=1) / np.maximum(counts, 1)
+    candidate = visible & (counts >= 2)
+    raw = np.zeros(len(pairs), dtype=int)
+    raw[hypotheses[candidate]] = counts[candidate]
+    drawn = oracle_stop(raw, len(observations)) if stopping else len(pairs)
     best_point, best_inliers, best_score = None, None, (-1, -np.inf)
     memo = {}  # inlier mask bytes -> the first LO of that set
-    for start in range(0, len(hypotheses), 64):
-        chunk = hypotheses[start : start + 64]
-        pts = points[chunk]
-        visible = np.take_along_axis(oracle_in_front(views, pts), pairs[chunk], axis=1).all(axis=1)
-        errors = views.errors(pts)
-        inliers = errors <= _THRESHOLD_PX
-        counts = inliers.sum(axis=1)
-        means = np.where(inliers, errors, 0.0).sum(axis=1) / np.maximum(counts, 1)
-        for k in np.flatnonzero(visible & (counts >= 2)):
-            score = (int(counts[k]), -float(means[k]))
-            if score <= best_score:
-                continue
-            point, inl = pts[k], inliers[k]
-            key = inl.tobytes()
-            if key not in memo:
-                refined = oracle_refine(views.take(np.flatnonzero(inl)), point)
-                refined_errors = views.errors(refined)
-                new_inliers = refined_errors <= _THRESHOLD_PX
-                memo[key] = refined, new_inliers, refined_errors
-            refined, new_inliers, refined_errors = memo[key]
-            if new_inliers.sum() >= 2:
-                point, inl = refined, new_inliers
-                score = (int(new_inliers.sum()), -float(refined_errors[new_inliers].mean()))
-            if score > best_score:
-                best_point, best_inliers, best_score = point, inl, score
+    for k in np.flatnonzero(candidate & (hypotheses < drawn)):
+        score = (int(counts[k]), -float(means[k]))
+        if score <= best_score:
+            continue
+        point, inl = pts[k], inliers[k]
+        key = inl.tobytes()
+        if key not in memo:
+            refined = oracle_refine(views.take(np.flatnonzero(inl)), point)
+            refined_errors = views.errors(refined)
+            new_inliers = refined_errors <= _THRESHOLD_PX
+            memo[key] = refined, new_inliers, refined_errors
+        refined, new_inliers, refined_errors = memo[key]
+        if new_inliers.sum() >= 2:
+            point, inl = refined, new_inliers
+            score = (int(new_inliers.sum()), -float(refined_errors[new_inliers].mean()))
+        if score > best_score:
+            best_point, best_inliers, best_score = point, inl, score
     if best_point is None:
         raise NoConsensusError("no triangulation hypothesis had 2 or more inliers")
-    return best_point, tuple(int(k) for k in np.flatnonzero(best_inliers))
+    return best_point, tuple(int(k) for k in np.flatnonzero(best_inliers)), drawn
 
 
-def oracle_triangulate(observations, poses, rig, config):
+def oracle_triangulate(observations, poses, rig, config, stopping=True):
     """(position, covariance, inlier indices, mean error) of one point, or
-    the exception the per-point path raised."""
+    the exception the per-point path raised; without `stopping`, LO-RANSAC
+    scores every drawn pair."""
     try:
-        point, idx = oracle_ransac(observations, poses, rig, config)
+        point, idx, _ = oracle_ransac(observations, poses, rig, config, stopping)
         views = ViewSet.build([observations[k] for k in idx], poses, rig)
         point = oracle_refine(views, point)
         behind = np.flatnonzero(~oracle_in_front(views, point))
@@ -687,6 +719,23 @@ class TestLockstep:
             np.testing.assert_array_equal(tri.covariance, ref.covariance)
             assert tri.mean_reproj_error_px == ref.mean_reproj_error_px
             assert tri.inliers == ref.inliers
+
+    @settings(max_examples=40, deadline=None)
+    @given(point_batches())
+    def test_stops_match_per_point_oracle(self, scene):
+        detections, poses, config = scene
+        batch = {cp_id: obs for cp_id, obs in detections.items() if len(obs) >= 2}
+        if not batch:
+            return
+        numbers = np.repeat(np.arange(len(batch)), [len(obs) for obs in batch.values()])
+        views = ViewSet.build(sum(batch.values(), []), poses, MIXED_RIG, numbers)
+        *_, drawn = _lo_ransac(views, config)
+        for k, obs in enumerate(batch.values()):
+            try:
+                _, _, expected = oracle_ransac(obs, poses, MIXED_RIG, config)
+            except VigtError:
+                continue
+            assert drawn[k] == expected
 
     def test_failures_stay_with_their_point(self):
         rng = np.random.default_rng(11)
@@ -794,6 +843,136 @@ class TestLockstep:
         assert errors[0] == mean_error
         *_, failure = refine_alone(behind, points["behind"][1], poses, rig)
         assert isinstance(failure, BehindCameraError)
+
+
+PINHOLE_RIG = RigCalibration(
+    cameras={"pinhole": MODELS["pinhole"]},
+    camera_from_device={"pinhole": RigidPose.identity()},
+)
+
+
+def ring_views(rng, poses, target, n, first_image):
+    """n detections of `target` with 0.5 px noise, by pinhole cameras 4-10 m
+    away on its +z side that look near it, at new images from `first_image`
+    on (added to `poses`)."""
+    cam = MODELS["pinhole"]
+    obs = []
+    for k in range(first_image, first_image + n):
+        offset = np.append(rng.normal(scale=0.6, size=2), 1.0)
+        center = target + rng.uniform(4.0, 10.0) * offset / np.linalg.norm(offset)
+        poses[k] = look_at(center, target + rng.normal(scale=0.3, size=3))
+        uv = project(cam, poses[k].inverse().apply(target)) + rng.normal(scale=0.5, size=2)
+        obs.append(Observation(k, "pinhole", uv, np.eye(2) * 0.25))
+    return obs
+
+
+def corrupt(obs, fraction, rng):
+    """The detections with round(fraction * n) of them, chosen at random,
+    moved to uniform random pixels of the image (gross outliers), and the
+    indices of those."""
+    cam = MODELS["pinhole"]
+    bad = rng.choice(len(obs), size=round(fraction * len(obs)), replace=False)
+    out = list(obs)
+    for k in bad:
+        pixel = rng.uniform((0.0, 0.0), (cam.width, cam.height))
+        out[k] = Observation(obs[k].image_id, obs[k].camera_id, pixel, obs[k].pixel_cov)
+    return out, {int(k) for k in bad}
+
+
+def rule_k(eps):
+    """The hypotheses the stopping rule asks for at raw inlier fraction eps."""
+    return int(np.ceil(np.log(_ETA) / np.log(1.0 - eps * eps)))
+
+
+class TestStopping:
+    def test_clean_point_stops_far_below_the_cap(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        poses = {}
+        obs = ring_views(rng, poses, np.zeros(3), 40, 0)
+        views = ViewSet.build(obs, poses, PINHOLE_RIG)
+        # from the first drawn pair whose midpoint has 90 % or more of the
+        # views as inliers on, the rule asks for at most rule_k(0.9) = 3
+        # hypotheses
+        centers, rays, _ = views.centers_and_rays()
+        pairs = _sample_pairs(40, 500, _SEED)
+        fractions = (views.errors(_midpoints(centers, rays, pairs)[0]) <= _THRESHOLD_PX).mean(1)
+        first = int(np.argmax(fractions >= 0.9)) + 1
+        assert first == 1 and rule_k(0.9) == 3
+
+        scored = []
+        score_pairs = triangulation._score_pairs
+
+        def recorded(views, centers, rays, pairs, owner):
+            scored.append(len(pairs))
+            return score_pairs(views, centers, rays, pairs, owner)
+
+        monkeypatch.setattr(triangulation, "_score_pairs", recorded)
+        _, inliers, failures, drawn = _lo_ransac(views, TriangulationConfig())
+        assert not failures and inliers.all()
+        assert drawn[0] <= max(first, rule_k(0.9))
+        # one pass of _FIRST_PASS hypotheses, where all 500 were scored before
+        assert scored == [_FIRST_PASS]
+
+    def test_stop_and_result_alone_equal_in_batch(self):
+        # the point between a 90-view point, whose 4005 pairs are capped at
+        # 500, and a point with 60 % outliers, which needs more passes
+        rng = np.random.default_rng(22)
+        poses = {}
+        many = ring_views(rng, poses, rng.normal(size=3), 90, 0)
+        point, _ = corrupt(ring_views(rng, poses, rng.normal(size=3), 20, 100), 0.1, rng)
+        heavy, _ = corrupt(ring_views(rng, poses, rng.normal(size=3), 40, 200), 0.6, rng)
+        config = TriangulationConfig()
+        batch = ViewSet.build(
+            many + point + heavy, poses, PINHOLE_RIG, np.repeat(np.arange(3), [90, 20, 40])
+        )
+        points, inliers, failures, drawn = _lo_ransac(batch, config)
+        alone, alone_inliers, alone_failures, alone_drawn = _lo_ransac(
+            ViewSet.build(point, poses, PINHOLE_RIG), config
+        )
+        assert not failures and not alone_failures
+        assert drawn[1] == alone_drawn[0]
+        np.testing.assert_array_equal(points[1], alone[0])
+        np.testing.assert_array_equal(inliers[90:110], alone_inliers)
+        # the point left the passes before its outlier-heavy neighbour
+        assert drawn[1] <= _FIRST_PASS < 3 * _FIRST_PASS < drawn[2]
+
+
+class TestOutlierRobustness:
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5])
+    def test_stopping_matches_scoring_every_pair(self, fraction):
+        # 6 seeds of 4 points with 40 views each, a fraction of them gross
+        # outliers, against the oracle that scores all 500 drawn pairs:
+        # the same failures, no outlier it drops kept, the recall of true
+        # inliers within 2 points of its and the median 3D error within
+        # 0.5 mm of its
+        config = TriangulationConfig()
+        recall, full_recall, error, full_error = [], [], [], []
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            poses, detections, truth, outliers = {}, {}, {}, {}
+            for k in range(4):
+                p = f"p{k}"
+                truth[p] = rng.normal(scale=2.0, size=3)
+                obs = ring_views(rng, poses, truth[p], 40, 100 * k)
+                detections[p], outliers[p] = corrupt(obs, fraction, rng)
+            results, failures = triangulate_all(detections, poses, PINHOLE_RIG, config)
+            for p, obs in detections.items():
+                full = oracle_triangulate(obs, poses, PINHOLE_RIG, config, stopping=False)
+                if isinstance(full, VigtError):
+                    assert failures[p] == f"{type(full).__name__}: {full}"
+                    continue
+                assert p not in failures
+                point, _, idx, _ = full
+                kept = {k for k, o in enumerate(obs) if any(o is i for i in results[p].inliers)}
+                assert kept & outliers[p] <= set(idx) & outliers[p]
+                true_inliers = set(range(len(obs))) - outliers[p]
+                recall.append(len(kept & true_inliers) / len(true_inliers))
+                full_recall.append(len(set(idx) & true_inliers) / len(true_inliers))
+                error.append(np.linalg.norm(results[p].position - truth[p]))
+                full_error.append(np.linalg.norm(point - truth[p]))
+        assert len(recall) == 24
+        assert np.mean(recall) >= np.mean(full_recall) - 0.02
+        assert abs(np.median(error) - np.median(full_error)) <= 0.5e-3
 
 
 class TestBuild:

@@ -5,7 +5,11 @@
 Builds one seeded synthetic scene per case. The eval stage runs on the
 initial trajectory: `triangulation.triangulate_all` over every CP's
 detections and `alignment.joint_sparse_align` are timed, and the
-`ViewSet.refine` calls of the triangulation are counted. It then times
+`ViewSet.refine` calls of the triangulation are counted, as are the
+hypotheses of its scoring passes (the pairs handed to
+`triangulation._score_pairs`, those a point's stop discards included; "-"
+for sources without it). One more, untimed `triangulate_all` call reports
+its `tracemalloc` peak. It then times
 `fusion.build_fusion_problem`, whose time includes the triangulation of
 the CP proxies and landmarks (`fusion.triangulate_all`, or the per-point
 `fusion.triangulate_cp` of older sources; also reported on its own), and
@@ -37,6 +41,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -113,22 +118,30 @@ def _timing(module, name: str, seconds: list[float]):
 
 def _eval_stage(world, rig, detections, init, repeat: int) -> dict:
     """Median times of the eval stage's triangulation and alignment on the
-    initial trajectory, and the refine calls of one triangulation."""
+    initial trajectory; the refine calls and scored hypotheses of one
+    triangulation, and the `tracemalloc` peak of another."""
     from vigt import alignment, triangulation
 
     refine = triangulation.ViewSet.refine
-    calls = [0]
+    score_pairs = getattr(triangulation, "_score_pairs", None)
+    calls, hypotheses = [0], [0]
 
     def counted(self, *args, **kwargs):
         calls[0] += 1
         return refine(self, *args, **kwargs)
 
+    def scored(*args, **kwargs):
+        hypotheses[0] += len(args[3])
+        return score_pairs(*args, **kwargs)
+
     poses = init.pose_map()
     triangulate_s, align_s = [], []
     triangulation.ViewSet.refine = counted
+    if score_pairs is not None:
+        triangulation._score_pairs = scored
     try:
         for _ in range(repeat):
-            calls[0] = 0
+            calls[0] = hypotheses[0] = 0
             t0 = time.perf_counter()
             tris, _ = triangulation.triangulate_all(detections.cp_observations, poses, rig)
             t1 = time.perf_counter()
@@ -138,10 +151,20 @@ def _eval_stage(world, rig, detections, init, repeat: int) -> dict:
             align_s.append(t2 - t1)
     finally:
         triangulation.ViewSet.refine = refine
+        if score_pairs is not None:
+            triangulation._score_pairs = score_pairs
+    tracemalloc.start()
+    try:
+        triangulation.triangulate_all(detections.cp_observations, poses, rig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "eval_triangulate_s": statistics.median(triangulate_s),
         "eval_align_s": statistics.median(align_s),
         "eval_refine_calls": calls[0],
+        "eval_hypotheses": hypotheses[0] if score_pairs is not None else None,
+        "eval_triangulate_peak_mb": peak / 2**20,
     }
 
 
@@ -197,14 +220,16 @@ def main(argv=None) -> int:
         f"{'length':>6s} {'landmarks':>9s} {'keyframes':>9s} {'unknowns':>8s}"
         f" {'build':>8s} {'triangulate':>11s} {'optimize':>9s} {'marginals':>9s}"
         f" {'LM iters':>8s} {'per iter':>9s} {'eval tri':>9s} {'align':>8s} {'refines':>7s}"
+        f" {'hyps':>6s} {'tri peak':>9s}"
     )
     for r in rows:
+        hypotheses = "-" if r["eval_hypotheses"] is None else str(r["eval_hypotheses"])
         print(
             f"{r['length_s']:5d}s {r['landmarks']:9d} {r['keyframes']:9d} {r['unknowns']:8d}"
             f" {r['build_s']:7.3f}s {r['triangulate_s']:10.3f}s {r['optimize_s']:8.3f}s"
             f" {r['marginals_s']:8.3f}s {r['lm_iters']:8g} {r['optimize_ms_per_iter']:7.2f}ms"
             f" {r['eval_triangulate_s']:8.3f}s {r['eval_align_s']:7.3f}s"
-            f" {r['eval_refine_calls']:7d}"
+            f" {r['eval_refine_calls']:7d} {hypotheses:>6s} {r['eval_triangulate_peak_mb']:6.1f} MB"
         )
     optimize = {r["length_s"]: r["optimize_s"] for r in rows if r["landmarks"] == 0}
     ratios = {"30/10": optimize[30] / optimize[10], "90/30": optimize[90] / optimize[30]}
