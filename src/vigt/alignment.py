@@ -44,22 +44,9 @@ class ControlPoint:
 
 
 @dataclass
-class AlignmentRecord:
-    cp_id: str
-    dim: int
-    used: bool
-    error_2d: float  # meters; inf when the CP never triangulated
-    error_3d: float  # meters; nan for 2D control points
-    sigma_tri_metric: np.ndarray | None  # (3, 3) transformed triangulation cov
-    sigma_cp: np.ndarray  # survey covariance as stored
-    note: str = ""
-
-
-@dataclass
 class SparseAlignment:
     transform: Similarity
     proxies: dict[str, np.ndarray]
-    records: list[AlignmentRecord]
     init_fallback_4dof: bool
     report: SolveReport | None
 
@@ -148,12 +135,6 @@ def initialize_alignment(
     return transform, True
 
 
-def propagate_covariance(cov: np.ndarray, transform: Similarity) -> np.ndarray:
-    """Map a local-frame covariance through the similarity: s^2 R cov R^T."""
-    r = transform.rotation.matrix()
-    return transform.scale**2 * r @ np.asarray(cov, dtype=float) @ r.T
-
-
 def _world_factor(targets: np.ndarray, dim: int):
     """Callbacks of stacked survey rows target - T(proxy)[:dim] over the
     (transform, proxy) slots; every row names the one transform block, read
@@ -183,7 +164,6 @@ def joint_sparse_align(
     poses: Mapping[int, RigidPose | Similarity],
     rig,
     cps: Sequence[ControlPoint],
-    init: Similarity | None = None,
 ) -> SparseAlignment:
     """Jointly refine the world-from-local transform and proxy points.
 
@@ -206,11 +186,7 @@ def joint_sparse_align(
             " residual components cannot constrain a 7-DoF similarity"
         )
 
-    fallback = False
-    if init is None:
-        init, fallback = initialize_alignment(
-            {cid: triangulations[cid] for cid in usable}, cps
-        )
+    init, fallback = initialize_alignment({cid: triangulations[cid] for cid in usable}, cps)
 
     problem = Problem()
     problem.add_parameter_block("T", init)
@@ -247,45 +223,9 @@ def joint_sparse_align(
     transform: Similarity = problem.value("T")
     proxies = {cid: problem.value(f"proxy:{cid}") for cid in usable}
 
-    records = []
-    for cp in cps:
-        tri = triangulations.get(cp.cp_id)
-        if tri is None:
-            records.append(
-                AlignmentRecord(
-                    cp.cp_id,
-                    cp.dim,
-                    used=False,
-                    error_2d=np.inf,
-                    error_3d=np.inf if cp.dim == 3 else np.nan,
-                    sigma_tri_metric=None,
-                    sigma_cp=cp.covariance,
-                    note="no-triangulation",
-                )
-            )
-            continue
-        mapped = transform.apply(tri.position)
-        err_2d = float(np.linalg.norm(cp.xy - mapped[:2]))
-        err_3d = (
-            float(np.linalg.norm(cp.position - mapped)) if cp.dim == 3 else np.nan
-        )
-        records.append(
-            AlignmentRecord(
-                cp.cp_id,
-                cp.dim,
-                used=cp.cp_id in proxies,
-                error_2d=err_2d,
-                error_3d=err_3d,
-                sigma_tri_metric=propagate_covariance(tri.covariance, transform),
-                sigma_cp=cp.covariance,
-                note="" if cp.cp_id in proxies else "not-used-in-fit",
-            )
-        )
-
     return SparseAlignment(
         transform=transform,
         proxies=proxies,
-        records=records,
         init_fallback_4dof=fallback,
         report=report,
     )

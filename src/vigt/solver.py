@@ -25,12 +25,13 @@ selected inversion (Takahashi's recursion, as cheap as the factorization),
 plus the border's low-rank correction.
 
 Parameter values are packed float rows: a Euclidean (d,) vector (tangent
-d), a rotation's unit quaternion [qw qx qy qz] (tangent 3), a rigid pose
-[q | t] (tangent 6: rotation, translation) and a similarity [q | t | s]
-(tangent 7: rotation, translation, log-scale). Rotations update on the
-right, translations add, the scale multiplies by the exponential of its
-tangent coordinate. During a solve all rows live in one flat value
-vector, and a factor reads each slot as one (N, size) array of rows.
+d), a rigid pose [q | t] (tangent 6: rotation, translation) and a
+similarity [q | t | s] (tangent 7: rotation, translation, log-scale), q a
+unit quaternion [qw qx qy qz]. Rotations update on the right,
+translations add, the scale multiplies by the exponential of its tangent
+coordinate. During a solve all rows live in one flat value vector, and a
+factor reads each slot as one (N, size) array of rows. Every block is
+free; a factor that needs a fixed value closes over it.
 
 A Problem is exclusively owned while :func:`solve` runs; residual and
 Jacobian callbacks must be pure functions of the parameter values.
@@ -53,19 +54,16 @@ from .geometry import RigidPose, Rotation, Similarity, quat_exp, quat_multiply
 
 class Manifold(enum.Enum):
     EUCLIDEAN = "euclidean"
-    ROTATION = "rotation"
     RIGID_POSE = "rigid-pose"
     SIMILARITY = "similarity"
 
 
 # tangent dimension of the non-Euclidean kinds; their rows hold one more entry
-_TANGENT_DIM = {Manifold.ROTATION: 3, Manifold.RIGID_POSE: 6, Manifold.SIMILARITY: 7}
+_TANGENT_DIM = {Manifold.RIGID_POSE: 6, Manifold.SIMILARITY: 7}
 
 
 def _pack(value) -> tuple[Manifold, np.ndarray]:
     """Kind and value row of a parameter value."""
-    if isinstance(value, Rotation):
-        return Manifold.ROTATION, value.quat.copy()
     if isinstance(value, RigidPose):
         return Manifold.RIGID_POSE, np.concatenate([value.rotation.quat, value.translation])
     if isinstance(value, Similarity):
@@ -76,8 +74,6 @@ def _pack(value) -> tuple[Manifold, np.ndarray]:
 
 def _unpack(manifold: Manifold, row: np.ndarray):
     """Parameter value of a row; Euclidean rows are returned as they are."""
-    if manifold is Manifold.ROTATION:
-        return Rotation(row)
     if manifold is Manifold.RIGID_POSE:
         return RigidPose(Rotation(row[:4]), row[4:7])
     if manifold is Manifold.SIMILARITY:
@@ -91,8 +87,7 @@ def _retract(manifold: Manifold, rows: np.ndarray, deltas: np.ndarray) -> np.nda
         return rows + deltas
     out = np.empty_like(rows)
     out[:, :4] = quat_multiply(rows[:, :4], quat_exp(deltas[:, :3]))
-    if manifold is not Manifold.ROTATION:
-        out[:, 4:7] = rows[:, 4:7] + deltas[:, 3:6]
+    out[:, 4:7] = rows[:, 4:7] + deltas[:, 3:6]
     if manifold is Manifold.SIMILARITY:
         out[:, 7] = rows[:, 7] * np.exp(deltas[:, 6])
     return out
@@ -122,12 +117,17 @@ class ParameterBlock:
     id: str
     value: np.ndarray
     manifold: Manifold
-    constant: bool = False
     eliminate: bool = False
 
     @property
     def dim(self) -> int:
         return _TANGENT_DIM.get(self.manifold, self.value.size)
+
+    @property
+    def constant(self) -> bool:
+        """Always False: every block is free. Kept for `perfbench`, which
+        counts the unknowns of the blocks that are not constant."""
+        return False
 
 
 @dataclass
@@ -205,14 +205,14 @@ class Problem:
         self._workspace: _Workspace | None = None  # see _workspace()
 
     def add_parameter_block(
-        self, pid: str, value, *, constant: bool = False, eliminate: bool = False
+        self, pid: str, value, *, eliminate: bool = False
     ) -> ParameterBlock:
-        """Add a Rotation, RigidPose, Similarity or Euclidean vector; it is
-        stored as its value row."""
+        """Add a RigidPose, Similarity or Euclidean vector; it is stored as
+        its value row."""
         if pid in self.params:
             raise ValueError(f"duplicate parameter block '{pid}'")
         manifold, row = _pack(value)
-        block = ParameterBlock(pid, row, manifold, constant, eliminate)
+        block = ParameterBlock(pid, row, manifold, eliminate)
         if eliminate and not (block.manifold is Manifold.EUCLIDEAN and block.dim == 3):
             raise ValueError("only 3-dim euclidean blocks can be Schur-eliminated")
         self.params[pid] = block
@@ -276,7 +276,7 @@ class Problem:
         )
 
     def value(self, pid: str):
-        """The block's value as a Rotation, RigidPose, Similarity or vector."""
+        """The block's value as a RigidPose, Similarity or vector."""
         block = self.params[pid]
         return _unpack(block.manifold, block.value)
 
@@ -315,42 +315,37 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
-class _FreeSlot:
-    """The rows of one slot of a residual block that name a free block:
-    their positions in the block (None when all rows do), their (n, d)
-    rows of the residual vector and the (n, k) tangent columns of their
-    blocks."""
+class _Slot:
+    """One slot of a residual block: the (N, d) rows of the residual vector
+    of its rows and the (N, k) tangent columns of the blocks they name."""
 
-    slot: int
-    rows: np.ndarray | None
     residual_rows: np.ndarray
     cols: np.ndarray
 
 
 class _Workspace:
     """Static structure of a problem: the value layout, tangent indexing,
-    row layout, the free rows of every slot, the band-plus-border layout
-    of the normal equations and where each entry of the per-slot Jacobian
-    products J_a' J_b lands in it.
+    row layout, the rows and columns of every slot, the band-plus-border
+    layout of the normal equations and where each entry of the per-slot
+    Jacobian products J_a' J_b lands in it.
 
     The flat value vector holds every block's row in insertion order, the
     row of block `pid` from index `value_starts[pid]` on. The tangent holds
-    the retained free blocks in insertion order, then the eliminated
-    points. A problem keeps its workspace until a block is added."""
+    the retained blocks in insertion order, then the eliminated points. A
+    problem keeps its workspace until a block is added."""
 
     def __init__(self, problem: Problem):
         # the problem's dicts, not the problem: it holds the workspace
         self.params, self.residuals = problem.params, problem.residuals
         blocks = list(problem.params.values())
+        if not blocks:
+            raise SolverError("problem has no parameter blocks")
         sizes = np.array([b.value.size for b in blocks])
         starts = np.cumsum(sizes) - sizes
         self.value_starts = {b.id: int(s) for b, s in zip(blocks, starts)}
 
-        free = [b for b in blocks if not b.constant]
-        if not free:
-            raise SolverError("problem has no free parameter blocks")
-        retained = [b for b in free if not b.eliminate]
-        eliminated = [b for b in free if b.eliminate]
+        retained = [b for b in blocks if not b.eliminate]
+        eliminated = [b for b in blocks if b.eliminate]
         self.offsets: dict[str, int] = {}
         cursor = 0
         for b in retained + eliminated:
@@ -358,12 +353,12 @@ class _Workspace:
             cursor += b.dim
         self.n_tangent = cursor
 
-        # per kind of free block: (M, size) value and (M, k) tangent indices
+        # per kind of block: (M, size) value and (M, k) tangent indices
         # of its blocks; the Euclidean retraction is elementwise, so its
         # blocks of any size share flat index arrays
         self.retractions = []
         for manifold in Manifold:
-            kind = [b for b in free if b.manifold is manifold]
+            kind = [b for b in blocks if b.manifold is manifold]
             if not kind:
                 continue
             value_idx = [self.value_starts[b.id] + np.arange(b.value.size) for b in kind]
@@ -371,24 +366,22 @@ class _Workspace:
             join = np.concatenate if manifold is Manifold.EUCLIDEAN else np.stack
             self.retractions.append((manifold, join(value_idx), join(tangent_idx)))
 
-        # per block (insertion order): tangent offset (-1 if constant), and
-        # its ordinal among the retained blocks or among the points (-1)
+        # per block (insertion order): tangent offset, and its ordinal among
+        # the retained blocks or among the points (-1)
         index = {b.id: i for i, b in enumerate(blocks)}
         dims = np.array([b.dim for b in blocks])
-        tangent = np.array([self.offsets.get(b.id, -1) for b in blocks])
+        tangent = np.array([self.offsets[b.id] for b in blocks])
         retained_ord = np.full(len(blocks), -1)
         retained_ord[[index[b.id] for b in retained]] = np.arange(len(retained))
         point_ord = np.full(len(blocks), -1)
         point_ord[[index[b.id] for b in eliminated]] = np.arange(len(eliminated))
 
         # per residual block: first row, the (N, size) value indices of each
-        # slot, and the range of its slots with rows on a free block in
-        # `free_slots`; Jacobian entries of the other rows are never stored.
-        # Block pairs that share a row give the adjacency of the normal
-        # equations.
+        # slot, and the range of its slots in `slot_rows`. Block pairs that
+        # share a row give the adjacency of the normal equations.
         self.rows: dict[str, int] = {}
         self.slot_indices: dict[str, list[np.ndarray]] = {}
-        self.free_slots: list[_FreeSlot] = []
+        self.slot_rows: list[_Slot] = []
         self.slots_of: dict[str, range] = {}
         edges, incidences = [], []
         entry_blocks, entry_groups = [], []
@@ -401,19 +394,12 @@ class _Workspace:
             self.slot_indices[r.id] = [
                 starts[idx][:, None] + np.arange(sizes[idx[0]]) for idx in slots
             ]
-            first = len(self.free_slots)
-            for s, idx in enumerate(slots):
-                free_n = np.flatnonzero(tangent[idx] >= 0)
-                if free_n.size:
-                    self.free_slots.append(
-                        _FreeSlot(
-                            s,
-                            None if free_n.size == r.rows else free_n,
-                            cursor + (free_n[:, None] * r.dim + np.arange(r.dim)),
-                            tangent[idx[free_n]][:, None] + np.arange(dims[idx[0]]),
-                        )
-                    )
-            self.slots_of[r.id] = range(first, len(self.free_slots))
+            residual_rows = cursor + np.arange(r.rows * r.dim).reshape(r.rows, r.dim)
+            first = len(self.slot_rows)
+            for idx in slots:
+                cols = tangent[idx][:, None] + np.arange(dims[idx[0]])
+                self.slot_rows.append(_Slot(residual_rows, cols))
+            self.slots_of[r.id] = range(first, len(self.slot_rows))
             for a, idx_a in enumerate(slots):
                 for idx_b in slots[a + 1 :]:
                     _row_pairs(idx_a, idx_b, retained_ord, point_ord, edges, incidences)
@@ -437,15 +423,13 @@ class _Workspace:
         self._map_products()
 
         # redundancy per group: its rows, less the tangent dimension of the
-        # free blocks that no other group reads
+        # blocks that no other group reads
         pairs = np.unique(
             np.concatenate(entry_blocks or [np.zeros(0, dtype=int)]) * len(groups)
             + np.concatenate(entry_groups or [np.zeros(0, dtype=int)])
         )
         block, group = np.divmod(pairs, max(len(groups), 1))
-        exclusive = (np.bincount(block, minlength=len(blocks))[block] == 1) & (
-            tangent[block] >= 0
-        )
+        exclusive = np.bincount(block, minlength=len(blocks))[block] == 1
         exclusive_dims = np.bincount(
             group[exclusive], dims[block[exclusive]], minlength=len(groups)
         )
@@ -454,15 +438,14 @@ class _Workspace:
         }
 
     def _map_products(self) -> None:
-        """For each pair of free slots (a, b >= a) of one residual block:
-        the rows both have free, and the place of their (R, k_a, k_b)
-        products J_a' J_b in one flat vector. A product entry is H[i, j]
-        and, for a != b, also H[j, i]. `product_dest` holds its place in
-        the layout's storage, the one of the two that is stored, or the
-        trash entry for the upper triangle of a retained block's own
-        product. Only an entry on a diagonal block in both orders is
-        stored twice: `mirror_src` lists those entries, their second
-        places follow in `product_dest`."""
+        """For each pair of slots (a, b >= a) of one residual block: the
+        place of their (N, k_a, k_b) products J_a' J_b in one flat vector.
+        A product entry is H[i, j] and, for a != b, also H[j, i].
+        `product_dest` holds its place in the layout's storage, the one of
+        the two that is stored, or the trash entry for the upper triangle
+        of a retained block's own product. Only an entry on a diagonal
+        block in both orders is stored twice: `mirror_src` lists those
+        entries, their second places follow in `product_dest`."""
         lay = self.layout
         self.pairs = []
         dest, mirror_src, mirror_dest = [], [], []
@@ -470,16 +453,7 @@ class _Workspace:
         for span in self.slots_of.values():
             for a in span:
                 for b in range(a, span.stop):
-                    sa, sb = self.free_slots[a], self.free_slots[b]
-                    take_a = take_b = None
-                    cols_a, cols_b = sa.cols, sb.cols
-                    if a != b and (sa.rows is not None or sb.rows is not None):
-                        _, take_a, take_b = np.intersect1d(
-                            _free_positions(sa), _free_positions(sb), return_indices=True
-                        )
-                        if not take_a.size:
-                            continue
-                        cols_a, cols_b = cols_a[take_a], cols_b[take_b]
+                    cols_a, cols_b = self.slot_rows[a].cols, self.slot_rows[b].cols
                     shape = (len(cols_a), cols_a.shape[1], cols_b.shape[1])
                     i = np.broadcast_to(cols_a[:, :, None], shape).ravel()
                     j = np.broadcast_to(cols_b[:, None, :], shape).ravel()
@@ -491,7 +465,7 @@ class _Workspace:
                         mirror_src.append(at + np.flatnonzero(both))
                         mirror_dest.append(mirror[both])
                     dest.append(to)
-                    self.pairs.append((a, b, take_a, take_b, slice(at, at + i.size), shape))
+                    self.pairs.append((a, b, slice(at, at + i.size), shape))
                     at += i.size
         self.n_products = at
         none = [np.zeros(0, dtype=np.intp)]
@@ -499,9 +473,9 @@ class _Workspace:
         self.product_dest = np.concatenate(dest + mirror_dest or none)
         # tangent column and residual row of each per-slot Jacobian entry
         # of J' r and J d
-        self.grad_dest = np.concatenate([s.cols.ravel() for s in self.free_slots] or none)
+        self.grad_dest = np.concatenate([s.cols.ravel() for s in self.slot_rows] or none)
         self.row_dest = np.concatenate(
-            [s.residual_rows.ravel() for s in self.free_slots] or none
+            [s.residual_rows.ravel() for s in self.slot_rows] or none
         )
 
     def values(self) -> np.ndarray:
@@ -550,13 +524,11 @@ class _Workspace:
     def linearize(
         self, x: np.ndarray, whitened: dict[str, np.ndarray]
     ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Whitened, robust-scaled (n, d, k) Jacobian of the free rows of
-        each of `free_slots`, and the residual vector."""
+        """Whitened, robust-scaled (N, d, k) Jacobian of each of
+        `slot_rows`, and the residual vector."""
         jacs = []
         rhs = np.zeros(self.n_rows)
         for r in self.residuals.values():
-            if not self.slots_of[r.id]:
-                continue  # no free rows: nothing to linearize
             row0 = self.rows[r.id]
             slots = self.slots(r, x)
             if r.jac is None:
@@ -571,39 +543,34 @@ class _Workspace:
                 else 1.0
             )
             rhs[row0 : row0 + r.rows * r.dim] = (scale * w).ravel()
-            for free in map(self.free_slots.__getitem__, self.slots_of[r.id]):
-                jac = np.asarray(raw[free.slot], dtype=float)
-                expected = (r.rows, r.dim, free.cols.shape[1])
+            for s, slot in enumerate(map(self.slot_rows.__getitem__, self.slots_of[r.id])):
+                jac = np.asarray(raw[s], dtype=float)
+                expected = (r.rows, r.dim, slot.cols.shape[1])
                 if jac.shape != expected:
                     raise SolverError(
-                        f"residual '{r.id}': Jacobian for '{r.params[free.slot][0]}'"
+                        f"residual '{r.id}': Jacobian for '{r.params[s][0]}'"
                         f" has shape {jac.shape}, expected {expected}",
                         block_id=r.id,
                     )
                 jw = r.whitener @ jac
-                if free.rows is not None:
-                    jw = jw[free.rows]
                 if not np.all(np.isfinite(jw)):
                     raise SolverError(
                         f"non-finite Jacobian in block '{r.id}'", block_id=r.id
                     )
                 if r.loss:
-                    jw *= (scale if free.rows is None else scale[free.rows])[:, :, None]
+                    jw *= scale[:, :, None]
                 jacs.append(jw)
         return jacs, rhs
 
     def normal_equations(self, jacs: list[np.ndarray]) -> "_NormalEquations":
         """The undamped normal equations J'J of the per-slot Jacobians of
-        :meth:`linearize`: one batched product per pair of free slots, all
-        summed into the layout's storage by one bincount."""
+        :meth:`linearize`: one batched product per pair of slots of a block,
+        all summed into the layout's storage by one bincount."""
         # matmul runs its batch far faster on contiguous transposes
         transposed = [np.ascontiguousarray(jac.transpose(0, 2, 1)) for jac in jacs]
         products = np.empty(self.n_products + self.mirror_src.size)
-        for a, b, take_a, take_b, at, shape in self.pairs:
-            ja, jb = transposed[a], jacs[b]
-            if take_a is not None:
-                ja, jb = ja[take_a], jb[take_b]
-            np.matmul(ja, jb, out=products[at].reshape(shape))
+        for a, b, at, shape in self.pairs:
+            np.matmul(transposed[a], jacs[b], out=products[at].reshape(shape))
         products[self.n_products :] = products[self.mirror_src]
         storage = np.bincount(self.product_dest, products, minlength=self.layout.storage_size)
         return self.layout.system(storage)
@@ -612,7 +579,7 @@ class _Workspace:
         """J' r of the per-slot Jacobians and the residual vector."""
         parts = [
             np.einsum("ndk,nd->nk", jac, rhs[s.residual_rows]).ravel()
-            for s, jac in zip(self.free_slots, jacs)
+            for s, jac in zip(self.slot_rows, jacs)
         ]
         return np.bincount(
             self.grad_dest, np.concatenate(parts or [np.zeros(0)]), minlength=self.n_tangent
@@ -622,7 +589,7 @@ class _Workspace:
         """|J delta|^2 of the per-slot Jacobians."""
         parts = [
             np.einsum("ndk,nk->nd", jac, delta[s.cols]).ravel()
-            for s, jac in zip(self.free_slots, jacs)
+            for s, jac in zip(self.slot_rows, jacs)
         ]
         moved = np.bincount(
             self.row_dest, np.concatenate(parts or [np.zeros(0)]), minlength=self.n_rows
@@ -634,7 +601,7 @@ class _Workspace:
         factorization failed."""
         none = np.zeros(0, dtype=np.intp)
         data, rows, cols = [np.zeros(0)], [none], [none]
-        for s, jac in zip(self.free_slots, jacs):
+        for s, jac in zip(self.slot_rows, jacs):
             data.append(jac.ravel())
             rows.append(np.broadcast_to(s.residual_rows[:, :, None], jac.shape).ravel())
             cols.append(np.broadcast_to(s.cols[:, None, :], jac.shape).ravel())
@@ -657,11 +624,6 @@ def _workspace(problem: Problem) -> _Workspace:
     if problem._workspace is None:
         problem._workspace = _Workspace(problem)
     return problem._workspace
-
-
-def _free_positions(slot: _FreeSlot) -> np.ndarray:
-    """Positions in its residual block of a slot's free rows."""
-    return np.arange(len(slot.cols)) if slot.rows is None else slot.rows
 
 
 def _forward_difference_jacobians(
@@ -1132,8 +1094,8 @@ def marginal_covariances(
 ) -> dict[str, np.ndarray]:
     """Tangent-space marginal covariance of the requested retained blocks.
 
-    The problem must be at its solution and gauge-fixed (through constant
-    blocks, prior factors, or absolute measurements); a singular or
+    The problem must be at its solution and gauge-fixed (through prior
+    factors or absolute measurements); a singular or
     near-singular Hessian (a squared Cholesky pivot below 1e-12 of the
     largest) raises :class:`RankDeficientError` with the estimated
     null-space dimension.
@@ -1141,8 +1103,6 @@ def marginal_covariances(
     for pid in block_ids:
         if pid not in problem.params:
             raise KeyError(f"unknown parameter block '{pid}'")
-        if problem.params[pid].constant:
-            raise ValueError(f"block '{pid}' is constant; covariance undefined")
         if problem.params[pid].eliminate:
             raise ValueError(f"block '{pid}' is Schur-eliminated; covariance not computed")
     ws = _workspace(problem)

@@ -36,8 +36,6 @@ def reference_retract(manifold: Manifold, value, delta: np.ndarray):
     multiplicatively through the log-scale coordinate."""
     if manifold is Manifold.EUCLIDEAN:
         return np.asarray(value, dtype=float) + delta
-    if manifold is Manifold.ROTATION:
-        return value @ Rotation.exp(delta)
     if manifold is Manifold.RIGID_POSE:
         return RigidPose(
             value.rotation @ Rotation.exp(delta[:3]),
@@ -100,26 +98,31 @@ def test_nan_residual_aborts_with_block_id():
 
 
 def test_zero_parameter_problem_is_error():
-    p = Problem()
-    p.add_parameter_block("x", np.array([1.0]), constant=True)
-    p.add_residual_block(lambda x: x, ["x"], np.eye(1))
     with pytest.raises(SolverError):
-        solve(p)
+        solve(Problem())
+
+
+def test_rotation_block_rejected():
+    # no stage adds a bare rotation; a RigidPose block holds one
+    with pytest.raises(TypeError):
+        Problem().add_parameter_block("r", Rotation.identity())
 
 
 def test_cost_monotone_on_manifold_problem():
     rng = np.random.default_rng(0)
-    target = Rotation.exp(rng.normal(size=3))
+    target = RigidPose(Rotation.exp(rng.normal(size=3)), rng.normal(size=3))
 
-    def residual(r):
-        return (r.inverse() @ target).log()
+    def residual(t):
+        rotation = (t.rotation.inverse() @ target.rotation).log()
+        return np.concatenate([rotation, t.translation - target.translation])
 
     p = Problem()
-    p.add_parameter_block("r", Rotation.identity())
-    p.add_residual_block(residual, ["r"], np.eye(3) * 0.01)
+    p.add_parameter_block("t", RigidPose.identity())
+    p.add_residual_block(residual, ["t"], np.eye(6) * 0.01)
     report = solve(p)
     assert report.final_cost <= report.initial_cost
-    assert p.value("r").angle_to(target) < 1e-8
+    assert p.value("t").rotation.angle_to(target.rotation) < 1e-8
+    np.testing.assert_allclose(p.value("t").translation, target.translation, atol=1e-8)
     assert all(b <= a + 1e-15 for a, b in zip(report.cost_history, report.cost_history[1:]))
 
 
@@ -266,20 +269,11 @@ class TestMarginalCovariance:
             marginal_covariances(p, ["x"])["x"]
         assert exc.value.nullity == 1
 
-    def test_constant_block_rejected(self):
-        p = Problem()
-        p.add_parameter_block("x", np.zeros(1))
-        p.add_parameter_block("c", np.zeros(1), constant=True)
-        p.add_residual_block(lambda x: x - 1.0, ["x"], np.eye(1))
-        solve(p)
-        with pytest.raises(ValueError):
-            marginal_covariances(p, ["c"])["c"]
-
 
 class TestVarianceFactor:
     def test_unit_residuals(self):
         p = Problem()
-        p.add_parameter_block("x", np.zeros(1), constant=False)
+        p.add_parameter_block("x", np.zeros(1))
         z = np.concatenate([np.ones(50), -np.ones(50)])
         p.add_residual_block(
             lambda x: x * 0.0 + (0.0 - z), ["x"], np.eye(100), group="meas"
@@ -338,19 +332,25 @@ def test_schur_elimination_matches_direct_solve():
     }
 
     def build(eliminate):
-        # two constant poses pin the full gauge incl. scale
+        # poses 0 and 1 are fixed, which pins the full gauge incl. scale:
+        # their rows close over them
         p = Problem()
-        for i, pose in enumerate(poses):
-            p.add_parameter_block(f"pose{i}", pose, constant=(i <= 1))
+        p.add_parameter_block("pose2", poses[2])
         for j, q in enumerate(points):
             p.add_parameter_block(
                 f"pt{j}", q + rng.normal(scale=0.05, size=3), eliminate=eliminate
             )
         for (i, j), uv in meas.items():
-            def fn(pose, pt, uv=uv):
-                return project(cam, pose.apply(pt)) - uv
+            if i == 2:
+                def fn(pose, pt, uv=uv):
+                    return project(cam, pose.apply(pt)) - uv
 
-            p.add_residual_block(fn, [f"pose{i}", f"pt{j}"], np.eye(2), rid=f"o{i}-{j}")
+                p.add_residual_block(fn, ["pose2", f"pt{j}"], np.eye(2), rid=f"o{i}-{j}")
+            else:
+                def fn(pt, pose=poses[i], uv=uv):
+                    return project(cam, pose.apply(pt)) - uv
+
+                p.add_residual_block(fn, [f"pt{j}"], np.eye(2), rid=f"o{i}-{j}")
         return p
 
     rng_state = rng.bit_generator.state
@@ -467,13 +467,13 @@ def block_problem(seed: int, chain: int, border: int, points: int, far_point: bo
 
 def extended_block_problem(seed: int, **case):
     """A block problem with rows the assembly treats apart: a Huber loss
-    active on some rows, slots that mix constant and free blocks, a block
+    active on some rows, slots that name one block in several rows, a block
     named by two slots of one row and a point named by two slots of one
     row."""
     p = block_problem(seed, **case)
     rng = np.random.default_rng(100 + seed)
-    p.add_parameter_block("k6", rng.normal(size=6), constant=True)
-    p.add_parameter_block("k3", rng.normal(size=3), constant=True)
+    p.add_parameter_block("k6", rng.normal(size=6))
+    p.add_parameter_block("k3", rng.normal(size=3))
     linear_rows(p, [["c0", "k6", "c2", "k6"], ["c1", "c1", "k3", "c3"]], 3, rng, "mixed")
     linear_rows(p, [["c4", "c6"], ["c4", "c8"]], 4, rng, "twice")
     linear_rows(p, [["pt0"], ["c0"], ["pt0"]], 2, rng, "point-twice")
@@ -501,10 +501,8 @@ def dense_system(p: Problem):
             row = ws.rows[r.id] + n * r.dim
             res[row : row + r.dim] = scale * w
             for slot, j in zip(r.params, jacs):
-                block = p.params[slot[n]]
-                if not block.constant:
-                    at = ws.offsets[slot[n]]
-                    jac[row : row + r.dim, at : at + block.dim] += scale * whitener[n] @ j[n]
+                at, dim = ws.offsets[slot[n]], p.params[slot[n]].dim
+                jac[row : row + r.dim, at : at + dim] += scale * whitener[n] @ j[n]
     assert np.isfinite(res).all() and np.abs(res).max() > 0.0
     return ws, jac.T @ jac, jac.T @ res
 
@@ -667,8 +665,8 @@ def test_workspace_built_once_and_dropped_on_new_blocks(monkeypatch):
 
 
 def reference_redundancy(p: Problem) -> dict[str, int]:
-    """Per group: its rows less the tangent dimension of the free blocks
-    no other group reads, counted block by block."""
+    """Per group: its rows less the tangent dimension of the blocks no
+    other group reads, counted block by block."""
     rows: dict[str, int] = {}
     groups_of: dict[str, set[str]] = {}
     for r in p.residuals.values():
@@ -677,23 +675,17 @@ def reference_redundancy(p: Problem) -> dict[str, int]:
             for pid in slot:
                 groups_of.setdefault(pid, set()).add(r.group)
     return {
-        g: n - sum(
-            p.params[pid].dim
-            for pid, groups in groups_of.items()
-            if groups == {g} and not p.params[pid].constant
-        )
+        g: n - sum(p.params[pid].dim for pid, groups in groups_of.items() if groups == {g})
         for g, n in rows.items()
     }
 
 
 def test_group_redundancy_matches_reference():
     p = block_problem(1, chain=8, border=2, points=4, far_point=True)
-    # a constant block, and groups that share some blocks but not others
-    p.add_parameter_block("fixed", np.zeros(3), constant=True)
+    # groups that share some blocks but not others
     for i, r in enumerate(list(p.residuals.values())):
         r.group = ("prior", "link", "obs")[i % 3]
     rng = np.random.default_rng(2)
-    linear_rows(p, [["fixed"], ["pt0"]], 2, rng, "fixed-pt0")
     linear_rows(p, [["c1", "c3"]], 2, rng, "extra")
     p.residuals["extra"].group = "extra"
     ws = solver._Workspace(p)
@@ -863,7 +855,7 @@ class TestStackedBlocks:
     """One block of N stacked rows against N single-row blocks."""
 
     N_POSES, N_POINTS = 4, 5
-    # (pose, point) per row; pose 0 is constant
+    # (pose, point) per row; pose 0 is fixed, and its rows close over it
     ROWS = [(0, 0), (1, 0), (1, 1), (2, 2), (3, 3), (0, 4), (2, 4), (3, 1)]
 
     @staticmethod
@@ -904,7 +896,9 @@ class TestStackedBlocks:
                 pose.rotation @ Rotation.exp(rng.normal(scale=0.02, size=3)),
                 pose.translation + rng.normal(scale=0.05, size=3),
             )
-            p.add_parameter_block(f"pose{i}", pose if i == 0 else init, constant=(i == 0))
+            if i == 0:
+                continue
+            p.add_parameter_block(f"pose{i}", init)
             p.add_residual_block(
                 lambda t: np.concatenate([t.rotation.log(), t.translation]),
                 [f"pose{i}"],
@@ -915,26 +909,39 @@ class TestStackedBlocks:
             p.add_parameter_block(f"pt{j}", q + rng.normal(scale=0.05, size=3))
             p.add_residual_block(lambda x, q=q: x - q, [f"pt{j}"], np.eye(3), group="prior")
         loss = HuberLoss(1.5)
+
+        def add_rows(rows, rid=None):
+            """One block of the given rows of ROWS: all on a free pose, or
+            all on pose 0, whose value they close over."""
+            m, cov = meas[rows], covs[rows] if stacked else covs[rows[0]]
+            points = [f"pt{self.ROWS[n][1]}" for n in rows]
+            options = dict(loss=loss, group="g", rid=rid)
+            if self.ROWS[rows[0]][0]:
+                p.add_stacked_block(
+                    lambda t, q: self.residual_rows(t, q, m),
+                    [[f"pose{self.ROWS[n][0]}" for n in rows], points],
+                    cov,
+                    jac=self.jacobian_rows if analytic else None,
+                    **options,
+                )
+                return
+            fixed = pose_rows([poses[0]] * len(rows))
+            p.add_stacked_block(
+                lambda q: self.residual_rows(fixed, q, m),
+                [points],
+                cov,
+                jac=(lambda q: self.jacobian_rows(fixed, q)[1:]) if analytic else None,
+                **options,
+            )
+
+        on_pose0 = [n for n, (i, _) in enumerate(self.ROWS) if i == 0]
+        free = [n for n, (i, _) in enumerate(self.ROWS) if i != 0]
         if stacked:
-            p.add_stacked_block(
-                lambda t, q: self.residual_rows(t, q, meas),
-                [[f"pose{i}" for i, _ in self.ROWS], [f"pt{j}" for _, j in self.ROWS]],
-                covs,
-                jac=self.jacobian_rows if analytic else None,
-                loss=loss,
-                group="g",
-                rid="stacked",
-            )
-            return p
-        for n, (i, j) in enumerate(self.ROWS):
-            p.add_stacked_block(
-                lambda t, q, n=n: self.residual_rows(t, q, meas[n]),
-                [[f"pose{i}"], [f"pt{j}"]],
-                covs[n],
-                jac=self.jacobian_rows if analytic else None,
-                loss=loss,
-                group="g",
-            )
+            add_rows(free, "stacked")
+            add_rows(on_pose0, "on-pose0")
+        else:
+            for n in free + on_pose0:
+                add_rows([n])
         return p
 
     def test_huber_active_on_some_rows(self):
@@ -956,7 +963,7 @@ class TestStackedBlocks:
         assert a.group_redundancy == b.group_redundancy
         for g in ("g", "prior"):
             np.testing.assert_allclose(a.group_residuals[g], b.group_residuals[g], atol=1e-12)
-        free = [pid for pid, blk in problems[0].params.items() if not blk.constant]
+        free = list(problems[0].params)
         for pid in free:
             va, vb = problems[0].value(pid), problems[1].value(pid)
             if isinstance(va, RigidPose):
@@ -988,7 +995,6 @@ class TestValueRows:
     # tangent dimension per kind; the Euclidean values are 5-vectors
     DIMS = {
         Manifold.EUCLIDEAN: 5,
-        Manifold.ROTATION: 3,
         Manifold.RIGID_POSE: 6,
         Manifold.SIMILARITY: 7,
     }
@@ -1006,8 +1012,6 @@ class TestValueRows:
             rot = Rotation.exp(rotvec)
             if manifold is Manifold.EUCLIDEAN:
                 values.append(rng.normal(size=5))
-            elif manifold is Manifold.ROTATION:
-                values.append(rot)
             elif manifold is Manifold.RIGID_POSE:
                 values.append(RigidPose(rot, rng.normal(size=3)))
             else:
@@ -1043,8 +1047,6 @@ class TestValueRows:
         rng = np.random.default_rng(32)
         p = Problem()
         values = {
-            "rot": Rotation.exp(rng.normal(size=3)),
-            "c": rng.normal(size=4),
             "pose": RigidPose(Rotation.exp(rng.normal(size=3)), rng.normal(size=3)),
             "v2": rng.normal(size=2),
             "sim": Similarity(1.3, Rotation.exp(rng.normal(size=3)), rng.normal(size=3)),
@@ -1052,31 +1054,28 @@ class TestValueRows:
             "pt": rng.normal(size=3),
         }
         for pid, value in values.items():
-            p.add_parameter_block(pid, value, constant=(pid == "c"), eliminate=(pid == "pt"))
+            p.add_parameter_block(pid, value, eliminate=(pid == "pt"))
         ws = solver._Workspace(p)
         delta = rng.normal(size=ws.n_tangent)
         x = ws.apply_step(ws.values(), delta)
         ws.store(x)
         for pid, value in values.items():
             block = p.params[pid]
-            if block.constant:
-                np.testing.assert_array_equal(block.value, solver._pack(value)[1])
-                continue
             off = ws.offsets[pid]
             expected = reference_retract(block.manifold, value, delta[off : off + block.dim])
             np.testing.assert_allclose(block.value, solver._pack(expected)[1], atol=1e-14)
-        # retained free blocks in insertion order, then the eliminated point
-        assert ws.offsets == {"rot": 0, "pose": 3, "v2": 9, "sim": 11, "v5": 18, "pt": 23}
-        assert ws.n_tangent == 26
+        # retained blocks in insertion order, then the eliminated point
+        assert ws.offsets == {"pose": 0, "v2": 6, "sim": 8, "v5": 15, "pt": 20}
+        assert ws.n_tangent == 23
 
     @pytest.mark.parametrize(
-        "slot", [["pose", "six"], ["rot", "four"], ["three", "two"]]
+        "slot", [["pose", "six"], ["sim", "eight"], ["three", "two"]]
     )
     def test_slot_mixing_kinds_or_sizes_raises(self, slot):
         p = Problem()
         p.add_parameter_block("pose", RigidPose.identity())
-        p.add_parameter_block("rot", Rotation.identity())
-        for pid, dim in (("six", 6), ("four", 4), ("three", 3), ("two", 2)):
+        p.add_parameter_block("sim", Similarity.identity())
+        for pid, dim in (("six", 6), ("eight", 8), ("three", 3), ("two", 2)):
             p.add_parameter_block(pid, np.zeros(dim))
         with pytest.raises(ValueError, match="kind or size"):
             p.add_stacked_block(lambda x: x[:, :1], [slot], np.eye(1))

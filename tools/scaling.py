@@ -192,7 +192,7 @@ def _run_case(length: int, landmarks: int, repeat: int) -> dict:
             t2 = time.perf_counter()
             builds.append(t1 - t0)
             optimizes.append(t2 - t1)
-    unknowns = sum(b.dim for b in fp.problem.params.values() if not b.constant)
+    unknowns = sum(b.dim for b in fp.problem.params.values())
     return {
         "length_s": length,
         "landmarks": len(fp.landmark_ids),
