@@ -5,10 +5,6 @@ class VigtError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ProjectionError(VigtError):
-    """Point cannot be projected (behind camera or outside model domain)."""
-
-
 class UnprojectionError(VigtError):
     """Distortion inversion did not converge within the iteration budget."""
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ProjectionError, UnprojectionError
+from .errors import UnprojectionError
 
 if TYPE_CHECKING:
     from .inertial import ImuNoise
@@ -149,13 +149,7 @@ class Rotation:
     @staticmethod
     def exp(rotvec) -> "Rotation":
         """Exponential map from a 3-vector tangent (axis * angle)."""
-        v = np.asarray(rotvec, dtype=float).reshape(3)
-        theta = float(np.linalg.norm(v))
-        if theta < 1e-12:
-            return Rotation(np.concatenate(([1.0], 0.5 * v)))
-        axis = v / theta
-        half = 0.5 * theta
-        return Rotation(np.concatenate(([np.cos(half)], np.sin(half) * axis)))
+        return Rotation(quat_exp(np.reshape(rotvec, 3)))
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "Rotation":
@@ -339,7 +333,9 @@ class CameraModel:
     """Intrinsic camera model.
 
     Distortion coefficients are (k1, k2, p1, p2) for the radial-tangential
-    model and (k1, k2, k3, k4) for the equidistant fisheye model.
+    model and (k1, k2, k3, k4) for the equidistant fisheye model. A pinhole
+    has none: it is the radial-tangential model with zero coefficients, and
+    every camera function computes it as such.
     """
 
     kind: CameraKind
@@ -362,6 +358,11 @@ class CameraModel:
             )
 
 
+def _radtan(cam: CameraModel) -> tuple[float, ...]:
+    """(k1, k2, p1, p2) of a pinhole-based camera; zero for a pinhole."""
+    return cam.distortion or (0.0,) * 4
+
+
 def _kb4_theta_d(theta, k):
     t2 = theta * theta
     return theta * (1.0 + t2 * (k[0] + t2 * (k[1] + t2 * (k[2] + t2 * k[3]))))
@@ -376,29 +377,14 @@ def try_project(cam: CameraModel, p_cam: np.ndarray) -> tuple[np.ndarray, np.nda
     """Project points, returning (pixels, valid mask) instead of raising.
 
     Accepts a single (3,) point or an (N, 3) batch; pixels for invalid
-    entries are NaN.
+    entries are NaN. A pinhole projects as the radial-tangential model with
+    zero coefficients.
     """
     pts = np.atleast_2d(np.asarray(p_cam, dtype=float))
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     uv = np.full((len(pts), 2), np.nan)
 
-    if cam.kind is CameraKind.PINHOLE:
-        valid = z > 0.0
-        zq = np.where(valid, z, 1.0)
-        uv[:, 0] = cam.fx * x / zq + cam.cx
-        uv[:, 1] = cam.fy * y / zq + cam.cy
-    elif cam.kind is CameraKind.RADTAN4:
-        k1, k2, p1, p2 = cam.distortion
-        valid = z > 0.0
-        zq = np.where(valid, z, 1.0)
-        xn, yn = x / zq, y / zq
-        r2 = xn * xn + yn * yn
-        radial = 1.0 + k1 * r2 + k2 * r2 * r2
-        xd = xn * radial + 2.0 * p1 * xn * yn + p2 * (r2 + 2.0 * xn * xn)
-        yd = yn * radial + p1 * (r2 + 2.0 * yn * yn) + 2.0 * p2 * xn * yn
-        uv[:, 0] = cam.fx * xd + cam.cx
-        uv[:, 1] = cam.fy * yd + cam.cy
-    else:
+    if cam.kind is CameraKind.KANNALA_BRANDT4:
         k = cam.distortion
         rho = np.hypot(x, y)
         norm = np.sqrt(rho * rho + z * z)
@@ -410,6 +396,17 @@ def try_project(cam: CameraModel, p_cam: np.ndarray) -> tuple[np.ndarray, np.nda
         scale = np.where(on_axis, 0.0, theta_d / np.where(rho == 0.0, 1.0, rho))
         uv[:, 0] = cam.fx * scale * x + cam.cx
         uv[:, 1] = cam.fy * scale * y + cam.cy
+    else:
+        k1, k2, p1, p2 = _radtan(cam)
+        valid = z > 0.0
+        zq = np.where(valid, z, 1.0)
+        xn, yn = x / zq, y / zq
+        r2 = xn * xn + yn * yn
+        radial = 1.0 + k1 * r2 + k2 * r2 * r2
+        xd = xn * radial + 2.0 * p1 * xn * yn + p2 * (r2 + 2.0 * xn * xn)
+        yd = yn * radial + p1 * (r2 + 2.0 * yn * yn) + 2.0 * p2 * xn * yn
+        uv[:, 0] = cam.fx * xd + cam.cx
+        uv[:, 1] = cam.fy * yd + cam.cy
 
     uv[~valid] = np.nan
     if np.asarray(p_cam).ndim == 1:
@@ -417,60 +414,19 @@ def try_project(cam: CameraModel, p_cam: np.ndarray) -> tuple[np.ndarray, np.nda
     return uv, valid
 
 
-def project(cam: CameraModel, p_cam: np.ndarray) -> np.ndarray:
-    """Project camera-frame points to pixels; raises on invalid input."""
-    uv, valid = try_project(cam, p_cam)
-    if not np.all(valid):
-        raise ProjectionError(
-            f"point not projectable with {cam.kind.value} model"
-            " (behind camera or outside model domain)"
-        )
-    return uv
-
-
-def unproject_segments(
-    cam: CameraModel, px: np.ndarray, segment: np.ndarray
+def unproject(
+    cam: CameraModel, px: np.ndarray
 ) -> tuple[np.ndarray, dict[int, UnprojectionError]]:
     """Back-project (N, 2) pixels to (N, 3) unit camera-frame rays, each
-    segment of pixels exactly as it would be alone: segment[k] labels
-    pixel k, and the radial-tangential inversion stops per segment once its
-    largest update is below tolerance. Also returns the UnprojectionError
-    of every segment that does not invert, keyed by its label; the rays of
-    such a segment are NaN."""
-    labels, seg = np.unique(np.asarray(segment), return_inverse=True)
+    pixel exactly as it would be alone: a radial-tangential pixel (a pinhole
+    one included) stops its inversion once its own update is below
+    tolerance. Also returns the UnprojectionError of every pixel that does
+    not invert, keyed by its row; the rays of those pixels are NaN."""
     mx = (px[:, 0] - cam.cx) / cam.fx
     my = (px[:, 1] - cam.cy) / cam.fy
     failures: dict[int, UnprojectionError] = {}
 
-    if cam.kind is CameraKind.PINHOLE:
-        dirs = np.stack([mx, my, np.ones_like(mx)], axis=1)
-    elif cam.kind is CameraKind.RADTAN4:
-        k1, k2, p1, p2 = cam.distortion
-        xn, yn = mx.copy(), my.copy()
-        running = np.ones(len(labels), dtype=bool)
-        step = np.zeros(len(labels))
-        for _ in range(_INVERSION_ITERS):
-            r2 = xn * xn + yn * yn
-            radial = 1.0 + k1 * r2 + k2 * r2 * r2
-            dx = 2.0 * p1 * xn * yn + p2 * (r2 + 2.0 * xn * xn)
-            dy = p1 * (r2 + 2.0 * yn * yn) + 2.0 * p2 * xn * yn
-            xn_new = (mx - dx) / radial
-            yn_new = (my - dy) / radial
-            moving = running[seg]
-            seg_step = np.zeros(len(labels))
-            np.maximum.at(seg_step, seg[moving], np.hypot(xn_new - xn, yn_new - yn)[moving])
-            step[running] = seg_step[running]
-            xn, yn = np.where(moving, xn_new, xn), np.where(moving, yn_new, yn)
-            running &= ~(step < _INVERSION_TOL)
-            if not running.any():
-                break
-        for s in np.flatnonzero(running & (step >= _INVERSION_TOL)):
-            failures[int(labels[s])] = UnprojectionError(
-                f"radial-tangential inversion did not converge"
-                f" within {_INVERSION_ITERS} iterations (step {step[s]:.2e})"
-            )
-        dirs = np.stack([xn, yn, np.ones_like(xn)], axis=1)
-    else:
+    if cam.kind is CameraKind.KANNALA_BRANDT4:
         k = cam.distortion
         theta_d = np.hypot(mx, my)
         theta = theta_d.copy()
@@ -478,12 +434,10 @@ def unproject_segments(
             f = _kb4_theta_d(theta, k) - theta_d
             theta = theta - f / _kb4_theta_d_prime(theta, k)
         residual = np.abs(_kb4_theta_d(theta, k) - theta_d)
-        worst = np.zeros(len(labels))
-        np.maximum.at(worst, seg, residual)
-        for s in np.unique(seg[residual > 1e-9]):
-            failures[int(labels[s])] = UnprojectionError(
+        for i in np.flatnonzero(residual > 1e-9):
+            failures[int(i)] = UnprojectionError(
                 f"fisheye angle inversion did not converge"
-                f" within {_INVERSION_ITERS} iterations (residual {worst[s]:.2e})"
+                f" within {_INVERSION_ITERS} iterations (residual {residual[i]:.2e})"
             )
         small = theta_d < 1e-12
         inv = np.where(small, 1.0, theta_d)
@@ -496,8 +450,30 @@ def unproject_segments(
             ],
             axis=1,
         )
+    else:
+        k1, k2, p1, p2 = _radtan(cam)
+        xn, yn = mx.copy(), my.copy()
+        step = np.full(len(px), np.inf)
+        for _ in range(_INVERSION_ITERS):
+            running = ~(step < _INVERSION_TOL)
+            if not running.any():
+                break
+            r2 = xn * xn + yn * yn
+            radial = 1.0 + k1 * r2 + k2 * r2 * r2
+            dx = 2.0 * p1 * xn * yn + p2 * (r2 + 2.0 * xn * xn)
+            dy = p1 * (r2 + 2.0 * yn * yn) + 2.0 * p2 * xn * yn
+            xn_new = (mx - dx) / radial
+            yn_new = (my - dy) / radial
+            step = np.where(running, np.hypot(xn_new - xn, yn_new - yn), step)
+            xn, yn = np.where(running, xn_new, xn), np.where(running, yn_new, yn)
+        for i in np.flatnonzero(step >= _INVERSION_TOL):
+            failures[int(i)] = UnprojectionError(
+                f"radial-tangential inversion did not converge"
+                f" within {_INVERSION_ITERS} iterations (step {step[i]:.2e})"
+            )
+        dirs = np.stack([xn, yn, np.ones_like(xn)], axis=1)
 
-    dirs[np.isin(labels[seg], list(failures))] = np.nan
+    dirs[list(failures)] = np.nan
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return dirs, failures
 
@@ -528,15 +504,8 @@ def projection_jacobian_batch(cam: CameraModel, pts: np.ndarray) -> np.ndarray:
     n = len(pts)
     jac = np.zeros((n, 2, 3))
 
-    if cam.kind is CameraKind.PINHOLE:
-        jac[:, 0, 0] = cam.fx / z
-        jac[:, 0, 2] = -cam.fx * x / z**2
-        jac[:, 1, 1] = cam.fy / z
-        jac[:, 1, 2] = -cam.fy * y / z**2
-        return jac
-
-    if cam.kind is CameraKind.RADTAN4:
-        k1, k2, p1, p2 = cam.distortion
+    if cam.kind is not CameraKind.KANNALA_BRANDT4:
+        k1, k2, p1, p2 = _radtan(cam)
         xn, yn = x / z, y / z
         r2 = xn * xn + yn * yn
         radial = 1.0 + k1 * r2 + k2 * r2 * r2

@@ -46,10 +46,8 @@ def cp_recall(errors: Iterable[float], tau_m: float = 1.0) -> float:
     return float(100.0 * np.mean(errors <= tau_m))
 
 
-def associate(
-    ts_a: np.ndarray, ts_b: np.ndarray, tol_ns: int = DEFAULT_ASSOC_TOL_NS
-) -> list[tuple[int, int]]:
-    """Greedy one-to-one timestamp association within tolerance."""
+def associate(ts_a: np.ndarray, ts_b: np.ndarray) -> list[tuple[int, int]]:
+    """Greedy one-to-one timestamp association within DEFAULT_ASSOC_TOL_NS."""
     ts_a = np.asarray(ts_a, dtype=np.int64)
     ts_b = np.asarray(ts_b, dtype=np.int64)
     if len(ts_a) == 0 or len(ts_b) == 0:
@@ -58,7 +56,7 @@ def associate(
     for i, t in enumerate(ts_a):
         j = int(np.searchsorted(ts_b, t))
         for jj in (j - 1, j):
-            if 0 <= jj < len(ts_b) and abs(int(ts_b[jj]) - int(t)) <= tol_ns:
+            if 0 <= jj < len(ts_b) and abs(int(ts_b[jj]) - int(t)) <= DEFAULT_ASSOC_TOL_NS:
                 candidates.append((abs(int(ts_b[jj]) - int(t)), i, jj))
     candidates.sort()
     used_a: set[int] = set()
@@ -74,17 +72,12 @@ def associate(
     return pairs
 
 
-def pose_recall(
-    estimate: Trajectory,
-    pseudo_gt: Trajectory,
-    tau_m: float = 5.0,
-    assoc_tol_ns: int = DEFAULT_ASSOC_TOL_NS,
-) -> float:
+def pose_recall(estimate: Trajectory, pseudo_gt: Trajectory, tau_m: float = 5.0) -> float:
     """Percentage of pseudo-GT keyframes with a matched estimate pose
     within tau horizontally; unmatched keyframes count as misses."""
     if len(pseudo_gt) == 0:
         raise ValueError("pseudo ground truth is empty")
-    pairs = associate(pseudo_gt.timestamps, estimate.timestamps, assoc_tol_ns)
+    pairs = associate(pseudo_gt.timestamps, estimate.timestamps)
     gt_pos = pseudo_gt.positions()
     est_pos = estimate.positions()
     hits = 0
@@ -94,19 +87,14 @@ def pose_recall(
     return float(100.0 * hits / len(pseudo_gt))
 
 
-def ate_rmse(
-    estimate: Trajectory,
-    gt: Trajectory,
-    alignment: str = "sim3",
-    assoc_tol_ns: int = DEFAULT_ASSOC_TOL_NS,
-) -> float:
+def ate_rmse(estimate: Trajectory, gt: Trajectory, alignment: str = "sim3") -> float:
     """RMSE of 3D positions after closed-form global alignment.
 
     `alignment` picks Sim(3) (monocular inputs) or SE(3) (metric inputs).
     """
     if alignment not in ("sim3", "se3"):
         raise ValueError(f"alignment must be 'sim3' or 'se3', got {alignment!r}")
-    pairs = associate(gt.timestamps, estimate.timestamps, assoc_tol_ns)
+    pairs = associate(gt.timestamps, estimate.timestamps)
     if len(pairs) < 3:
         raise ValueError(
             f"need at least 3 associated pose pairs, found {len(pairs)}"

@@ -177,23 +177,12 @@ class ResidualBlock:
 
 
 def _inverse_sqrt(cov: np.ndarray, rid: str) -> np.ndarray:
-    """Symmetric inverse square roots of a (d, d) or (N, d, d) stack;
-    diagonal matrices are inverted elementwise."""
-    diag = np.diagonal(cov, axis1=-2, axis2=-1)
-    is_diag = np.all(cov == diag[..., None] * np.eye(cov.shape[-1]), axis=(-2, -1))
-    out = np.empty_like(cov)
-    if np.any(is_diag):
-        if diag[is_diag].min() <= 0.0:
-            raise ValueError(f"residual '{rid}': covariance not positive-definite")
-        out[is_diag] = (1.0 / np.sqrt(diag[is_diag]))[..., None] * np.eye(cov.shape[-1])
-    full = ~is_diag
-    if np.any(full):
-        sym = 0.5 * (cov[full] + np.swapaxes(cov[full], -1, -2))
-        w, v = np.linalg.eigh(sym)
-        if w.min() <= 0.0:
-            raise ValueError(f"residual '{rid}': covariance not positive-definite")
-        out[full] = (v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return out
+    """Symmetric inverse square roots of a (d, d) or (N, d, d) stack."""
+    sym = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    w, v = np.linalg.eigh(sym)
+    if np.any(w <= 0.0):
+        raise ValueError(f"residual '{rid}': covariance not positive-definite")
+    return (v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 class Problem:
@@ -293,8 +282,17 @@ class Problem:
 # at most this fraction of it, or once no damping lowers the cost and the
 # Gauss-Newton model promises no more than that.
 CONVERGENCE_TOL = 1e-12
-_INITIAL_LAMBDA = 1e-4
-_LAMBDA_MAX = 1e10
+# The damping schedule of every Levenberg-Marquardt loop, `solve` and
+# `triangulation.ViewSet.refine`: the damping starts at INITIAL_LAMBDA, is
+# multiplied by LAMBDA_UP after a rejected trial and by LAMBDA_DOWN, down
+# to LAMBDA_MIN, after an accepted one, and no damping above LAMBDA_MAX is
+# tried. It scales the Hessian diagonal, floored at DIAGONAL_FLOOR.
+INITIAL_LAMBDA = 1e-4
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 0.1
+LAMBDA_MIN = 1e-15
+LAMBDA_MAX = 1e10
+DIAGONAL_FLOOR = 1e-12
 _COST_TOL_REL = 1e-16  # declare victory below this fraction of initial cost
 _FD_STEP = 1e-7  # forward-difference step for blocks without a Jacobian
 
@@ -783,7 +781,7 @@ class _Layout:
 
     def system(self, storage: np.ndarray) -> "_NormalEquations":
         """The normal equations held in an assembled storage vector; the
-        damping diagonal is H's, floored at 1e-12."""
+        damping diagonal is H's, floored at DIAGONAL_FLOOR."""
         buffer = storage[: self.coupling_start]
         coupling = storage[self.coupling_start : self.points_start].reshape(
             self.inc_index.shape + (3,)
@@ -796,7 +794,7 @@ class _Layout:
                 np.diagonal(points, axis1=1, axis2=2).ravel(),
             ]
         )
-        return _NormalEquations(self, buffer, coupling, points, np.maximum(diag, 1e-12))
+        return _NormalEquations(self, buffer, coupling, points, np.maximum(diag, DIAGONAL_FLOOR))
 
 
 @dataclass
@@ -1014,7 +1012,7 @@ def solve(problem: Problem, max_iters: int = 100) -> SolveReport:
     initial_cost = cost
     cost_history = [cost]
 
-    lam = _INITIAL_LAMBDA
+    lam = INITIAL_LAMBDA
     iterations = 0
     termination = "max_iterations"
 
@@ -1025,14 +1023,14 @@ def solve(problem: Problem, max_iters: int = 100) -> SolveReport:
 
         promised = None  # model decrease along the least-damped step
         trial_cost = np.inf
-        while lam <= _LAMBDA_MAX:
+        while lam <= LAMBDA_MAX:
             try:
                 delta = system.factor(lam).solve(grad)
             except np.linalg.LinAlgError:  # not positive definite
-                lam *= 10.0
+                lam *= LAMBDA_UP
                 continue
             if not np.all(np.isfinite(delta)):
-                lam *= 10.0
+                lam *= LAMBDA_UP
                 continue
             if promised is None:
                 promised = _model_decrease(ws, jacs, grad, delta)
@@ -1042,7 +1040,7 @@ def solve(problem: Problem, max_iters: int = 100) -> SolveReport:
             # damping cannot lower the cost by more than the tolerance
             if trial_cost < cost or promised <= CONVERGENCE_TOL * cost:
                 break
-            lam *= 10.0
+            lam *= LAMBDA_UP
         if not trial_cost < cost:
             # no damping lowers the cost: at the numerical floor only if the
             # model promised no more than the convergence tolerance
@@ -1052,7 +1050,7 @@ def solve(problem: Problem, max_iters: int = 100) -> SolveReport:
 
         converged = cost - trial_cost <= CONVERGENCE_TOL * cost
         x, cost, whitened = trial, trial_cost, trial_whitened
-        lam = max(lam * 0.1, 1e-15)
+        lam = max(lam * LAMBDA_DOWN, LAMBDA_MIN)
         cost_history.append(cost)
         if converged or cost <= _COST_TOL_REL * initial_cost:
             termination = "converged"

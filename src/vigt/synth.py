@@ -521,23 +521,17 @@ def perturb_trajectory(
     traj: Trajectory,
     white_sigma_pos: float = 0.0,
     scale_drift_rate: float = 0.0,
-    dropout: tuple[float, float] | None = None,
     seed: int = 0,
 ) -> Trajectory:
-    """Inject known error patterns: white position noise, a linear-in-time
-    scale factor on positions, and a dropout interval (seconds from start).
-    """
+    """Inject known error patterns: white position noise and a
+    linear-in-time scale factor on positions."""
     rng = np.random.default_rng(seed)
     t0 = int(traj.timestamps[0]) if len(traj) else 0
-    ts_out = []
-    poses_out = []
+    poses = []
     for ts, pose in zip(traj.timestamps, traj.poses):
         t_rel = (int(ts) - t0) * 1e-9
-        if dropout is not None and dropout[0] <= t_rel < dropout[1]:
-            continue
         p = pose.translation * (1.0 + scale_drift_rate * t_rel)
         if white_sigma_pos > 0.0:
             p = p + rng.normal(scale=white_sigma_pos, size=3)
-        ts_out.append(ts)
-        poses_out.append(RigidPose(pose.rotation, p))
-    return Trajectory(np.array(ts_out, dtype=np.int64), tuple(poses_out))
+        poses.append(RigidPose(pose.rotation, p))
+    return Trajectory(traj.timestamps.copy(), tuple(poses))

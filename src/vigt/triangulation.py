@@ -53,9 +53,17 @@ from .geometry import (
     clamp_depth,
     projection_jacobian_batch,
     try_project,
-    unproject_segments,
+    unproject,
 )
-from .solver import CONVERGENCE_TOL
+from .solver import (
+    CONVERGENCE_TOL,
+    DIAGONAL_FLOOR,
+    INITIAL_LAMBDA,
+    LAMBDA_DOWN,
+    LAMBDA_MAX,
+    LAMBDA_MIN,
+    LAMBDA_UP,
+)
 
 # (hypothesis, view) entries scored at a time; bounds the temporary arrays
 _SCORE_ENTRIES = 8192
@@ -300,18 +308,19 @@ class ViewSet:
     def centers_and_rays(self) -> tuple[np.ndarray, np.ndarray, dict[int, UnprojectionError]]:
         """Camera centres and unit rays through the measured pixels, both
         (N, 3) in the working frame, and the UnprojectionError of each point
-        whose pixels do not unproject, keyed by point: that of the first of
-        its camera models, in its own view order, that fails."""
+        whose pixels do not unproject, keyed by point: that of its first
+        failing view. Each pixel unprojects alone (a pinhole one as the
+        radial-tangential model with zero coefficients), so only a failing
+        view's ray is NaN."""
         a_inv = np.linalg.inv(self.a)
         dirs = np.empty_like(self.b)
-        failures: dict[int, UnprojectionError] = {}
-        first_row: dict[int, int] = {}
+        failed: dict[int, UnprojectionError] = {}  # by row
         for cam, idx in self.groups:
-            dirs[idx], failed = unproject_segments(cam, self.pixels[idx], self.point[idx])
-            for p, exc in failed.items():
-                row = idx[np.argmax(self.point[idx] == p)]
-                if row < first_row.get(p, len(self.b)):
-                    first_row[p], failures[p] = row, exc
+            dirs[idx], errors = unproject(cam, self.pixels[idx])
+            failed.update((int(idx[k]), exc) for k, exc in errors.items())
+        failures: dict[int, UnprojectionError] = {}
+        for row in sorted(failed):
+            failures.setdefault(int(self.point[row]), failed[row])
         rays = np.einsum("nij,nj->ni", a_inv, dirs)
         centers = -np.einsum("nij,nj->ni", a_inv, self.b)
         return centers, rays / np.linalg.norm(rays, axis=1, keepdims=True), failures
@@ -329,17 +338,18 @@ class ViewSet:
         ((n_points, 3), or (3,) for a set of one point).
 
         Every point keeps its own damping, multiplicative on its Hessian
-        diagonal, and takes a step only if it lowers its cost, so the result
-        is never worse than the start. A point stops after 50 steps, when
-        no damping up to 1e10 lowers its cost, or once a step lowers it by
-        at most the solver's CONVERGENCE_TOL of it. All points take their
+        diagonal and on the solver's schedule, and takes a step only if it
+        lowers its cost, so the result is never worse than the start. A
+        point stops after 50 steps, when no damping up to the solver's
+        LAMBDA_MAX lowers its cost, or once a step lowers it by at most the
+        solver's CONVERGENCE_TOL of it. All points take their
         trial steps in lockstep, one batched evaluation per round.
         """
         n_points, pt = self.n_points, self.point
         p = np.array(points, dtype=float).reshape(n_points, 3)
         res = self._residuals(None, p[pt])
         cost = self._costs(None, res)
-        lam = np.full(n_points, 1e-4)
+        lam = np.full(n_points, INITIAL_LAMBDA)
         steps = np.zeros(n_points, dtype=int)
         active = np.ones(n_points, dtype=bool)
         stale = np.ones(n_points, dtype=bool)  # linearize before the next trial
@@ -359,7 +369,7 @@ class ViewSet:
                 h = _point_sums(pt[rows], h_terms, n_points)
                 grad[stale], hess[stale] = g[stale], h[stale]
                 d = np.zeros((np.count_nonzero(stale), 3, 3))
-                d[:, diag, diag] = np.maximum(h[stale][:, diag, diag], 1e-12)
+                d[:, diag, diag] = np.maximum(h[stale][:, diag, diag], DIAGONAL_FLOOR)
                 damping[stale] = d
                 stale[:] = False
             act = np.flatnonzero(active)
@@ -380,13 +390,13 @@ class ViewSet:
             keep = better[pt[rows]]
             p[better], cost[better] = trial[better], trial_cost[better]
             res[rows[keep]] = trial_res[keep]
-            lam[better] = np.maximum(lam[better] * 0.1, 1e-15)
+            lam[better] = np.maximum(lam[better] * LAMBDA_DOWN, LAMBDA_MIN)
             steps[better] += 1
             stale[better] = True
             active &= ~(converged | (steps >= 50))
             worse = active & ~better
-            lam[worse] *= 10.0
-            active &= ~(worse & (lam > 1e10))
+            lam[worse] *= LAMBDA_UP
+            active &= ~(worse & (lam > LAMBDA_MAX))
         return p.reshape(np.shape(points))
 
 

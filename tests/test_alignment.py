@@ -19,7 +19,7 @@ from vigt.geometry import (
     RigidPose,
     Rotation,
     Similarity,
-    project,
+    try_project,
 )
 from vigt.solver import HuberLoss, Problem, solve
 from vigt.triangulation import (
@@ -80,7 +80,7 @@ def make_scene(rng, n_cp=8, n_poses=14, noise_px=0.0, n_3d=None, world_from_loca
             p_cam = pose.inverse().apply(p_local)
             if p_cam[2] <= 0.2:
                 continue
-            uv = project(CAM, p_cam)
+            uv = try_project(CAM, p_cam)[0]
             if not (0.0 <= uv[0] <= CAM.width - 1 and 0.0 <= uv[1] <= CAM.height - 1):
                 continue
             if noise_px > 0.0:

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from vigt.errors import ProjectionError
+from vigt.errors import UnprojectionError
 from vigt.geometry import (
     MIN_DEPTH,
     CameraKind,
@@ -16,7 +16,6 @@ from vigt.geometry import (
     Similarity,
     camera_from_frame,
     clamp_depth,
-    project,
     projection_jacobian_batch,
     quat_exp,
     quat_log,
@@ -27,7 +26,7 @@ from vigt.geometry import (
     so3_right_jacobian,
     so3_right_jacobian_inverse,
     try_project,
-    unproject_segments,
+    unproject,
 )
 
 
@@ -71,8 +70,8 @@ PINHOLE_CAM = CameraModel(
 
 
 def unproject_one(cam, px) -> np.ndarray:
-    """The unit camera-frame ray of one pixel, a segment of its own."""
-    rays, failures = unproject_segments(cam, np.array([px], dtype=float), np.zeros(1, dtype=int))
+    """The unit camera-frame ray of one pixel."""
+    rays, failures = unproject(cam, np.array([px], dtype=float))
     assert not failures
     return rays[0]
 
@@ -210,21 +209,22 @@ class TestSimilarity:
 class TestProjection:
     def test_pinhole_optical_axis(self):
         cam = CameraModel(CameraKind.PINHOLE, 100.0, 100.0, 0.0, 0.0)
-        np.testing.assert_allclose(project(cam, [0.0, 0.0, 1.0]), [0.0, 0.0])
+        np.testing.assert_allclose(try_project(cam, [0.0, 0.0, 1.0])[0], [0.0, 0.0])
 
     def test_pinhole_similar_triangles(self):
         cam = CameraModel(CameraKind.PINHOLE, 100.0, 100.0, 0.0, 0.0)
-        np.testing.assert_allclose(project(cam, [1.0, 0.0, 2.0]), [50.0, 0.0])
+        np.testing.assert_allclose(try_project(cam, [1.0, 0.0, 2.0])[0], [50.0, 0.0])
 
     def test_pinhole_behind_camera_raises(self):
         cam = CameraModel(CameraKind.PINHOLE, 100.0, 100.0, 0.0, 0.0)
-        with pytest.raises(ProjectionError):
-            project(cam, [0.0, 0.0, -1.0])
+        uv, valid = try_project(cam, [0.0, 0.0, -1.0])
+        assert not valid
+        assert np.isnan(uv).all()
 
     def test_principal_point_at_unit_depth(self):
         for cam in (PINHOLE_CAM, RADTAN_CAM, KB4_CAM):
             np.testing.assert_allclose(
-                project(cam, [0.0, 0.0, 1.0]), [cam.cx, cam.cy], atol=1e-9
+                try_project(cam, [0.0, 0.0, 1.0])[0], [cam.cx, cam.cy], atol=1e-9
             )
 
     def test_pinhole_unproject_center(self):
@@ -242,12 +242,48 @@ class TestProjection:
             u = np.linspace(5.0, cam.width - 5.0, 10)
             v = np.linspace(5.0, cam.height - 5.0, 10)
             grid = np.stack(np.meshgrid(u, v), axis=-1).reshape(-1, 2)
-            rays, failures = unproject_segments(cam, grid, np.zeros(len(grid), dtype=int))
+            rays, failures = unproject(cam, grid)
             assert not failures, cam.kind
             for depth in (1.0, 7.3):
-                back = project(cam, rays * depth)
+                back = try_project(cam, rays * depth)[0]
                 err = np.linalg.norm(back - grid, axis=1)
                 assert err.max() < 1e-6, cam.kind
+
+    def test_pinhole_is_zero_distortion_radtan(self):
+        zero = CameraModel(
+            CameraKind.RADTAN4, fx=400.0, fy=400.0, cx=319.5, cy=239.5, distortion=(0.0,) * 4
+        )
+        rng = np.random.default_rng(21)
+        pts = rng.normal(size=(200, 3)) + np.array([0.0, 0.0, 0.5])  # some behind
+        for got, want in zip(try_project(PINHOLE_CAM, pts), try_project(zero, pts)):
+            np.testing.assert_array_equal(got, want)
+        front = pts[pts[:, 2] > 0.0]
+        np.testing.assert_array_equal(
+            projection_jacobian_batch(PINHOLE_CAM, front), projection_jacobian_batch(zero, front)
+        )
+        px = rng.uniform((0.0, 0.0), (640.0, 480.0), size=(200, 2))
+        rays, failures = unproject(PINHOLE_CAM, px)
+        zero_rays, zero_failures = unproject(zero, px)
+        assert not failures and not zero_failures
+        np.testing.assert_array_equal(rays, zero_rays)
+
+    def test_radtan_failure_stays_with_its_pixel(self):
+        # pixels from the centre to the corners need different iteration
+        # counts; each stops on its own update, as if alone
+        rng = np.random.default_rng(22)
+        px = rng.uniform((5.0, 5.0), (635.0, 475.0), size=(8, 2))
+        px[3] = (5000.0, 4000.0)  # far outside the image: the inversion diverges
+        rays, failures = unproject(RADTAN_CAM, px)
+        assert list(failures) == [3]
+        assert isinstance(failures[3], UnprojectionError)
+        assert np.isnan(rays[3]).all()
+        alone, alone_failures = unproject(RADTAN_CAM, px[3:4])
+        assert str(alone_failures[0]) == str(failures[3])
+        for i in (0, 1, 2, 4, 5, 6, 7):
+            alone, alone_failures = unproject(RADTAN_CAM, px[i : i + 1])
+            assert not alone_failures
+            assert np.isfinite(rays[i]).all()
+            np.testing.assert_array_equal(rays[i], alone[0])
 
     def test_kb4_sees_behind_plane(self):
         # equidistant fisheye handles incidence beyond 90 degrees
@@ -265,9 +301,8 @@ class TestProjection:
                 for i in range(3):
                     dp = np.zeros(3)
                     dp[i] = step
-                    num[:, i] = (project(cam, p + dp) - project(cam, p - dp)) / (
-                        2 * step
-                    )
+                    plus, minus = try_project(cam, p + dp)[0], try_project(cam, p - dp)[0]
+                    num[:, i] = (plus - minus) / (2 * step)
                 np.testing.assert_allclose(jac, num, rtol=1e-5, atol=1e-4)
 
     def test_kb4_on_axis_jacobian(self):

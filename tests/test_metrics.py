@@ -282,12 +282,13 @@ class TestAssociate:
         assert associate(a, a) == [(0, 0), (1, 1), (2, 2)]
 
     def test_tolerance_respected(self):
-        a = np.array([0, 1000], dtype=np.int64)
-        b = np.array([400, 1020], dtype=np.int64)
-        assert associate(a, b, tol_ns=50) == [(1, 1)]
+        # 1 ns past the 10 ms tolerance, and exactly at it
+        a = np.array([0, 1_000_000_000], dtype=np.int64)
+        b = np.array([10_000_001, 1_010_000_000], dtype=np.int64)
+        assert associate(a, b) == [(1, 1)]
 
     def test_one_to_one(self):
-        a = np.array([0, 10], dtype=np.int64)
-        b = np.array([4], dtype=np.int64)
-        pairs = associate(a, b, tol_ns=10)
+        a = np.array([0, 10_000_000], dtype=np.int64)
+        b = np.array([4_000_000], dtype=np.int64)
+        pairs = associate(a, b)
         assert pairs == [(0, 0)]

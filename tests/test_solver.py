@@ -15,10 +15,10 @@ from vigt.geometry import (
     Rotation,
     RigidPose,
     Similarity,
-    project,
     projection_jacobian_batch,
     quat_to_matrix,
     skew,
+    try_project,
 )
 from vigt.solver import (
     HuberLoss,
@@ -230,10 +230,10 @@ class TestMarginalCovariance:
         sigma_px = 1.0
 
         def make_residual(pose):
-            meas = project(cam, pose.apply(point))
+            meas = try_project(cam, pose.apply(point))[0]
 
             def fn(x):
-                return project(cam, pose.apply(x)) - meas
+                return try_project(cam, pose.apply(x))[0] - meas
 
             def jac(x):
                 j_cam = projection_jacobian_batch(cam, pose.apply(x)[None])[0]
@@ -326,7 +326,7 @@ def test_schur_elimination_matches_direct_solve():
         for i in range(3)
     ]
     meas = {
-        (i, j): project(cam, pose.apply(q)) + rng.normal(scale=0.4, size=2)
+        (i, j): try_project(cam, pose.apply(q))[0] + rng.normal(scale=0.4, size=2)
         for i, pose in enumerate(poses)
         for j, q in enumerate(points)
     }
@@ -343,12 +343,12 @@ def test_schur_elimination_matches_direct_solve():
         for (i, j), uv in meas.items():
             if i == 2:
                 def fn(pose, pt, uv=uv):
-                    return project(cam, pose.apply(pt)) - uv
+                    return try_project(cam, pose.apply(pt))[0] - uv
 
                 p.add_residual_block(fn, ["pose2", f"pt{j}"], np.eye(2), rid=f"o{i}-{j}")
             else:
                 def fn(pt, pose=poses[i], uv=uv):
-                    return project(cam, pose.apply(pt)) - uv
+                    return try_project(cam, pose.apply(pt))[0] - uv
 
                 p.add_residual_block(fn, [f"pt{j}"], np.eye(2), rid=f"o{i}-{j}")
         return p
@@ -723,6 +723,21 @@ def test_scale_group_covariance_rescales_whitened_residuals():
     )
 
 
+@pytest.mark.parametrize("d", range(1, 10))
+def test_diagonal_whitener_is_elementwise_inverse_sqrt(d):
+    # the eigendecomposition of a diagonal covariance, repeated variances
+    # included, gives back 1/sigma exactly
+    rng = np.random.default_rng(d)
+    var = np.exp(rng.uniform(-20.0, 20.0, size=(200, d)))
+    var[::7] = var[::7, :1]
+    cov = var[..., None] * np.eye(d)
+    expected = (1.0 / np.sqrt(var))[..., None] * np.eye(d)
+    np.testing.assert_array_equal(solver._inverse_sqrt(cov, "r"), expected)
+    cov[5, d - 1, d - 1] = 0.0
+    with pytest.raises(ValueError, match="not positive-definite"):
+        solver._inverse_sqrt(cov, "r")
+
+
 def test_programming_error_in_linear_solve_propagates(monkeypatch):
     def broken(system, lam):
         raise TypeError("bug in the linear solve")
@@ -767,7 +782,7 @@ def test_stall_with_promised_decrease_is_no_progress(monkeypatch, initial_lambda
     # damped first step is short and changes the cost by far less than
     # CONVERGENCE_TOL of it (a constant row dominates the cost), but the
     # model still promises a decrease along it.
-    monkeypatch.setattr(solver, "_INITIAL_LAMBDA", initial_lambda)
+    monkeypatch.setattr(solver, "INITIAL_LAMBDA", initial_lambda)
     p = Problem()
     p.add_parameter_block("x", np.array([0.0]))
     p.add_residual_block(

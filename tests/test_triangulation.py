@@ -19,7 +19,6 @@ from vigt.geometry import (
     Rotation,
     Similarity,
     camera_from_frame,
-    project,
     try_project,
 )
 from vigt import triangulation
@@ -71,7 +70,7 @@ def observe(point, pose, rig, image_id, noise=0.0, rng=None, sigma=1.0):
     cam = rig.cameras["cam"]
     extr = rig.camera_from_device["cam"]
     p_cam = extr.apply(pose.inverse().apply(point))
-    uv = project(cam, p_cam)
+    uv = try_project(cam, p_cam)[0]
     if noise > 0.0:
         uv = uv + rng.normal(scale=noise, size=2)
     return Observation(image_id, "cam", uv, np.eye(2) * sigma**2)
@@ -486,9 +485,9 @@ class TestViewSet:
             for i in range(3):
                 dp = np.zeros(3)
                 dp[i] = step
-                num[:, i] = (
-                    project(cam, a @ (p + dp) + b) - project(cam, a @ (p - dp) + b)
-                ) / (2 * step)
+                plus = try_project(cam, a @ (p + dp) + b)[0]
+                minus = try_project(cam, a @ (p - dp) + b)[0]
+                num[:, i] = (plus - minus) / (2 * step)
             np.testing.assert_allclose(jacs[k], num, rtol=1e-5, atol=1e-4)
 
 
@@ -732,7 +731,8 @@ class TestLockstep:
             obs = []
             for k in images:
                 a, b = camera_from_frame(poses[k], MIXED_RIG.camera_from_device[cid])
-                obs.append(Observation(k, cid, project(MODELS[cid], a @ target + b), cov))
+                uv = try_project(MODELS[cid], a @ target + b)[0]
+                obs.append(Observation(k, cid, uv, cov))
             return obs
 
         good = {f"good{k}": seen(rng.normal(scale=0.4, size=3), range(k, k + 5)) for k in range(3)}
@@ -843,7 +843,8 @@ def ring_views(rng, poses, target, n, first_image):
         offset = np.append(rng.normal(scale=0.6, size=2), 1.0)
         center = target + rng.uniform(4.0, 10.0) * offset / np.linalg.norm(offset)
         poses[k] = look_at(center, target + rng.normal(scale=0.3, size=3))
-        uv = project(cam, poses[k].inverse().apply(target)) + rng.normal(scale=0.5, size=2)
+        uv = try_project(cam, poses[k].inverse().apply(target))[0]
+        uv = uv + rng.normal(scale=0.5, size=2)
         obs.append(Observation(k, "pinhole", uv, np.eye(2) * 0.25))
     return obs
 
