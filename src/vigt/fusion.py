@@ -5,7 +5,7 @@ with control-point proxies and feature landmarks, over four
 covariance-weighted factor families: marker reprojections, world control
 points (survey covariance deflated by `_CP_DEFLATION`), feature
 reprojections, and IMU preintegration (plus bias random-walk ties). Both
-reprojection families start at `_SIGMA_PX` per pixel axis, and the
+reprojection families start at each detection's `pixel_cov`, and the
 proxies and landmarks are triangulated with the default
 `TriangulationConfig`. Visual measurement covariances are re-estimated
 in `_REWEIGHT_ROUNDS` rounds from the variance factor of their residual
@@ -75,8 +75,6 @@ _MIN_VARIANCE_FACTOR = 1e-8
 _REWEIGHT_ROUNDS = 3
 # multiplies the survey covariance of every control point
 _CP_DEFLATION = 0.25
-# initial detection and feature sigma, before reweighting
-_SIGMA_PX = 1.0
 
 _log = logging.getLogger(__name__)
 
@@ -180,7 +178,8 @@ def _add_reprojections(
     group: str,
 ) -> None:
     """One stacked block of the pixel residuals of (observation, point
-    block) rows, each seen from its keyframe pose."""
+    block) rows, each seen from its keyframe pose and whitened by its
+    `pixel_cov`."""
     observations = [o for o, _ in rows]
     # identity device poses in the body rig: the views map body-frame points
     identity = {o.image_id: RigidPose.identity() for o in observations}
@@ -188,7 +187,7 @@ def _add_reprojections(
     problem.add_stacked_block(
         fn,
         [[f"kf:{o.image_id}:pose" for o in observations], [pid for _, pid in rows]],
-        np.eye(2) * _SIGMA_PX**2,
+        np.stack([o.pixel_cov for o in observations]),
         group=group,
         jac=jac,
         loss=loss,

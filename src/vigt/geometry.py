@@ -421,7 +421,9 @@ def unproject(
     pixel exactly as it would be alone: a radial-tangential pixel (a pinhole
     one included) stops its inversion once its own update is below
     tolerance. Also returns the UnprojectionError of every pixel that does
-    not invert, keyed by its row; the rays of those pixels are NaN."""
+    not invert (a non-finite one included), keyed by its row; the rays of
+    those pixels are NaN."""
+    px = np.where(np.isfinite(px), px, np.nan)  # NaN runs without warnings
     mx = (px[:, 0] - cam.cx) / cam.fx
     my = (px[:, 1] - cam.cy) / cam.fy
     failures: dict[int, UnprojectionError] = {}
@@ -434,7 +436,7 @@ def unproject(
             f = _kb4_theta_d(theta, k) - theta_d
             theta = theta - f / _kb4_theta_d_prime(theta, k)
         residual = np.abs(_kb4_theta_d(theta, k) - theta_d)
-        for i in np.flatnonzero(residual > 1e-9):
+        for i in np.flatnonzero(~(residual <= 1e-9)):  # NaN fails too
             failures[int(i)] = UnprojectionError(
                 f"fisheye angle inversion did not converge"
                 f" within {_INVERSION_ITERS} iterations (residual {residual[i]:.2e})"
@@ -466,7 +468,7 @@ def unproject(
             yn_new = (my - dy) / radial
             step = np.where(running, np.hypot(xn_new - xn, yn_new - yn), step)
             xn, yn = np.where(running, xn_new, xn), np.where(running, yn_new, yn)
-        for i in np.flatnonzero(step >= _INVERSION_TOL):
+        for i in np.flatnonzero(~(step < _INVERSION_TOL)):  # NaN fails too
             failures[int(i)] = UnprojectionError(
                 f"radial-tangential inversion did not converge"
                 f" within {_INVERSION_ITERS} iterations (step {step[i]:.2e})"

@@ -278,15 +278,10 @@ class Problem:
                 block.set_covariance(block.covariance * factor)
 
 
-# A Levenberg-Marquardt solve has converged once a step lowers the cost by
-# at most this fraction of it, or once no damping lowers the cost and the
-# Gauss-Newton model promises no more than that.
+# The Levenberg-Marquardt step rule of `lm_update`: its tolerance, relative
+# to the cost, and its damping schedule from INITIAL_LAMBDA. The damping
+# scales the Hessian diagonal, floored at DIAGONAL_FLOOR.
 CONVERGENCE_TOL = 1e-12
-# The damping schedule of every Levenberg-Marquardt loop, `solve` and
-# `triangulation.ViewSet.refine`: the damping starts at INITIAL_LAMBDA, is
-# multiplied by LAMBDA_UP after a rejected trial and by LAMBDA_DOWN, down
-# to LAMBDA_MIN, after an accepted one, and no damping above LAMBDA_MAX is
-# tried. It scales the Hessian diagonal, floored at DIAGONAL_FLOOR.
 INITIAL_LAMBDA = 1e-4
 LAMBDA_UP = 10.0
 LAMBDA_DOWN = 0.1
@@ -984,26 +979,43 @@ class _BandInverse:
         )
 
 
-def _model_decrease(
-    ws: _Workspace, jacs: list[np.ndarray], grad: np.ndarray, delta: np.ndarray
-) -> float:
-    """Largest decrease of the Gauss-Newton model along `delta`, taken at
-    its best step length, so heavy damping alone does not shrink it."""
-    curvature = ws.curvature(jacs, delta)
-    slope = float(grad @ delta)
-    return slope * slope / (2.0 * curvature) if curvature > 0.0 else 0.0
+def model_decrease(slope, curvature):
+    """Decrease slope^2 / (2 curvature) of the quadratic model of a cost
+    along a step, with the cost's slope and curvature along it, at the best
+    step length, so heavy damping alone does not shrink it; 0 where the
+    curvature is not positive. Elementwise."""
+    positive = np.asarray(curvature) > 0.0
+    return np.where(positive, slope * slope / (2.0 * np.where(positive, curvature, 1.0)), 0.0)[()]
+
+
+def lm_update(cost, trial_cost, promised, lam):
+    """The Levenberg-Marquardt step rule, elementwise over a batch of loops:
+    (accept, next damping, stop) after a trial at damping `lam`.
+
+    A trial is accepted when its cost is lower than `cost` (a NaN or inf
+    never is); the damping then falls by LAMBDA_DOWN, down to LAMBDA_MIN,
+    and the loop stops if the step lowered the cost by at most
+    CONVERGENCE_TOL of it. A rejected trial raises the damping by
+    LAMBDA_UP, and the loop stops once that passes LAMBDA_MAX or at the
+    numerical floor: where `promised`, the `model_decrease` of the
+    least-damped finite step since the last linearization (inf before
+    one), is at most CONVERGENCE_TOL of the cost.
+    """
+    accept = trial_cost < cost
+    tol = CONVERGENCE_TOL * cost
+    lam = np.where(accept, np.maximum(lam * LAMBDA_DOWN, LAMBDA_MIN), lam * LAMBDA_UP)
+    stop = np.where(accept, cost - trial_cost <= tol, (promised <= tol) | (lam > LAMBDA_MAX))
+    return accept, lam[()], stop[()]
 
 
 def solve(problem: Problem, max_iters: int = 100) -> SolveReport:
-    """Minimize the problem in place, in at most `max_iters` iterations;
-    returns the report.
+    """Minimize the problem in place, in at most `max_iters` iterations, by
+    `lm_update`'s rule; returns the report.
 
-    Terminations: "converged" (a step lowered the cost by at most
-    CONVERGENCE_TOL of it, the cost reached the zero-residual floor, or a
-    trial was rejected at the numerical floor, where the model promises a
-    decrease of at most CONVERGENCE_TOL of the cost), "no_progress" (no
-    damping lowers the cost, though the model promises a decrease) and
-    "max_iterations".
+    Terminations: "converged" (`lm_update` stopped on an accepted step or
+    on a rejected one at the numerical floor, or the cost reached the
+    zero-residual floor), "no_progress" (no damping lowers the cost, though
+    the model promises a decrease) and "max_iterations".
     """
     ws = _workspace(problem)
     x = ws.values()
@@ -1021,8 +1033,7 @@ def solve(problem: Problem, max_iters: int = 100) -> SolveReport:
         grad = ws.gradient(jacs, rhs)
         system = ws.normal_equations(jacs)
 
-        promised = None  # model decrease along the least-damped step
-        trial_cost = np.inf
+        promised, accept = np.inf, False
         while lam <= LAMBDA_MAX:
             try:
                 delta = system.factor(lam).solve(grad)
@@ -1032,27 +1043,21 @@ def solve(problem: Problem, max_iters: int = 100) -> SolveReport:
             if not np.all(np.isfinite(delta)):
                 lam *= LAMBDA_UP
                 continue
-            if promised is None:
-                promised = _model_decrease(ws, jacs, grad, delta)
+            if promised == np.inf:
+                promised = model_decrease(float(grad @ delta), ws.curvature(jacs, delta))
             trial = ws.apply_step(x, delta)
             trial_cost, trial_whitened = ws.try_evaluate(trial)
-            # a rejected trial at the numerical floor ends the search: more
-            # damping cannot lower the cost by more than the tolerance
-            if trial_cost < cost or promised <= CONVERGENCE_TOL * cost:
+            accept, lam, stop = lm_update(cost, trial_cost, promised, lam)
+            if accept or stop:
                 break
-            lam *= LAMBDA_UP
-        if not trial_cost < cost:
-            # no damping lowers the cost: at the numerical floor only if the
-            # model promised no more than the convergence tolerance
-            floor = promised is not None and promised <= CONVERGENCE_TOL * cost
+        if not accept:
+            floor = promised <= CONVERGENCE_TOL * cost
             termination = "converged" if floor else "no_progress"
             break
 
-        converged = cost - trial_cost <= CONVERGENCE_TOL * cost
         x, cost, whitened = trial, trial_cost, trial_whitened
-        lam = max(lam * LAMBDA_DOWN, LAMBDA_MIN)
         cost_history.append(cost)
-        if converged or cost <= _COST_TOL_REL * initial_cost:
+        if stop or cost <= _COST_TOL_REL * initial_cost:
             termination = "converged"
             break
 

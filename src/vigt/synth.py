@@ -218,17 +218,22 @@ def platform_curve(duration_s: float) -> TrajectoryCurve:
     return TrajectoryCurve(pos, vel, acc, euler)
 
 
+# length scale of the figure-eight and waypoint paths, m
+_EXTENT_M = 18.0
+# stated survey sigmas of the control points, horizontal and vertical, m
+_CP_SIGMA_XY, _CP_SIGMA_Z = 0.015, 0.03
+
 _CURVES: dict[str, Callable[["SynthConfig"], TrajectoryCurve]] = {
-    "figure8": lambda cfg: figure_eight_curve(cfg.duration_s, cfg.extent_m * 0.55),
+    "figure8": lambda cfg: figure_eight_curve(cfg.duration_s, _EXTENT_M * 0.55),
     "waypoints": lambda cfg: waypoint_curve(
         cfg.duration_s,
         np.array(
             [
                 [0.0, 0.0, 1.5],
-                [0.4 * cfg.extent_m, 0.2 * cfg.extent_m, 1.6],
-                [0.7 * cfg.extent_m, -0.3 * cfg.extent_m, 1.4],
-                [0.2 * cfg.extent_m, -0.6 * cfg.extent_m, 1.7],
-                [-0.3 * cfg.extent_m, -0.1 * cfg.extent_m, 1.5],
+                [0.4 * _EXTENT_M, 0.2 * _EXTENT_M, 1.6],
+                [0.7 * _EXTENT_M, -0.3 * _EXTENT_M, 1.4],
+                [0.2 * _EXTENT_M, -0.6 * _EXTENT_M, 1.7],
+                [-0.3 * _EXTENT_M, -0.1 * _EXTENT_M, 1.5],
                 [0.0, 0.0, 1.5],
             ]
         ),
@@ -242,12 +247,9 @@ class SynthConfig:
     seed: int = 42
     duration_s: float = 60.0
     trajectory: str = "figure8"
-    extent_m: float = 18.0
     cam_rate_hz: float = 20.0
     cp_count: int = 12
     cp_2d_fraction: float = 0.5
-    cp_sigma_xy: float = 0.015
-    cp_sigma_z: float = 0.03
     cp_noise_scale: float = 0.0  # 0 = noiseless survey, 1 = noise at stated sigmas
     landmark_count: int = 0
     detection_sigma_px: float = 0.0
@@ -362,12 +364,12 @@ def gen_world(config: SynthConfig) -> SynthWorld:
         cp_local[cid] = p_local
         p_world = world_from_local.apply(p_local)
         noise = config.cp_noise_scale * rng.normal(size=3) * np.array(
-            [config.cp_sigma_xy, config.cp_sigma_xy, config.cp_sigma_z]
+            [_CP_SIGMA_XY, _CP_SIGMA_XY, _CP_SIGMA_Z]
         )
         p_meas = p_world + noise
         if k >= config.cp_count - n_2d:
             cps.append(
-                ControlPoint(cid, p_meas[:2], 2, np.eye(2) * config.cp_sigma_xy**2)
+                ControlPoint(cid, p_meas[:2], 2, np.eye(2) * _CP_SIGMA_XY**2)
             )
         else:
             cps.append(
@@ -375,7 +377,7 @@ def gen_world(config: SynthConfig) -> SynthWorld:
                     cid,
                     p_meas,
                     3,
-                    np.diag([config.cp_sigma_xy**2] * 2 + [config.cp_sigma_z**2]),
+                    np.diag([_CP_SIGMA_XY**2] * 2 + [_CP_SIGMA_Z**2]),
                 )
             )
 

@@ -16,8 +16,9 @@ in one call:
   over flat (hypothesis, view) entries. Local optimization runs in rounds:
   in each, every point takes its next hypothesis, in its own order, that
   beats its best so far, and all of those are refined in one batched call.
-- Refinement: one Levenberg-Marquardt loop over (P, 3) points, each with
-  its own damping and stopping rule (`ViewSet.refine`).
+- Refinement: one Levenberg-Marquardt loop over (P, 3) points, each
+  with its own damping, under the solver's step rule `solver.lm_update`
+  (`ViewSet.refine`).
 - Covariance: the inverse Gauss-Newton Hessian of every point at once.
 
 A point's sums add its own terms one at a time (`np.bincount`), in the
@@ -55,15 +56,7 @@ from .geometry import (
     try_project,
     unproject,
 )
-from .solver import (
-    CONVERGENCE_TOL,
-    DIAGONAL_FLOOR,
-    INITIAL_LAMBDA,
-    LAMBDA_DOWN,
-    LAMBDA_MAX,
-    LAMBDA_MIN,
-    LAMBDA_UP,
-)
+from .solver import DIAGONAL_FLOOR, INITIAL_LAMBDA, lm_update, model_decrease
 
 # (hypothesis, view) entries scored at a time; bounds the temporary arrays
 _SCORE_ENTRIES = 8192
@@ -338,18 +331,17 @@ class ViewSet:
         ((n_points, 3), or (3,) for a set of one point).
 
         Every point keeps its own damping, multiplicative on its Hessian
-        diagonal and on the solver's schedule, and takes a step only if it
-        lowers its cost, so the result is never worse than the start. A
-        point stops after 50 steps, when no damping up to the solver's
-        LAMBDA_MAX lowers its cost, or once a step lowers it by at most the
-        solver's CONVERGENCE_TOL of it. All points take their
-        trial steps in lockstep, one batched evaluation per round.
+        diagonal, and accepts, damps and stops by the solver's step rule
+        `lm_update`, so the result is never worse than the start; it also
+        stops after 50 steps. All points take their trial steps in
+        lockstep, one batched evaluation per round.
         """
         n_points, pt = self.n_points, self.point
         p = np.array(points, dtype=float).reshape(n_points, 3)
         res = self._residuals(None, p[pt])
         cost = self._costs(None, res)
         lam = np.full(n_points, INITIAL_LAMBDA)
+        promised = np.full(n_points, np.inf)
         steps = np.zeros(n_points, dtype=int)
         active = np.ones(n_points, dtype=bool)
         stale = np.ones(n_points, dtype=bool)  # linearize before the next trial
@@ -370,33 +362,32 @@ class ViewSet:
                 grad[stale], hess[stale] = g[stale], h[stale]
                 d = np.zeros((np.count_nonzero(stale), 3, 3))
                 d[:, diag, diag] = np.maximum(h[stale][:, diag, diag], DIAGONAL_FLOOR)
-                damping[stale] = d
-                stale[:] = False
+                damping[stale], promised[stale] = d, np.inf
             act = np.flatnonzero(active)
             step, _ = _stacked(
                 _solve, (len(act), 3), hess[act] + lam[act, None, None] * damping[act], -grad[act]
             )
+            # along the first finite step since linearizing, the cost has
+            # slope 2 g'd and curvature 2 d'Hd
+            first = np.isinf(promised[act]) & np.isfinite(step).all(axis=1)
+            d, g, h = step[first], grad[act[first]], hess[act[first]]
+            curvature = (d * (h * d[:, None, :]).sum(axis=2)).sum(axis=1)
+            promised[act[first]] = model_decrease(2.0 * (g * d).sum(axis=1), 2.0 * curvature)
             trial = p.copy()
             trial[act] += step
             rows = np.flatnonzero(active[pt])
             trial_res = self._residuals(rows, trial[pt[rows]])
             trial_cost = self._costs(rows, trial_res)
-            # false for a non-finite step or cost
-            better = active & (trial_cost < cost)
-            converged = np.zeros(n_points, dtype=bool)
-            converged[better] = (
-                cost[better] - trial_cost[better] <= CONVERGENCE_TOL * cost[better]
-            )
+            accept, lam[act], stop = lm_update(cost[act], trial_cost[act], promised[act], lam[act])
+            better = np.zeros(n_points, dtype=bool)
+            better[act[accept]] = True
             keep = better[pt[rows]]
             p[better], cost[better] = trial[better], trial_cost[better]
             res[rows[keep]] = trial_res[keep]
-            lam[better] = np.maximum(lam[better] * LAMBDA_DOWN, LAMBDA_MIN)
             steps[better] += 1
-            stale[better] = True
-            active &= ~(converged | (steps >= 50))
-            worse = active & ~better
-            lam[worse] *= LAMBDA_UP
-            active &= ~(worse & (lam > LAMBDA_MAX))
+            active[act[stop]] = False
+            active &= steps < 50
+            stale = better & active
         return p.reshape(np.shape(points))
 
 

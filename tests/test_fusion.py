@@ -88,6 +88,19 @@ def test_recovers_truth_from_perturbed_init(scene, mode):
         assert np.linalg.eigvalsh(cov).min() > 0.0
 
 
+@pytest.mark.parametrize("mode", ["full", "inertial-only"])
+def test_first_round_variance_factors_near_one(scene, mode):
+    # each reprojection row starts at its detection's pixel_cov, the 0.5 px
+    # of the scene's detection noise
+    world, rig, detections, imu, truth, init = scene
+    fp = build_fusion_problem(
+        init, detections.tracks, detections.cp_observations, world.cps, imu, rig,
+        FusionConfig(mode=mode, keyframe_stride=STRIDE),
+    )
+    first = optimize_pseudo_gt(fp).variance_factors[0]
+    assert first and all(0.5 <= f <= 2.0 for f in first.values()), first
+
+
 def test_bias_excursions_counted_and_logged_once(scene, caplog):
     world, rig, detections, imu, truth, init = scene
     config = FusionConfig(keyframe_stride=STRIDE)

@@ -285,6 +285,18 @@ class TestProjection:
             assert np.isfinite(rays[i]).all()
             np.testing.assert_array_equal(rays[i], alone[0])
 
+    @pytest.mark.parametrize("cam", [RADTAN_CAM, KB4_CAM], ids=["radtan", "kb4"])
+    def test_non_finite_pixel_fails_alone(self, cam):
+        rng = np.random.default_rng(23)
+        px = rng.uniform((5.0, 5.0), (635.0, 475.0), size=(6, 2))
+        px[1, 0], px[3, 1], px[4] = np.nan, np.inf, -np.inf
+        rays, failures = unproject(cam, px)
+        assert sorted(failures) == [1, 3, 4]
+        assert all(isinstance(exc, UnprojectionError) for exc in failures.values())
+        assert np.isnan(rays[[1, 3, 4]]).all()
+        for i in (0, 2, 5):
+            np.testing.assert_array_equal(rays[i], unproject_one(cam, px[i]))
+
     def test_kb4_sees_behind_plane(self):
         # equidistant fisheye handles incidence beyond 90 degrees
         uv, valid = try_project(KB4_CAM, np.array([1.0, 0.0, -0.1]))

@@ -24,6 +24,7 @@ from vigt.solver import (
     HuberLoss,
     Manifold,
     Problem,
+    lm_update,
     marginal_covariances,
     solve,
     variance_factor,
@@ -864,6 +865,32 @@ def test_solve_started_at_its_minimum_factors_once_in_its_last_iteration(monkeyp
     assert report.termination == "converged"
     assert len(factors) == report.iterations
     assert factors[-1] <= 1
+
+
+# (cost, trial cost, promised decrease, damping) -> (accept, next damping,
+# stop)
+LM_RULE = {
+    "accept-and-converge": ((1.0, 1.0 - 1e-13, np.inf, 1e-4), (True, 1e-4 * 0.1, True)),
+    "accept-above-tolerance": ((1.0, 0.5, 0.6, 1e-4), (True, 1e-4 * 0.1, False)),
+    "lambda-min-clamp": ((1.0, 0.5, 0.6, 5e-15), (True, 1e-15, False)),
+    "reject-at-floor": ((1.0, 1.0, 1e-13, 1e-4), (False, 1e-4 * 10.0, True)),
+    "reject-with-promise-at-tolerance": ((1.0, 1.0, 1e-12, 1e-4), (False, 1e-4 * 10.0, True)),
+    "reject-above-floor": ((1.0, 1.5, 0.6, 1e9), (False, 1e10, False)),
+    "reject-past-lambda-max": ((1.0, 1.5, 0.6, 1e10), (False, 1e11, True)),
+    "nan-trial-cost": ((1.0, np.nan, 0.6, 1e-4), (False, 1e-4 * 10.0, False)),
+    "inf-trial-before-a-finite-step": ((1.0, np.inf, np.inf, 1e-4), (False, 1e-4 * 10.0, False)),
+}
+
+
+@pytest.mark.parametrize("case", LM_RULE.values(), ids=LM_RULE)
+def test_lm_update_rule(case):
+    args, expected = case
+    assert lm_update(*args) == expected
+
+
+def test_lm_update_batch_matches_each_loop():
+    accept, lam, stop = lm_update(*np.array([args for args, _ in LM_RULE.values()]).T)
+    assert list(zip(accept, lam, stop)) == [expected for _, expected in LM_RULE.values()]
 
 
 class TestStackedBlocks:

@@ -23,6 +23,13 @@ from vigt.geometry import (
 )
 from vigt import triangulation
 from vigt.solver import CONVERGENCE_TOL
+from vigt.synth import (
+    SynthConfig,
+    default_rig,
+    gen_detections,
+    gen_world,
+    perturb_trajectory,
+)
 from vigt.triangulation import (
     _ETA,
     _FIRST_PASS,
@@ -321,6 +328,57 @@ class TestRefine:
         assert total_error(position) <= total_error(init) + 1e-12
 
 
+class TestSyntheticScene:
+    def test_refine_restarted_at_its_result_evaluates_at_most_two_trials(self, monkeypatch):
+        # every CP of a seeded scene, refined again from its triangulated
+        # position, sits at its numerical floor: the model promises at most
+        # CONVERGENCE_TOL of its cost, so a rejected trial ends the loop
+        # rather than raising the damping to LAMBDA_MAX
+        config = SynthConfig(
+            seed=2, duration_s=3.0, cp_count=6, detection_sigma_px=0.5, cp_noise_scale=1.0
+        )
+        world, rig = gen_world(config), default_rig()
+        detections = gen_detections(world, rig, seed=1)
+        poses = perturb_trajectory(world.trajectory, white_sigma_pos=0.02, seed=3).pose_map()
+        results, failures = triangulate_all(detections.cp_observations, poses, rig)
+        assert not failures and len(results) == 6
+        costs, calls = ViewSet._costs, [0]
+
+        def counted(self, *args):
+            calls[0] += 1
+            return costs(self, *args)
+
+        monkeypatch.setattr(ViewSet, "_costs", counted)
+        trials = []
+        for cp_id, tri in sorted(results.items()):
+            calls[0] = 0
+            ViewSet.build(list(tri.inliers), poses, rig).refine(tri.position)
+            trials.append(calls[0] - 1)  # the first call costs the start
+        assert max(trials) <= 2, trials
+
+    def test_nan_pixel_fails_its_point(self):
+        # one NaN pixel among a CP's 43 views; another CP in the same call
+        # keeps its result
+        rig = default_rig()
+        world = gen_world(
+            SynthConfig(seed=3, duration_s=3.0, cp_count=6, detection_sigma_px=0.5)
+        )
+        detections = gen_detections(world, rig, seed=3)
+        poses = world.trajectory.pose_map()
+        obs = list(detections.cp_observations["cp000"])
+        assert len(obs) == 43
+        bad = obs[10]
+        obs[10] = Observation(
+            bad.image_id, bad.camera_id, (np.nan, bad.pixel[1]), bad.pixel_cov
+        )
+        other = {"cp001": detections.cp_observations["cp001"]}
+        results, failures = triangulate_all({"cp000": obs, **other}, poses, rig)
+        assert list(failures) == ["cp000"]
+        assert failures["cp000"].startswith("UnprojectionError: ")
+        alone, _ = triangulate_all(other, poses, rig)
+        np.testing.assert_array_equal(results["cp001"].position, alone["cp001"].position)
+
+
 class TestCovariance:
     def test_two_orthogonal_views_closed_form(self):
         rig = single_camera_rig()
@@ -509,19 +567,25 @@ def oracle_refine(views, point):
         grad = np.einsum("nij,nj->i", jt_w, res)
         hess = np.einsum("nij,njk->ik", jt_w, jac)
         damping = np.diag(np.maximum(np.diag(hess), 1e-12))
-        while lam <= 1e10:
+        promised = np.inf  # model decrease along the first finite step
+        while True:
             try:
                 step = np.linalg.solve(hess + lam * damping, -grad)
             except np.linalg.LinAlgError:
                 step = np.full(3, np.nan)
+            if promised == np.inf and np.isfinite(step).all():
+                # the cost's slope 2 g'd and curvature 2 d'Hd along the step
+                slope = 2.0 * (grad * step).sum()
+                curvature = 2.0 * (step * (hess * step).sum(axis=1)).sum()
+                promised = slope * slope / (2.0 * curvature) if curvature > 0.0 else 0.0
             trial = p + step
             trial_res = views.residuals(trial)
             trial_cost = np.einsum("ni,nij,nj->", trial_res, views.weights, trial_res)
             if trial_cost < cost:
                 break
             lam *= 10.0
-        else:
-            break
+            if promised <= CONVERGENCE_TOL * cost or lam > 1e10:
+                return p
         converged = cost - trial_cost <= CONVERGENCE_TOL * cost
         p, res, cost = trial, trial_res, trial_cost
         lam = max(lam * 0.1, 1e-15)

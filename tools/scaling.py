@@ -5,8 +5,11 @@
 Builds one seeded synthetic scene per case. The eval stage runs on the
 initial trajectory: `triangulation.triangulate_all` over every CP's
 detections and `alignment.joint_sparse_align` are timed, and the
-`ViewSet.refine` calls of the triangulation are counted, as are the
-hypotheses of its scoring passes (the pairs handed to
+`ViewSet.refine` calls of the triangulation are counted, as are their
+trial rounds (the `ViewSet._costs` calls minus the `refine` calls, since
+each call evaluates its start once and then one batch of trials per
+round; "-" for sources without it) and the hypotheses of its scoring
+passes (the pairs handed to
 `triangulation._score_pairs`, those a point's stop discards included; "-"
 for sources without it). One more, untimed `triangulate_all` call reports
 its `tracemalloc` peak. It then times
@@ -118,17 +121,23 @@ def _timing(module, name: str, seconds: list[float]):
 
 def _eval_stage(world, rig, detections, init, repeat: int) -> dict:
     """Median times of the eval stage's triangulation and alignment on the
-    initial trajectory; the refine calls and scored hypotheses of one
-    triangulation, and the `tracemalloc` peak of another."""
+    initial trajectory; the refine calls, their trial rounds and the scored
+    hypotheses of one triangulation, and the `tracemalloc` peak of
+    another."""
     from vigt import alignment, triangulation
 
     refine = triangulation.ViewSet.refine
+    costs = getattr(triangulation.ViewSet, "_costs", None)
     score_pairs = getattr(triangulation, "_score_pairs", None)
-    calls, hypotheses = [0], [0]
+    calls, evaluations, hypotheses = [0], [0], [0]
 
     def counted(self, *args, **kwargs):
         calls[0] += 1
         return refine(self, *args, **kwargs)
+
+    def evaluated(self, *args, **kwargs):
+        evaluations[0] += 1
+        return costs(self, *args, **kwargs)
 
     def scored(*args, **kwargs):
         hypotheses[0] += len(args[3])
@@ -137,11 +146,13 @@ def _eval_stage(world, rig, detections, init, repeat: int) -> dict:
     poses = init.pose_map()
     triangulate_s, align_s = [], []
     triangulation.ViewSet.refine = counted
+    if costs is not None:
+        triangulation.ViewSet._costs = evaluated
     if score_pairs is not None:
         triangulation._score_pairs = scored
     try:
         for _ in range(repeat):
-            calls[0] = hypotheses[0] = 0
+            calls[0] = evaluations[0] = hypotheses[0] = 0
             t0 = time.perf_counter()
             tris, _ = triangulation.triangulate_all(detections.cp_observations, poses, rig)
             t1 = time.perf_counter()
@@ -151,6 +162,8 @@ def _eval_stage(world, rig, detections, init, repeat: int) -> dict:
             align_s.append(t2 - t1)
     finally:
         triangulation.ViewSet.refine = refine
+        if costs is not None:
+            triangulation.ViewSet._costs = costs
         if score_pairs is not None:
             triangulation._score_pairs = score_pairs
     tracemalloc.start()
@@ -163,6 +176,7 @@ def _eval_stage(world, rig, detections, init, repeat: int) -> dict:
         "eval_triangulate_s": statistics.median(triangulate_s),
         "eval_align_s": statistics.median(align_s),
         "eval_refine_calls": calls[0],
+        "eval_refine_rounds": evaluations[0] - calls[0] if costs is not None else None,
         "eval_hypotheses": hypotheses[0] if score_pairs is not None else None,
         "eval_triangulate_peak_mb": peak / 2**20,
     }
@@ -220,16 +234,17 @@ def main(argv=None) -> int:
         f"{'length':>6s} {'landmarks':>9s} {'keyframes':>9s} {'unknowns':>8s}"
         f" {'build':>8s} {'triangulate':>11s} {'optimize':>9s} {'marginals':>9s}"
         f" {'LM iters':>8s} {'per iter':>9s} {'eval tri':>9s} {'align':>8s} {'refines':>7s}"
-        f" {'hyps':>6s} {'tri peak':>9s}"
+        f" {'rounds':>6s} {'hyps':>6s} {'tri peak':>9s}"
     )
     for r in rows:
+        rounds = "-" if r["eval_refine_rounds"] is None else str(r["eval_refine_rounds"])
         hypotheses = "-" if r["eval_hypotheses"] is None else str(r["eval_hypotheses"])
         print(
             f"{r['length_s']:5d}s {r['landmarks']:9d} {r['keyframes']:9d} {r['unknowns']:8d}"
             f" {r['build_s']:7.3f}s {r['triangulate_s']:10.3f}s {r['optimize_s']:8.3f}s"
             f" {r['marginals_s']:8.3f}s {r['lm_iters']:8g} {r['optimize_ms_per_iter']:7.2f}ms"
             f" {r['eval_triangulate_s']:8.3f}s {r['eval_align_s']:7.3f}s"
-            f" {r['eval_refine_calls']:7d} {hypotheses:>6s} {r['eval_triangulate_peak_mb']:6.1f} MB"
+            f" {r['eval_refine_calls']:7d} {rounds:>6s} {hypotheses:>6s} {r['eval_triangulate_peak_mb']:6.1f} MB"
         )
     optimize = {r["length_s"]: r["optimize_s"] for r in rows if r["landmarks"] == 0}
     ratios = {"30/10": optimize[30] / optimize[10], "90/30": optimize[90] / optimize[30]}
