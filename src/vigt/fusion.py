@@ -112,7 +112,6 @@ class FusionConfig:
 class FusionProblem:
     problem: Problem
     keyframe_ts: list[int]
-    config: FusionConfig
     imu_from_device: RigidPose
     cp_ids: list[str]
     landmark_ids: list[str]
@@ -317,6 +316,8 @@ def build_fusion_problem(
         raise VigtError("need at least 2 keyframes")
     _check_imu_coverage(keyframe_ts, imu)
     kf_set = set(keyframe_ts)
+    if config.mode == "inertial-only":
+        tracks = ()  # the full problem without feature tracks
 
     # work in the IMU frame: body = IMU, cameras re-extrinsic'd accordingly
     t_id = rig.imu_from_device
@@ -353,11 +354,8 @@ def build_fusion_problem(
         for cp_id, obs in cp_detections.items()
         if cp_id in cps_by_id
     }
-    if config.mode == "full":
-        for track in tracks:
-            kept[f"lm:{track.track_id}"] = [
-                o for o in track.observations if o.image_id in kf_set
-            ]
+    for track in tracks:
+        kept[f"lm:{track.track_id}"] = [o for o in track.observations if o.image_id in kf_set]
     tris, tri_failures = triangulate_all(
         {pid: obs for pid, obs in kept.items() if len(obs) >= 2}, body_pose, body_rig
     )
@@ -391,17 +389,16 @@ def build_fusion_problem(
     landmark_ids: list[str] = []
     skipped_tracks: dict[str, str] = {}
     feature_rows: list[tuple[Observation, str]] = []
-    if config.mode == "full":
-        for track in tracks:
-            pid = f"lm:{track.track_id}"
-            if pid not in tris:
-                skipped_tracks[track.track_id] = skip_reason(pid)
-                continue
-            tri = tris[pid]
-            problem.add_parameter_block(pid, tri.position.copy(), eliminate=True)
-            track.landmark = tri.position.copy()
-            landmark_ids.append(track.track_id)
-            feature_rows += [(o, pid) for o in tri.inliers]
+    for track in tracks:
+        pid = f"lm:{track.track_id}"
+        if pid not in tris:
+            skipped_tracks[track.track_id] = skip_reason(pid)
+            continue
+        tri = tris[pid]
+        problem.add_parameter_block(pid, tri.position.copy(), eliminate=True)
+        track.landmark = tri.position.copy()
+        landmark_ids.append(track.track_id)
+        feature_rows += [(o, pid) for o in tri.inliers]
     if feature_rows:
         _add_reprojections(problem, feature_rows, body_rig, loss, "feature-reprojection")
 
@@ -418,7 +415,6 @@ def build_fusion_problem(
     return FusionProblem(
         problem=problem,
         keyframe_ts=keyframe_ts,
-        config=config,
         imu_from_device=t_id,
         cp_ids=cp_ids,
         landmark_ids=landmark_ids,

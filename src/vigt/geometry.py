@@ -4,6 +4,14 @@ All types are immutable values and all operations are pure functions, so
 everything here is safe to share across threads. Rotations are stored as
 unit quaternions in (w, x, y, z) order and renormalized after every
 composition so long chains cannot drift.
+
+Each rotation map is written once and serves both a single `Rotation` and
+a stack of (..., 4) quaternions or (..., 3, 3) matrices: the Hamilton
+product (`_product`) and the quaternion-to-matrix map (`_matrix_entries`)
+take quaternion components, the scalars of one rotation or the last-axis
+slices of a stack; the exponential (`quat_exp`), the logarithm
+(`quat_log`) and the matrix-to-quaternion map (`quat_from_matrix`) take
+stacks, one rotation being the stack of one.
 """
 
 from __future__ import annotations
@@ -18,9 +26,6 @@ from .errors import UnprojectionError
 
 if TYPE_CHECKING:
     from .inertial import ImuNoise
-
-_QUAT_NORM_TOL = 1e-9
-
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices: skew(v) @ u == np.cross(v, u). Takes one
@@ -73,19 +78,35 @@ def so3_right_jacobian_inverse(rotvec: np.ndarray) -> np.ndarray:
     return np.eye(3) + 0.5 * k + b * (k @ k)
 
 
+def _product(w1, x1, y1, z1, w2, x2, y2, z2):
+    """Components (w, x, y, z) of the Hamilton product of two quaternions,
+    given as scalars or as arrays of each component."""
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _matrix_entries(w, x, y, z):
+    """The nine entries, row by row, of the rotation matrix of a unit
+    quaternion, given as scalars or as arrays of each component."""
+    return (
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )
+
+
+def _components(q: np.ndarray) -> list[np.ndarray]:
+    return [q[..., i] for i in range(4)]
+
+
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Hamilton products of (..., 4) quaternions (w, x, y, z), renormalized."""
-    w1, x1, y1, z1 = np.moveaxis(np.asarray(q1, dtype=float), -1, 0)
-    w2, x2, y2, z2 = np.moveaxis(np.asarray(q2, dtype=float), -1, 0)
-    q = np.stack(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ],
-        axis=-1,
-    )
+    q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
+    q = np.stack(_product(*_components(q1), *_components(q2)), axis=-1)
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
@@ -116,16 +137,34 @@ def quat_log(q: np.ndarray) -> np.ndarray:
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrices (..., 3, 3) of (..., 4) unit quaternions."""
     q = np.asarray(q, dtype=float)
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    m = np.stack(
-        [
-            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-        ],
-        axis=-1,
-    )
+    m = np.stack(_matrix_entries(*_components(q)), axis=-1)
     return m.reshape(q.shape[:-1] + (3, 3))
+
+
+def quat_from_matrix(m: np.ndarray) -> np.ndarray:
+    """Quaternions (..., 4) of (..., 3, 3) rotation matrices, by Shepperd's
+    method (J. Guidance and Control, 1978): each matrix takes the branch of
+    the trace if it is positive, else of its largest diagonal entry, so the
+    square root it divides by is never small. Not normalized."""
+    m = np.asarray(m, dtype=float)
+    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
+    t = m00 + m11 + m22
+    largest = np.where((m00 >= m11) & (m00 >= m22), 1, np.where(m11 >= m22, 2, 3))
+    branch = np.where(t > 0.0, 0, largest)
+    radicands = (t + 1.0, 1.0 + m00 - m11 - m22, 1.0 + m11 - m00 - m22, 1.0 + m22 - m00 - m11)
+    s = np.sqrt(np.choose(branch, radicands)) * 2.0
+    quarter = 0.25 * s
+    dx, sxy = (m[..., 2, 1] - m[..., 1, 2]) / s, (m[..., 0, 1] + m[..., 1, 0]) / s
+    dy, sxz = (m[..., 0, 2] - m[..., 2, 0]) / s, (m[..., 0, 2] + m[..., 2, 0]) / s
+    dz, syz = (m[..., 1, 0] - m[..., 0, 1]) / s, (m[..., 1, 2] + m[..., 2, 1]) / s
+    # component i (w, x, y, z) of branch b is entry (i, b) of this symmetric table
+    table = (
+        (quarter, dx, dy, dz),
+        (dx, quarter, sxy, sxz),
+        (dy, sxy, quarter, syz),
+        (dz, sxz, syz, quarter),
+    )
+    return np.stack([np.choose(branch, row) for row in table], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,65 +193,21 @@ class Rotation:
     @staticmethod
     def from_matrix(m: np.ndarray) -> "Rotation":
         """Shepperd's method, numerically stable for all rotation matrices."""
-        m = np.asarray(m, dtype=float)
-        t = np.trace(m)
-        if t > 0.0:
-            s = np.sqrt(t + 1.0) * 2.0
-            w = 0.25 * s
-            x = (m[2, 1] - m[1, 2]) / s
-            y = (m[0, 2] - m[2, 0]) / s
-            z = (m[1, 0] - m[0, 1]) / s
-        elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-            s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            w = (m[2, 1] - m[1, 2]) / s
-            x = 0.25 * s
-            y = (m[0, 1] + m[1, 0]) / s
-            z = (m[0, 2] + m[2, 0]) / s
-        elif m[1, 1] >= m[2, 2]:
-            s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            w = (m[0, 2] - m[2, 0]) / s
-            x = (m[0, 1] + m[1, 0]) / s
-            y = 0.25 * s
-            z = (m[1, 2] + m[2, 1]) / s
-        else:
-            s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-            w = (m[1, 0] - m[0, 1]) / s
-            x = (m[0, 2] + m[2, 0]) / s
-            y = (m[1, 2] + m[2, 1]) / s
-            z = 0.25 * s
-        return Rotation(np.array([w, x, y, z]))
+        return Rotation(quat_from_matrix(m))
 
     def log(self) -> np.ndarray:
         """Tangent 3-vector (axis * angle), angle in [0, pi]."""
         return quat_log(self.quat)
 
     def matrix(self) -> np.ndarray:
-        w, x, y, z = self.quat
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+        return np.array(_matrix_entries(*self.quat)).reshape(3, 3)
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         return p @ self.matrix().T
 
     def compose(self, other: "Rotation") -> "Rotation":
-        w1, x1, y1, z1 = self.quat
-        w2, x2, y2, z2 = other.quat
-        return Rotation(
-            np.array(
-                [
-                    w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-                    w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-                    w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-                    w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-                ]
-            )
-        )
+        return Rotation(np.array(_product(*self.quat, *other.quat)))
 
     def inverse(self) -> "Rotation":
         w, x, y, z = self.quat
@@ -420,13 +415,18 @@ def unproject(
     """Back-project (N, 2) pixels to (N, 3) unit camera-frame rays, each
     pixel exactly as it would be alone: a radial-tangential pixel (a pinhole
     one included) stops its inversion once its own update is below
-    tolerance. Also returns the UnprojectionError of every pixel that does
-    not invert (a non-finite one included), keyed by its row; the rays of
-    those pixels are NaN."""
-    px = np.where(np.isfinite(px), px, np.nan)  # NaN runs without warnings
+    tolerance. Also returns the UnprojectionError of every pixel that is
+    not finite or does not invert, keyed by its row; the rays of those
+    pixels are NaN."""
+    px = np.asarray(px, dtype=float)
+    finite = np.isfinite(px).all(axis=1)
+    failures = {
+        int(i): UnprojectionError(f"pixel ({px[i, 0]}, {px[i, 1]}) is not finite")
+        for i in np.flatnonzero(~finite)
+    }
+    px = np.where(finite[:, None], px, np.nan)  # NaN runs without warnings
     mx = (px[:, 0] - cam.cx) / cam.fx
     my = (px[:, 1] - cam.cy) / cam.fy
-    failures: dict[int, UnprojectionError] = {}
 
     if cam.kind is CameraKind.KANNALA_BRANDT4:
         k = cam.distortion
@@ -436,7 +436,7 @@ def unproject(
             f = _kb4_theta_d(theta, k) - theta_d
             theta = theta - f / _kb4_theta_d_prime(theta, k)
         residual = np.abs(_kb4_theta_d(theta, k) - theta_d)
-        for i in np.flatnonzero(~(residual <= 1e-9)):  # NaN fails too
+        for i in np.flatnonzero(finite & ~(residual <= 1e-9)):  # NaN fails too
             failures[int(i)] = UnprojectionError(
                 f"fisheye angle inversion did not converge"
                 f" within {_INVERSION_ITERS} iterations (residual {residual[i]:.2e})"
@@ -455,7 +455,7 @@ def unproject(
     else:
         k1, k2, p1, p2 = _radtan(cam)
         xn, yn = mx.copy(), my.copy()
-        step = np.full(len(px), np.inf)
+        step = np.where(finite, np.inf, 0.0)  # a non-finite pixel never runs
         for _ in range(_INVERSION_ITERS):
             running = ~(step < _INVERSION_TOL)
             if not running.any():

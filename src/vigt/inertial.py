@@ -9,10 +9,14 @@ Integration uses the midpoint rule per sample interval; sample streams are
 timestamped in integer nanoseconds.
 
 Segments are integrated and evaluated stacked. A `SegmentStack` holds S
-segments as arrays over a leading segment axis: interval bounds and
-lengths (S,), rotation deltas as (S, 4) unit quaternions (w, x, y, z),
-velocity and position deltas (S, 3), covariances (S, 9, 9), bias
-Jacobians (S, 3, 3) and linearization biases (S, 6) as (gyro, accel).
+segments as arrays over a leading segment axis: interval lengths `dt`
+(S,), rotation deltas `delta_rot` as (S, 4) unit quaternions (w, x, y,
+z), velocity and position deltas `delta_vel` and `delta_pos` (S, 3),
+covariances `covariance` (S, 9, 9), the five bias Jacobians
+`d_rot_d_bg`, `d_vel_d_bg`, `d_vel_d_ba`, `d_pos_d_bg` and `d_pos_d_ba`
+(S, 3, 3), and linearization biases `lin_bias` (S, 6) as (gyro, accel).
+Gaps in a sample stream are not flagged here; fusion refuses keyframe
+intervals without samples (`ImuDataError`).
 `preintegrate_stack` integrates all segments in lockstep, one sample index
 at a time over (S, L, ...) arrays, shorter streams padded with zero-length
 steps; the per-sample rotation maps are computed for all samples before
@@ -32,6 +36,7 @@ from .errors import ImuDataError
 from .geometry import (
     Rotation,
     quat_exp,
+    quat_from_matrix,
     quat_log,
     quat_multiply,
     quat_to_matrix,
@@ -142,12 +147,9 @@ class SegmentStack:
     interval is the S = 1 stack.
 
     Covariances and bias Jacobians live on the (rotation, velocity,
-    position) tangent, in that order. `gap_warning` flags a segment whose
-    longest sample interval exceeds five times its median one.
+    position) tangent, in that order.
     """
 
-    t_start_ns: np.ndarray  # (S,) int64, first sample
-    t_end_ns: np.ndarray  # (S,) int64, last sample
     dt: np.ndarray  # (S,) seconds
     delta_rot: np.ndarray  # (S, 4) unit quaternions (w, x, y, z)
     delta_vel: np.ndarray  # (S, 3)
@@ -159,7 +161,6 @@ class SegmentStack:
     d_pos_d_bg: np.ndarray
     d_pos_d_ba: np.ndarray
     lin_bias: np.ndarray  # (S, 6) linearization biases (gyro, accel)
-    gap_warning: np.ndarray  # (S,) bool
 
     def __len__(self):
         return len(self.dt)
@@ -218,15 +219,12 @@ def _integrate(
     ts = np.zeros((n_seg, n))  # seconds from each stream's start
     gyro = np.zeros((n_seg, n, 3))
     accel = np.zeros((n_seg, n, 3))
-    gap_warning = np.zeros(n_seg, dtype=bool)
     for s, stream in enumerate(streams):
         m = len(stream)
         ts[s, :m] = (stream.timestamps - stream.timestamps[0]) * 1e-9
         ts[s, m:] = ts[s, m - 1]
         gyro[s, :m] = stream.gyro - biases[s, :3]
         accel[s, :m] = stream.accel - biases[s, 3:]
-        dts = np.diff(ts[s, :m])
-        gap_warning[s] = len(dts) > 2 and dts.max() > 5.0 * np.median(dts)
 
     dts = np.diff(ts, axis=1)  # (S, K); 0 on padding
     # midpoint rule: average consecutive samples over each interval
@@ -289,10 +287,8 @@ def _integrate(
         d_rot = d_rot @ step
 
     return SegmentStack(
-        t_start_ns=np.array([s.timestamps[0] for s in streams], dtype=np.int64),
-        t_end_ns=np.array([s.timestamps[-1] for s in streams], dtype=np.int64),
         dt=ts[:, -1].copy(),
-        delta_rot=np.stack([Rotation.from_matrix(m).quat for m in d_rot]),
+        delta_rot=np.stack([Rotation(q).quat for q in quat_from_matrix(d_rot)]),
         delta_vel=d_vel,
         delta_pos=d_pos,
         covariance=0.5 * (cov + _transpose(cov)),
@@ -302,7 +298,6 @@ def _integrate(
         d_pos_d_bg=j_p_bg,
         d_pos_d_ba=j_p_ba,
         lin_bias=biases.copy(),
-        gap_warning=gap_warning,
     )
 
 

@@ -28,6 +28,7 @@ from .geometry import (
     Rotation,
     Similarity,
     Trajectory,
+    quat_from_matrix,
     try_project,
 )
 from .inertial import GRAVITY_W, Bias, ImuNoise, ImuStream
@@ -342,7 +343,7 @@ def gen_world(config: SynthConfig) -> SynthWorld:
     positions = curve.position(t_s)
     matrices = curve.rotation_matrices(t_s)
     poses = tuple(
-        RigidPose(Rotation.from_matrix(m), p) for m, p in zip(matrices, positions)
+        RigidPose(Rotation(q), p) for q, p in zip(quat_from_matrix(matrices), positions)
     )
     trajectory = Trajectory(ts, poses)
     velocities = curve.velocity(t_s)

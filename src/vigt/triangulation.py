@@ -74,10 +74,6 @@ _ETA = 0.01
 _FIRST_PASS = 4
 
 
-def default_pixel_covariance(sigma_px: float = 1.0) -> np.ndarray:
-    return np.eye(2) * sigma_px**2
-
-
 @dataclass(frozen=True, eq=False)
 class Observation:
     """A single pixel detection of a control point."""
@@ -85,7 +81,7 @@ class Observation:
     image_id: int  # trajectory timestamp, ns
     camera_id: str
     pixel: np.ndarray  # (2,)
-    pixel_cov: np.ndarray = field(default_factory=default_pixel_covariance)
+    pixel_cov: np.ndarray = field(default_factory=lambda: np.eye(2))
 
     def __post_init__(self):
         object.__setattr__(self, "pixel", np.asarray(self.pixel, dtype=float).reshape(2))

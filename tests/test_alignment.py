@@ -339,6 +339,25 @@ class TestInitialization:
         assert result.init_fallback_4dof
 
 
+    def test_collinear_3d_points_fall_back_to_4dof(self):
+        yaw_only = Similarity(
+            1.2, Rotation.exp([0.0, 0.0, 0.6]), np.array([3.0, -1.0, 0.5])
+        )
+        local = np.array([[0.0, 0.0, 1.0], [2.0, 1.0, 1.5], [4.0, 2.0, 2.0]])
+        obs = (Observation(0, "cam", np.zeros(2)), Observation(1, "cam", np.zeros(2)))
+        tris = {
+            f"c{i}": TriangulatedCP(f"c{i}", p, np.eye(3) * 1e-4, obs, 0.0)
+            for i, p in enumerate(local)
+        }
+        cps = [
+            ControlPoint(f"c{i}", yaw_only.apply(p), 3, np.eye(3) * 1e-4)
+            for i, p in enumerate(local)
+        ]
+        init, fallback = initialize_alignment(tris, cps)
+        assert fallback
+        np.testing.assert_allclose(init.apply(local), yaw_only.apply(local), atol=1e-12)
+
+
 class TestErrors:
     def make_tri(self, cid, pos):
         obs = (

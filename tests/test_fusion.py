@@ -8,8 +8,16 @@ import pytest
 
 from vigt import fusion, solver
 from vigt.errors import ImuDataError, UnobservableError
-from vigt.fusion import FusionConfig, PseudoGT, build_fusion_problem, optimize_pseudo_gt
-from vigt.inertial import BIAS_CORRECTION_WARN_NORM, ImuStream
+from vigt.fusion import (
+    FeatureTrack,
+    FusionConfig,
+    KeyframeState,
+    PseudoGT,
+    build_fusion_problem,
+    optimize_pseudo_gt,
+)
+from vigt.geometry import RigidPose, Rotation, Trajectory
+from vigt.inertial import BIAS_CORRECTION_WARN_NORM, Bias, ImuStream
 from vigt.solver import Manifold, _retract
 from vigt.synth import (
     SynthConfig,
@@ -192,6 +200,46 @@ def test_median_position_uncertainty_reads_the_position_blocks():
         bias_excursions=0,
     )
     assert pgt.median_position_uncertainty() == pytest.approx(0.03, rel=1e-12)
+
+
+def test_keyframes_end_on_the_last_frame():
+    ts = np.arange(7, dtype=np.int64) * 100
+    traj = Trajectory(ts, [RigidPose.identity()] * 7)
+    assert fusion._keyframe_timestamps(traj, 3) == [0, 300, 600]
+    assert fusion._keyframe_timestamps(traj, 4) == [0, 400, 600]
+
+
+def test_unmatched_cp_and_short_track_are_skipped(scene):
+    world, rig, detections, imu, truth, init = scene
+    kf_set = set(int(t) for t in truth.timestamps[::STRIDE])
+    cp_id, obs = next(iter(detections.cp_observations.items()))
+    track = detections.tracks[0]
+    lone = [next(o for o in track.observations if o.image_id in kf_set)]
+    fp = build_fusion_problem(
+        init,
+        list(detections.tracks) + [FeatureTrack("lone", lone)],
+        {**detections.cp_observations, "unsurveyed": obs},
+        world.cps, imu, rig, FusionConfig(keyframe_stride=STRIDE),
+    )
+    assert fp.skipped_cps == {"unsurveyed": "no matching control point"}
+    assert fp.skipped_tracks["lone"] == "1 keyframe observations"
+    assert "lone" not in fp.landmark_ids and cp_id in fp.cp_ids
+
+
+def test_pseudo_gt_trajectory_lists_the_keyframes():
+    poses = [RigidPose(Rotation.exp([0.0, 0.0, 0.1 * k]), [k, 0.0, 0.0]) for k in range(3)]
+    pgt = PseudoGT(
+        keyframes=[
+            KeyframeState(100 * k, pose, np.zeros(3), Bias.zero()) for k, pose in enumerate(poses)
+        ],
+        pose_covariances=[],
+        variance_factors=[],
+        report=None,
+        bias_excursions=0,
+    )
+    traj = pgt.trajectory()
+    np.testing.assert_array_equal(traj.timestamps, [0, 100, 200])
+    assert traj.poses == tuple(poses)
 
 
 def test_imu_gap_raises(scene):

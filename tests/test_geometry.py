@@ -18,6 +18,7 @@ from vigt.geometry import (
     clamp_depth,
     projection_jacobian_batch,
     quat_exp,
+    quat_from_matrix,
     quat_log,
     quat_multiply,
     quat_to_matrix,
@@ -293,6 +294,7 @@ class TestProjection:
         rays, failures = unproject(cam, px)
         assert sorted(failures) == [1, 3, 4]
         assert all(isinstance(exc, UnprojectionError) for exc in failures.values())
+        assert all(str(exc).endswith("is not finite") for exc in failures.values())
         assert np.isnan(rays[[1, 3, 4]]).all()
         for i in (0, 2, 5):
             np.testing.assert_array_equal(rays[i], unproject_one(cam, px[i]))
@@ -463,3 +465,69 @@ class TestBatchedSo3:
         np.testing.assert_allclose(quat_log(-q_v), v, rtol=0.0, atol=1e-12)
         # the scalar Rotation type agrees on a single (4,) quaternion
         np.testing.assert_allclose(quat_to_matrix(q_v[0]), Rotation(q_v[0]).matrix(), atol=1e-15)
+
+
+def hurwitz_units() -> np.ndarray:
+    """The 24 unit Hurwitz quaternions: +-1, +-i, +-j, +-k and
+    (+-1 +-i +-j +-k) / 2. Their products are exact and of exact unit norm."""
+    axes = np.concatenate([np.eye(4), -np.eye(4)])
+    signs = np.array(np.meshgrid(*[[-0.5, 0.5]] * 4)).reshape(4, -1).T
+    return np.concatenate([axes, signs])
+
+
+def branch_quaternions(rng) -> list[np.ndarray]:
+    """Unit quaternions for each branch of Shepperd's method: small angles
+    (positive trace), then half turns about axes nearest x, y and z, whose
+    matrix diagonal peaks at that axis."""
+    out = [quat_exp(rng.normal(scale=0.5, size=(50, 3)))]
+    for axis in range(3):
+        a = rng.normal(scale=0.3, size=(50, 3))
+        a[:, axis] = 1.0 + rng.uniform(size=50)
+        out.append(quat_exp(np.pi * a / np.linalg.norm(a, axis=1, keepdims=True)))
+    return out
+
+
+class TestRotationMaps:
+    """The stacked maps and the `Rotation` methods compute one formula each."""
+
+    def test_product_rows_match_compose(self):
+        units = hurwitz_units()
+        q1, q2 = np.repeat(units, 24, axis=0), np.tile(units, (24, 1))
+        composed = [(Rotation(a) @ Rotation(b)).quat for a, b in zip(q1, q2)]
+        np.testing.assert_array_equal(quat_multiply(q1, q2), composed)
+        # in general the two normalizations, a dot product for one
+        # quaternion and a reduction over the last axis for a stack, may
+        # round the norm apart
+        rng = np.random.default_rng(31)
+        a = [Rotation(q) for q in rng.normal(size=(2000, 4))]
+        b = [Rotation(q) for q in rng.normal(size=(2000, 4))]
+        rows = quat_multiply(np.stack([r.quat for r in a]), np.stack([r.quat for r in b]))
+        np.testing.assert_array_max_ulp(rows, [(x @ y).quat for x, y in zip(a, b)], maxulp=2)
+
+    def test_matrix_rows_match_matrix(self):
+        rng = np.random.default_rng(32)
+        rots = [Rotation(q) for q in rng.normal(size=(2000, 4))]
+        rows = quat_to_matrix(np.stack([r.quat for r in rots]))
+        np.testing.assert_array_equal(rows, [r.matrix() for r in rots])
+
+    def test_from_matrix_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(33)
+        m = quat_to_matrix(np.concatenate(branch_quaternions(rng)))
+        rows = quat_from_matrix(m)
+        np.testing.assert_array_equal(rows, [quat_from_matrix(x) for x in m])
+
+    def test_from_matrix_recovers_each_branch(self):
+        rng = np.random.default_rng(34)
+        q_random = rng.normal(size=(5000, 4))
+        q_random /= np.linalg.norm(q_random, axis=1, keepdims=True)
+        # exact half turns about x, y and z
+        cases = branch_quaternions(rng) + [np.eye(4)[1:], q_random]
+        for branch, q in enumerate(cases):
+            m = quat_to_matrix(q)
+            diagonal = np.diagonal(m, axis1=1, axis2=2)
+            if branch == 0:
+                assert (np.trace(m, axis1=1, axis2=2) > 0.0).all()
+            elif branch <= 3:
+                assert (np.trace(m, axis1=1, axis2=2) <= 0.0).all()
+                assert (np.argmax(diagonal, axis=1) == branch - 1).all()
+            assert_same_rotation(quat_from_matrix(m), q, 4e-15)

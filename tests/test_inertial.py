@@ -120,8 +120,6 @@ def reference_preintegrate(stream, bias, noise):
         d_vel = d_vel + (r_half @ a) * dt
         d_rot = d_rot @ step
     row = dict(
-        t_start_ns=stream.timestamps[0],
-        t_end_ns=stream.timestamps[-1],
         dt=ts[-1],
         delta_rot=Rotation.from_matrix(d_rot).quat,
         delta_vel=d_vel,
@@ -133,7 +131,6 @@ def reference_preintegrate(stream, bias, noise):
         d_pos_d_bg=j_p_bg,
         d_pos_d_ba=j_p_ba,
         lin_bias=bias.as_vector(),
-        gap_warning=bool(len(dts) > 2 and dts.max() > 5.0 * np.median(dts)),
     )
     return SegmentStack(**{name: np.array([value]) for name, value in row.items()})
 
@@ -153,7 +150,7 @@ ARRAY_FIELDS = (
 def assert_segments_close(seg, ref, rtol):
     """Stacks of equal length with equal metadata; rotations and arrays
     within `rtol` of each array's largest entry."""
-    for name in ("t_start_ns", "t_end_ns", "dt", "gap_warning", "lin_bias"):
+    for name in ("dt", "lin_bias"):
         np.testing.assert_array_equal(getattr(seg, name), getattr(ref, name), err_msg=name)
     for q, q_ref in zip(seg.delta_rot, ref.delta_rot, strict=True):
         assert Rotation(q).angle_to(Rotation(q_ref)) <= rtol
@@ -313,14 +310,6 @@ class TestPreintegrate:
         stream = constant_stream(1, 100.0, np.zeros(3), np.zeros(3))
         with pytest.raises(ImuDataError):
             preintegrate(stream, Bias.zero(), NOISE)
-
-    def test_gap_warning_flag(self):
-        ts = np.concatenate(
-            [np.arange(50), np.arange(50) + 500]
-        ) * 10_000_000  # 10 ms nominal, 4.5 s hole
-        stream = ImuStream(ts.astype(np.int64), np.zeros((100, 3)), np.zeros((100, 3)))
-        seg = preintegrate(stream, Bias.zero(), NOISE)
-        assert seg.gap_warning[0]
 
     def test_concatenation_consistency(self):
         stream = sampled_stream(500.0, 2.0, sinusoid_signals)

@@ -777,6 +777,47 @@ def test_singular_linear_solve_raises_damping(monkeypatch):
     assert not report.success
 
 
+def test_non_finite_step_raises_damping(monkeypatch):
+    lams = []
+    factor, step = solver._NormalEquations.factor, solver._Factor.solve
+
+    def recorded(system, lam):
+        lams.append(lam)
+        return factor(system, lam)
+
+    def first_not_finite(fac, grad):
+        return np.full_like(grad, np.nan) if len(lams) == 1 else step(fac, grad)
+
+    monkeypatch.setattr(solver._NormalEquations, "factor", recorded)
+    monkeypatch.setattr(solver._Factor, "solve", first_not_finite)
+    p = Problem()
+    p.add_parameter_block("x", np.array([0.0]))
+    p.add_residual_block(lambda x: x - 3.0, ["x"], np.eye(1))
+    report = solve(p)
+    assert lams[:2] == [solver.INITIAL_LAMBDA, solver.INITIAL_LAMBDA * solver.LAMBDA_UP]
+    assert report.termination == "converged"
+    np.testing.assert_allclose(p.value("x"), [3.0], atol=1e-6)
+
+
+def test_non_finite_trial_residual_rejected():
+    # r = 1/x - 1/3 has no value at x <= 0, where the first Gauss-Newton
+    # step from x = 10 lands; the damping shortens it until the trial is
+    # evaluable
+    trials = []
+
+    def fn(x):
+        trials.append(float(x[0]))
+        return 1.0 / x - 1.0 / 3.0 if x[0] > 0.0 else np.full(1, np.nan)
+
+    p = Problem()
+    p.add_parameter_block("x", np.array([10.0]))
+    p.add_residual_block(fn, ["x"], np.eye(1), jac=lambda x: [np.array([[-1.0 / x[0] ** 2]])])
+    report = solve(p)
+    assert min(trials) <= 0.0
+    assert report.termination == "converged"
+    np.testing.assert_allclose(p.value("x"), [3.0], rtol=1e-9)
+
+
 @pytest.mark.parametrize("initial_lambda", [1e-4, 1e8])
 def test_stall_with_promised_decrease_is_no_progress(monkeypatch, initial_lambda):
     # a Jacobian of the wrong sign points every step uphill. A heavily

@@ -375,6 +375,7 @@ class TestSyntheticScene:
         results, failures = triangulate_all({"cp000": obs, **other}, poses, rig)
         assert list(failures) == ["cp000"]
         assert failures["cp000"].startswith("UnprojectionError: ")
+        assert failures["cp000"].endswith("is not finite")
         alone, _ = triangulate_all(other, poses, rig)
         np.testing.assert_array_equal(results["cp001"].position, alone["cp001"].position)
 

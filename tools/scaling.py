@@ -8,14 +8,12 @@ detections and `alignment.joint_sparse_align` are timed, and the
 `ViewSet.refine` calls of the triangulation are counted, as are their
 trial rounds (the `ViewSet._costs` calls minus the `refine` calls, since
 each call evaluates its start once and then one batch of trials per
-round; "-" for sources without it) and the hypotheses of its scoring
-passes (the pairs handed to
-`triangulation._score_pairs`, those a point's stop discards included; "-"
-for sources without it). One more, untimed `triangulate_all` call reports
-its `tracemalloc` peak. It then times
-`fusion.build_fusion_problem`, whose time includes the triangulation of
-the CP proxies and landmarks (`fusion.triangulate_all`, or the per-point
-`fusion.triangulate_cp` of older sources; also reported on its own), and
+round) and the hypotheses of its scoring passes (the pairs handed to
+`triangulation._score_pairs`, those a point's stop discards included).
+One more, untimed `triangulate_all` call reports its `tracemalloc` peak.
+It then times `fusion.build_fusion_problem`, whose time includes the
+triangulation of the CP proxies and landmarks (`fusion.triangulate_all`,
+also reported on its own), and
 `fusion.optimize_pseudo_gt`, whose time includes `marginal_covariances`
 (also reported on its own). It also counts the Levenberg-Marquardt
 iterations of the optimize's `fusion.solve` calls and reports the optimize
@@ -32,7 +30,7 @@ optimized N times on fresh builds; the medians are kept. The lines above
 the last are a table and the 30/10 and 90/30 ratios of the optimize time
 without landmarks; the last line is one JSON object with the same
 figures. `--src` names the `src/` directory of the `vigt` to run
-(default: this checkout's).
+(default: this checkout's); it needs the private names above.
 """
 
 from __future__ import annotations
@@ -127,8 +125,8 @@ def _eval_stage(world, rig, detections, init, repeat: int) -> dict:
     from vigt import alignment, triangulation
 
     refine = triangulation.ViewSet.refine
-    costs = getattr(triangulation.ViewSet, "_costs", None)
-    score_pairs = getattr(triangulation, "_score_pairs", None)
+    costs = triangulation.ViewSet._costs
+    score_pairs = triangulation._score_pairs
     calls, evaluations, hypotheses = [0], [0], [0]
 
     def counted(self, *args, **kwargs):
@@ -146,10 +144,8 @@ def _eval_stage(world, rig, detections, init, repeat: int) -> dict:
     poses = init.pose_map()
     triangulate_s, align_s = [], []
     triangulation.ViewSet.refine = counted
-    if costs is not None:
-        triangulation.ViewSet._costs = evaluated
-    if score_pairs is not None:
-        triangulation._score_pairs = scored
+    triangulation.ViewSet._costs = evaluated
+    triangulation._score_pairs = scored
     try:
         for _ in range(repeat):
             calls[0] = evaluations[0] = hypotheses[0] = 0
@@ -162,10 +158,8 @@ def _eval_stage(world, rig, detections, init, repeat: int) -> dict:
             align_s.append(t2 - t1)
     finally:
         triangulation.ViewSet.refine = refine
-        if costs is not None:
-            triangulation.ViewSet._costs = costs
-        if score_pairs is not None:
-            triangulation._score_pairs = score_pairs
+        triangulation.ViewSet._costs = costs
+        triangulation._score_pairs = score_pairs
     tracemalloc.start()
     try:
         triangulation.triangulate_all(detections.cp_observations, poses, rig)
@@ -176,8 +170,8 @@ def _eval_stage(world, rig, detections, init, repeat: int) -> dict:
         "eval_triangulate_s": statistics.median(triangulate_s),
         "eval_align_s": statistics.median(align_s),
         "eval_refine_calls": calls[0],
-        "eval_refine_rounds": evaluations[0] - calls[0] if costs is not None else None,
-        "eval_hypotheses": hypotheses[0] if score_pairs is not None else None,
+        "eval_refine_rounds": evaluations[0] - calls[0],
+        "eval_hypotheses": hypotheses[0],
         "eval_triangulate_peak_mb": peak / 2**20,
     }
 
@@ -188,9 +182,8 @@ def _run_case(length: int, landmarks: int, repeat: int) -> dict:
     world, rig, detections, imu, init = _scene(length, landmarks)
     evaluated = _eval_stage(world, rig, detections, init, repeat)
     config = fusion.FusionConfig(keyframe_stride=3)
-    triangulate = "triangulate_all" if hasattr(fusion, "triangulate_all") else "triangulate_cp"
     builds, optimizes, triangulate_s, marginal_s, iterations = [], [], [], [], []
-    with _timing(fusion, triangulate, triangulate_s), _timing(
+    with _timing(fusion, "triangulate_all", triangulate_s), _timing(
         fusion, "marginal_covariances", marginal_s
     ), _iterations(fusion, iterations):
         for _ in range(repeat):
@@ -237,14 +230,13 @@ def main(argv=None) -> int:
         f" {'rounds':>6s} {'hyps':>6s} {'tri peak':>9s}"
     )
     for r in rows:
-        rounds = "-" if r["eval_refine_rounds"] is None else str(r["eval_refine_rounds"])
-        hypotheses = "-" if r["eval_hypotheses"] is None else str(r["eval_hypotheses"])
         print(
             f"{r['length_s']:5d}s {r['landmarks']:9d} {r['keyframes']:9d} {r['unknowns']:8d}"
             f" {r['build_s']:7.3f}s {r['triangulate_s']:10.3f}s {r['optimize_s']:8.3f}s"
             f" {r['marginals_s']:8.3f}s {r['lm_iters']:8g} {r['optimize_ms_per_iter']:7.2f}ms"
             f" {r['eval_triangulate_s']:8.3f}s {r['eval_align_s']:7.3f}s"
-            f" {r['eval_refine_calls']:7d} {rounds:>6s} {hypotheses:>6s} {r['eval_triangulate_peak_mb']:6.1f} MB"
+            f" {r['eval_refine_calls']:7d} {r['eval_refine_rounds']:6d} {r['eval_hypotheses']:6d}"
+            f" {r['eval_triangulate_peak_mb']:6.1f} MB"
         )
     optimize = {r["length_s"]: r["optimize_s"] for r in rows if r["landmarks"] == 0}
     ratios = {"30/10": optimize[30] / optimize[10], "90/30": optimize[90] / optimize[30]}
