@@ -7,8 +7,9 @@ composition so long chains cannot drift.
 
 Each rotation map is written once and serves both a single `Rotation` and
 a stack of (..., 4) quaternions or (..., 3, 3) matrices: the Hamilton
-product (`_product`) and the quaternion-to-matrix map (`_matrix_entries`)
-take quaternion components, the scalars of one rotation or the last-axis
+product (`_product`), the quaternion-to-matrix map (`_matrix_entries`)
+and the norm that every normalization divides by (`_norm`) take
+quaternion components, the scalars of one rotation or the last-axis
 slices of a stack; the exponential (`quat_exp`), the logarithm
 (`quat_log`) and the matrix-to-quaternion map (`quat_from_matrix`) take
 stacks, one rotation being the stack of one.
@@ -99,15 +100,26 @@ def _matrix_entries(w, x, y, z):
     )
 
 
+def _norm(w, x, y, z):
+    """Norm of a quaternion, given as scalars or as arrays of each
+    component: the one normalization of every quaternion, so that a
+    `Rotation` and a row of a stack with the same components round alike."""
+    return np.sqrt(w * w + x * x + y * y + z * z)
+
+
 def _components(q: np.ndarray) -> list[np.ndarray]:
     return [q[..., i] for i in range(4)]
+
+
+def _unit(q: np.ndarray) -> np.ndarray:
+    """(..., 4) quaternions divided by their norms."""
+    return q / _norm(*_components(q))[..., None]
 
 
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Hamilton products of (..., 4) quaternions (w, x, y, z), renormalized."""
     q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
-    q = np.stack(_product(*_components(q1), *_components(q2)), axis=-1)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return _unit(np.stack(_product(*_components(q1), *_components(q2)), axis=-1))
 
 
 def quat_exp(rotvec: np.ndarray) -> np.ndarray:
@@ -118,8 +130,7 @@ def quat_exp(rotvec: np.ndarray) -> np.ndarray:
     t = np.where(small, 1.0, theta)
     w = np.where(small, 1.0, np.cos(0.5 * t))
     xyz = np.where(small, 0.5 * v, np.sin(0.5 * t) * (v / t))
-    q = np.concatenate([w, xyz], axis=-1)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return _unit(np.concatenate([w, xyz], axis=-1))
 
 
 def quat_log(q: np.ndarray) -> np.ndarray:
@@ -175,7 +186,7 @@ class Rotation:
 
     def __post_init__(self):
         q = np.asarray(self.quat, dtype=float).reshape(4)
-        n = float(np.linalg.norm(q))
+        n = float(_norm(*q.tolist()))
         if n < 1e-12:
             raise ValueError("zero quaternion does not define a rotation")
         object.__setattr__(self, "quat", q / n)

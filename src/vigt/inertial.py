@@ -89,7 +89,9 @@ class Bias:
 
 @dataclass(frozen=True, eq=False)
 class ImuStream:
-    """Column-stored IMU samples with strictly increasing timestamps."""
+    """Column-stored IMU samples. Construction checks that the arrays
+    match in length, the timestamps strictly increase and every measurement
+    is finite (`ImuDataError`, naming the first non-finite sample)."""
 
     timestamps: np.ndarray  # int64 ns, (N,)
     gyro: np.ndarray  # (N, 3)
@@ -100,9 +102,16 @@ class ImuStream:
         gyro = np.asarray(self.gyro, dtype=float).reshape(-1, 3)
         accel = np.asarray(self.accel, dtype=float).reshape(-1, 3)
         if not (len(ts) == len(gyro) == len(accel)):
-            raise ValueError("stream arrays have mismatched lengths")
+            raise ImuDataError(
+                f"IMU stream arrays have mismatched lengths: {len(ts)} timestamps,"
+                f" {len(gyro)} gyro and {len(accel)} accel samples"
+            )
         if len(ts) > 1 and not np.all(np.diff(ts) > 0):
             raise ImuDataError("IMU timestamps must be strictly increasing")
+        finite = np.isfinite(np.hstack([gyro, accel])).all(axis=1)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise ImuDataError(f"IMU sample {first} (t = {ts[first]} ns) is not finite")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "gyro", gyro)
         object.__setattr__(self, "accel", accel)

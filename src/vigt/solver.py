@@ -24,6 +24,31 @@ system the same way and take the band's diagonal blocks by block
 selected inversion (Takahashi's recursion, as cheap as the factorization),
 plus the border's low-rank correction.
 
+Every Levenberg-Marquardt loop, `solve` and `triangulation.ViewSet.refine`
+alike, stops once its step is a negligible fraction of one a-posteriori
+standard deviation (`lm_update`; Madsen, Nielsen & Tingleff, "Methods for
+Non-Linear Least Squares Problems", 2004, on stopping criteria). With the
+Gauss-Newton information H of a cost 1/2 e'e of whitened residuals e, the
+estimate's a-posteriori covariance is s^2 H^-1, s^2 = 2 cost / r the
+variance factor of its redundancy r (rows less unknowns). A step d measures
+sqrt(d'Hd) / s standard deviations, and its model decrease is
+promised = d'Hd / 2, so a step of at most eps standard deviations is one
+with promised <= eps^2 cost / r. The same holds for a cost e'We with its
+doubled slope and curvature, as `refine` passes them. When the loop
+stops, what is left to the minimum is the sum of the steps it skips; at
+the linear rates of at most about 1/2 per step that Huber rows give here,
+that is at most the last step, so the estimate lies within about eps
+standard deviations of the minimum and its standard error grows by a
+factor sqrt(1 + eps^2). eps = NEGLIGIBLE_STEP = 0.0025 keeps that 40 times
+below the 0.1 standard deviations at which two estimates count as
+distinguishable, and keeps a control-point error whose standard deviation
+is 4 cm within 0.1 mm of its value at the minimum. With Huber rows the
+cost is the robust one and H the reweighted Gauss-Newton matrix, so s is
+the scale of the reweighted problem at the current weights. A problem
+without redundancy (r <= 0) has no such scale and stops at a decrease of
+CONVERGENCE_TOL of the cost, so an exactly determined problem runs on to
+its zero-residual floor.
+
 Parameter values are packed float rows: a Euclidean (d,) vector (tangent
 d), a rigid pose [q | t] (tangent 6: rotation, translation) and a
 similarity [q | t | s] (tangent 7: rotation, translation, log-scale), q a
@@ -278,9 +303,12 @@ class Problem:
                 block.set_covariance(block.covariance * factor)
 
 
-# The Levenberg-Marquardt step rule of `lm_update`: its tolerance, relative
-# to the cost, and its damping schedule from INITIAL_LAMBDA. The damping
-# scales the Hessian diagonal, floored at DIAGONAL_FLOOR.
+# The Levenberg-Marquardt step rule of `lm_update`: the step, in a-posteriori
+# standard deviations, below which it stops (see the module docstring), the
+# tolerance relative to the cost of a problem without redundancy, and the
+# damping schedule from INITIAL_LAMBDA. The damping scales the Hessian
+# diagonal, floored at DIAGONAL_FLOOR.
+NEGLIGIBLE_STEP = 0.0025
 CONVERGENCE_TOL = 1e-12
 INITIAL_LAMBDA = 1e-4
 LAMBDA_UP = 10.0
@@ -988,23 +1016,36 @@ def model_decrease(slope, curvature):
     return np.where(positive, slope * slope / (2.0 * np.where(positive, curvature, 1.0)), 0.0)[()]
 
 
-def lm_update(cost, trial_cost, promised, lam):
+def stop_tolerance(cost, redundancy):
+    """The model decrease at or below which a step is negligible,
+    elementwise: NEGLIGIBLE_STEP^2 cost / r for a redundancy r > 0, a step
+    of at most NEGLIGIBLE_STEP a-posteriori standard deviations (see the
+    module docstring), else CONVERGENCE_TOL of the cost."""
+    cost, r = np.asarray(cost), np.asarray(redundancy)
+    return np.where(r > 0, NEGLIGIBLE_STEP**2 * cost / np.maximum(r, 1), CONVERGENCE_TOL * cost)[()]
+
+
+def lm_update(cost, trial_cost, promised, lam, redundancy):
     """The Levenberg-Marquardt step rule, elementwise over a batch of loops:
     (accept, next damping, stop) after a trial at damping `lam`.
 
-    A trial is accepted when its cost is lower than `cost` (a NaN or inf
-    never is); the damping then falls by LAMBDA_DOWN, down to LAMBDA_MIN,
-    and the loop stops if the step lowered the cost by at most
-    CONVERGENCE_TOL of it. A rejected trial raises the damping by
-    LAMBDA_UP, and the loop stops once that passes LAMBDA_MAX or at the
-    numerical floor: where `promised`, the `model_decrease` of the
-    least-damped finite step since the last linearization (inf before
-    one), is at most CONVERGENCE_TOL of the cost.
+    `promised` is the `model_decrease` of the least-damped finite step
+    since the last linearization (inf before one), in the units of `cost`;
+    `redundancy` is the loop's rows less its unknowns. A trial is accepted
+    when its cost is lower than `cost` (a NaN or inf never is); the damping
+    then falls by LAMBDA_DOWN, down to LAMBDA_MIN, and otherwise rises by
+    LAMBDA_UP. The loop stops, accepted or not, once `promised` is at most
+    `stop_tolerance(cost, redundancy)`: the Gauss-Newton step is then at
+    most NEGLIGIBLE_STEP a-posteriori standard deviations s, with
+    s^2 = 2 cost / redundancy (with Huber rows, the scale of the reweighted
+    problem; see the module docstring), and at that floor no damping gains
+    more. A rejected trial also stops it once the damping passes
+    LAMBDA_MAX.
     """
     accept = trial_cost < cost
-    tol = CONVERGENCE_TOL * cost
     lam = np.where(accept, np.maximum(lam * LAMBDA_DOWN, LAMBDA_MIN), lam * LAMBDA_UP)
-    stop = np.where(accept, cost - trial_cost <= tol, (promised <= tol) | (lam > LAMBDA_MAX))
+    # an accepted step lowers the damping, so only a rejected one passes LAMBDA_MAX
+    stop = (promised <= stop_tolerance(cost, redundancy)) | (lam > LAMBDA_MAX)
     return accept, lam[()], stop[()]
 
 
@@ -1012,13 +1053,15 @@ def solve(problem: Problem, max_iters: int = 100) -> SolveReport:
     """Minimize the problem in place, in at most `max_iters` iterations, by
     `lm_update`'s rule; returns the report.
 
-    Terminations: "converged" (`lm_update` stopped on an accepted step or
-    on a rejected one at the numerical floor, or the cost reached the
-    zero-residual floor), "no_progress" (no damping lowers the cost, though
-    the model promises a decrease) and "max_iterations".
+    Terminations: "converged" (`lm_update` stopped on a negligible step,
+    accepted or not, with the redundancy rows less unknowns, or the cost
+    reached the zero-residual floor), "no_progress" (no damping lowers the
+    cost, though the model promises more than a negligible decrease) and
+    "max_iterations".
     """
     ws = _workspace(problem)
     x = ws.values()
+    redundancy = ws.n_rows - ws.n_tangent
 
     cost, whitened = ws.evaluate(x)
     initial_cost = cost
@@ -1047,11 +1090,11 @@ def solve(problem: Problem, max_iters: int = 100) -> SolveReport:
                 promised = model_decrease(float(grad @ delta), ws.curvature(jacs, delta))
             trial = ws.apply_step(x, delta)
             trial_cost, trial_whitened = ws.try_evaluate(trial)
-            accept, lam, stop = lm_update(cost, trial_cost, promised, lam)
+            accept, lam, stop = lm_update(cost, trial_cost, promised, lam, redundancy)
             if accept or stop:
                 break
         if not accept:
-            floor = promised <= CONVERGENCE_TOL * cost
+            floor = promised <= stop_tolerance(cost, redundancy)
             termination = "converged" if floor else "no_progress"
             break
 

@@ -328,15 +328,16 @@ class ViewSet:
 
         Every point keeps its own damping, multiplicative on its Hessian
         diagonal, and accepts, damps and stops by the solver's step rule
-        `lm_update`, so the result is never worse than the start; it also
-        stops after 50 steps. All points take their trial steps in
-        lockstep, one batched evaluation per round.
+        `lm_update` with its own redundancy, so the result is never worse
+        than the start; it also stops after 50 steps. All points take their
+        trial steps in lockstep, one batched evaluation per round.
         """
         n_points, pt = self.n_points, self.point
         p = np.array(points, dtype=float).reshape(n_points, 3)
         res = self._residuals(None, p[pt])
         cost = self._costs(None, res)
         lam = np.full(n_points, INITIAL_LAMBDA)
+        redundancy = 2 * self.sizes - 3  # two rows per view, three unknowns
         promised = np.full(n_points, np.inf)
         steps = np.zeros(n_points, dtype=int)
         active = np.ones(n_points, dtype=bool)
@@ -374,7 +375,9 @@ class ViewSet:
             rows = np.flatnonzero(active[pt])
             trial_res = self._residuals(rows, trial[pt[rows]])
             trial_cost = self._costs(rows, trial_res)
-            accept, lam[act], stop = lm_update(cost[act], trial_cost[act], promised[act], lam[act])
+            accept, lam[act], stop = lm_update(
+                cost[act], trial_cost[act], promised[act], lam[act], redundancy[act]
+            )
             better = np.zeros(n_points, dtype=bool)
             better[act[accept]] = True
             keep = better[pt[rows]]

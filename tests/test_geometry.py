@@ -495,14 +495,13 @@ class TestRotationMaps:
         q1, q2 = np.repeat(units, 24, axis=0), np.tile(units, (24, 1))
         composed = [(Rotation(a) @ Rotation(b)).quat for a, b in zip(q1, q2)]
         np.testing.assert_array_equal(quat_multiply(q1, q2), composed)
-        # in general the two normalizations, a dot product for one
-        # quaternion and a reduction over the last axis for a stack, may
-        # round the norm apart
+        # a Rotation and a stack divide by one norm, summed over the same
+        # components in the same order, so any product agrees bit for bit
         rng = np.random.default_rng(31)
-        a = [Rotation(q) for q in rng.normal(size=(2000, 4))]
-        b = [Rotation(q) for q in rng.normal(size=(2000, 4))]
+        a = [Rotation(q) for q in rng.normal(size=(50_000, 4))]
+        b = [Rotation(q) for q in rng.normal(size=(50_000, 4))]
         rows = quat_multiply(np.stack([r.quat for r in a]), np.stack([r.quat for r in b]))
-        np.testing.assert_array_max_ulp(rows, [(x @ y).quat for x, y in zip(a, b)], maxulp=2)
+        np.testing.assert_array_equal(rows, [(x @ y).quat for x, y in zip(a, b)])
 
     def test_matrix_rows_match_matrix(self):
         rng = np.random.default_rng(32)

@@ -306,6 +306,25 @@ class TestPreintegrate:
         with pytest.raises(ImuDataError):
             ImuStream(ts, np.zeros((3, 3)), np.zeros((3, 3)))
 
+    def test_mismatched_lengths_rejected(self):
+        ts = np.array([0, 10, 20], dtype=np.int64)
+        with pytest.raises(ImuDataError, match="3 timestamps, 2 gyro and 3 accel"):
+            ImuStream(ts, np.zeros((2, 3)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("field", ["gyro", "accel"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected_by_index(self, monkeypatch, field, bad):
+        ts = np.arange(10, dtype=np.int64) * 5_000_000
+        arrays = {"gyro": np.zeros((10, 3)), "accel": np.zeros((10, 3))}
+        arrays[field][7, 1] = bad
+        arrays[field][9, 0] = bad
+        checks = []  # np.isfinite calls of one construction
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda *a: checks.append(a) or isfinite(*a))
+        with pytest.raises(ImuDataError, match="IMU sample 7 .* is not finite"):
+            ImuStream(ts, arrays["gyro"], arrays["accel"])
+        assert len(checks) == 1
+
     def test_single_sample_rejected(self):
         stream = constant_stream(1, 100.0, np.zeros(3), np.zeros(3))
         with pytest.raises(ImuDataError):

@@ -91,3 +91,91 @@ def test_nan_on_one_side_reads_inf_and_equal_infinities_zero(tmp_path, capsys):
     found = deviations(capsys.readouterr().out)
     assert found["positions"] == np.inf
     assert found["cp_errors"] == 0.0
+
+
+# `gates` on two keyframes whose position marginal has standard deviations
+# 2, 1 and 3 cm; the rotation block and its coupling to the position would
+# change the moves if they were read
+COVARIANCE = np.block(
+    [[np.eye(3), 0.5 * np.eye(3)], [0.5 * np.eye(3), np.diag([4e-4, 1e-4, 9e-4])]]
+)
+
+
+def write_runs(path, runs: dict) -> str:
+    """A dump of the quantities `gates` reads, one entry per run name
+    ("workload/realization"), each a dict overriding the defaults."""
+    arrays = {}
+    for run, changed in runs.items():
+        quantities = {
+            "positions": np.zeros((2, 3)),
+            "pose_covariances": np.stack([COVARIANCE, COVARIANCE]),
+            "cp_errors": np.array([0.01, np.inf, 0.2]),
+            "stages": np.array(["alignment", "fusion", "fusion"]),
+            "iterations": np.array([20, 10, 12]),
+        }
+        quantities.update(changed)
+        arrays.update({f"{run}/{name}": value for name, value in quantities.items()})
+    np.savez(path, **arrays)
+    return str(path)
+
+
+def gate_lines(out: str) -> dict[str, dict[str, str]]:
+    """The printed lines of each workload, by their label."""
+    found, workload = {}, None
+    for line in out.splitlines():
+        if not line.startswith(" "):
+            workload = line.split()[0]
+            found[workload] = {"header": line}
+        else:
+            label, _, value = line.strip().partition("  ")
+            found[workload][label] = value.strip()
+    return found
+
+
+def test_gates_report_moves_scores_and_iterations(tmp_path, capsys):
+    moved = np.zeros((2, 3))
+    moved[1] = (0.0, 0.0005, 0.0015)  # 0.05 sigma in y and in z
+    a = write_runs(tmp_path / "a.npz", {"cp-dense/0": {}, "cp-dense/1": {}, "landmarks/0": {}})
+    b = write_runs(
+        tmp_path / "b.npz",
+        {
+            "cp-dense/0": {"positions": moved, "iterations": np.array([9, 5, 6])},
+            "cp-dense/1": {"cp_errors": np.array([0.01 + 4e-5, np.inf, 0.2])},
+            "landmarks/0": {},
+        },
+    )
+    assert parity.gates(a, b) == 0
+    lines = gate_lines(capsys.readouterr().out)
+    dense = lines["cp-dense"]
+    assert dense["header"] == "cp-dense (2 runs)"
+    sigma = float(dense["largest keyframe move"].split()[0])
+    assert sigma == pytest.approx(0.05 * np.sqrt(2), abs=1e-4)
+    assert float(dense["largest CP error move"].split()[0]) == pytest.approx(0.04, abs=1e-4)
+    # (100 + 0 + 90) / 3 on either side; 2 of 3 CPs within 1 m
+    assert dense["cp_score"] == "63.333333 -> 63.333333"
+    assert dense["cp_recall_1m"] == "66.666667 -> 66.666667"
+    assert dense["alignment LM iterations"] == "40 -> 29"
+    assert dense["fusion LM iterations"] == "44 -> 33"
+    assert lines["landmarks"]["largest keyframe move"].startswith("0.0000 sigma")
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [
+        {"positions": np.array([[0.0, 0.0, 0.0], [0.0021, 0.0, 0.0]])},  # 0.105 sigma
+        {"cp_errors": np.array([0.01, np.inf, 0.2 - 1.1e-4])},  # 0.11 mm
+        {"positions": np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])},
+    ],
+    ids=["keyframe", "cp-error", "nan-keyframe"],
+)
+def test_gates_fail_past_a_tenth_sigma_or_mm(tmp_path, capsys, changed):
+    a = write_runs(tmp_path / "a.npz", {"cp-dense/0": {}})
+    b = write_runs(tmp_path / "b.npz", {"cp-dense/0": changed})
+    assert parity.gates(a, b) == 1
+    assert gate_lines(capsys.readouterr().out)["cp-dense"]["header"].endswith("FAILS")
+
+
+def test_gates_refuse_dumps_of_different_runs(tmp_path, capsys):
+    a = write_runs(tmp_path / "a.npz", {"cp-dense/0": {}})
+    b = write_runs(tmp_path / "b.npz", {"cp-dense/1": {}})
+    assert parity.gates(a, b) == 1

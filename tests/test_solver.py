@@ -823,7 +823,8 @@ def test_stall_with_promised_decrease_is_no_progress(monkeypatch, initial_lambda
     # a Jacobian of the wrong sign points every step uphill. A heavily
     # damped first step is short and changes the cost by far less than
     # CONVERGENCE_TOL of it (a constant row dominates the cost), but the
-    # model still promises a decrease along it.
+    # model still promises a decrease along it (4.5, above the 3.1 of a
+    # negligible step at this cost and redundancy).
     monkeypatch.setattr(solver, "INITIAL_LAMBDA", initial_lambda)
     p = Problem()
     p.add_parameter_block("x", np.array([0.0]))
@@ -867,6 +868,26 @@ def test_iteration_count_stable_under_tiny_data_change(seed):
     assert moved.iterations == base.iterations
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_negligible_step_stops_within_its_fraction_of_a_sigma(monkeypatch, seed):
+    # against a solve that runs on until a step promises at most
+    # CONVERGENCE_TOL of the cost, the stopped solution lies within
+    # NEGLIGIBLE_STEP of one a-posteriori standard deviation, in the
+    # Mahalanobis norm of the marginal covariance times 2 cost / redundancy
+    stopped = exponential_fit(seed)
+    report = solve(stopped)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "stop_tolerance", lambda cost, r: solver.CONVERGENCE_TOL * cost)
+        full = exponential_fit(seed)
+        full_report = solve(full)
+    assert report.termination == full_report.termination == "converged"
+    assert report.iterations <= full_report.iterations
+    sigma2 = 2.0 * full_report.final_cost / (40 - 3)
+    cov = marginal_covariances(full, ["abc"])["abc"] * sigma2
+    d = stopped.value("abc") - full.value("abc")
+    assert np.sqrt(d @ np.linalg.solve(cov, d)) <= solver.NEGLIGIBLE_STEP
+
+
 def balanced_pair() -> Problem:
     """x = 2, the exact minimum of (x - 1)^2 + (x - 3)^2: the gradient and
     the step are 0, so the first trial leaves the cost as it is."""
@@ -886,8 +907,8 @@ def refit_exponential(seed: int) -> Problem:
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
 def test_solve_started_at_its_minimum_factors_once_in_its_last_iteration(monkeypatch, seed):
-    # the model promises at most CONVERGENCE_TOL of the cost there, so a
-    # rejected trial ends the iteration instead of raising the damping
+    # the model promises at most `solver.stop_tolerance` of the cost there,
+    # so a rejected trial ends the iteration instead of raising the damping
     p = balanced_pair() if seed is None else refit_exponential(seed)
     factors: list[int] = []  # _Factor constructions per iteration
     construct, linearize = solver._Factor.__init__, solver._Workspace.linearize
@@ -908,18 +929,38 @@ def test_solve_started_at_its_minimum_factors_once_in_its_last_iteration(monkeyp
     assert factors[-1] <= 1
 
 
-# (cost, trial cost, promised decrease, damping) -> (accept, next damping,
-# stop)
+# the tolerance of a cost of 2 and redundancy 10: a step of NEGLIGIBLE_STEP
+# a-posteriori standard deviations
+NEGLIGIBLE = solver.NEGLIGIBLE_STEP**2 * 2.0 / 10
+UNDER, OVER = np.nextafter(NEGLIGIBLE, 0.0), np.nextafter(NEGLIGIBLE, np.inf)
+
+# (cost, trial cost, promised decrease, damping, redundancy) -> (accept,
+# next damping, stop); redundancy 0 keeps CONVERGENCE_TOL of the cost
 LM_RULE = {
-    "accept-and-converge": ((1.0, 1.0 - 1e-13, np.inf, 1e-4), (True, 1e-4 * 0.1, True)),
-    "accept-above-tolerance": ((1.0, 0.5, 0.6, 1e-4), (True, 1e-4 * 0.1, False)),
-    "lambda-min-clamp": ((1.0, 0.5, 0.6, 5e-15), (True, 1e-15, False)),
-    "reject-at-floor": ((1.0, 1.0, 1e-13, 1e-4), (False, 1e-4 * 10.0, True)),
-    "reject-with-promise-at-tolerance": ((1.0, 1.0, 1e-12, 1e-4), (False, 1e-4 * 10.0, True)),
-    "reject-above-floor": ((1.0, 1.5, 0.6, 1e9), (False, 1e10, False)),
-    "reject-past-lambda-max": ((1.0, 1.5, 0.6, 1e10), (False, 1e11, True)),
-    "nan-trial-cost": ((1.0, np.nan, 0.6, 1e-4), (False, 1e-4 * 10.0, False)),
-    "inf-trial-before-a-finite-step": ((1.0, np.inf, np.inf, 1e-4), (False, 1e-4 * 10.0, False)),
+    "accept-and-converge": ((1.0, 1.0 - 1e-13, 1e-13, 1e-4, 0), (True, 1e-4 * 0.1, True)),
+    "accept-above-tolerance": ((1.0, 0.5, 0.6, 1e-4, 0), (True, 1e-4 * 0.1, False)),
+    "lambda-min-clamp": ((1.0, 0.5, 0.6, 5e-15, 0), (True, 1e-15, False)),
+    "reject-at-floor": ((1.0, 1.0, 1e-13, 1e-4, 0), (False, 1e-4 * 10.0, True)),
+    "reject-with-promise-at-tolerance": ((1.0, 1.0, 1e-12, 1e-4, 0), (False, 1e-4 * 10.0, True)),
+    "reject-above-floor": ((1.0, 1.5, 0.6, 1e9, 0), (False, 1e10, False)),
+    "reject-past-lambda-max": ((1.0, 1.5, 0.6, 1e10, 0), (False, 1e11, True)),
+    "nan-trial-cost": ((1.0, np.nan, 0.6, 1e-4, 0), (False, 1e-4 * 10.0, False)),
+    "inf-trial-before-a-finite-step": ((1.0, np.inf, np.inf, 1e-4, 0), (False, 1e-4 * 10.0, False)),
+    "accept-just-under-negligible-step": ((2.0, 1.5, UNDER, 1e-4, 10), (True, 1e-4 * 0.1, True)),
+    "accept-at-negligible-step": ((2.0, 1.5, NEGLIGIBLE, 1e-4, 10), (True, 1e-4 * 0.1, True)),
+    "accept-just-over-negligible-step": ((2.0, 1.5, OVER, 1e-4, 10), (True, 1e-4 * 0.1, False)),
+    "reject-just-under-negligible-step": ((2.0, 2.5, UNDER, 1e-4, 10), (False, 1e-4 * 10.0, True)),
+    "reject-just-over-negligible-step": ((2.0, 2.5, OVER, 1e-4, 10), (False, 1e-4 * 10.0, False)),
+    # without redundancy the tolerance is CONVERGENCE_TOL of the cost, far
+    # below the negligible step of redundancy 1
+    "accept-without-redundancy": ((2.0, 1.5, 1e-9, 1e-4, 0), (True, 1e-4 * 0.1, False)),
+    "accept-with-negative-redundancy": ((2.0, 1.5, 1e-9, 1e-4, -1), (True, 1e-4 * 0.1, False)),
+    "accept-with-redundancy-one": ((2.0, 1.5, 1e-9, 1e-4, 1), (True, 1e-4 * 0.1, True)),
+    "reject-at-floor-without-redundancy": ((2.0, 2.5, 2e-12, 1e-4, 0), (False, 1e-4 * 10.0, True)),
+    "reject-above-floor-without-redundancy": (
+        (2.0, 2.5, np.nextafter(2e-12, 1.0), 1e-4, 0),
+        (False, 1e-4 * 10.0, False),
+    ),
 }
 
 

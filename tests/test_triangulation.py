@@ -22,7 +22,7 @@ from vigt.geometry import (
     try_project,
 )
 from vigt import triangulation
-from vigt.solver import CONVERGENCE_TOL
+from vigt.solver import CONVERGENCE_TOL, NEGLIGIBLE_STEP
 from vigt.synth import (
     SynthConfig,
     default_rig,
@@ -331,9 +331,10 @@ class TestRefine:
 class TestSyntheticScene:
     def test_refine_restarted_at_its_result_evaluates_at_most_two_trials(self, monkeypatch):
         # every CP of a seeded scene, refined again from its triangulated
-        # position, sits at its numerical floor: the model promises at most
-        # CONVERGENCE_TOL of its cost, so a rejected trial ends the loop
-        # rather than raising the damping to LAMBDA_MAX
+        # position, sits within a negligible step of its minimum: the model
+        # promises at most `solver.stop_tolerance` of its cost, so the first
+        # trial ends the loop, and a rejected one does not raise the damping
+        # to LAMBDA_MAX
         config = SynthConfig(
             seed=2, duration_s=3.0, cp_count=6, detection_sigma_px=0.5, cp_noise_scale=1.0
         )
@@ -561,6 +562,15 @@ def oracle_refine(views, point):
     p = np.asarray(point, dtype=float)
     res = views.residuals(p)
     cost = np.einsum("ni,nij,nj->", res, views.weights, res)
+    redundancy = 2 * len(views.observations) - 3
+
+    def negligible(promised, cost):
+        # a step of at most NEGLIGIBLE_STEP a-posteriori standard deviations;
+        # without redundancy, a decrease of at most CONVERGENCE_TOL of the cost
+        if redundancy > 0:
+            return promised <= NEGLIGIBLE_STEP**2 * cost / redundancy
+        return promised <= CONVERGENCE_TOL * cost
+
     lam = 1e-4
     for _ in range(50):
         jac = views.jacobians(p)
@@ -585,9 +595,9 @@ def oracle_refine(views, point):
             if trial_cost < cost:
                 break
             lam *= 10.0
-            if promised <= CONVERGENCE_TOL * cost or lam > 1e10:
+            if negligible(promised, cost) or lam > 1e10:
                 return p
-        converged = cost - trial_cost <= CONVERGENCE_TOL * cost
+        converged = negligible(promised, cost)
         p, res, cost = trial, trial_res, trial_cost
         lam = max(lam * 0.1, 1e-15)
         if converged:

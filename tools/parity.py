@@ -1,19 +1,21 @@
 """Parity check of the pipeline's outputs between two versions of `vigt`.
 
-    python3 tools/parity.py dump OUT.npz [--src DIR]
+    python3 tools/parity.py dump OUT.npz [--src DIR] [--seed N]
     python3 tools/parity.py compare A.npz B.npz
+    python3 tools/parity.py gates A.npz B.npz
 
 `dump` runs the benchmark pipeline (`perfbench/pipeline.run_pipeline`) on
-seed-1 realizations 0-2 of both benchmark workloads and saves, per run: the
-keyframe positions, rotations, velocities and biases, the pose
-covariances, the variance factors of every reweighting round, the CP
-errors, the iteration count, termination and cost history of every
-Levenberg-Marquardt solve, and the skipped CPs and tracks. From the eval
-stage's `triangulation.triangulate_all` it records every CP's position,
-covariance, mean reprojection error and inlier (image, camera) ids, and
-the failures; from fusion, the landmark ids and positions. `--src` names the `src/` directory
-of the `vigt` to run (default: this checkout's); the benchmark code is
-always this checkout's, read-only.
+realizations 0-2 of both benchmark workloads for one seed (default 1) and
+saves, per run: the keyframe positions, rotations, velocities and biases,
+the pose covariances, the variance factors of every reweighting round, the
+CP errors, the stage (alignment or fusion), iteration count, termination
+and cost history of every Levenberg-Marquardt solve, and the skipped CPs
+and tracks. From the eval stage's `triangulation.triangulate_all` it
+records every CP's position, covariance, mean reprojection error and
+inlier (image, camera) ids, and the failures; from fusion, the landmark
+ids and positions. `--src` names the `src/` directory of the `vigt` to
+run (default: this checkout's); the benchmark code is always this
+checkout's, read-only.
 
 `compare` prints the largest deviation of each quantity over all runs:
 absolute for positions, rotations, velocities, biases, CP errors, CP and
@@ -25,10 +27,21 @@ entries, infinite or NaN ones included, deviate by 0, and an entry that is
 NaN on one side only by inf. The exit code is 1 when a discrete quantity
 differs. Cost histories are compared over the accepted steps both solves
 made; a solve that accepted one step more or fewer is listed but does not
-fail the comparison: a step at the numerical floor, which lowers the cost
-by less than `solver.CONVERGENCE_TOL` of it, may be accepted or not by
-round-off alone, and both end as converged after the same number of
-iterations.
+fail the comparison: a solve's last iteration, whose step the model
+promises to lower the cost by at most `solver.stop_tolerance`, ends it as
+converged whether that step is accepted or not, and a step that small may
+be either by round-off alone.
+
+`gates` checks two dumps whose results differ by design against the
+accuracy gates of such a change. Per workload it prints the largest move
+of a keyframe position in standard deviations of A's marginal, the
+Mahalanobis length sqrt(dp' S^-1 dp) under the position block S of A's
+pose covariance (inf for a NaN position), the largest move of a CP error
+in mm (a CP missing on both sides moves by 0), `cp_score` and
+`cp_recall_1m` recomputed from each side's CP errors (means over the
+runs), and the Levenberg-Marquardt iterations of each stage, summed over
+the runs. The exit code is 1 when a keyframe moves by more than 0.1
+standard deviations or a CP error by more than 0.1 mm.
 """
 
 from __future__ import annotations
@@ -45,8 +58,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cp-dense", "landmarks")
-SEED = 1
 REALIZATIONS = (0, 1, 2)
+STAGES = ("alignment", "fusion")
+# the gates: a keyframe position may move by this many standard deviations
+# of its marginal, a CP error by this many mm
+MAX_SIGMA_MOVE = 0.1
+MAX_CP_MOVE_MM = 0.1
 
 # how `compare` measures the deviation of each numeric quantity
 ABSOLUTE = (
@@ -62,6 +79,7 @@ ABSOLUTE = (
 PER_BLOCK = ("pose_covariances", "tri_covariances")
 RELATIVE = ("variance_factors", "cost_history")
 DISCRETE = (
+    "stages",
     "iterations",
     "terminations",
     "skipped_cps",
@@ -93,20 +111,24 @@ def _padded(rows: list[list[float]]) -> np.ndarray:
     return out
 
 
-def _run(workload: str, realization: int) -> dict[str, np.ndarray]:
+def _run(workload: str, seed: int, realization: int) -> dict[str, np.ndarray]:
     from vigt import alignment, fusion, triangulation
     from vigt.fusion import VISUAL_GROUPS
 
     import pipeline
     from workloads import WORKLOADS as SPECS, make_inputs
 
-    reports = []
+    reports, stages = [], []
     solve = fusion.solve
 
-    def recorded(problem, *args, **kwargs):
-        report = solve(problem, *args, **kwargs)
-        reports.append(report)
-        return report
+    def recorder(stage: str):
+        def recorded(problem, *args, **kwargs):
+            report = solve(problem, *args, **kwargs)
+            reports.append(report)
+            stages.append(stage)
+            return report
+
+        return recorded
 
     # the eval stage calls it through the module; fusion holds its own name
     evaluated = []
@@ -117,11 +139,11 @@ def _run(workload: str, realization: int) -> dict[str, np.ndarray]:
         evaluated.append(result)
         return result
 
-    alignment.solve = fusion.solve = recorded
+    alignment.solve, fusion.solve = recorder("alignment"), recorder("fusion")
     triangulation.triangulate_all = recorded_triangulation
     try:
         spec = SPECS[workload]
-        inputs = make_inputs(spec, SEED, realization)
+        inputs = make_inputs(spec, seed, realization)
         out = pipeline.run_pipeline(inputs, spec.fusion)
     finally:
         alignment.solve = fusion.solve = solve
@@ -142,6 +164,7 @@ def _run(workload: str, realization: int) -> dict[str, np.ndarray]:
             [[f.get(g, np.nan) for g in VISUAL_GROUPS] for f in out.pgt.variance_factors]
         ),
         "cp_errors": np.array([out.errors[c] for c in sorted(out.errors)]),
+        "stages": np.array(stages, dtype=str),
         "iterations": np.array([r.iterations for r in reports]),
         "terminations": np.array([r.termination for r in reports]),
         "cost_history": _padded([r.cost_history for r in reports]),
@@ -150,12 +173,12 @@ def _run(workload: str, realization: int) -> dict[str, np.ndarray]:
     }
 
 
-def dump(path: str, src: Path) -> None:
+def dump(path: str, src: Path, seed: int = 1) -> None:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     arrays = {}
     for workload in WORKLOADS:
         for realization in REALIZATIONS:
-            for name, value in _run(workload, realization).items():
+            for name, value in _run(workload, seed, realization).items():
                 arrays[f"{workload}/{realization}/{name}"] = value
     np.savez(path, **arrays)
     print(f"wrote {len(arrays)} arrays to {path}")
@@ -206,19 +229,88 @@ def compare(path_a: str, path_b: str) -> int:
     return 1 if differs else 0
 
 
+def _runs(data) -> dict[str, list[str]]:
+    """The run prefixes ("workload/realization") of a dump, by workload."""
+    runs: dict[str, list[str]] = {}
+    for run in sorted({key.rsplit("/", 1)[0] for key in data.files}):
+        runs.setdefault(run.split("/", 1)[0], []).append(run)
+    return runs
+
+
+def _sigma_moves(positions_a, positions_b, covariances_a) -> np.ndarray:
+    """Each keyframe's position move in standard deviations of A's
+    marginal: sqrt(dp' S^-1 dp), S the position block of the pose
+    covariance (tangent order rotation, translation)."""
+    dp = positions_b - positions_a
+    cov = covariances_a[:, 3:6, 3:6]
+    moves = np.sqrt(np.einsum("ki,ki->k", dp, np.linalg.solve(cov, dp[..., None])[..., 0]))
+    return np.where(np.isnan(moves), np.inf, moves)
+
+
+def _cp_moves_mm(errors_a, errors_b) -> np.ndarray:
+    """Each CP error's move in mm; 0 for a CP missing (inf) on both sides."""
+    with np.errstate(invalid="ignore"):
+        return np.where(errors_a == errors_b, 0.0, np.abs(errors_b - errors_a) * 1e3)
+
+
+def gates(path_a: str, path_b: str) -> int:
+    from vigt.metrics import cp_recall, sequence_score
+
+    a, b = np.load(path_a), np.load(path_b)
+    if set(a.files) != set(b.files):
+        print("the files hold different quantities or runs")
+        return 1
+    failed = False
+    for workload, runs in _runs(a).items():
+        sigma, cp_mm = 0.0, 0.0
+        scores, recalls = np.zeros((2, len(runs))), np.zeros((2, len(runs)))
+        iterations = {stage: [0, 0] for stage in STAGES}
+        for k, run in enumerate(runs):
+            moves = _sigma_moves(
+                a[f"{run}/positions"], b[f"{run}/positions"], a[f"{run}/pose_covariances"]
+            )
+            sigma = max(sigma, float(moves.max(initial=0.0)))
+            errors = a[f"{run}/cp_errors"], b[f"{run}/cp_errors"]
+            cp_mm = max(cp_mm, float(_cp_moves_mm(*errors).max(initial=0.0)))
+            for side, data in enumerate((a, b)):
+                scores[side, k] = sequence_score(errors[side])
+                recalls[side, k] = cp_recall(errors[side], 1.0)
+                for stage, count in zip(data[f"{run}/stages"], data[f"{run}/iterations"]):
+                    iterations[str(stage)][side] += int(count)
+        bad = sigma > MAX_SIGMA_MOVE or cp_mm > MAX_CP_MOVE_MM
+        failed |= bad
+        rows = {
+            "largest keyframe move": f"{sigma:.4f} sigma (gate {MAX_SIGMA_MOVE})",
+            "largest CP error move": f"{cp_mm:.4f} mm (gate {MAX_CP_MOVE_MM})",
+            "cp_score": f"{scores[0].mean():.6f} -> {scores[1].mean():.6f}",
+            "cp_recall_1m": f"{recalls[0].mean():.6f} -> {recalls[1].mean():.6f}",
+        }
+        for stage, (before, after) in iterations.items():
+            rows[f"{stage} LM iterations"] = f"{before} -> {after}"
+        print(f"{workload} ({len(runs)} runs)" + (": FAILS" if bad else ""))
+        for label, value in rows.items():
+            print(f"  {label:24s} {value}")
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     p_dump = sub.add_parser("dump")
     p_dump.add_argument("out")
     p_dump.add_argument("--src", type=Path, default=ROOT / "src")
-    p_compare = sub.add_parser("compare")
-    p_compare.add_argument("a")
-    p_compare.add_argument("b")
+    p_dump.add_argument("--seed", type=int, default=1)
+    for command in ("compare", "gates"):
+        p_check = sub.add_parser(command)
+        p_check.add_argument("a")
+        p_check.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "dump":
-        dump(args.out, args.src.resolve())
+        dump(args.out, args.src.resolve(), args.seed)
         return 0
+    if args.command == "gates":
+        sys.path.insert(0, str(ROOT / "src"))
+        return gates(args.a, args.b)
     return compare(args.a, args.b)
 
 
