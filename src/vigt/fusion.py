@@ -9,7 +9,11 @@ reprojection families start at each detection's `pixel_cov`, and the
 proxies and landmarks are triangulated with the default
 `TriangulationConfig`. Visual measurement covariances are re-estimated
 in `_REWEIGHT_ROUNDS` rounds from the variance factor of their residual
-group.
+group. A solve whose estimate only feeds the next round's variance
+factors stops at a step of `_ROUND_STEP` a-posteriori standard
+deviations, which moves a factor by at most about _ROUND_STEP^2 / sqrt(2)
+of its own sampling spread (see the solver module docstring); the last
+solve, whose estimate is returned, stops at `solver.NEGLIGIBLE_STEP`.
 
 The input trajectory must already be metrically aligned into the world
 frame (see the alignment module); the world frame is gravity-aligned.
@@ -59,6 +63,7 @@ from .inertial import (
     preintegration_residual_stack,
 )
 from .solver import (
+    NEGLIGIBLE_STEP,
     HuberLoss,
     Problem,
     SolveReport,
@@ -73,6 +78,9 @@ VISUAL_GROUPS = ("feature-reprojection", "marker-reprojection")
 _MIN_VARIANCE_FACTOR = 1e-8
 # solves after the first, each after reweighting the visual groups
 _REWEIGHT_ROUNDS = 3
+# step, in a-posteriori standard deviations, at which every solve but the
+# last stops
+_ROUND_STEP = 0.25
 # multiplies the survey covariance of every control point
 _CP_DEFLATION = 0.25
 
@@ -427,14 +435,16 @@ def build_fusion_problem(
 
 def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
     """Alternate solving with variance-factor reweighting of the visual
-    groups, then extract pose covariances and whitened residuals, and count
-    the bias excursions (logged once when there are any).
+    groups, then extract the pose covariances, and count the bias
+    excursions (logged once when there are any). Every solve but the last
+    stops at `_ROUND_STEP`, the last at `NEGLIGIBLE_STEP`.
 
     Control-point and IMU covariances are never reweighted.
     """
     factors_history: list[dict[str, float]] = []
-    report = solve(fp.problem)
-    for _ in range(_REWEIGHT_ROUNDS):
+    steps = [_ROUND_STEP] * _REWEIGHT_ROUNDS + [NEGLIGIBLE_STEP]
+    report = solve(fp.problem, step=steps[0])
+    for step in steps[1:]:
         factors: dict[str, float] = {}
         for group in VISUAL_GROUPS:
             if group not in report.group_residuals:
@@ -445,7 +455,7 @@ def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
             factors[group] = vf
             fp.problem.scale_group_covariance(group, vf)
         factors_history.append(factors)
-        report = solve(fp.problem)
+        report = solve(fp.problem, step=step)
 
     pose_ids = [f"kf:{ts}:pose" for ts in fp.keyframe_ts]
     covs = marginal_covariances(fp.problem, pose_ids)

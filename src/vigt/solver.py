@@ -49,6 +49,16 @@ without redundancy (r <= 0) has no such scale and stops at a decrease of
 CONVERGENCE_TOL of the cost, so an exactly determined problem runs on to
 its zero-residual floor.
 
+A solve whose estimate only feeds a variance factor, as each of fusion's
+reweighting rounds but the last does, may stop at a coarser step delta
+(`solve(problem, step=delta)`). Its estimate then lies within about delta
+standard deviations of the minimum, which raises the cost above the
+minimum's by about delta^2 s^2 / 2 = delta^2 cost / r. The variance factor
+2 cost_g / r_g of a group g of redundancy r_g therefore rises by at most
+about delta^2 s^2 / r_g; for a factor near s^2 that is delta^2 / sqrt(2 r_g),
+at most delta^2 / sqrt(2), of the factor's own relative sampling spread
+sqrt(2 / r_g) for any r_g >= 1: 4.4 % at delta = 0.25.
+
 Parameter values are packed float rows: a Euclidean (d,) vector (tangent
 d), a rigid pose [q | t] (tangent 6: rotation, translation) and a
 similarity [q | t | s] (tangent 7: rotation, translation, log-scale), q a
@@ -1016,16 +1026,16 @@ def model_decrease(slope, curvature):
     return np.where(positive, slope * slope / (2.0 * np.where(positive, curvature, 1.0)), 0.0)[()]
 
 
-def stop_tolerance(cost, redundancy):
+def stop_tolerance(cost, redundancy, step=NEGLIGIBLE_STEP):
     """The model decrease at or below which a step is negligible,
-    elementwise: NEGLIGIBLE_STEP^2 cost / r for a redundancy r > 0, a step
-    of at most NEGLIGIBLE_STEP a-posteriori standard deviations (see the
-    module docstring), else CONVERGENCE_TOL of the cost."""
+    elementwise: step^2 cost / r for a redundancy r > 0, a step of at most
+    `step` a-posteriori standard deviations (see the module docstring),
+    else CONVERGENCE_TOL of the cost."""
     cost, r = np.asarray(cost), np.asarray(redundancy)
-    return np.where(r > 0, NEGLIGIBLE_STEP**2 * cost / np.maximum(r, 1), CONVERGENCE_TOL * cost)[()]
+    return np.where(r > 0, step**2 * cost / np.maximum(r, 1), CONVERGENCE_TOL * cost)[()]
 
 
-def lm_update(cost, trial_cost, promised, lam, redundancy):
+def lm_update(cost, trial_cost, promised, lam, redundancy, step=NEGLIGIBLE_STEP):
     """The Levenberg-Marquardt step rule, elementwise over a batch of loops:
     (accept, next damping, stop) after a trial at damping `lam`.
 
@@ -1035,8 +1045,8 @@ def lm_update(cost, trial_cost, promised, lam, redundancy):
     when its cost is lower than `cost` (a NaN or inf never is); the damping
     then falls by LAMBDA_DOWN, down to LAMBDA_MIN, and otherwise rises by
     LAMBDA_UP. The loop stops, accepted or not, once `promised` is at most
-    `stop_tolerance(cost, redundancy)`: the Gauss-Newton step is then at
-    most NEGLIGIBLE_STEP a-posteriori standard deviations s, with
+    `stop_tolerance(cost, redundancy, step)`: the Gauss-Newton step is then
+    at most `step` a-posteriori standard deviations s, with
     s^2 = 2 cost / redundancy (with Huber rows, the scale of the reweighted
     problem; see the module docstring), and at that floor no damping gains
     more. A rejected trial also stops it once the damping passes
@@ -1045,13 +1055,14 @@ def lm_update(cost, trial_cost, promised, lam, redundancy):
     accept = trial_cost < cost
     lam = np.where(accept, np.maximum(lam * LAMBDA_DOWN, LAMBDA_MIN), lam * LAMBDA_UP)
     # an accepted step lowers the damping, so only a rejected one passes LAMBDA_MAX
-    stop = (promised <= stop_tolerance(cost, redundancy)) | (lam > LAMBDA_MAX)
+    stop = (promised <= stop_tolerance(cost, redundancy, step)) | (lam > LAMBDA_MAX)
     return accept, lam[()], stop[()]
 
 
-def solve(problem: Problem, max_iters: int = 100) -> SolveReport:
+def solve(problem: Problem, max_iters: int = 100, step: float = NEGLIGIBLE_STEP) -> SolveReport:
     """Minimize the problem in place, in at most `max_iters` iterations, by
-    `lm_update`'s rule; returns the report.
+    `lm_update`'s rule at `step` a-posteriori standard deviations; returns
+    the report.
 
     Terminations: "converged" (`lm_update` stopped on a negligible step,
     accepted or not, with the redundancy rows less unknowns, or the cost
@@ -1090,11 +1101,11 @@ def solve(problem: Problem, max_iters: int = 100) -> SolveReport:
                 promised = model_decrease(float(grad @ delta), ws.curvature(jacs, delta))
             trial = ws.apply_step(x, delta)
             trial_cost, trial_whitened = ws.try_evaluate(trial)
-            accept, lam, stop = lm_update(cost, trial_cost, promised, lam, redundancy)
+            accept, lam, stop = lm_update(cost, trial_cost, promised, lam, redundancy, step)
             if accept or stop:
                 break
         if not accept:
-            floor = promised <= stop_tolerance(cost, redundancy)
+            floor = promised <= stop_tolerance(cost, redundancy, step)
             termination = "converged" if floor else "no_progress"
             break
 

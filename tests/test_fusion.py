@@ -176,6 +176,49 @@ def test_optimize_builds_one_workspace(scene, monkeypatch):
     assert built == [fp.problem]
 
 
+def test_only_the_last_solve_runs_to_a_negligible_step(scene, monkeypatch):
+    # the solves before it only feed a variance factor
+    world, rig, detections, imu, truth, init = scene
+    fp = build_fusion_problem(
+        init, detections.tracks, detections.cp_observations, world.cps, imu, rig,
+        FusionConfig(keyframe_stride=STRIDE),
+    )
+    steps, solve = [], fusion.solve
+
+    def recorded(problem, **kwargs):
+        steps.append(kwargs.get("step"))
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(fusion, "solve", recorded)
+    pgt = optimize_pseudo_gt(fp)
+    assert steps == [fusion._ROUND_STEP] * fusion._REWEIGHT_ROUNDS + [solver.NEGLIGIBLE_STEP]
+    assert pgt.report.termination == "converged"
+
+
+def test_round_step_moves_no_keyframe_past_a_tenth_sigma(scene, monkeypatch):
+    # against reweighting rounds that each run to a negligible step, in
+    # the Mahalanobis norm of each body pose's tangent (rotation,
+    # translation) difference under its marginal covariance
+    world, rig, detections, imu, truth, init = scene
+
+    def optimized():
+        fp = build_fusion_problem(
+            init, detections.tracks, detections.cp_observations, world.cps, imu, rig,
+            FusionConfig(keyframe_stride=STRIDE),
+        )
+        pgt = optimize_pseudo_gt(fp)
+        return [fp.problem.value(f"kf:{ts}:pose") for ts in fp.keyframe_ts], pgt
+
+    poses, _ = optimized()
+    with monkeypatch.context() as patch:
+        patch.setattr(fusion, "_ROUND_STEP", solver.NEGLIGIBLE_STEP)
+        full_poses, full = optimized()
+    for a, b, cov in zip(full_poses, poses, full.pose_covariances):
+        rotation = (a.rotation.inverse() @ b.rotation).log()
+        d = np.concatenate([rotation, b.translation - a.translation])
+        assert np.sqrt(d @ np.linalg.solve(cov, d)) <= 0.1
+
+
 @pytest.mark.parametrize("stride", [0, -1])
 def test_non_positive_keyframe_stride_rejected(stride):
     with pytest.raises(ValueError, match="keyframe_stride"):

@@ -141,7 +141,8 @@ def test_gates_report_moves_scores_and_iterations(tmp_path, capsys):
         {
             "cp-dense/0": {"positions": moved, "iterations": np.array([9, 5, 6])},
             "cp-dense/1": {"cp_errors": np.array([0.01 + 4e-5, np.inf, 0.2])},
-            "landmarks/0": {},
+            # 1 % of the largest entry of each block
+            "landmarks/0": {"pose_covariances": np.stack([COVARIANCE, COVARIANCE]) * 1.01},
         },
     )
     assert parity.gates(a, b) == 0
@@ -156,7 +157,11 @@ def test_gates_report_moves_scores_and_iterations(tmp_path, capsys):
     assert dense["cp_recall_1m"] == "66.666667 -> 66.666667"
     assert dense["alignment LM iterations"] == "40 -> 29"
     assert dense["fusion LM iterations"] == "44 -> 33"
+    # the first fusion solve of each run, then the second, summed over the runs
+    assert dense["fusion per solve"] == "20+24 -> 15+18"
+    assert dense["pose covariance move"] == "0.00% of each block's largest entry"
     assert lines["landmarks"]["largest keyframe move"].startswith("0.0000 sigma")
+    assert lines["landmarks"]["pose covariance move"] == "1.00% of each block's largest entry"
 
 
 @pytest.mark.parametrize(

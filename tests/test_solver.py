@@ -868,16 +868,27 @@ def test_iteration_count_stable_under_tiny_data_change(seed):
     assert moved.iterations == base.iterations
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_negligible_step_stops_within_its_fraction_of_a_sigma(monkeypatch, seed):
+# the default step, and the coarser step of a solve whose estimate only
+# feeds a variance factor
+STOP_STEPS = {"": solver.NEGLIGIBLE_STEP, "-round-step": 0.25}
+
+
+@pytest.mark.parametrize(
+    "seed, step",
+    [(seed, step) for step in STOP_STEPS.values() for seed in range(10)],
+    ids=[f"{seed}{name}" for name in STOP_STEPS for seed in range(10)],
+)
+def test_negligible_step_stops_within_its_fraction_of_a_sigma(monkeypatch, seed, step):
     # against a solve that runs on until a step promises at most
-    # CONVERGENCE_TOL of the cost, the stopped solution lies within
-    # NEGLIGIBLE_STEP of one a-posteriori standard deviation, in the
-    # Mahalanobis norm of the marginal covariance times 2 cost / redundancy
+    # CONVERGENCE_TOL of the cost, the stopped solution lies within `step`
+    # of one a-posteriori standard deviation, in the Mahalanobis norm of
+    # the marginal covariance times 2 cost / redundancy
     stopped = exponential_fit(seed)
-    report = solve(stopped)
+    report = solve(stopped, step=step)
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "stop_tolerance", lambda cost, r: solver.CONVERGENCE_TOL * cost)
+        patch.setattr(
+            solver, "stop_tolerance", lambda cost, r, step: solver.CONVERGENCE_TOL * cost
+        )
         full = exponential_fit(seed)
         full_report = solve(full)
     assert report.termination == full_report.termination == "converged"
@@ -885,7 +896,7 @@ def test_negligible_step_stops_within_its_fraction_of_a_sigma(monkeypatch, seed)
     sigma2 = 2.0 * full_report.final_cost / (40 - 3)
     cov = marginal_covariances(full, ["abc"])["abc"] * sigma2
     d = stopped.value("abc") - full.value("abc")
-    assert np.sqrt(d @ np.linalg.solve(cov, d)) <= solver.NEGLIGIBLE_STEP
+    assert np.sqrt(d @ np.linalg.solve(cov, d)) <= step
 
 
 def balanced_pair() -> Problem:
@@ -933,9 +944,14 @@ def test_solve_started_at_its_minimum_factors_once_in_its_last_iteration(monkeyp
 # a-posteriori standard deviations
 NEGLIGIBLE = solver.NEGLIGIBLE_STEP**2 * 2.0 / 10
 UNDER, OVER = np.nextafter(NEGLIGIBLE, 0.0), np.nextafter(NEGLIGIBLE, np.inf)
+# the same at a step of 0.25 a-posteriori standard deviations
+ROUND_STEP = 0.25
+AT_ROUND_STEP = ROUND_STEP**2 * 2.0 / 10
+UNDER_ROUND, OVER_ROUND = np.nextafter(AT_ROUND_STEP, 0.0), np.nextafter(AT_ROUND_STEP, np.inf)
 
-# (cost, trial cost, promised decrease, damping, redundancy) -> (accept,
-# next damping, stop); redundancy 0 keeps CONVERGENCE_TOL of the cost
+# (cost, trial cost, promised decrease, damping, redundancy[, step]) ->
+# (accept, next damping, stop); redundancy 0 keeps CONVERGENCE_TOL of the
+# cost, and the step defaults to NEGLIGIBLE_STEP
 LM_RULE = {
     "accept-and-converge": ((1.0, 1.0 - 1e-13, 1e-13, 1e-4, 0), (True, 1e-4 * 0.1, True)),
     "accept-above-tolerance": ((1.0, 0.5, 0.6, 1e-4, 0), (True, 1e-4 * 0.1, False)),
@@ -961,6 +977,26 @@ LM_RULE = {
         (2.0, 2.5, np.nextafter(2e-12, 1.0), 1e-4, 0),
         (False, 1e-4 * 10.0, False),
     ),
+    "accept-just-under-round-step": (
+        (2.0, 1.5, UNDER_ROUND, 1e-4, 10, ROUND_STEP),
+        (True, 1e-4 * 0.1, True),
+    ),
+    "accept-at-round-step": (
+        (2.0, 1.5, AT_ROUND_STEP, 1e-4, 10, ROUND_STEP),
+        (True, 1e-4 * 0.1, True),
+    ),
+    "accept-just-over-round-step": (
+        (2.0, 1.5, OVER_ROUND, 1e-4, 10, ROUND_STEP),
+        (True, 1e-4 * 0.1, False),
+    ),
+    "reject-just-under-round-step": (
+        (2.0, 2.5, UNDER_ROUND, 1e-4, 10, ROUND_STEP),
+        (False, 1e-4 * 10.0, True),
+    ),
+    "reject-just-over-round-step": (
+        (2.0, 2.5, OVER_ROUND, 1e-4, 10, ROUND_STEP),
+        (False, 1e-4 * 10.0, False),
+    ),
 }
 
 
@@ -971,7 +1007,9 @@ def test_lm_update_rule(case):
 
 
 def test_lm_update_batch_matches_each_loop():
-    accept, lam, stop = lm_update(*np.array([args for args, _ in LM_RULE.values()]).T)
+    # every row with its step, the default one spelled out
+    rows = [args + (solver.NEGLIGIBLE_STEP,) * (6 - len(args)) for args, _ in LM_RULE.values()]
+    accept, lam, stop = lm_update(*np.array(rows).T)
     assert list(zip(accept, lam, stop)) == [expected for _, expected in LM_RULE.values()]
 
 

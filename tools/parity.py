@@ -40,6 +40,9 @@ pose covariance (inf for a NaN position), the largest move of a CP error
 in mm (a CP missing on both sides moves by 0), `cp_score` and
 `cp_recall_1m` recomputed from each side's CP errors (means over the
 runs), and the Levenberg-Marquardt iterations of each stage, summed over
+the runs. It also prints, for information, the largest move of a pose
+covariance relative to its block's largest entry (as `compare` measures
+it) and the fusion iterations of each solve in order, each summed over
 the runs. The exit code is 1 when a keyframe moves by more than 0.1
 standard deviations or a CP error by more than 0.1 mm.
 """
@@ -262,21 +265,24 @@ def gates(path_a: str, path_b: str) -> int:
         return 1
     failed = False
     for workload, runs in _runs(a).items():
-        sigma, cp_mm = 0.0, 0.0
+        sigma, cp_mm, cov_move = 0.0, 0.0, 0.0
         scores, recalls = np.zeros((2, len(runs))), np.zeros((2, len(runs)))
         iterations = {stage: [0, 0] for stage in STAGES}
+        fusion_solves = ([], [])  # each run's fusion iterations, solve by solve
         for k, run in enumerate(runs):
-            moves = _sigma_moves(
-                a[f"{run}/positions"], b[f"{run}/positions"], a[f"{run}/pose_covariances"]
-            )
+            covariances = a[f"{run}/pose_covariances"], b[f"{run}/pose_covariances"]
+            moves = _sigma_moves(a[f"{run}/positions"], b[f"{run}/positions"], covariances[0])
             sigma = max(sigma, float(moves.max(initial=0.0)))
+            cov_move = max(cov_move, _deviation("pose_covariances", *covariances))
             errors = a[f"{run}/cp_errors"], b[f"{run}/cp_errors"]
             cp_mm = max(cp_mm, float(_cp_moves_mm(*errors).max(initial=0.0)))
             for side, data in enumerate((a, b)):
                 scores[side, k] = sequence_score(errors[side])
                 recalls[side, k] = cp_recall(errors[side], 1.0)
-                for stage, count in zip(data[f"{run}/stages"], data[f"{run}/iterations"]):
+                stages, counts = data[f"{run}/stages"], data[f"{run}/iterations"]
+                for stage, count in zip(stages, counts):
                     iterations[str(stage)][side] += int(count)
+                fusion_solves[side].append(counts[stages == "fusion"])
         bad = sigma > MAX_SIGMA_MOVE or cp_mm > MAX_CP_MOVE_MM
         failed |= bad
         rows = {
@@ -287,6 +293,11 @@ def gates(path_a: str, path_b: str) -> int:
         }
         for stage, (before, after) in iterations.items():
             rows[f"{stage} LM iterations"] = f"{before} -> {after}"
+        rows["fusion per solve"] = " -> ".join(
+            "+".join(str(int(n)) for n in np.nansum(_padded(side), axis=0))
+            for side in fusion_solves
+        )
+        rows["pose covariance move"] = f"{cov_move:.2%} of each block's largest entry"
         print(f"{workload} ({len(runs)} runs)" + (": FAILS" if bad else ""))
         for label, value in rows.items():
             print(f"  {label:24s} {value}")

@@ -16,9 +16,10 @@ triangulation of the CP proxies and landmarks (`fusion.triangulate_all`,
 also reported on its own), and
 `fusion.optimize_pseudo_gt`, whose time includes `marginal_covariances`
 (also reported on its own). It also counts the Levenberg-Marquardt
-iterations of the optimize's `fusion.solve` calls and reports the optimize
-time per iteration, so that a change in the cost of an iteration can be
-told apart from a change in their number. Scene:
+iterations of the optimize's `fusion.solve` calls, solve by solve and
+summed, and reports the optimize time per iteration, so that a change in
+the cost of an iteration can be told apart from a change in their number.
+Scene:
 `SynthConfig(seed=21, cam_rate_hz=10, cp_count=max(4, T/2),
 cp_2d_fraction=0.5, detection_sigma_px=0.5, cp_noise_scale=1)` for a
 length of T seconds, the true world trajectory with 2 cm white position
@@ -82,13 +83,13 @@ def _scene(length: int, landmarks: int):
 
 
 @contextlib.contextmanager
-def _iterations(module, counts: list[int]):
-    """Add the iterations of every `module.solve` call to `counts`."""
+def _iterations(module, counts: list[list[int]]):
+    """Append the iterations of every `module.solve` call to `counts[-1]`."""
     fn = module.solve
 
     def counted(*args, **kwargs):
         report = fn(*args, **kwargs)
-        counts[-1] += report.iterations
+        counts[-1].append(report.iterations)
         return report
 
     module.solve = counted
@@ -189,7 +190,7 @@ def _run_case(length: int, landmarks: int, repeat: int) -> dict:
         for _ in range(repeat):
             triangulate_s.append(0.0)
             marginal_s.append(0.0)
-            iterations.append(0)
+            iterations.append([])
             t0 = time.perf_counter()
             fp = fusion.build_fusion_problem(
                 init, detections.tracks, detections.cp_observations, world.cps, imu, rig, config
@@ -200,6 +201,7 @@ def _run_case(length: int, landmarks: int, repeat: int) -> dict:
             builds.append(t1 - t0)
             optimizes.append(t2 - t1)
     unknowns = sum(b.dim for b in fp.problem.params.values())
+    lm_iters = statistics.median([sum(solves) for solves in iterations])
     return {
         "length_s": length,
         "landmarks": len(fp.landmark_ids),
@@ -209,8 +211,10 @@ def _run_case(length: int, landmarks: int, repeat: int) -> dict:
         "triangulate_s": statistics.median(triangulate_s),
         "optimize_s": statistics.median(optimizes),
         "marginals_s": statistics.median(marginal_s),
-        "lm_iters": statistics.median(iterations),
-        "optimize_ms_per_iter": 1e3 * statistics.median(optimizes) / statistics.median(iterations),
+        "lm_iters": lm_iters,
+        # solve by solve, the median over the repeats of each
+        "lm_iters_per_solve": [statistics.median(n) for n in zip(*iterations)],
+        "optimize_ms_per_iter": 1e3 * statistics.median(optimizes) / lm_iters,
         **evaluated,
     }
 
@@ -226,14 +230,16 @@ def main(argv=None) -> int:
     print(
         f"{'length':>6s} {'landmarks':>9s} {'keyframes':>9s} {'unknowns':>8s}"
         f" {'build':>8s} {'triangulate':>11s} {'optimize':>9s} {'marginals':>9s}"
-        f" {'LM iters':>8s} {'per iter':>9s} {'eval tri':>9s} {'align':>8s} {'refines':>7s}"
-        f" {'rounds':>6s} {'hyps':>6s} {'tri peak':>9s}"
+        f" {'LM iters':>8s} {'per solve':>11s} {'per iter':>9s} {'eval tri':>9s} {'align':>8s}"
+        f" {'refines':>7s} {'rounds':>6s} {'hyps':>6s} {'tri peak':>9s}"
     )
     for r in rows:
         print(
             f"{r['length_s']:5d}s {r['landmarks']:9d} {r['keyframes']:9d} {r['unknowns']:8d}"
             f" {r['build_s']:7.3f}s {r['triangulate_s']:10.3f}s {r['optimize_s']:8.3f}s"
-            f" {r['marginals_s']:8.3f}s {r['lm_iters']:8g} {r['optimize_ms_per_iter']:7.2f}ms"
+            f" {r['marginals_s']:8.3f}s {r['lm_iters']:8g}"
+            f" {'+'.join(f'{n:g}' for n in r['lm_iters_per_solve']):>11s}"
+            f" {r['optimize_ms_per_iter']:7.2f}ms"
             f" {r['eval_triangulate_s']:8.3f}s {r['eval_align_s']:7.3f}s"
             f" {r['eval_refine_calls']:7d} {r['eval_refine_rounds']:6d} {r['eval_hypotheses']:6d}"
             f" {r['eval_triangulate_peak_mb']:6.1f} MB"
