@@ -101,7 +101,6 @@ class FeatureTrack:
 
     track_id: str
     observations: list[Observation]
-    landmark: np.ndarray | None = None  # world frame, set by fusion
 
 
 @dataclass(frozen=True)
@@ -404,7 +403,6 @@ def build_fusion_problem(
             continue
         tri = tris[pid]
         problem.add_parameter_block(pid, tri.position.copy(), eliminate=True)
-        track.landmark = tri.position.copy()
         landmark_ids.append(track.track_id)
         feature_rows += [(o, pid) for o in tri.inliers]
     if feature_rows:
@@ -447,9 +445,8 @@ def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
     for step in steps[1:]:
         factors: dict[str, float] = {}
         for group in VISUAL_GROUPS:
-            if group not in report.group_residuals:
-                continue
-            if report.group_redundancy[group] <= 0:
+            # a group that is absent or has no redundancy keeps its weights
+            if report.group_redundancy.get(group, 0) <= 0:
                 continue
             vf = max(variance_factor(report, group), _MIN_VARIANCE_FACTOR)
             factors[group] = vf

@@ -12,7 +12,9 @@ and the norm that every normalization divides by (`_norm`) take
 quaternion components, the scalars of one rotation or the last-axis
 slices of a stack; the exponential (`quat_exp`), the logarithm
 (`quat_log`) and the matrix-to-quaternion map (`quat_from_matrix`) take
-stacks, one rotation being the stack of one.
+stacks, one rotation being the stack of one. `quat_exp` is the one
+exponential: the matrix of Exp(v) is `quat_to_matrix(quat_exp(v))`, for
+`Rotation.exp` and the stacked IMU steps of `inertial` alike.
 """
 
 from __future__ import annotations
@@ -42,29 +44,20 @@ def skew(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _angle_terms(rotvec, small_angle: float):
+def _angle_terms(rotvec):
     """Cross-product matrices K of (..., 3) rotation vectors, the (..., 1, 1)
-    mask of angles below `small_angle`, and the angles with those replaced
-    by 1, so the closed forms never divide by zero."""
+    mask of angles below 1e-6, and the angles with those replaced by 1, so
+    the closed forms never divide by zero."""
     rotvec = np.asarray(rotvec, dtype=float)
     theta = np.linalg.norm(rotvec, axis=-1)[..., None, None]
-    small = theta < small_angle
+    small = theta < 1e-6
     return skew(rotvec), small, np.where(small, 1.0, theta)
-
-
-def so3_exp_matrix(rotvec: np.ndarray) -> np.ndarray:
-    """Rodrigues formula, series-expanded near zero; (..., 3) rotation
-    vectors to (..., 3, 3) matrices."""
-    k, small, t = _angle_terms(rotvec, 1e-8)
-    a = np.where(small, 1.0, np.sin(t) / t)
-    b = np.where(small, 0.5, (1.0 - np.cos(t)) / t**2)
-    return np.eye(3) + a * k + b * (k @ k)
 
 
 def so3_right_jacobian(rotvec: np.ndarray) -> np.ndarray:
     """Right Jacobian of SO(3): Exp(v + dv) ~= Exp(v) Exp(Jr(v) dv); takes
     (..., 3) and returns (..., 3, 3)."""
-    k, small, t = _angle_terms(rotvec, 1e-6)
+    k, small, t = _angle_terms(rotvec)
     a = np.where(small, 0.5, (1.0 - np.cos(t)) / t**2)
     b = np.where(small, 1.0 / 6.0, (t - np.sin(t)) / t**3)
     return np.eye(3) - a * k + b * (k @ k)
@@ -72,7 +65,7 @@ def so3_right_jacobian(rotvec: np.ndarray) -> np.ndarray:
 
 def so3_right_jacobian_inverse(rotvec: np.ndarray) -> np.ndarray:
     """Inverse of the right Jacobian of SO(3); (..., 3) to (..., 3, 3)."""
-    k, small, t = _angle_terms(rotvec, 1e-6)
+    k, small, t = _angle_terms(rotvec)
     b = np.where(
         small, 1.0 / 12.0, 1.0 / t**2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))
     )
@@ -394,11 +387,11 @@ def try_project(cam: CameraModel, p_cam: np.ndarray) -> tuple[np.ndarray, np.nda
         k = cam.distortion
         rho = np.hypot(x, y)
         norm = np.sqrt(rho * rho + z * z)
+        on_axis = rho < 1e-12 * np.maximum(norm, 1.0)
         # valid everywhere except the origin and points exactly behind on-axis
-        valid = (norm > 1e-12) & ~((rho < 1e-12 * np.maximum(norm, 1.0)) & (z <= 0.0))
+        valid = (norm > 1e-12) & ~(on_axis & (z <= 0.0))
         theta = np.arctan2(rho, z)
         theta_d = _kb4_theta_d(theta, k)
-        on_axis = rho < 1e-12 * np.maximum(norm, 1.0)
         scale = np.where(on_axis, 0.0, theta_d / np.where(rho == 0.0, 1.0, rho))
         uv[:, 0] = cam.fx * scale * x + cam.cx
         uv[:, 1] = cam.fy * scale * y + cam.cy

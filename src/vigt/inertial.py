@@ -23,6 +23,11 @@ steps; the per-sample rotation maps are computed for all samples before
 the recurrence. The residual and its Jacobians are evaluated for all
 segments in one call each, (S, 9) and (S, 9, k), from keyframe poses
 given as (S, 7) rows [qw qx qy qz | t], the solver's pose rows.
+
+The kernels follow Forster et al., "On-Manifold Preintegration", T-RO
+2017, on geometry's rotation maps: a step is `quat_to_matrix(quat_exp(v))`,
+Exp of the residual's rotation error is the matrix of its error
+quaternion, and the deltas are normalized by geometry's `_unit`.
 """
 
 from __future__ import annotations
@@ -35,13 +40,13 @@ import numpy as np
 from .errors import ImuDataError
 from .geometry import (
     Rotation,
+    _unit,
     quat_exp,
     quat_from_matrix,
     quat_log,
     quat_multiply,
     quat_to_matrix,
     skew,
-    so3_exp_matrix,
     so3_right_jacobian,
     so3_right_jacobian_inverse,
 )
@@ -241,8 +246,8 @@ def _integrate(
     a_mid = 0.5 * (accel[:, :-1] + accel[:, 1:])
     # per-sample maps, independent of the running state
     rotvecs = w_mid * dts[..., None]
-    steps = so3_exp_matrix(rotvecs)
-    halves = so3_exp_matrix(0.5 * w_mid * dts[..., None])
+    steps = quat_to_matrix(quat_exp(rotvecs))
+    halves = quat_to_matrix(quat_exp(0.5 * w_mid * dts[..., None]))
     jrs = so3_right_jacobian(rotvecs)
     a_skews = skew(a_mid)
     q_rots = jrs @ _transpose(jrs) * (noise.gyro_density**2 * dts[..., None, None])
@@ -297,7 +302,7 @@ def _integrate(
 
     return SegmentStack(
         dt=ts[:, -1].copy(),
-        delta_rot=np.stack([Rotation(q).quat for q in quat_from_matrix(d_rot)]),
+        delta_rot=_unit(quat_from_matrix(d_rot)),
         delta_vel=d_vel,
         delta_pos=d_pos,
         covariance=0.5 * (cov + _transpose(cov)),
@@ -352,24 +357,23 @@ _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def _residual_terms(stack: SegmentStack, poses_i, vels_i, poses_j, vels_j, biases_i):
-    """Rotations of both keyframes, the rotation error, the velocity and
-    position terms in keyframe i's frame, the bias-corrected deltas and the
-    gyro-bias change, all stacked over segments."""
+    """Rotations of both keyframes, the rotation error as a quaternion and
+    as its logarithm, the velocity and position terms in keyframe i's frame,
+    the bias-corrected deltas and the gyro-bias change, all stacked over
+    segments."""
     q_i, t_i = poses_i[:, :4], poses_i[:, 4:7]
     q_j, t_j = poses_j[:, :4], poses_j[:, 4:7]
     v_i = np.reshape(vels_i, (-1, 3))
     v_j = np.reshape(vels_j, (-1, 3))
     biases_i = np.reshape(biases_i, (-1, 6))
     d_rot, d_vel, d_pos, _ = bias_correct_stack(stack, biases_i)
-    rot_err = quat_log(
-        quat_multiply(d_rot * _CONJUGATE, quat_multiply(q_i * _CONJUGATE, q_j))
-    )
+    q_err = quat_multiply(d_rot * _CONJUGATE, quat_multiply(q_i * _CONJUGATE, q_j))
     r_i_t = _transpose(quat_to_matrix(q_i))
     dt = stack.dt[:, None]
     v_term = _apply(r_i_t, v_j - v_i - GRAVITY_W * dt)
     p_term = _apply(r_i_t, t_j - t_i - v_i * dt - 0.5 * GRAVITY_W * dt**2)
     d_bg = biases_i[:, :3] - stack.lin_bias[:, :3]
-    return q_j, r_i_t, rot_err, v_term, p_term, d_vel, d_pos, d_bg
+    return q_j, r_i_t, q_err, quat_log(q_err), v_term, p_term, d_vel, d_pos, d_bg
 
 
 def preintegration_residual_stack(
@@ -379,7 +383,7 @@ def preintegration_residual_stack(
     row per segment: segment s ties keyframe states i and j, given as
     (S, 7) pose rows [qw qx qy qz | t] and (S, 3) velocities, at the (S, 6)
     biases of keyframe i."""
-    _, _, rot_err, v_term, p_term, d_vel, d_pos, _ = _residual_terms(
+    _, _, _, rot_err, v_term, p_term, d_vel, d_pos, _ = _residual_terms(
         stack, poses_i, vels_i, poses_j, vels_j, biases_i
     )
     return np.concatenate([rot_err, v_term - d_vel, p_term - d_pos], axis=1)
@@ -394,7 +398,7 @@ def preintegration_residual_jacobians_stack(
     Pose tangents are (rotation, translation); rotations perturb on the
     right, translations additively in the world frame.
     """
-    q_j, r_i_t, rot_err, v_term, p_term, _, _, d_bg = _residual_terms(
+    q_j, r_i_t, q_err, rot_err, v_term, p_term, _, _, d_bg = _residual_terms(
         stack, poses_i, vels_i, poses_j, vels_j, biases_i
     )
     n_seg = len(stack)
@@ -422,7 +426,7 @@ def preintegration_residual_jacobians_stack(
     j_bias = np.zeros((n_seg, 9, 6))
     j_bias[:, 0:3, 0:3] = (
         -jr_inv
-        @ _transpose(so3_exp_matrix(rot_err))
+        @ _transpose(quat_to_matrix(q_err))  # Exp(rot_err)
         @ so3_right_jacobian(_apply(stack.d_rot_d_bg, d_bg))
         @ stack.d_rot_d_bg
     )

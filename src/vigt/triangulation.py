@@ -19,7 +19,8 @@ in one call:
 - Refinement: one Levenberg-Marquardt loop over (P, 3) points, each
   with its own damping, under the solver's step rule `solver.lm_update`
   (`ViewSet.refine`).
-- Covariance: the inverse Gauss-Newton Hessian of every point at once.
+- Covariance: the inverse of every point's Gauss-Newton matrix J'WJ at
+  once, from the one method refinement uses (`ViewSet._gauss_newton`).
 
 A point's sums add its own terms one at a time (`np.bincount`), in the
 order `np.einsum` takes them over that point's rows alone, so its result
@@ -314,6 +315,17 @@ class ViewSet:
         centers = -np.einsum("nij,nj->ni", a_inv, self.b)
         return centers, rays / np.linalg.norm(rays, axis=1, keepdims=True), failures
 
+    def _gauss_newton(self, rows, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """J' W of each of the rows (an index array, or None for all),
+        (n, 3, 2), and each point's Gauss-Newton matrix J' W J summed over
+        its rows, (n_points, 3, 3), at one (n, 3) point per row."""
+        sel = slice(None) if rows is None else rows
+        jac = self._jacobians(rows, p)
+        jt_w = np.einsum("nji,njk->nik", jac, self.weights[sel])
+        # the terms of einsum("nij,njk->ik", jt_w, jac), in its order
+        terms = np.swapaxes(jt_w, 1, 2)[:, :, :, None] * jac[:, :, None, :]
+        return jt_w, _point_sums(self.point[sel], terms, self.n_points)
+
     def _costs(self, rows, res: np.ndarray) -> np.ndarray:
         """(n_points,) weighted squared residuals summed over the rows."""
         sel = slice(None) if rows is None else rows
@@ -348,14 +360,10 @@ class ViewSet:
         while active.any():
             rows = np.flatnonzero(stale[pt])
             if rows.size:
-                jac = self._jacobians(rows, p[pt[rows]])
-                jt_w = np.einsum("nji,njk->nik", jac, self.weights[rows])
-                # the terms of einsum("nij,nj->i") and ("nij,njk->ik"), in
-                # their order
+                jt_w, h = self._gauss_newton(rows, p[pt[rows]])
+                # the terms of einsum("nij,nj->i"), in its order
                 g_terms = np.einsum("nij,nj->ni", jt_w, res[rows])[:, None]
-                h_terms = np.swapaxes(jt_w, 1, 2)[:, :, :, None] * jac[:, :, None, :]
                 g = _point_sums(pt[rows], g_terms, n_points)
-                h = _point_sums(pt[rows], h_terms, n_points)
                 grad[stale], hess[stale] = g[stale], h[stale]
                 d = np.zeros((np.count_nonzero(stale), 3, 3))
                 d[:, diag, diag] = np.maximum(h[stale][:, diag, diag], DIAGONAL_FLOOR)
@@ -501,9 +509,8 @@ def _score_pairs(
 
 def _lo_ransac(views: ViewSet, config: TriangulationConfig):
     """LO-RANSAC of every point of `views`, as `triangulate_ransac` of each
-    alone: the (n_points, 3) points, the (N,) inlier mask of their views,
-    the error of each point that fails, keyed by point, and the (n_points,)
-    number of hypotheses each point drew.
+    alone: the (n_points, 3) points, the (N,) inlier mask of their views
+    and the error of each point that fails, keyed by point.
 
     A point draws its pairs in the order `_sample_pairs` gives and stops
     after the first k of them for which k >= log(eta) / log(1 - eps_k^2),
@@ -598,7 +605,7 @@ def _lo_ransac(views: ViewSet, config: TriangulationConfig):
 
     for p in np.flatnonzero((best_count < 0) & ~failed):
         failures[int(p)] = NoConsensusError("no triangulation hypothesis had 2 or more inliers")
-    return best_point, best_inliers, failures, drawn
+    return best_point, best_inliers, failures
 
 
 def _refine_points(views: ViewSet, init: np.ndarray):
@@ -625,13 +632,7 @@ def _covariances(views: ViewSet, points: np.ndarray):
     """Inverse Gauss-Newton Hessian (J' Sigma_px^-1 J)^-1 of each point's
     reprojection problem at (n_points, 3) `points`, and the error of each
     point whose Hessian is singular, keyed by point."""
-    jac = views.jacobians(points[views.point])
-    # the terms of einsum("nji,njk,nkl->il", jac, weights, jac), in its
-    # (n, j, k) order
-    terms = (
-        jac[:, :, None, :, None] * views.weights[:, :, :, None, None]
-    ) * jac[:, None, :, None, :]
-    h = _point_sums(views.point, terms.reshape(-1, 4, 3, 3), views.n_points)
+    h = views._gauss_newton(None, points[views.point])[1]
     cov, singular = _stacked(np.linalg.inv, h.shape, h)
     failures: dict[int, VigtError] = {
         int(p): DegenerateGeometryError(
@@ -676,7 +677,7 @@ def _triangulate(
     if ids:
         sizes = [len(detections[cp_id]) for cp_id in ids]
         views = ViewSet.build(observations, poses, rig, np.repeat(np.arange(len(ids)), sizes))
-        init, inliers, ransac_failed, _ = _lo_ransac(views, config)
+        init, inliers, ransac_failed = _lo_ransac(views, config)
         ok = np.ones(len(ids), dtype=bool)
         ok[list(ransac_failed)] = False
         solved, renumber = np.flatnonzero(ok), np.cumsum(ok) - 1
@@ -722,7 +723,7 @@ def triangulate_ransac(
     """
     if len(observations) < 2:
         raise _too_few(len(observations))
-    points, inliers, failures, _ = _lo_ransac(ViewSet.build(observations, poses, rig), config)
+    points, inliers, failures = _lo_ransac(ViewSet.build(observations, poses, rig), config)
     if failures:
         raise failures[0]
     return points[0], tuple(int(k) for k in np.flatnonzero(inliers))

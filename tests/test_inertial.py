@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vigt import inertial
 from vigt.errors import ImuDataError
@@ -13,7 +14,6 @@ from vigt.geometry import (
     RigidPose,
     Rotation,
     skew,
-    so3_exp_matrix,
     so3_right_jacobian,
 )
 from vigt.inertial import (
@@ -62,6 +62,12 @@ def sampled_stream(rate_hz, duration_s, signals):
     return ImuStream((t * 1e9).astype(np.int64), gyro, accel)
 
 
+def exp_matrix(rotvec):
+    """Exp of a rotation vector by the general matrix exponential, apart
+    from geometry's quaternion exponential."""
+    return scipy.linalg.expm(skew(rotvec))
+
+
 def integrate_states(stream, r0, v0, p0, gravity):
     """Mirror of the midpoint discretization, run in the world frame."""
     ts = (stream.timestamps - stream.timestamps[0]) * 1e-9
@@ -70,11 +76,11 @@ def integrate_states(stream, r0, v0, p0, gravity):
         dt = float(ts[k + 1] - ts[k])
         w = 0.5 * (stream.gyro[k] + stream.gyro[k + 1])
         a = 0.5 * (stream.accel[k] + stream.accel[k + 1])
-        r_half = r @ so3_exp_matrix(0.5 * w * dt)
+        r_half = r @ exp_matrix(0.5 * w * dt)
         a_w = r_half @ a + gravity
         p = p + v * dt + 0.5 * a_w * dt**2
         v = v + a_w * dt
-        r = r @ so3_exp_matrix(w * dt)
+        r = r @ exp_matrix(w * dt)
     return Rotation.from_matrix(r), v, p
 
 
@@ -95,9 +101,9 @@ def reference_preintegrate(stream, bias, noise):
     for k in range(len(dts)):
         dt = float(dts[k])
         w, a = w_mid[k], a_mid[k]
-        step = so3_exp_matrix(w * dt)
+        step = exp_matrix(w * dt)
         jr = so3_right_jacobian(w * dt)
-        r_half = d_rot @ so3_exp_matrix(0.5 * w * dt)
+        r_half = d_rot @ exp_matrix(0.5 * w * dt)
         a_skew = skew(a)
         f = np.eye(9)
         f[0:3, 0:3] = step.T
@@ -226,6 +232,22 @@ class TestLockstep:
             alone = preintegrate(stream, Bias.from_vector(biases[s]), NOISE)
             assert_segments_close(take(stack, s), alone, 1e-12)
 
+    def test_rotation_deltas_normalize_as_rotation_does(self, monkeypatch):
+        # the stack is normalized at once; each row equals the Rotation of
+        # its unnormalized quaternion bit for bit
+        unnormalized = []
+        from_matrix = inertial.quat_from_matrix
+
+        def recorded(m):
+            unnormalized.append(from_matrix(m))
+            return unnormalized[-1]
+
+        monkeypatch.setattr(inertial, "quat_from_matrix", recorded)
+        streams = unequal_streams()
+        stack = preintegrate_stack(streams, segment_biases(np.random.default_rng(20), 3), NOISE)
+        (raw,) = unnormalized
+        for q, q_raw in zip(stack.delta_rot, raw, strict=True):
+            np.testing.assert_array_equal(q, Rotation(q_raw).quat)
 
     def test_chunks_match_one_unchunked_call(self, monkeypatch):
         rng = np.random.default_rng(19)
@@ -287,7 +309,7 @@ class TestPreintegrate:
         r = np.eye(3)
         dt = 1e-4
         for _ in range(10_000):
-            r = r @ so3_exp_matrix(gyro * dt)
+            r = r @ exp_matrix(gyro * dt)
         assert rot(seg).angle_to(Rotation.from_matrix(r)) < 1e-5
 
     def test_wiggly_motion_matches_fine_step_oracle(self):

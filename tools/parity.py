@@ -13,9 +13,10 @@ and cost history of every Levenberg-Marquardt solve, and the skipped CPs
 and tracks. From the eval stage's `triangulation.triangulate_all` it
 records every CP's position, covariance, mean reprojection error and
 inlier (image, camera) ids, and the failures; from fusion, the landmark
-ids and positions. `--src` names the `src/` directory of the `vigt` to
-run (default: this checkout's); the benchmark code is always this
-checkout's, read-only.
+ids and their solved positions (the problem's `lm:<id>` blocks). `--src`
+names the `src/` directory of the `vigt` to run (default: this
+checkout's); the benchmark code and this tool are always this
+checkout's, read-only, so dump both sides of a comparison with it.
 
 `compare` prints the largest deviation of each quantity over all runs:
 absolute for positions, rotations, velocities, biases, CP errors, CP and
@@ -153,11 +154,12 @@ def _run(workload: str, seed: int, realization: int) -> dict[str, np.ndarray]:
         triangulation.triangulate_all = triangulate_all
     keyframes = out.pgt.keyframes
     (tris, failures), = evaluated
-    landmarks = {t.track_id: t.landmark for t in inputs.detections.tracks}
     return {
         **_triangulations(tris, failures),
         "landmark_ids": np.array(out.fp.landmark_ids, dtype=str),
-        "landmarks": np.array([landmarks[t] for t in out.fp.landmark_ids]).reshape(-1, 3),
+        "landmarks": np.array(
+            [out.fp.problem.value(f"lm:{t}") for t in out.fp.landmark_ids]
+        ).reshape(-1, 3),
         "positions": np.stack([k.pose.translation for k in keyframes]),
         "rotations": np.stack([k.pose.rotation.canonical_quat() for k in keyframes]),
         "velocities": np.stack([k.velocity for k in keyframes]),
