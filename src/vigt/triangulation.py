@@ -509,8 +509,9 @@ def _score_pairs(
 
 def _lo_ransac(views: ViewSet, config: TriangulationConfig):
     """LO-RANSAC of every point of `views`, as `triangulate_ransac` of each
-    alone: the (n_points, 3) points, the (N,) inlier mask of their views
-    and the error of each point that fails, keyed by point.
+    alone: the (n_points, 3) points, the (N,) inlier mask of their views,
+    the error of each point that fails, keyed by point, and the (n_points,)
+    number of hypotheses each point drew.
 
     A point draws its pairs in the order `_sample_pairs` gives and stops
     after the first k of them for which k >= log(eta) / log(1 - eps_k^2),
@@ -605,7 +606,7 @@ def _lo_ransac(views: ViewSet, config: TriangulationConfig):
 
     for p in np.flatnonzero((best_count < 0) & ~failed):
         failures[int(p)] = NoConsensusError("no triangulation hypothesis had 2 or more inliers")
-    return best_point, best_inliers, failures
+    return best_point, best_inliers, failures, drawn
 
 
 def _refine_points(views: ViewSet, init: np.ndarray):
@@ -677,7 +678,7 @@ def _triangulate(
     if ids:
         sizes = [len(detections[cp_id]) for cp_id in ids]
         views = ViewSet.build(observations, poses, rig, np.repeat(np.arange(len(ids)), sizes))
-        init, inliers, ransac_failed = _lo_ransac(views, config)
+        init, inliers, ransac_failed, _ = _lo_ransac(views, config)
         ok = np.ones(len(ids), dtype=bool)
         ok[list(ransac_failed)] = False
         solved, renumber = np.flatnonzero(ok), np.cumsum(ok) - 1
@@ -723,7 +724,7 @@ def triangulate_ransac(
     """
     if len(observations) < 2:
         raise _too_few(len(observations))
-    points, inliers, failures = _lo_ransac(ViewSet.build(observations, poses, rig), config)
+    points, inliers, failures, _ = _lo_ransac(ViewSet.build(observations, poses, rig), config)
     if failures:
         raise failures[0]
     return points[0], tuple(int(k) for k in np.flatnonzero(inliers))

@@ -625,40 +625,6 @@ def oracle_stop(raw_counts, n):
     return len(raw_counts)
 
 
-def scored_through(k, n_pairs):
-    """Hypotheses a point scores in its passes up to the one that holds
-    its k-th: _FIRST_PASS, then twice as many per pass, at most n_pairs."""
-    total, width = 0, _FIRST_PASS
-    while total < k:
-        total, width = total + width, 2 * width
-    return min(total, n_pairs)
-
-
-def ransac_with_stops(views, config):
-    """`_lo_ransac` of the views, and the hypotheses each point drew: the
-    stop `oracle_stop` finds in the raw inlier counts the batch scored for
-    the point, in its order. Checks that the batch scored each point up to
-    the pass of that stop and no further."""
-    scored = [[] for _ in range(views.n_points)]
-    score_pairs = triangulation._score_pairs
-
-    def recorded(views, centers, rays, pairs, owner):
-        usable, counts, means, candidate = score_pairs(views, centers, rays, pairs, owner)
-        for p, raw in zip(owner, np.where(candidate, counts, 0)):
-            scored[p].append(raw)
-        return usable, counts, means, candidate
-
-    triangulation._score_pairs = recorded
-    try:
-        result = _lo_ransac(views, config)
-    finally:
-        triangulation._score_pairs = score_pairs
-    drawn = np.array([oracle_stop(raw, n) for raw, n in zip(scored, views.sizes)], dtype=int)
-    for raw, k, n in zip(scored, drawn, views.sizes):
-        assert len(raw) == scored_through(k, len(_sample_pairs(n, config.max_iters, _SEED)))
-    return result, drawn
-
-
 def oracle_ransac(observations, poses, rig, config, stopping=True):
     if len(observations) < 2:
         raise InsufficientObservationsError(
@@ -819,7 +785,7 @@ class TestLockstep:
             return
         numbers = np.repeat(np.arange(len(batch)), [len(obs) for obs in batch.values()])
         views = ViewSet.build(sum(batch.values(), []), poses, MIXED_RIG, numbers)
-        _, drawn = ransac_with_stops(views, config)
+        *_, drawn = _lo_ransac(views, config)
         for k, obs in enumerate(batch.values()):
             try:
                 _, _, expected = oracle_ransac(obs, poses, MIXED_RIG, config)
@@ -999,7 +965,7 @@ class TestStopping:
             return score_pairs(views, centers, rays, pairs, owner)
 
         monkeypatch.setattr(triangulation, "_score_pairs", recorded)
-        (_, inliers, failures), drawn = ransac_with_stops(views, TriangulationConfig())
+        _, inliers, failures, drawn = _lo_ransac(views, TriangulationConfig())
         assert not failures and inliers.all()
         assert drawn[0] <= max(first, rule_k(0.9))
         # one pass of _FIRST_PASS hypotheses, where all 500 were scored before
@@ -1017,8 +983,8 @@ class TestStopping:
         batch = ViewSet.build(
             many + point + heavy, poses, PINHOLE_RIG, np.repeat(np.arange(3), [90, 20, 40])
         )
-        (points, inliers, failures), drawn = ransac_with_stops(batch, config)
-        (alone, alone_inliers, alone_failures), alone_drawn = ransac_with_stops(
+        points, inliers, failures, drawn = _lo_ransac(batch, config)
+        alone, alone_inliers, alone_failures, alone_drawn = _lo_ransac(
             ViewSet.build(point, poses, PINHOLE_RIG), config
         )
         assert not failures and not alone_failures
