@@ -136,27 +136,28 @@ def initialize_alignment(
 
 
 def _world_factor(targets: np.ndarray, dim: int):
-    """Callbacks of stacked survey rows target - T(proxy)[:dim] over the
+    """The callback of stacked survey rows target - T(proxy)[:dim] over the
     (transform, proxy) slots; every row names the one transform block, read
     as its similarity row [q | t | s]."""
 
     def fn(ts, proxies):
         t = ts[0]
-        mapped = t[7] * (proxies @ quat_to_matrix(t[:4]).T) + t[4:7]
-        return targets - mapped[:, :dim]
+        rot = quat_to_matrix(t[:4])
+        mapped = t[7] * (proxies @ rot.T) + t[4:7]
 
-    def jac(ts, p):
-        t = ts[0]
-        sr = t[7] * quat_to_matrix(t[:4])
-        j_t = np.zeros((len(p), 3, 7))
-        # row i of sR @ skew(p) is the cross product of row i of sR with p
-        j_t[:, :, 0:3] = np.cross(sr[None], p[:, None, :])
-        j_t[:, :, 3:6] = -np.eye(3)
-        j_t[:, :, 6] = -p @ sr.T
-        j_p = np.broadcast_to(-sr, (len(p), 3, 3))
-        return [j_t[:, :dim], j_p[:, :dim]]
+        def jacobians():
+            sr = t[7] * rot
+            j_t = np.zeros((len(proxies), 3, 7))
+            # row i of sR @ skew(p) is the cross product of row i of sR with p
+            j_t[:, :, 0:3] = np.cross(sr[None], proxies[:, None, :])
+            j_t[:, :, 3:6] = -np.eye(3)
+            j_t[:, :, 6] = -proxies @ sr.T
+            j_p = np.broadcast_to(-sr, (len(proxies), 3, 3))
+            return [j_t[:, :dim], j_p[:, :dim]]
 
-    return fn, jac
+        return targets - mapped[:, :dim], jacobians
+
+    return fn
 
 
 def joint_sparse_align(
@@ -198,24 +199,21 @@ def joint_sparse_align(
         rows += [(o, pid) for o in tri.inliers]
     views = ViewSet.build([o for o, _ in rows], poses, rig)
     problem.add_stacked_block(
-        views.residuals,
+        views.evaluate,
         [[pid for _, pid in rows]],
         np.stack([o.pixel_cov for o in views.observations]),
         group="marker-reprojection",
-        jac=lambda proxies: [views.jacobians(proxies)],
         loss=HuberLoss(),
         rid="marker-reprojection",
     )
 
     for dim in dict.fromkeys(by_id[cid].dim for cid in usable):
         same = [cid for cid in usable if by_id[cid].dim == dim]
-        fn, jac = _world_factor(np.stack([by_id[cid].position for cid in same]), dim)
         problem.add_stacked_block(
-            fn,
+            _world_factor(np.stack([by_id[cid].position for cid in same]), dim),
             [["T"] * len(same), [f"proxy:{cid}" for cid in same]],
             np.stack([by_id[cid].covariance for cid in same]),
             group="cp-world",
-            jac=jac,
             rid=f"world:{dim}d",
         )
 

@@ -20,14 +20,14 @@ frame (see the alignment module); the world frame is gravity-aligned.
 Internally all states live in the IMU frame; device poses are converted
 at the boundaries.
 
-Each factor family is one stacked residual block, and its callbacks read
-the solver's value rows: keyframe poses as (N, 7) rows [qw qx qy qz | t]
-(world-from-IMU), velocities (N, 3), biases (N, 6) as (gyro, accel) and
-points (N, 3). The IMU family is one `inertial.SegmentStack` of the S
+Each factor family is one stacked residual block, and its one callback
+reads the solver's value rows: keyframe poses as (N, 7) rows
+[qw qx qy qz | t] (world-from-IMU), velocities (N, 3), biases (N, 6) as
+(gyro, accel) and points (N, 3). The IMU family is one `inertial.SegmentStack` of the S
 keyframe intervals, segment s between keyframes s and s + 1,
-preintegrated in lockstep at zero bias; its residuals (S, 9) and
-Jacobians (S, 9, k) come from one call each, and the bias random walk
-ties the same S pairs of bias states.
+preintegrated in lockstep at zero bias; its residuals (S, 9) come from
+one call with the builder of their Jacobians (S, 9, k), and the bias
+random walk ties the same S pairs of bias states.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .inertial import (
     bias_correct_stack,
     bias_walk_covariance,
     preintegrate_stack,
-    preintegration_residual_jacobians_stack,
     preintegration_residual_stack,
 )
 from .solver import (
@@ -154,26 +153,25 @@ class PseudoGT:
 
 
 def _reprojection_factor(views: ViewSet):
-    """Callbacks of stacked reprojection rows over (body pose, world
+    """The callback of stacked reprojection rows over (body pose, world
     point) slots; `views` maps body-frame points into each row's camera."""
 
-    def body_points(poses, points):
-        r_wb = quat_to_matrix(poses[:, :4])
-        return r_wb, np.einsum("nji,nj->ni", r_wb, points - poses[:, 4:])
-
     def fn(poses, points):
-        return views.residuals(body_points(poses, points)[1])
+        r_wb = quat_to_matrix(poses[:, :4])
+        p_body = np.einsum("nji,nj->ni", r_wb, points - poses[:, 4:])
+        residuals, body_jacobians = views.evaluate(p_body)
 
-    def jac(poses, points):
-        r_wb, p_body = body_points(poses, points)
-        j_body = views.jacobians(p_body)
-        j_point = j_body @ np.swapaxes(r_wb, 1, 2)
-        # a right rotation perturbation moves p_body by skew(p_body) dphi,
-        # and a row vector times skew(p) is its cross product with p
-        j_rot = np.cross(j_body, p_body[:, None, :])
-        return [np.concatenate([j_rot, -j_point], axis=2), j_point]
+        def jacobians():
+            (j_body,) = body_jacobians()
+            j_point = j_body @ np.swapaxes(r_wb, 1, 2)
+            # a right rotation perturbation moves p_body by skew(p_body) dphi,
+            # and a row vector times skew(p) is its cross product with p
+            j_rot = np.cross(j_body, p_body[:, None, :])
+            return [np.concatenate([j_rot, -j_point], axis=2), j_point]
 
-    return fn, jac
+        return residuals, jacobians
+
+    return fn
 
 
 def _add_reprojections(
@@ -189,13 +187,11 @@ def _add_reprojections(
     observations = [o for o, _ in rows]
     # identity device poses in the body rig: the views map body-frame points
     identity = {o.image_id: RigidPose.identity() for o in observations}
-    fn, jac = _reprojection_factor(ViewSet.build(observations, identity, body_rig))
     problem.add_stacked_block(
-        fn,
+        _reprojection_factor(ViewSet.build(observations, identity, body_rig)),
         [[f"kf:{o.image_id}:pose" for o in observations], [pid for _, pid in rows]],
         np.stack([o.pixel_cov for o in observations]),
         group=group,
-        jac=jac,
         loss=loss,
         rid=group,
     )
@@ -207,14 +203,13 @@ def _add_cp_world(problem: Problem, cps: list[ControlPoint]) -> None:
     for dim in dict.fromkeys(cp.dim for cp in cps):
         same = [cp for cp in cps if cp.dim == dim]
         targets = np.stack([cp.position for cp in same])
-        j_proxy = -np.eye(3)[:dim]
+        jacs = [np.broadcast_to(-np.eye(3)[:dim], (len(same), dim, 3))]
 
         problem.add_stacked_block(
-            lambda proxies, targets=targets, dim=dim: targets - proxies[:, :dim],
+            lambda proxies, t=targets, dim=dim, j=jacs: (t - proxies[:, :dim], lambda: j),
             [[f"cp:{cp.cp_id}" for cp in same]],
             np.stack([cp.covariance for cp in same]) * _CP_DEFLATION,
             group="cp-world",
-            jac=lambda proxies, j=j_proxy: [np.broadcast_to(j, (len(proxies),) + j.shape)],
             rid=f"world:{dim}d",
         )
 
@@ -240,17 +235,16 @@ def _add_inertial(
         ],
         segs.covariance,
         group="imu-preintegration",
-        jac=partial(preintegration_residual_jacobians_stack, segs),
         rid="imu",
     )
 
     eye = np.broadcast_to(np.eye(6), (len(pairs), 6, 6))
+    jacs = [-eye, eye]
     problem.add_stacked_block(
-        lambda biases_i, biases_j: biases_j - biases_i,
+        lambda biases_i, biases_j: (biases_j - biases_i, lambda: jacs),
         [[f"kf:{a}:bias" for a, _ in pairs], [f"kf:{b}:bias" for _, b in pairs]],
         bias_walk_covariance(noise, segs.dt),
         group="bias-walk",
-        jac=lambda biases_i, biases_j: [-eye, eye],
         rid="walk",
     )
     return segs
@@ -262,20 +256,19 @@ def _add_gauge_prior(problem: Problem, pid: str, prior: RigidPose, sigma: float)
     standard deviation `sigma`."""
     q_prior_inv = prior.rotation.inverse().quat
 
-    def rot_err(poses):
-        return quat_log(quat_multiply(q_prior_inv, poses[:, :4]))
-
     def fn(poses):
-        return np.concatenate([rot_err(poses), poses[:, 4:] - prior.translation], axis=1)
+        rot_err = quat_log(quat_multiply(q_prior_inv, poses[:, :4]))
 
-    def jac(poses):
-        j = np.zeros((len(poses), 6, 6))
-        j[:, 0:3, 0:3] = so3_right_jacobian_inverse(rot_err(poses))
-        j[:, 3:6, 3:6] = np.eye(3)
-        return [j]
+        def jacobians():
+            j = np.zeros((len(poses), 6, 6))
+            j[:, 0:3, 0:3] = so3_right_jacobian_inverse(rot_err)
+            j[:, 3:6, 3:6] = np.eye(3)
+            return [j]
+
+        return np.concatenate([rot_err, poses[:, 4:] - prior.translation], axis=1), jacobians
 
     problem.add_stacked_block(
-        fn, [[pid]], np.eye(6) * sigma**2, group="generic", jac=jac, rid="gauge-prior"
+        fn, [[pid]], np.eye(6) * sigma**2, group="generic", rid="gauge-prior"
     )
 
 

@@ -20,9 +20,9 @@ intervals without samples (`ImuDataError`).
 `preintegrate_stack` integrates all segments in lockstep, one sample index
 at a time over (S, L, ...) arrays, shorter streams padded with zero-length
 steps; the per-sample rotation maps are computed for all samples before
-the recurrence. The residual and its Jacobians are evaluated for all
-segments in one call each, (S, 9) and (S, 9, k), from keyframe poses
-given as (S, 7) rows [qw qx qy qz | t], the solver's pose rows.
+the recurrence. The residual is evaluated for all segments in one call,
+(S, 9), from keyframe poses given as (S, 7) rows [qw qx qy qz | t], the
+solver's pose rows, and returns the builder of its (S, 9, k) Jacobians.
 
 The kernels follow Forster et al., "On-Manifold Preintegration", T-RO
 2017, on geometry's rotation maps: a step is `quat_to_matrix(quat_exp(v))`,
@@ -33,7 +33,7 @@ quaternion, and the deltas are normalized by geometry's `_unit`.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -378,64 +378,60 @@ def _residual_terms(stack: SegmentStack, poses_i, vels_i, poses_j, vels_j, biase
 
 def preintegration_residual_stack(
     stack: SegmentStack, poses_i, vels_i, poses_j, vels_j, biases_i
-) -> np.ndarray:
+) -> tuple[np.ndarray, Callable[[], list[np.ndarray]]]:
     """(S, 9) preintegration residuals (rotation, velocity, position), one
     row per segment: segment s ties keyframe states i and j, given as
     (S, 7) pose rows [qw qx qy qz | t] and (S, 3) velocities, at the (S, 6)
-    biases of keyframe i."""
-    _, _, _, rot_err, v_term, p_term, d_vel, d_pos, _ = _residual_terms(
-        stack, poses_i, vels_i, poses_j, vels_j, biases_i
-    )
-    return np.concatenate([rot_err, v_term - d_vel, p_term - d_pos], axis=1)
-
-
-def preintegration_residual_jacobians_stack(
-    stack: SegmentStack, poses_i, vels_i, poses_j, vels_j, biases_i
-) -> list[np.ndarray]:
-    """Tangent Jacobians (S, 9, k) of :func:`preintegration_residual_stack`
-    for (pose_i, vel_i, pose_j, vel_j, bias_i), poses given as (S, 7) rows.
+    biases of keyframe i. Returned with a function of no arguments that
+    builds, from the same terms, their tangent Jacobians (S, 9, k) for
+    (pose_i, vel_i, pose_j, vel_j, bias_i).
 
     Pose tangents are (rotation, translation); rotations perturb on the
     right, translations additively in the world frame.
     """
-    q_j, r_i_t, q_err, rot_err, v_term, p_term, _, _, d_bg = _residual_terms(
+    q_j, r_i_t, q_err, rot_err, v_term, p_term, d_vel, d_pos, d_bg = _residual_terms(
         stack, poses_i, vels_i, poses_j, vels_j, biases_i
     )
-    n_seg = len(stack)
-    jr_inv = so3_right_jacobian_inverse(rot_err)
-    r_j_t = _transpose(quat_to_matrix(q_j))
-    dt = stack.dt[:, None, None]
+    residuals = np.concatenate([rot_err, v_term - d_vel, p_term - d_pos], axis=1)
 
-    j_pose_i = np.zeros((n_seg, 9, 6))
-    j_pose_i[:, 0:3, 0:3] = -jr_inv @ r_j_t @ _transpose(r_i_t)
-    j_pose_i[:, 3:6, 0:3] = skew(v_term)
-    j_pose_i[:, 6:9, 0:3] = skew(p_term)
-    j_pose_i[:, 6:9, 3:6] = -r_i_t
+    def jacobians() -> list[np.ndarray]:
+        n_seg = len(stack)
+        jr_inv = so3_right_jacobian_inverse(rot_err)
+        r_j_t = _transpose(quat_to_matrix(q_j))
+        dt = stack.dt[:, None, None]
 
-    j_vel_i = np.zeros((n_seg, 9, 3))
-    j_vel_i[:, 3:6] = -r_i_t
-    j_vel_i[:, 6:9] = -r_i_t * dt
+        j_pose_i = np.zeros((n_seg, 9, 6))
+        j_pose_i[:, 0:3, 0:3] = -jr_inv @ r_j_t @ _transpose(r_i_t)
+        j_pose_i[:, 3:6, 0:3] = skew(v_term)
+        j_pose_i[:, 6:9, 0:3] = skew(p_term)
+        j_pose_i[:, 6:9, 3:6] = -r_i_t
 
-    j_pose_j = np.zeros((n_seg, 9, 6))
-    j_pose_j[:, 0:3, 0:3] = jr_inv
-    j_pose_j[:, 6:9, 3:6] = r_i_t
+        j_vel_i = np.zeros((n_seg, 9, 3))
+        j_vel_i[:, 3:6] = -r_i_t
+        j_vel_i[:, 6:9] = -r_i_t * dt
 
-    j_vel_j = np.zeros((n_seg, 9, 3))
-    j_vel_j[:, 3:6] = r_i_t
+        j_pose_j = np.zeros((n_seg, 9, 6))
+        j_pose_j[:, 0:3, 0:3] = jr_inv
+        j_pose_j[:, 6:9, 3:6] = r_i_t
 
-    j_bias = np.zeros((n_seg, 9, 6))
-    j_bias[:, 0:3, 0:3] = (
-        -jr_inv
-        @ _transpose(quat_to_matrix(q_err))  # Exp(rot_err)
-        @ so3_right_jacobian(_apply(stack.d_rot_d_bg, d_bg))
-        @ stack.d_rot_d_bg
-    )
-    j_bias[:, 3:6, 0:3] = -stack.d_vel_d_bg
-    j_bias[:, 3:6, 3:6] = -stack.d_vel_d_ba
-    j_bias[:, 6:9, 0:3] = -stack.d_pos_d_bg
-    j_bias[:, 6:9, 3:6] = -stack.d_pos_d_ba
+        j_vel_j = np.zeros((n_seg, 9, 3))
+        j_vel_j[:, 3:6] = r_i_t
 
-    return [j_pose_i, j_vel_i, j_pose_j, j_vel_j, j_bias]
+        j_bias = np.zeros((n_seg, 9, 6))
+        j_bias[:, 0:3, 0:3] = (
+            -jr_inv
+            @ _transpose(quat_to_matrix(q_err))  # Exp(rot_err)
+            @ so3_right_jacobian(_apply(stack.d_rot_d_bg, d_bg))
+            @ stack.d_rot_d_bg
+        )
+        j_bias[:, 3:6, 0:3] = -stack.d_vel_d_bg
+        j_bias[:, 3:6, 3:6] = -stack.d_vel_d_ba
+        j_bias[:, 6:9, 0:3] = -stack.d_pos_d_bg
+        j_bias[:, 6:9, 3:6] = -stack.d_pos_d_ba
+
+        return [j_pose_i, j_vel_i, j_pose_j, j_vel_j, j_bias]
+
+    return residuals, jacobians
 
 
 def bias_walk_covariance(noise: ImuNoise, dt) -> np.ndarray:

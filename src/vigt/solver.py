@@ -68,14 +68,22 @@ coordinate. During a solve all rows live in one flat value vector, and a
 factor reads each slot as one (N, size) array of rows. Every block is
 free; a factor that needs a fixed value closes over it.
 
-A Problem is exclusively owned while :func:`solve` runs; residual and
-Jacobian callbacks must be pure functions of the parameter values.
+A Problem is exclusively owned while :func:`solve` runs. Each block has
+one callback, which must be a pure function of the parameter values. It
+returns the block's residuals together with a function of no arguments
+that builds their Jacobians from the terms the residuals were computed
+from. Ceres' `CostFunction::Evaluate` returns a residual with its
+optional Jacobians the same way, as does a factor in Dellaert & Kaess,
+"Factor Graphs for Robot Perception", Foundations and Trends in Robotics,
+2017. `solve` builds the Jacobians only at the states it linearizes at;
+a rejected trial drops its builder unused.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -171,12 +179,14 @@ class ResidualBlock:
 
     `params` holds one slot per factor argument, each naming the N
     parameter blocks its rows read; the blocks of one slot share their
-    kind and row size. `fn` takes one (N, size) array of value rows per
-    slot (see the module docstring for the row layouts) and returns (N, d)
-    residuals; `jac`, if given, returns one (N, d, k) tangent Jacobian per
-    slot. Row n may depend only on row n of each slot (a slot whose rows
-    all name one block may be read from any row). The covariance is
-    (d, d), shared by all rows, or (N, d, d).
+    kind and row size. `fn`, the block's one callback, takes one (N, size)
+    array of value rows per slot and returns the (N, d) residuals and a
+    function of no arguments that returns one (N, d, k) tangent Jacobian
+    per slot at the same values, as Ceres' `CostFunction::Evaluate` and the
+    factors of Dellaert & Kaess (2017) do (see the module docstring). Row n
+    may depend only on row n of each slot (a slot whose rows all name one
+    block may be read from any row). The covariance is (d, d), shared by
+    all rows, or (N, d, d).
     """
 
     id: str
@@ -184,7 +194,6 @@ class ResidualBlock:
     params: tuple[tuple[str, ...], ...]
     fn: Callable
     covariance: np.ndarray
-    jac: Callable | None = None
     loss: HuberLoss | None = None
     whitener: np.ndarray = field(init=False)
 
@@ -250,7 +259,6 @@ class Problem:
         covariance,
         *,
         group: str = "generic",
-        jac: Callable | None = None,
         loss: HuberLoss | None = None,
         rid: str | None = None,
     ) -> ResidualBlock:
@@ -268,7 +276,7 @@ class Problem:
                     raise ValueError(f"residual '{rid}' references unknown block '{pid}'")
             if len({(self.params[p].manifold, self.params[p].value.size) for p in slot}) != 1:
                 raise ValueError(f"residual '{rid}': blocks of one slot differ in kind or size")
-        block = ResidualBlock(rid, group, slots, fn, covariance, jac, loss)
+        block = ResidualBlock(rid, group, slots, fn, covariance, loss)
         self.residuals[rid] = block
         self._workspace = None
         return block
@@ -278,26 +286,25 @@ class Problem:
     ) -> ResidualBlock:
         """Add one residual row: `fn` takes one parameter value (as
         :meth:`value` returns it) per block and returns a d-vector, `jac`
-        one (d, k) Jacobian per block. The keyword options are those of
+        one (d, k) Jacobian per block; without `jac` the Jacobians are
+        forward differences. The keyword options are those of
         :meth:`add_stacked_block`. `perfbench` builds the chain problem of
         its marginal-covariance microbenchmark with it."""
 
         def values(slots):
             return [_unpack(self.params[p].manifold, s[0]) for p, s in zip(params, slots)]
 
-        def stacked_fn(*slots):
+        def residuals(*slots):
             return np.asarray(fn(*values(slots)), dtype=float).reshape(1, -1)
 
-        def stacked_jac(*slots):
-            return [np.asarray(j, dtype=float)[None] for j in jac(*values(slots))]
+        def evaluate(*slots):
+            res = residuals(*slots)
+            if jac is None:
+                kinds = [self.params[p].manifold for p in params]
+                return res, partial(_forward_difference_jacobians, residuals, slots, kinds, res)
+            return res, lambda: [np.asarray(j, dtype=float)[None] for j in jac(*values(slots))]
 
-        return self.add_stacked_block(
-            stacked_fn,
-            [[pid] for pid in params],
-            covariance,
-            jac=None if jac is None else stacked_jac,
-            **options,
-        )
+        return self.add_stacked_block(evaluate, [[pid] for pid in params], covariance, **options)
 
     def value(self, pid: str):
         """The block's value as a RigidPose, Similarity or vector."""
@@ -327,7 +334,7 @@ LAMBDA_MIN = 1e-15
 LAMBDA_MAX = 1e10
 DIAGONAL_FLOOR = 1e-12
 _COST_TOL_REL = 1e-16  # declare victory below this fraction of initial cost
-_FD_STEP = 1e-7  # forward-difference step for blocks without a Jacobian
+_FD_STEP = 1e-7  # forward-difference step of rows added without a Jacobian
 
 
 @dataclass
@@ -339,10 +346,6 @@ class SolveReport:
     group_residuals: dict[str, np.ndarray]
     group_redundancy: dict[str, int]
     cost_history: list[float]
-
-    @property
-    def success(self) -> bool:
-        return self.termination == "converged"
 
 
 @dataclass(frozen=True)
@@ -523,12 +526,15 @@ class _Workspace:
         """One (N, size) array of value rows per slot of a block."""
         return [x[idx] for idx in self.slot_indices[r.id]]
 
-    def evaluate(self, x: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-        """Robust cost and whitened (N, d) residuals per block."""
+    def evaluate(self, x: np.ndarray) -> tuple[float, dict, dict]:
+        """Robust cost, and per block the whitened (N, d) residuals and the
+        function that builds their Jacobians."""
         cost = 0.0
         whitened: dict[str, np.ndarray] = {}
+        builders: dict[str, Callable] = {}
         for r in self.residuals.values():
-            raw = np.asarray(r.fn(*self.slots(r, x)), dtype=float)
+            raw, builders[r.id] = r.fn(*self.slots(r, x))
+            raw = np.asarray(raw, dtype=float)
             if raw.shape != (r.rows, r.dim):
                 raise SolverError(
                     f"residual '{r.id}' returned shape {raw.shape},"
@@ -543,30 +549,26 @@ class _Workspace:
             whitened[r.id] = w
             sq = np.einsum("ni,ni->n", w, w)
             cost += 0.5 * float((r.loss.cost(sq) if r.loss else sq).sum())
-        return cost, whitened
+        return cost, whitened, builders
 
     def try_evaluate(self, x: np.ndarray):
         """Like evaluate, but a failing trial state just reports inf cost."""
         try:
             return self.evaluate(x)
         except VigtError:
-            return np.inf, {}
+            return np.inf, {}, {}
 
     def linearize(
-        self, x: np.ndarray, whitened: dict[str, np.ndarray]
+        self, whitened: dict[str, np.ndarray], builders: dict[str, Callable]
     ) -> tuple[list[np.ndarray], np.ndarray]:
         """Whitened, robust-scaled (N, d, k) Jacobian of each of
-        `slot_rows`, and the residual vector."""
+        `slot_rows`, and the residual vector, at the state of one
+        :meth:`evaluate`."""
         jacs = []
         rhs = np.zeros(self.n_rows)
         for r in self.residuals.values():
             row0 = self.rows[r.id]
-            slots = self.slots(r, x)
-            if r.jac is None:
-                kinds = [self.params[slot[0]].manifold for slot in r.params]
-                raw = _forward_difference_jacobians(r, slots, kinds)
-            else:
-                raw = r.jac(*slots)
+            raw = builders[r.id]()
             w = whitened[r.id]
             scale = (
                 np.sqrt(r.loss.weight(np.einsum("ni,ni->n", w, w)))[:, None]
@@ -658,12 +660,12 @@ def _workspace(problem: Problem) -> _Workspace:
 
 
 def _forward_difference_jacobians(
-    block: ResidualBlock, slots: list[np.ndarray], kinds: Sequence[Manifold]
-):
-    """(N, d, k) Jacobians per slot of (N, size) value rows of the given
-    kinds: each tangent direction perturbs the slot in every row at once,
-    as row n reads only row n."""
-    base = np.asarray(block.fn(*slots), dtype=float)
+    residuals: Callable, slots: list[np.ndarray], kinds: Sequence[Manifold], base: np.ndarray
+) -> list[np.ndarray]:
+    """(N, d, k) Jacobians per slot, by forward differences, of a function
+    of (N, size) value rows of the given kinds that returns the (N, d)
+    residuals `base` at `slots`: each tangent direction perturbs the slot
+    in every row at once, as row n reads only row n."""
     jacs = []
     for i, (rows, manifold) in enumerate(zip(slots, kinds)):
         dim = _TANGENT_DIM.get(manifold, rows.shape[1])
@@ -673,7 +675,7 @@ def _forward_difference_jacobians(
             delta[:, d] = _FD_STEP
             perturbed = list(slots)
             perturbed[i] = _retract(manifold, rows, delta)
-            jac[..., d] = (np.asarray(block.fn(*perturbed), dtype=float) - base) / _FD_STEP
+            jac[..., d] = (residuals(*perturbed) - base) / _FD_STEP
         jacs.append(jac)
     return jacs
 
@@ -1074,7 +1076,7 @@ def solve(problem: Problem, max_iters: int = 100, step: float = NEGLIGIBLE_STEP)
     x = ws.values()
     redundancy = ws.n_rows - ws.n_tangent
 
-    cost, whitened = ws.evaluate(x)
+    cost, whitened, builders = ws.evaluate(x)
     initial_cost = cost
     cost_history = [cost]
 
@@ -1083,7 +1085,7 @@ def solve(problem: Problem, max_iters: int = 100, step: float = NEGLIGIBLE_STEP)
     termination = "max_iterations"
 
     for iterations in range(1, max_iters + 1):
-        jacs, rhs = ws.linearize(x, whitened)
+        jacs, rhs = ws.linearize(whitened, builders)
         grad = ws.gradient(jacs, rhs)
         system = ws.normal_equations(jacs)
 
@@ -1100,7 +1102,7 @@ def solve(problem: Problem, max_iters: int = 100, step: float = NEGLIGIBLE_STEP)
             if promised == np.inf:
                 promised = model_decrease(float(grad @ delta), ws.curvature(jacs, delta))
             trial = ws.apply_step(x, delta)
-            trial_cost, trial_whitened = ws.try_evaluate(trial)
+            trial_cost, trial_whitened, trial_builders = ws.try_evaluate(trial)
             accept, lam, stop = lm_update(cost, trial_cost, promised, lam, redundancy, step)
             if accept or stop:
                 break
@@ -1109,7 +1111,7 @@ def solve(problem: Problem, max_iters: int = 100, step: float = NEGLIGIBLE_STEP)
             termination = "converged" if floor else "no_progress"
             break
 
-        x, cost, whitened = trial, trial_cost, trial_whitened
+        x, cost, whitened, builders = trial, trial_cost, trial_whitened, trial_builders
         cost_history.append(cost)
         if stop or cost <= _COST_TOL_REL * initial_cost:
             termination = "converged"
@@ -1163,9 +1165,8 @@ def marginal_covariances(
         if problem.params[pid].eliminate:
             raise ValueError(f"block '{pid}' is Schur-eliminated; covariance not computed")
     ws = _workspace(problem)
-    x = ws.values()
-    _, whitened = ws.evaluate(x)
-    jacs, _ = ws.linearize(x, whitened)
+    _, whitened, builders = ws.evaluate(ws.values())
+    jacs, _ = ws.linearize(whitened, builders)
     try:
         factor = ws.normal_equations(jacs).factor(0.0)
         pivots = factor.squared_pivots()

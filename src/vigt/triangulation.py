@@ -259,22 +259,30 @@ class ViewSet:
                 front[idx] = True
         return front
 
-    def _residuals(self, rows, p: np.ndarray) -> np.ndarray:
+    def _clamped(self, rows, p: np.ndarray):
+        """The selection of the rows (an index array, or None for all) and,
+        per camera model among them, (model, positions of its rows, their
+        camera-frame points at clamped depth)."""
         sel, groups = self._select(rows)
-        p_cam, pixels = self._in_camera(sel, p), self._rows(self.pixels, sel)
-        res = np.empty((len(p_cam), 2))
-        for cam, idx in groups:
-            uv, _ = try_project(cam, clamp_depth(cam, p_cam[idx]))
+        p_cam = self._in_camera(sel, p)
+        return sel, [(cam, idx, clamp_depth(cam, p_cam[idx])) for cam, idx in groups]
+
+    def _residuals(self, sel, clamped) -> np.ndarray:
+        """(n, 2) projections minus measurements of the rows of `_clamped`."""
+        pixels = self._rows(self.pixels, sel)
+        res = np.empty((len(pixels), 2))
+        for cam, idx, q in clamped:
+            uv, _ = try_project(cam, q)
             res[idx] = uv - pixels[idx]
         return res
 
-    def _jacobians(self, rows, p: np.ndarray) -> np.ndarray:
-        sel, groups = self._select(rows)
-        p_cam = self._in_camera(sel, p)
-        jac = np.empty((len(p_cam), 2, 3))
-        for cam, idx in groups:
-            jac[idx] = projection_jacobian_batch(cam, clamp_depth(cam, p_cam[idx]))
-        return jac @ self._rows(self.a, sel)
+    def _jacobians(self, sel, clamped) -> np.ndarray:
+        """(n, 2, 3) d(pixel)/d(p) of the rows of `_clamped`."""
+        a = self._rows(self.a, sel)
+        jac = np.empty((len(a), 2, 3))
+        for cam, idx, q in clamped:
+            jac[idx] = projection_jacobian_batch(cam, q)
+        return jac @ a
 
     def errors(self, p: np.ndarray) -> np.ndarray:
         """Pixel reprojection error of every view, inf where the point does
@@ -285,15 +293,14 @@ class ViewSet:
         flat = self._errors(np.tile(np.arange(n), len(pts)), np.repeat(pts, n, axis=0))
         return flat.reshape(p.shape[:-1] + (n,))
 
-    def residuals(self, p: np.ndarray) -> np.ndarray:
-        """(N, 2) projection at clamped depth minus measurement, for a (3,)
-        point or one (N, 3) point per view."""
-        return self._residuals(None, p)
-
-    def jacobians(self, p: np.ndarray) -> np.ndarray:
-        """(N, 2, 3) d(pixel)/d(p) of every view, at clamped depth, for a
-        (3,) point or one (N, 3) point per view."""
-        return self._jacobians(None, p)
+    def evaluate(self, p: np.ndarray):
+        """The block callback of the views over one point slot: the (N, 2)
+        projections at clamped depth minus the measurements, for a (3,)
+        point or one (N, 3) point per view, and a function of no arguments
+        that returns their (N, 2, 3) Jacobians d(pixel)/d(p), in a list of
+        one, from the same camera-frame points."""
+        sel, clamped = self._clamped(None, p)
+        return self._residuals(sel, clamped), lambda: [self._jacobians(sel, clamped)]
 
     def centers_and_rays(self) -> tuple[np.ndarray, np.ndarray, dict[int, UnprojectionError]]:
         """Camera centres and unit rays through the measured pixels, both
@@ -319,8 +326,8 @@ class ViewSet:
         """J' W of each of the rows (an index array, or None for all),
         (n, 3, 2), and each point's Gauss-Newton matrix J' W J summed over
         its rows, (n_points, 3, 3), at one (n, 3) point per row."""
-        sel = slice(None) if rows is None else rows
-        jac = self._jacobians(rows, p)
+        sel, clamped = self._clamped(rows, p)
+        jac = self._jacobians(sel, clamped)
         jt_w = np.einsum("nji,njk->nik", jac, self.weights[sel])
         # the terms of einsum("nij,njk->ik", jt_w, jac), in its order
         terms = np.swapaxes(jt_w, 1, 2)[:, :, :, None] * jac[:, :, None, :]
@@ -346,7 +353,7 @@ class ViewSet:
         """
         n_points, pt = self.n_points, self.point
         p = np.array(points, dtype=float).reshape(n_points, 3)
-        res = self._residuals(None, p[pt])
+        res = self._residuals(*self._clamped(None, p[pt]))
         cost = self._costs(None, res)
         lam = np.full(n_points, INITIAL_LAMBDA)
         redundancy = 2 * self.sizes - 3  # two rows per view, three unknowns
@@ -381,7 +388,7 @@ class ViewSet:
             trial = p.copy()
             trial[act] += step
             rows = np.flatnonzero(active[pt])
-            trial_res = self._residuals(rows, trial[pt[rows]])
+            trial_res = self._residuals(*self._clamped(rows, trial[pt[rows]]))
             trial_cost = self._costs(rows, trial_res)
             accept, lam[act], stop = lm_update(
                 cost[act], trial_cost[act], promised[act], lam[act], redundancy[act]

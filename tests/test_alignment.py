@@ -262,26 +262,21 @@ class TestJointAlign:
             problem.add_parameter_block(f"proxy:{cid}", tri.position.copy())
             views = ViewSet.build(tri.inliers, poses, RIG)
             problem.add_stacked_block(
-                views.residuals,
+                views.evaluate,
                 [[f"proxy:{cid}"] * len(tri.inliers)],
                 np.stack([o.pixel_cov for o in tri.inliers]),
                 group="marker-reprojection",
-                jac=lambda proxies, views=views: [views.jacobians(proxies)],
                 loss=HuberLoss(),
                 rid=f"reproj:{cid}",
             )
         for dim in (3, 2):
             same = [cid for cid in tris if by_id[cid].dim == dim]
             if same:
-                fn, jac = alignment._world_factor(
-                    np.stack([by_id[cid].position for cid in same]), dim
-                )
                 problem.add_stacked_block(
-                    fn,
+                    alignment._world_factor(np.stack([by_id[cid].position for cid in same]), dim),
                     [["T"] * len(same), [f"proxy:{cid}" for cid in same]],
                     np.stack([by_id[cid].covariance for cid in same]),
                     group="cp-world",
-                    jac=jac,
                     rid=f"world:{dim}d",
                 )
         return problem

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from vigt import fusion, solver
+from vigt import alignment, fusion, inertial, solver
 from vigt.errors import ImuDataError, UnobservableError
 from vigt.fusion import (
     FeatureTrack,
@@ -18,7 +18,7 @@ from vigt.fusion import (
 )
 from vigt.geometry import RigidPose, Rotation, Trajectory
 from vigt.inertial import BIAS_CORRECTION_WARN_NORM, Bias, ImuStream
-from vigt.solver import Manifold, _retract
+from vigt.solver import _retract
 from vigt.synth import (
     SynthConfig,
     default_rig,
@@ -27,6 +27,7 @@ from vigt.synth import (
     gen_world,
     perturb_trajectory,
 )
+from vigt.triangulation import triangulate_all
 
 # Mixed 2D/3D control points (three 3D, one 2D) and a few landmarks, in a
 # scene short enough that a full build-and-solve takes 1-2 s.
@@ -73,6 +74,14 @@ def errors_mm(poses: dict, truth, keyframe_ts) -> np.ndarray:
     true_poses = truth.pose_map()
     return 1000.0 * np.array(
         [np.linalg.norm(poses[ts].translation - true_poses[ts].translation) for ts in keyframe_ts]
+    )
+
+
+def fusion_problem(scene, mode="full"):
+    world, rig, detections, imu, truth, init = scene
+    return build_fusion_problem(
+        init, detections.tracks, detections.cp_observations, world.cps, imu, rig,
+        FusionConfig(mode=mode, keyframe_stride=STRIDE),
     )
 
 
@@ -174,6 +183,26 @@ def test_optimize_builds_one_workspace(scene, monkeypatch):
     optimize_pseudo_gt(fp)
     assert calls == ["solve"] * (fusion._REWEIGHT_ROUNDS + 1) + ["marginal_covariances"]
     assert built == [fp.problem]
+
+
+def test_imu_terms_computed_once_per_evaluation(scene, monkeypatch):
+    # the IMU block builds its Jacobians from the terms of its residuals
+    counts = {"terms": 0, "evaluations": 0}
+    terms, evaluate = inertial._residual_terms, solver._Workspace.evaluate
+
+    def counted_terms(*args):
+        counts["terms"] += 1
+        return terms(*args)
+
+    def counted_evaluate(self, x):
+        counts["evaluations"] += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(inertial, "_residual_terms", counted_terms)
+    monkeypatch.setattr(solver._Workspace, "evaluate", counted_evaluate)
+    optimize_pseudo_gt(fusion_problem(scene))
+    assert counts["evaluations"] > 0
+    assert counts["terms"] == counts["evaluations"]
 
 
 def test_only_the_last_solve_runs_to_a_negligible_step(scene, monkeypatch):
@@ -333,31 +362,79 @@ def test_all_2d_control_points_recover_truth(scene_2d, mode):
         assert np.linalg.eigvalsh(cov).min() > 0.0
 
 
-def test_gauge_prior_jacobian_matches_central_differences(scene_2d):
-    world, rig, detections, imu, truth, init = scene_2d
-    fp = build_fusion_problem(
-        init, [], detections.cp_observations, world.cps, imu, rig,
-        FusionConfig(mode="inertial-only", keyframe_stride=STRIDE),
-    )
-    block = fp.problem.residuals["gauge-prior"]
-    assert block.rows == 1 and block.dim == 6
-    assert np.all(np.diag(block.covariance) == 1e-8)
-    (pid,) = block.params[0]
-    prior = fp.problem.params[pid].value[None]
-    np.testing.assert_allclose(block.fn(prior), 0.0, atol=1e-15)
-    # away from the prior, where the rotation error is not small
+def alignment_problem(scene, monkeypatch):
+    """The solved problem of `joint_sparse_align` on the scene's control
+    points, triangulated from the initial trajectory."""
+    world, rig, detections, imu, truth, init = scene
+    poses = init.pose_map()
+    tris, _ = triangulate_all(detections.cp_observations, poses, rig)
+    problems = []
+
+    def recorded(problem, *args):
+        problems.append(problem)
+        return solver.solve(problem, *args)
+
+    monkeypatch.setattr(alignment, "solve", recorded)
+    alignment.joint_sparse_align(tris, poses, rig, world.cps)
+    (problem,) = problems
+    return problem
+
+
+# per problem: the blocks it holds, and the scale of the random tangent step
+# that moves its values away from where they were built or solved
+FACTOR_BLOCKS = {
+    "fusion": (
+        {"marker-reprojection", "world:3d", "world:2d", "feature-reprojection", "imu", "walk"},
+        0.01,
+    ),
+    # the first keyframe pose anchored by the gauge prior, whose rotation
+    # error the step makes large
+    "fusion-2d": (
+        {"marker-reprojection", "world:2d", "feature-reprojection", "imu", "walk",
+         "gauge-prior"},
+        0.3,
+    ),
+    "alignment": ({"marker-reprojection", "world:3d", "world:2d"}, 0.01),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_BLOCKS))
+def test_block_jacobians_match_central_differences(scene, scene_2d, monkeypatch, case):
+    # every block of the problem, slot by slot, over the manifold retraction
+    if case == "alignment":
+        problem = alignment_problem(scene, monkeypatch)
+    else:
+        problem = fusion_problem(scene_2d if case == "fusion-2d" else scene).problem
+    blocks, scale = FACTOR_BLOCKS[case]
+    assert set(problem.residuals) == blocks
+    if "gauge-prior" in blocks:
+        gauge = problem.residuals["gauge-prior"]
+        assert gauge.rows == 1 and gauge.dim == 6
+        assert np.all(np.diag(gauge.covariance) == 1e-8)
+        prior = problem.params[gauge.params[0][0]].value[None]
+        np.testing.assert_allclose(gauge.fn(prior)[0], 0.0, atol=1e-15)
+    ws = solver._Workspace(problem)
     rng = np.random.default_rng(7)
-    pose = _retract(Manifold.RIGID_POSE, prior, rng.normal(scale=0.3, size=(1, 6)))
-    (jac,) = block.jac(pose)
-    step = 1e-6
-    num = np.zeros((1, 6, 6))
-    for d in range(6):
-        delta = np.zeros((1, 6))
-        delta[0, d] = step
-        plus = block.fn(_retract(Manifold.RIGID_POSE, pose, delta))
-        minus = block.fn(_retract(Manifold.RIGID_POSE, pose, -delta))
-        num[..., d] = (plus - minus) / (2 * step)
-    np.testing.assert_allclose(jac, num, rtol=1e-6, atol=1e-8)
+    x = ws.apply_step(ws.values(), rng.normal(scale=scale, size=ws.n_tangent))
+    # keeps the round-off of residuals of a few hundred pixels below the
+    # tolerance
+    step = 1e-5
+    for r in problem.residuals.values():
+        slots = ws.slots(r, x)
+        _, jacobians = r.fn(*slots)
+        for s, jac in enumerate(jacobians()):
+            kind = problem.params[r.params[s][0]].manifold
+            num = np.zeros(jac.shape)
+            for d in range(jac.shape[2]):
+                delta = np.zeros((r.rows, jac.shape[2]))
+                delta[:, d] = step
+                plus, minus = list(slots), list(slots)
+                plus[s] = _retract(kind, slots[s], delta)
+                minus[s] = _retract(kind, slots[s], -delta)
+                num[..., d] = (r.fn(*plus)[0] - r.fn(*minus)[0]) / (2 * step)
+            np.testing.assert_allclose(
+                jac, num, rtol=1e-6, atol=1e-8, err_msg=f"block {r.id}, slot {s}"
+            )
 
 
 def test_imu_coverage_check_matches_mask_count():

@@ -26,7 +26,6 @@ from vigt.inertial import (
     bias_walk_covariance,
     preintegrate,
     preintegrate_stack,
-    preintegration_residual_jacobians_stack,
     preintegration_residual_stack,
 )
 from vigt.solver import Manifold, _retract
@@ -471,7 +470,9 @@ class TestResidual:
     def test_consistent_states_zero_residual(self):
         rng = np.random.default_rng(11)
         seg, (pose_i, v_i), (pose_j, v_j) = self.make_consistent(rng)
-        res = preintegration_residual_stack(seg, *one_row(pose_i, v_i, pose_j, v_j, Bias.zero()))
+        res, _ = preintegration_residual_stack(
+            seg, *one_row(pose_i, v_i, pose_j, v_j, Bias.zero())
+        )
         assert np.abs(res[0]).max() < 1e-8
 
     def test_free_fall_zero_residual(self):
@@ -483,13 +484,13 @@ class TestResidual:
         t = seg.dt[0]
         pose_j = RigidPose(Rotation.identity(), v0 * t + 0.5 * GRAVITY_W * t**2)
         v1 = v0 + GRAVITY_W * t
-        res = preintegration_residual_stack(seg, *one_row(pose_i, v0, pose_j, v1, Bias.zero()))
+        res, _ = preintegration_residual_stack(seg, *one_row(pose_i, v0, pose_j, v1, Bias.zero()))
         assert np.abs(res[0]).max() < 1e-10
 
     def test_velocity_perturbation_maps_to_velocity_rows(self):
         rng = np.random.default_rng(12)
         seg, (pose_i, v_i), (pose_j, v_j) = self.make_consistent(rng)
-        (res,) = preintegration_residual_stack(
+        (res,), _ = preintegration_residual_stack(
             seg, *one_row(pose_i, v_i, pose_j, v_j + pose_i.rotation.apply([0.1, 0.0, 0.0]),
             Bias.zero()),
         )
@@ -511,10 +512,10 @@ class TestResidual:
             Manifold.RIGID_POSE, Manifold.EUCLIDEAN, Manifold.RIGID_POSE,
             Manifold.EUCLIDEAN, Manifold.EUCLIDEAN,
         ]
-        jacs = [j[0] for j in preintegration_residual_jacobians_stack(seg, *rows)]
+        jacs = [j[0] for j in preintegration_residual_stack(seg, *rows)[1]()]
 
         def evaluate(vals):
-            return preintegration_residual_stack(seg, *vals)[0]
+            return preintegration_residual_stack(seg, *vals)[0][0]
 
         step = 1e-6
         for bi, (manifold, jac) in enumerate(zip(kinds, jacs)):
@@ -562,23 +563,22 @@ class TestStackedResidual:
     def test_rows_match_single_segment_calls(self):
         rng = np.random.default_rng(19)
         stack, slots = self.make_rows(rng, 3)
-        res = preintegration_residual_stack(stack, *slots)
-        jacs = preintegration_residual_jacobians_stack(stack, *slots)
+        res, jacobians = preintegration_residual_stack(stack, *slots)
+        jacs = jacobians()
         assert res.shape == (3, 9)
         assert [j.shape for j in jacs] == [(3, 9, dim) for _, dim in self.SLOTS]
         for s in range(3):
             seg = take(stack, s)
             row = [slot[s : s + 1] for slot in slots]
-            np.testing.assert_allclose(
-                res[s], preintegration_residual_stack(seg, *row)[0], rtol=1e-12, atol=1e-14
-            )
-            for j_stack, j_one in zip(jacs, preintegration_residual_jacobians_stack(seg, *row)):
+            res_one, jacobians_one = preintegration_residual_stack(seg, *row)
+            np.testing.assert_allclose(res[s], res_one[0], rtol=1e-12, atol=1e-14)
+            for j_stack, j_one in zip(jacs, jacobians_one()):
                 np.testing.assert_allclose(j_stack[s], j_one[0], rtol=1e-12, atol=1e-14)
 
     def test_jacobians_match_central_differences_row_by_row(self):
         rng = np.random.default_rng(20)
         stack, slots = self.make_rows(rng, 3)
-        jacs = preintegration_residual_jacobians_stack(stack, *slots)
+        jacs = preintegration_residual_stack(stack, *slots)[1]()
         step = 1e-6
         for k, (manifold, dim) in enumerate(self.SLOTS):
             for s in range(3):
@@ -590,8 +590,8 @@ class TestStackedResidual:
                     plus[k] = moved(manifold, slots[k], s, delta)
                     minus[k] = moved(manifold, slots[k], s, -delta)
                     num[..., d] = (
-                        preintegration_residual_stack(stack, *plus)
-                        - preintegration_residual_stack(stack, *minus)
+                        preintegration_residual_stack(stack, *plus)[0]
+                        - preintegration_residual_stack(stack, *minus)[0]
                     ) / (2 * step)
                 # moving row s's states leaves every other row unchanged
                 others = [r for r in range(3) if r != s]
