@@ -15,13 +15,20 @@ slices of a stack; the exponential (`quat_exp`), the logarithm
 stacks, one rotation being the stack of one. `quat_exp` is the one
 exponential: the matrix of Exp(v) is `quat_to_matrix(quat_exp(v))`, for
 `Rotation.exp` and the stacked IMU steps of `inertial` alike.
+
+The camera functions (`try_project`, `projection_jacobian_batch`,
+`clamp_depth`, `unproject`) are written once in the same way: they take
+a `CameraModel`, whose scalar intrinsics apply to every point, or a
+`CameraStack` of one camera's intrinsics per point, all of one projection
+kind, and run the same per-row formulas on both. The affine maps of many
+camera frames come from one stacked call (`camera_maps`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -356,9 +363,37 @@ class CameraModel:
                 f" got {len(self.distortion)}"
             )
 
+    @property
+    def intrinsics(self) -> tuple[float, ...]:
+        """fx, fy, cx, cy and the four distortion coefficients (zero for a
+        pinhole): this camera's row of a `CameraStack`."""
+        return (self.fx, self.fy, self.cx, self.cy, *_coefficients(self))
 
-def _radtan(cam: CameraModel) -> tuple[float, ...]:
-    """(k1, k2, p1, p2) of a pinhole-based camera; zero for a pinhole."""
+
+class CameraStack(NamedTuple):
+    """One camera's intrinsics per point for n points of one projection
+    kind, `KANNALA_BRANDT4` or `RADTAN4` (a pinhole's row has zero
+    coefficients): the fields of a `CameraModel`, each an (n,) array. The
+    camera functions take it wherever they take a `CameraModel` and compute
+    row k by the same formulas, in the same order, as a call on row k's own
+    model, so the two agree bit for bit."""
+
+    kind: CameraKind
+    fx: np.ndarray
+    fy: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    distortion: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, kind: CameraKind, intrinsics: np.ndarray) -> "CameraStack":
+        """The stack of (n, 8) rows of `CameraModel.intrinsics`."""
+        fx, fy, cx, cy, *k = intrinsics.T
+        return cls(kind, fx, fy, cx, cy, tuple(k))
+
+
+def _coefficients(cam: CameraModel | CameraStack) -> tuple:
+    """The four distortion coefficients of a camera; zero for a pinhole."""
     return cam.distortion or (0.0,) * 4
 
 
@@ -372,12 +407,14 @@ def _kb4_theta_d_prime(theta, k):
     return 1.0 + t2 * (3 * k[0] + t2 * (5 * k[1] + t2 * (7 * k[2] + t2 * 9 * k[3])))
 
 
-def try_project(cam: CameraModel, p_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def try_project(
+    cam: CameraModel | CameraStack, p_cam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Project points, returning (pixels, valid mask) instead of raising.
 
-    Accepts a single (3,) point or an (N, 3) batch; pixels for invalid
-    entries are NaN. A pinhole projects as the radial-tangential model with
-    zero coefficients.
+    Accepts a single (3,) point or an (N, 3) batch, and a `CameraStack` of
+    one camera per point; pixels for invalid entries are NaN. A pinhole
+    projects as the radial-tangential model with zero coefficients.
     """
     pts = np.atleast_2d(np.asarray(p_cam, dtype=float))
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -396,7 +433,7 @@ def try_project(cam: CameraModel, p_cam: np.ndarray) -> tuple[np.ndarray, np.nda
         uv[:, 0] = cam.fx * scale * x + cam.cx
         uv[:, 1] = cam.fy * scale * y + cam.cy
     else:
-        k1, k2, p1, p2 = _radtan(cam)
+        k1, k2, p1, p2 = _coefficients(cam)
         valid = z > 0.0
         zq = np.where(valid, z, 1.0)
         xn, yn = x / zq, y / zq
@@ -414,14 +451,14 @@ def try_project(cam: CameraModel, p_cam: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def unproject(
-    cam: CameraModel, px: np.ndarray
+    cam: CameraModel | CameraStack, px: np.ndarray
 ) -> tuple[np.ndarray, dict[int, UnprojectionError]]:
-    """Back-project (N, 2) pixels to (N, 3) unit camera-frame rays, each
-    pixel exactly as it would be alone: a radial-tangential pixel (a pinhole
-    one included) stops its inversion once its own update is below
-    tolerance. Also returns the UnprojectionError of every pixel that is
-    not finite or does not invert, keyed by its row; the rays of those
-    pixels are NaN."""
+    """Back-project (N, 2) pixels to (N, 3) unit camera-frame rays, through
+    one camera or a `CameraStack` of one per pixel, each pixel exactly as it
+    would be alone: a radial-tangential pixel (a pinhole one included) stops
+    its inversion once its own update is below tolerance. Also returns the
+    UnprojectionError of every pixel that is not finite or does not invert,
+    keyed by its row; the rays of those pixels are NaN."""
     px = np.asarray(px, dtype=float)
     finite = np.isfinite(px).all(axis=1)
     failures = {
@@ -457,7 +494,7 @@ def unproject(
             axis=1,
         )
     else:
-        k1, k2, p1, p2 = _radtan(cam)
+        k1, k2, p1, p2 = _coefficients(cam)
         xn, yn = mx.copy(), my.copy()
         step = np.where(finite, np.inf, 0.0)  # a non-finite pixel never runs
         for _ in range(_INVERSION_ITERS):
@@ -484,7 +521,7 @@ def unproject(
     return dirs, failures
 
 
-def clamp_depth(cam: CameraModel, p_cam: np.ndarray) -> np.ndarray:
+def clamp_depth(cam: CameraModel | CameraStack, p_cam: np.ndarray) -> np.ndarray:
     """Move camera-frame points into the domain where projections and
     Jacobians are finite, so an optimizer can reject a wandering trial step
     by its cost: z >= MIN_DEPTH for the pinhole-based models, the optical
@@ -498,8 +535,9 @@ def clamp_depth(cam: CameraModel, p_cam: np.ndarray) -> np.ndarray:
     return out
 
 
-def projection_jacobian_batch(cam: CameraModel, pts: np.ndarray) -> np.ndarray:
-    """Vectorized d(pixel)/d(point): (N, 3) points to (N, 2, 3) Jacobians.
+def projection_jacobian_batch(cam: CameraModel | CameraStack, pts: np.ndarray) -> np.ndarray:
+    """Vectorized d(pixel)/d(point): (N, 3) points to (N, 2, 3) Jacobians,
+    through one camera or a `CameraStack` of one per point.
 
     Callers must pass points inside the model domain (z > 0 for the
     pinhole-based kinds); on-axis fisheye points fall back to the pinhole
@@ -509,9 +547,11 @@ def projection_jacobian_batch(cam: CameraModel, pts: np.ndarray) -> np.ndarray:
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     n = len(pts)
     jac = np.zeros((n, 2, 3))
+    # the focal lengths as a column: one per row, or one for all
+    fx, fy = np.reshape(cam.fx, (-1, 1)), np.reshape(cam.fy, (-1, 1))
 
     if cam.kind is not CameraKind.KANNALA_BRANDT4:
-        k1, k2, p1, p2 = _radtan(cam)
+        k1, k2, p1, p2 = _coefficients(cam)
         xn, yn = x / z, y / z
         r2 = xn * xn + yn * yn
         radial = 1.0 + k1 * r2 + k2 * r2 * r2
@@ -528,8 +568,8 @@ def projection_jacobian_batch(cam: CameraModel, pts: np.ndarray) -> np.ndarray:
             [np.stack([d00, d01], axis=-1), np.stack([d01, d11], axis=-1)], axis=1
         )
         out = np.einsum("nij,njk->nik", jd, jn)
-        out[:, 0, :] *= cam.fx
-        out[:, 1, :] *= cam.fy
+        out[:, 0, :] *= fx
+        out[:, 1, :] *= fy
         return out
 
     k = cam.distortion
@@ -546,11 +586,11 @@ def projection_jacobian_batch(cam: CameraModel, pts: np.ndarray) -> np.ndarray:
     ex[:, 0] = 1.0
     ey = np.zeros((n, 3))
     ey[:, 1] = 1.0
-    du = cam.fx * (
+    du = fx * (
         (dtd * x / safe_rho)[:, None] * dtheta
         + theta_d[:, None] * (ex / safe_rho[:, None] - (x / safe_rho**2)[:, None] * drho)
     )
-    dv = cam.fy * (
+    dv = fy * (
         (dtd * y / safe_rho)[:, None] * dtheta
         + theta_d[:, None] * (ey / safe_rho[:, None] - (y / safe_rho**2)[:, None] * drho)
     )
@@ -559,8 +599,8 @@ def projection_jacobian_batch(cam: CameraModel, pts: np.ndarray) -> np.ndarray:
     if on_axis.any():
         idx = np.flatnonzero(on_axis)
         jac[idx] = 0.0
-        jac[idx, 0, 0] = cam.fx / z[idx]
-        jac[idx, 1, 1] = cam.fy / z[idx]
+        jac[idx, 0, 0] = np.broadcast_to(fx, (n, 1))[idx, 0] / z[idx]
+        jac[idx, 1, 1] = np.broadcast_to(fy, (n, 1))[idx, 0] / z[idx]
     return jac
 
 
@@ -582,21 +622,40 @@ class RigCalibration:
             raise ValueError("camera ids of models and extrinsics differ")
 
 
+def camera_maps(
+    device_quats: np.ndarray,
+    device_translations: np.ndarray,
+    device_scales: np.ndarray,
+    cam_rotations: np.ndarray,
+    cam_translations: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Affine maps (A, b), (F, 3, 3) and (F, 3), with p_cam = A p_frame + b
+    of F frames. Frame f has the camera-from-device extrinsics
+    (cam_rotations[f], cam_translations[f]) and the device pose, which maps
+    device coordinates into the working frame, (device_quats[f],
+    device_translations[f], device_scales[f]); a scale other than 1 (a
+    monocular SLAM frame) is removed before the metric extrinsics apply."""
+    r_dev = quat_to_matrix(device_quats)
+    a = (cam_rotations @ np.swapaxes(r_dev, 1, 2)) / device_scales[:, None, None]
+    b = cam_translations - (a @ device_translations[:, :, None])[:, :, 0]
+    return a, b
+
+
 def camera_from_frame(
     device_pose: Similarity | RigidPose, cam_from_device: RigidPose
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map (A, b) with p_cam = A p_frame + b.
-
-    ``device_pose`` maps device coordinates into the working frame; it may
-    carry a scale when the frame is a monocular SLAM frame, in which case
-    the map de-scales before applying the metric rig extrinsics.
-    """
-    if isinstance(device_pose, RigidPose):
-        device_pose = Similarity.from_rigid(device_pose)
-    r_dev = device_pose.rotation.matrix()
-    a = (cam_from_device.rotation.matrix() @ r_dev.T) / device_pose.scale
-    b = cam_from_device.translation - a @ device_pose.translation
-    return a, b
+    """Affine map (A, b) with p_cam = A p_frame + b of one frame: the
+    `camera_maps` of a stack of one. ``device_pose`` maps device
+    coordinates into the working frame, and may carry a scale."""
+    scale = device_pose.scale if isinstance(device_pose, Similarity) else 1.0
+    a, b = camera_maps(
+        device_pose.rotation.quat[None],
+        device_pose.translation[None],
+        np.array([scale]),
+        cam_from_device.rotation.matrix()[None],
+        cam_from_device.translation[None],
+    )
+    return a[0], b[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -170,7 +170,8 @@ def group_stats(runs_per_sequence: Sequence[Sequence[float]]) -> tuple[float, fl
     Requires the same number of runs k >= 2 for every sequence. The
     variability estimate divides the pooled within-sequence deviations by
     k(k-1) n(n-1); with a single sequence the (n-1) factor is dropped,
-    leaving the within-sequence estimate (flagged in the CLI report).
+    leaving the within-sequence estimate, which holds no spread between
+    sequences: a caller that reports it for one sequence should say so.
     """
     if not runs_per_sequence:
         raise ValueError("no sequences given")

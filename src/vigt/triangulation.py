@@ -2,8 +2,11 @@
 call in lockstep.
 
 All stages work on one `ViewSet` that stacks the views of all points, rows
-grouped by point, so each camera model projects the views of every point
-in one call:
+grouped by point. Every row carries its own camera's intrinsics, so each
+camera function runs once per projection kind (fisheye, or
+radial-tangential with the pinhole as its zero-coefficient case) over the
+views of every point, however many cameras and calibrations they come
+from:
 
 - LO-RANSAC (Chum, Matas & Kittler, "Locally Optimized RANSAC", DAGM
   2003). Each point draws its own two-view pairs in a random order fixed by
@@ -48,10 +51,11 @@ from .errors import (
 )
 from .geometry import (
     CameraKind,
+    CameraStack,
     RigCalibration,
     RigidPose,
     Similarity,
-    camera_from_frame,
+    camera_maps,
     clamp_depth,
     projection_jacobian_batch,
     try_project,
@@ -149,20 +153,23 @@ class ViewSet:
     p_cam = a[k] @ p + b[k] and measured pixels[k] with inverse pixel
     covariance weights[k]. It observes point point[k] of n_points; the
     rows of each point are contiguous, in point order (starts, sizes).
-    Each camera model projects all of its views in one call.
+    Its camera's intrinsics are intrinsics[k], (N, 8) in the order of
+    `CameraModel.intrinsics`, and fisheye[k] tells its projection kind.
+    The rows are grouped by kind, not by camera: each operation makes one
+    camera call per kind, on a `CameraStack` of its rows, so two cameras
+    of one kind share a call and each row keeps its own calibration.
     """
 
-    def __init__(self, observations, a, b, pixels, weights, cameras, camera_index, point):
+    def __init__(self, observations, a, b, pixels, weights, fisheye, intrinsics, point):
         self.observations = tuple(observations)
         self.a, self.b = a, b  # (N, 3, 3), (N, 3)
         self.pixels, self.weights = pixels, weights  # (N, 2), (N, 2, 2)
-        self.cameras = cameras  # distinct models
-        self.camera_index = camera_index  # view k uses cameras[camera_index[k]]
+        self.fisheye, self.intrinsics = fisheye, intrinsics  # (N,) bool, (N, 8)
         self.point = point  # (N,) int
         self.n_points = int(point[-1]) + 1 if len(point) else 0
         self.sizes = np.bincount(point, minlength=self.n_points)
         self.starts = np.concatenate(([0], np.cumsum(self.sizes)))
-        self.groups = self._by_camera(np.arange(len(point)))
+        self.groups = self._by_kind(slice(None))
 
     @classmethod
     def build(
@@ -173,29 +180,40 @@ class ViewSet:
         point: np.ndarray | None = None,
     ) -> "ViewSet":
         """Views of the observations; `point[k]` numbers the point that
-        observation k sees (default: all one point). The camera map of
-        each distinct (image, camera) pair is computed once."""
+        observation k sees (default: all one point). The camera maps of
+        all distinct (image, camera) frames come from one `camera_maps`
+        call."""
         n = len(observations)
         frames: dict[tuple[int, str], int] = {}
         frame_index = np.empty(n, dtype=int)
-        camera_ids: dict[str, int] = {}
-        camera_index = np.empty(n, dtype=int)
         for k, obs in enumerate(observations):
             frame_index[k] = frames.setdefault((obs.image_id, obs.camera_id), len(frames))
-            camera_index[k] = camera_ids.setdefault(obs.camera_id, len(camera_ids))
-        a, b = np.empty((len(frames), 3, 3)), np.empty((len(frames), 3))
-        for f, (image_id, camera_id) in enumerate(frames):
-            if image_id not in poses:
-                raise VigtError(f"no pose for image id {image_id}")
-            a[f], b[f] = camera_from_frame(poses[image_id], rig.camera_from_device[camera_id])
+        missing = next((i for i, _ in frames if i not in poses), None)
+        if missing is not None:
+            raise VigtError(f"no pose for image id {missing}")
+        devices = [poses[i] for i, _ in frames]
+        cameras = {c: k for k, c in enumerate(dict.fromkeys(c for _, c in frames))}
+        extrinsics = [rig.camera_from_device[c] for c in cameras]
+        models = [rig.cameras[c] for c in cameras]
+        camera = np.array([cameras[c] for _, c in frames], dtype=int)
+        a, b = camera_maps(
+            np.array([d.rotation.quat for d in devices]).reshape(-1, 4),
+            np.array([d.translation for d in devices]).reshape(-1, 3),
+            np.array([d.scale if isinstance(d, Similarity) else 1.0 for d in devices]),
+            np.array([e.rotation.matrix() for e in extrinsics]).reshape(-1, 3, 3)[camera],
+            np.array([e.translation for e in extrinsics]).reshape(-1, 3)[camera],
+        )
+        row_camera = camera[frame_index]
+        fisheye = np.array([m.kind is CameraKind.KANNALA_BRANDT4 for m in models], dtype=bool)
+        intrinsics = np.array([m.intrinsics for m in models]).reshape(-1, 8)
         return cls(
             observations,
             a[frame_index],
             b[frame_index],
             np.array([o.pixel for o in observations]).reshape(-1, 2),
             np.linalg.inv(np.array([o.pixel_cov for o in observations]).reshape(-1, 2, 2)),
-            tuple(rig.cameras[cid] for cid in camera_ids),
-            camera_index,
+            fisheye[row_camera],
+            intrinsics[row_camera],
             np.zeros(n, dtype=int) if point is None else np.asarray(point),
         )
 
@@ -209,22 +227,27 @@ class ViewSet:
             self.b[rows],
             self.pixels[rows],
             self.weights[rows],
-            self.cameras,
-            self.camera_index[rows],
+            self.fisheye[rows],
+            self.intrinsics[rows],
             self.point[rows] if point is None else point,
         )
 
-    def _by_camera(self, rows: np.ndarray) -> list:
-        """(camera, positions in `rows`) of each camera model among the rows."""
-        cam_of = self.camera_index[rows]
+    def _by_kind(self, rows) -> list:
+        """(camera stack, positions in `rows`) of each projection kind among
+        the rows (an index array or a slice), fisheye first."""
+        fisheye = self._rows(self.fisheye, rows)
+        intrinsics = self._rows(self.intrinsics, rows)
         return [
-            (cam, idx)
-            for k, cam in enumerate(self.cameras)
-            if (idx := np.flatnonzero(cam_of == k)).size
+            (CameraStack.of(kind, np.take(intrinsics, idx, axis=0)), idx)
+            for kind, idx in (
+                (CameraKind.KANNALA_BRANDT4, np.flatnonzero(fisheye)),
+                (CameraKind.RADTAN4, np.flatnonzero(~fisheye)),
+            )
+            if idx.size
         ]
 
     def _select(self, rows):
-        return (slice(None), self.groups) if rows is None else (rows, self._by_camera(rows))
+        return (slice(None), self.groups) if rows is None else (rows, self._by_kind(rows))
 
     @staticmethod
     def _rows(values: np.ndarray, rows) -> np.ndarray:
@@ -252,37 +275,36 @@ class ViewSet:
     def _in_front(self, rows, p: np.ndarray) -> np.ndarray:
         """Whether the point lies in front of each row's view; the fisheye
         model sees all around."""
-        sel, groups = self._select(rows)
-        front = self._in_camera(sel, p)[:, 2] > 0.0
-        for cam, idx in groups:
-            if cam.kind is CameraKind.KANNALA_BRANDT4:
-                front[idx] = True
-        return front
+        sel = slice(None) if rows is None else rows
+        return (self._in_camera(sel, p)[:, 2] > 0.0) | self._rows(self.fisheye, sel)
 
     def _clamped(self, rows, p: np.ndarray):
-        """The selection of the rows (an index array, or None for all) and,
-        per camera model among them, (model, positions of its rows, their
-        camera-frame points at clamped depth)."""
+        """The selection of the rows (an index array, or None for all), its
+        groups by projection kind (`_by_kind`) and the (n, 3) camera-frame
+        points of its rows at clamped depth."""
         sel, groups = self._select(rows)
         p_cam = self._in_camera(sel, p)
-        return sel, [(cam, idx, clamp_depth(cam, p_cam[idx])) for cam, idx in groups]
+        for cam, idx in groups:
+            p_cam[idx] = clamp_depth(cam, p_cam[idx])
+        return sel, groups, p_cam
 
-    def _residuals(self, sel, clamped) -> np.ndarray:
+    def _residuals(self, clamped) -> np.ndarray:
         """(n, 2) projections minus measurements of the rows of `_clamped`."""
+        sel, groups, q = clamped
         pixels = self._rows(self.pixels, sel)
         res = np.empty((len(pixels), 2))
-        for cam, idx, q in clamped:
-            uv, _ = try_project(cam, q)
+        for cam, idx in groups:
+            uv, _ = try_project(cam, q[idx])
             res[idx] = uv - pixels[idx]
         return res
 
-    def _jacobians(self, sel, clamped) -> np.ndarray:
+    def _jacobians(self, clamped) -> np.ndarray:
         """(n, 2, 3) d(pixel)/d(p) of the rows of `_clamped`."""
-        a = self._rows(self.a, sel)
-        jac = np.empty((len(a), 2, 3))
-        for cam, idx, q in clamped:
-            jac[idx] = projection_jacobian_batch(cam, q)
-        return jac @ a
+        sel, groups, q = clamped
+        jac = np.empty((len(q), 2, 3))
+        for cam, idx in groups:
+            jac[idx] = projection_jacobian_batch(cam, q[idx])
+        return jac @ self._rows(self.a, sel)
 
     def errors(self, p: np.ndarray) -> np.ndarray:
         """Pixel reprojection error of every view, inf where the point does
@@ -299,8 +321,8 @@ class ViewSet:
         point or one (N, 3) point per view, and a function of no arguments
         that returns their (N, 2, 3) Jacobians d(pixel)/d(p), in a list of
         one, from the same camera-frame points."""
-        sel, clamped = self._clamped(None, p)
-        return self._residuals(sel, clamped), lambda: [self._jacobians(sel, clamped)]
+        clamped = self._clamped(None, p)
+        return self._residuals(clamped), lambda: [self._jacobians(clamped)]
 
     def centers_and_rays(self) -> tuple[np.ndarray, np.ndarray, dict[int, UnprojectionError]]:
         """Camera centres and unit rays through the measured pixels, both
@@ -322,12 +344,12 @@ class ViewSet:
         centers = -np.einsum("nij,nj->ni", a_inv, self.b)
         return centers, rays / np.linalg.norm(rays, axis=1, keepdims=True), failures
 
-    def _gauss_newton(self, rows, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """J' W of each of the rows (an index array, or None for all),
-        (n, 3, 2), and each point's Gauss-Newton matrix J' W J summed over
-        its rows, (n_points, 3, 3), at one (n, 3) point per row."""
-        sel, clamped = self._clamped(rows, p)
-        jac = self._jacobians(sel, clamped)
+    def _gauss_newton(self, clamped) -> tuple[np.ndarray, np.ndarray]:
+        """J' W of each of the rows of `_clamped`, (n, 3, 2), and each
+        point's Gauss-Newton matrix J' W J summed over its rows,
+        (n_points, 3, 3), from their camera-frame points."""
+        sel = clamped[0]
+        jac = self._jacobians(clamped)
         jt_w = np.einsum("nji,njk->nik", jac, self.weights[sel])
         # the terms of einsum("nij,njk->ik", jt_w, jac), in its order
         terms = np.swapaxes(jt_w, 1, 2)[:, :, :, None] * jac[:, :, None, :]
@@ -349,11 +371,13 @@ class ViewSet:
         diagonal, and accepts, damps and stops by the solver's step rule
         `lm_update` with its own redundancy, so the result is never worse
         than the start; it also stops after 50 steps. All points take their
-        trial steps in lockstep, one batched evaluation per round.
+        trial steps in lockstep, one batched evaluation per round, and
+        linearizes at the camera-frame points that evaluation mapped.
         """
         n_points, pt = self.n_points, self.point
         p = np.array(points, dtype=float).reshape(n_points, 3)
-        res = self._residuals(*self._clamped(None, p[pt]))
+        clamped = self._clamped(None, p[pt])
+        res, q = self._residuals(clamped), clamped[2]  # q: every row's, at p
         cost = self._costs(None, res)
         lam = np.full(n_points, INITIAL_LAMBDA)
         redundancy = 2 * self.sizes - 3  # two rows per view, three unknowns
@@ -367,7 +391,7 @@ class ViewSet:
         while active.any():
             rows = np.flatnonzero(stale[pt])
             if rows.size:
-                jt_w, h = self._gauss_newton(rows, p[pt[rows]])
+                jt_w, h = self._gauss_newton((*self._select(rows), q[rows]))
                 # the terms of einsum("nij,nj->i"), in its order
                 g_terms = np.einsum("nij,nj->ni", jt_w, res[rows])[:, None]
                 g = _point_sums(pt[rows], g_terms, n_points)
@@ -388,7 +412,8 @@ class ViewSet:
             trial = p.copy()
             trial[act] += step
             rows = np.flatnonzero(active[pt])
-            trial_res = self._residuals(*self._clamped(rows, trial[pt[rows]]))
+            trial_clamped = self._clamped(rows, trial[pt[rows]])
+            trial_res = self._residuals(trial_clamped)
             trial_cost = self._costs(rows, trial_res)
             accept, lam[act], stop = lm_update(
                 cost[act], trial_cost[act], promised[act], lam[act], redundancy[act]
@@ -397,7 +422,7 @@ class ViewSet:
             better[act[accept]] = True
             keep = better[pt[rows]]
             p[better], cost[better] = trial[better], trial_cost[better]
-            res[rows[keep]] = trial_res[keep]
+            res[rows[keep]], q[rows[keep]] = trial_res[keep], trial_clamped[2][keep]
             steps[better] += 1
             active[act[stop]] = False
             active &= steps < 50
@@ -640,7 +665,7 @@ def _covariances(views: ViewSet, points: np.ndarray):
     """Inverse Gauss-Newton Hessian (J' Sigma_px^-1 J)^-1 of each point's
     reprojection problem at (n_points, 3) `points`, and the error of each
     point whose Hessian is singular, keyed by point."""
-    h = views._gauss_newton(None, points[views.point])[1]
+    h = views._gauss_newton(views._clamped(None, points[views.point]))[1]
     cov, singular = _stacked(np.linalg.inv, h.shape, h)
     failures: dict[int, VigtError] = {
         int(p): DegenerateGeometryError(

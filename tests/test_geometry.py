@@ -11,6 +11,7 @@ from vigt.geometry import (
     MIN_DEPTH,
     CameraKind,
     CameraModel,
+    CameraStack,
     RigidPose,
     Rotation,
     Similarity,
@@ -352,6 +353,70 @@ class TestClampDepth:
             expected = batch.copy()
             expected[:, 2] = np.maximum(batch[:, 2], MIN_DEPTH)
         np.testing.assert_array_equal(out, expected)
+
+
+# coordinates on a 1 mm grid, so no division by a subnormal overflows
+_GRID = st.integers(-5000, 5000).map(lambda i: i / 1000.0)
+# pixels in the image, where every drawn calibration inverts, or not finite
+_PIXEL = st.one_of(
+    st.tuples(st.floats(0.0, 640.0), st.floats(0.0, 480.0)),
+    st.sampled_from([(np.nan, 240.0), (320.0, np.inf), (-np.inf, np.nan)]),
+)
+# the first rows of every example: on-axis points in front of and behind
+# the camera, a point behind it off the axis, the centre, and pixels that
+# are not finite
+_SPECIAL_POINTS = [(0.0, 0.0, 2.0), (0.0, 0.0, -1.0), (0.3, -0.2, -1.5), (0.0, 0.0, 0.0)]
+_SPECIAL_PIXELS = [(np.nan, 240.0), (320.0, np.inf), (310.0, 250.0), (-np.inf, -np.inf)]
+
+
+@st.composite
+def camera_rows(draw):
+    """One projection kind, and per row a camera of that kind with its own
+    calibration (pinholes among the radial-tangential ones), a camera-frame
+    point and a pixel."""
+    fisheye = draw(st.booleans())
+    n = draw(st.integers(len(_SPECIAL_POINTS), 12))
+    coefficient = st.floats(-0.02, 0.02)
+    cams = []
+    for _ in range(n):
+        fx, fy = draw(st.floats(250.0, 600.0)), draw(st.floats(250.0, 600.0))
+        cx, cy = draw(st.floats(300.0, 340.0)), draw(st.floats(220.0, 260.0))
+        if fisheye:
+            kind = CameraKind.KANNALA_BRANDT4
+        else:
+            kind = draw(st.sampled_from([CameraKind.PINHOLE, CameraKind.RADTAN4]))
+        k = () if kind is CameraKind.PINHOLE else tuple(draw(coefficient) for _ in range(4))
+        cams.append(CameraModel(kind, fx, fy, cx, cy, k))
+    rest = n - len(_SPECIAL_POINTS)
+    points = _SPECIAL_POINTS + draw(
+        st.lists(st.tuples(_GRID, _GRID, _GRID), min_size=rest, max_size=rest)
+    )
+    pixels = _SPECIAL_PIXELS + draw(st.lists(_PIXEL, min_size=rest, max_size=rest))
+    return cams, np.array(points), np.array(pixels)
+
+
+class TestCameraStack:
+    @settings(max_examples=200, deadline=None)
+    @given(camera_rows())
+    def test_rows_equal_their_own_camera(self, scene):
+        cams, pts, px = scene
+        kind = cams[0].kind if cams[0].kind is CameraKind.KANNALA_BRANDT4 else CameraKind.RADTAN4
+        stack = CameraStack.of(kind, np.array([cam.intrinsics for cam in cams]))
+        uv, valid = try_project(stack, pts)
+        clamped = clamp_depth(stack, pts)
+        jac = projection_jacobian_batch(stack, clamped)
+        rays, failures = unproject(stack, px)
+        for k, cam in enumerate(cams):
+            uv_k, valid_k = try_project(cam, pts[k : k + 1])
+            np.testing.assert_array_equal(uv[k], uv_k[0])
+            assert valid[k] == valid_k[0]
+            np.testing.assert_array_equal(clamped[k], clamp_depth(cam, pts[k : k + 1])[0])
+            jac_k = projection_jacobian_batch(cam, clamped[k : k + 1])[0]
+            np.testing.assert_array_equal(jac[k], jac_k)
+            rays_k, failures_k = unproject(cam, px[k : k + 1])
+            np.testing.assert_array_equal(rays[k], rays_k[0])
+            assert str(failures.get(k)) == str(failures_k.get(0))
+        assert sorted(failures)[:2] == [0, 1]
 
 
 class TestCameraFromFrame:

@@ -1,5 +1,7 @@
 """Tests for robust triangulation and its covariance."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -617,9 +619,9 @@ def oracle_refine(views, point):
     return p
 
 
-def oracle_in_front(views, pts):
+def oracle_in_front(views, pts, rig):
     front = (np.einsum("nij,...j->...ni", views.a, pts) + views.b)[..., 2] > 0.0
-    kinds = [views.cameras[c].kind for c in views.camera_index]
+    kinds = [rig.cameras[o.camera_id].kind for o in views.observations]
     fisheye = np.array([kind is CameraKind.KANNALA_BRANDT4 for kind in kinds])
     return front | fisheye
 
@@ -660,7 +662,7 @@ def oracle_ransac(observations, poses, rig, config, stopping=True):
     hypotheses = np.flatnonzero(usable & defined)
     pts = points[hypotheses]
     visible = np.take_along_axis(
-        oracle_in_front(views, pts), pairs[hypotheses], axis=1
+        oracle_in_front(views, pts, rig), pairs[hypotheses], axis=1
     ).all(axis=1)
     errors = views.errors(pts)
     inliers = errors <= _THRESHOLD_PX
@@ -697,7 +699,7 @@ def oracle_triangulate(observations, poses, rig, config, stopping=True):
         point, idx, _ = oracle_ransac(observations, poses, rig, config, stopping)
         views = ViewSet.build([observations[k] for k in idx], poses, rig)
         point = oracle_refine(views, point)
-        behind = np.flatnonzero(~oracle_in_front(views, point))
+        behind = np.flatnonzero(~oracle_in_front(views, point, rig))
         if behind.size:
             obs = views.observations[behind[0]]
             raise BehindCameraError(
@@ -724,9 +726,10 @@ SCENE_POSES = 12
 
 
 @st.composite
-def point_batches(draw):
-    """Several points near the origin, each seen by 1-40 views of mixed
-    camera models from a shared set of images, with outlier pixels."""
+def point_batches(draw, rig=MIXED_RIG):
+    """Several points near the origin, each seen by 1-40 views of the mixed
+    camera models of `rig` from a shared set of images, with outlier
+    pixels."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     poses = {}
     for k in range(SCENE_POSES):
@@ -741,9 +744,9 @@ def point_batches(draw):
         obs = []
         for _ in range(n):
             image = int(rng.integers(SCENE_POSES))
-            cid = sorted(MODELS)[rng.integers(len(MODELS))]
-            a, b = camera_from_frame(poses[image], MIXED_RIG.camera_from_device[cid])
-            uv, valid = try_project(MODELS[cid], a @ target + b)
+            cid = sorted(rig.cameras)[rng.integers(len(rig.cameras))]
+            a, b = camera_from_frame(poses[image], rig.camera_from_device[cid])
+            uv, valid = try_project(rig.cameras[cid], a @ target + b)
             if not valid or rng.uniform() < outlier_rate:
                 uv = rng.normal([320.0, 240.0], 150.0)
             sigma = rng.uniform(0.3, 2.0)
@@ -1043,6 +1046,80 @@ class TestOutlierRobustness:
         assert len(recall) == 24
         assert np.mean(recall) >= np.mean(full_recall) - 0.02
         assert abs(np.median(error) - np.median(full_error)) <= 0.5e-3
+
+
+# a second fisheye with its own calibration, beside one camera of each kind
+TWIN_RIG = RigCalibration(
+    cameras={
+        **MODELS,
+        "fisheye2": CameraModel(
+            CameraKind.KANNALA_BRANDT4,
+            290.0,
+            286.0,
+            322.0,
+            236.5,
+            (0.021, -0.004, 0.001, -0.0002),
+        ),
+    },
+    camera_from_device={
+        **MIXED_RIG.camera_from_device,
+        "fisheye2": RigidPose(Rotation.exp([0.0, 0.02, -0.25]), [0.0, 0.05, 0.03]),
+    },
+)
+
+
+class PerCameraViews(ViewSet):
+    """The per-camera oracle of a `ViewSet`: every camera call takes the
+    rows of one camera through its own `CameraModel` of `TWIN_RIG`, found by
+    each observation's camera id, never the per-row intrinsics."""
+
+    def _by_kind(self, rows):
+        ids = np.array([o.camera_id for o in self.observations], dtype=object)[rows]
+        return [
+            (TWIN_RIG.cameras[cid], np.flatnonzero(ids == cid)) for cid in sorted(set(ids))
+        ]
+
+
+def assert_same_failures(got, want):
+    assert {k: str(exc) for k, exc in got.items()} == {k: str(exc) for k, exc in want.items()}
+
+
+class TestTwoCalibrationsOfOneKind:
+    @settings(max_examples=30, deadline=None)
+    @given(point_batches(TWIN_RIG))
+    def test_views_match_per_camera_oracle(self, scene):
+        detections, poses, _ = scene
+        observations = [o for obs in detections.values() for o in obs]
+        numbers = np.repeat(np.arange(len(detections)), [len(o) for o in detections.values()])
+        views = ViewSet.build(observations, poses, TWIN_RIG, numbers)
+        oracle = PerCameraViews.build(observations, poses, TWIN_RIG, numbers)
+        points = np.random.default_rng(len(observations)).normal(size=(views.n_points, 3))
+        at = points[views.point]
+        (res, jacobians), (oracle_res, oracle_jacobians) = views.evaluate(at), oracle.evaluate(at)
+        np.testing.assert_array_equal(res, oracle_res)
+        np.testing.assert_array_equal(jacobians()[0], oracle_jacobians()[0])
+        np.testing.assert_array_equal(views.errors(points), oracle.errors(points))
+        *lines, failures = views.centers_and_rays()
+        *oracle_lines, oracle_failures = oracle.centers_and_rays()
+        for got, want in zip(lines, oracle_lines):
+            np.testing.assert_array_equal(got, want)
+        assert_same_failures(failures, oracle_failures)
+        np.testing.assert_array_equal(views.refine(points), oracle.refine(points))
+
+    @settings(max_examples=30, deadline=None)
+    @given(point_batches(TWIN_RIG))
+    def test_triangulation_matches_per_camera_oracle(self, scene):
+        detections, poses, config = scene
+        results, failures = triangulate_all(detections, poses, TWIN_RIG, config)
+        with mock.patch.object(triangulation, "ViewSet", PerCameraViews):
+            expected, expected_failures = triangulate_all(detections, poses, TWIN_RIG, config)
+        assert failures == expected_failures
+        assert list(results) == list(expected)
+        for cp_id, tri in results.items():
+            np.testing.assert_array_equal(tri.position, expected[cp_id].position)
+            np.testing.assert_array_equal(tri.covariance, expected[cp_id].covariance)
+            assert tri.mean_reproj_error_px == expected[cp_id].mean_reproj_error_px
+            assert tri.inliers == expected[cp_id].inliers
 
 
 class TestBuild:
