@@ -48,7 +48,7 @@ class SparseAlignment:
     transform: Similarity
     proxies: dict[str, np.ndarray]
     init_fallback_4dof: bool
-    report: SolveReport | None
+    report: SolveReport
 
 
 def _similarity_fit(

@@ -293,10 +293,6 @@ class Similarity:
     def identity() -> "Similarity":
         return Similarity(1.0, Rotation.identity(), np.zeros(3))
 
-    @staticmethod
-    def from_rigid(pose: RigidPose) -> "Similarity":
-        return Similarity(1.0, pose.rotation, pose.translation)
-
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.scale * self.rotation.apply(p) + self.translation
 
@@ -450,6 +446,9 @@ def try_project(
     return uv, valid
 
 
+# a diverging inversion may overflow or divide by zero; its row then fails
+# its convergence test, which inf and NaN fail too
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def unproject(
     cam: CameraModel | CameraStack, px: np.ndarray
 ) -> tuple[np.ndarray, dict[int, UnprojectionError]]:
@@ -521,18 +520,23 @@ def unproject(
     return dirs, failures
 
 
-def clamp_depth(cam: CameraModel | CameraStack, p_cam: np.ndarray) -> np.ndarray:
+def clamp_depth(
+    cam: CameraModel | CameraStack, p_cam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Move camera-frame points into the domain where projections and
     Jacobians are finite, so an optimizer can reject a wandering trial step
     by its cost: z >= MIN_DEPTH for the pinhole-based models, the optical
     axis for fisheye points within MIN_DEPTH of the centre. Takes a (3,)
-    point or an (N, 3) batch and returns a clamped copy."""
+    point or an (N, 3) batch and returns a clamped copy and whether the
+    clamp moved each point."""
     out = np.array(p_cam, dtype=float)
     if cam.kind is CameraKind.KANNALA_BRANDT4:
-        out[np.linalg.norm(out, axis=-1) < MIN_DEPTH] = (0.0, 0.0, MIN_DEPTH)
+        moved = np.linalg.norm(out, axis=-1) < MIN_DEPTH
+        out[moved] = (0.0, 0.0, MIN_DEPTH)
     else:
+        moved = out[..., 2] < MIN_DEPTH
         out[..., 2] = np.maximum(out[..., 2], MIN_DEPTH)
-    return out
+    return out, moved
 
 
 def projection_jacobian_batch(cam: CameraModel | CameraStack, pts: np.ndarray) -> np.ndarray:
@@ -639,23 +643,6 @@ def camera_maps(
     a = (cam_rotations @ np.swapaxes(r_dev, 1, 2)) / device_scales[:, None, None]
     b = cam_translations - (a @ device_translations[:, :, None])[:, :, 0]
     return a, b
-
-
-def camera_from_frame(
-    device_pose: Similarity | RigidPose, cam_from_device: RigidPose
-) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map (A, b) with p_cam = A p_frame + b of one frame: the
-    `camera_maps` of a stack of one. ``device_pose`` maps device
-    coordinates into the working frame, and may carry a scale."""
-    scale = device_pose.scale if isinstance(device_pose, Similarity) else 1.0
-    a, b = camera_maps(
-        device_pose.rotation.quat[None],
-        device_pose.translation[None],
-        np.array([scale]),
-        cam_from_device.rotation.matrix()[None],
-        cam_from_device.translation[None],
-    )
-    return a[0], b[0]
 
 
 @dataclass(frozen=True, eq=False)

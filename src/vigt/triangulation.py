@@ -6,7 +6,10 @@ grouped by point. Every row carries its own camera's intrinsics, so each
 camera function runs once per projection kind (fisheye, or
 radial-tangential with the pinhole as its zero-coefficient case) over the
 views of every point, however many cameras and calibrations they come
-from:
+from. Each view is mapped into its camera once per point state:
+`ViewSet.project` maps, clamps and projects a selection of rows, and
+scoring, refinement and covariance read the `Projection` it returns, whose
+depth clamp is the one domain rule.
 
 - LO-RANSAC (Chum, Matas & Kittler, "Locally Optimized RANSAC", DAGM
   2003). Each point draws its own two-view pairs in a random order fixed by
@@ -23,7 +26,7 @@ from:
   with its own damping, under the solver's step rule `solver.lm_update`
   (`ViewSet.refine`).
 - Covariance: the inverse of every point's Gauss-Newton matrix J'WJ at
-  once, from the one method refinement uses (`ViewSet._gauss_newton`).
+  once, at the projection refinement returns (`ViewSet._gauss_newton`).
 
 A point's sums add its own terms one at a time (`np.bincount`), in the
 order `np.einsum` takes them over that point's rows alone, so its result
@@ -37,7 +40,7 @@ SLAM frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -146,6 +149,26 @@ def _solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(mats, rhs[..., None])[..., 0]
 
 
+class Projection(NamedTuple):
+    """Rows of a `ViewSet` mapped into their cameras at given points, once
+    (`ViewSet.project`). A row whose point the depth clamp moves, or that
+    its camera does not map, has no projection: its error is inf, and for
+    the pinhole-based kinds it counts as behind the camera."""
+
+    rows: np.ndarray | slice  # the selection
+    groups: list  # (camera stack, positions in rows) of each kind, `_by_kind`
+    q: np.ndarray  # (n, 3) camera-frame points at clamped depth
+    res: np.ndarray  # (n, 2) projections of q minus the measurements
+    outside: np.ndarray  # (n,) the row has no projection
+
+    @property
+    def errors(self) -> np.ndarray:
+        """(n,) pixel reprojection errors, inf where a row has no projection."""
+        r = self.res
+        # the pixel distance, summed as np.linalg.norm does
+        return np.where(self.outside, np.inf, np.sqrt(r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1]))
+
+
 class ViewSet:
     """Observations of one or more points, stacked for batched evaluation.
 
@@ -158,6 +181,8 @@ class ViewSet:
     The rows are grouped by kind, not by camera: each operation makes one
     camera call per kind, on a `CameraStack` of its rows, so two cameras
     of one kind share a call and each row keeps its own calibration.
+    `project` is the one camera map: errors, in-front flags, residuals and
+    Jacobians are all read from its `Projection`.
     """
 
     def __init__(self, observations, a, b, pixels, weights, fisheye, intrinsics, point):
@@ -255,56 +280,36 @@ class ViewSet:
         an index array."""
         return values[rows] if isinstance(rows, slice) else np.take(values, rows, axis=0)
 
-    def _in_camera(self, rows, p: np.ndarray) -> np.ndarray:
-        """(n, 3) camera-frame points of the rows (an index array or a
-        slice), for a (3,) point or one (n, 3) point per row."""
-        a, b = self._rows(self.a, rows), self._rows(self.b, rows)
-        return np.einsum("nij,nj->ni", a, np.broadcast_to(p, b.shape)) + b
-
-    def _errors(self, rows, p: np.ndarray) -> np.ndarray:
+    def project(self, rows, p: np.ndarray) -> Projection:
+        """The rows (an index array, or None for all) mapped into their
+        cameras at p, a (3,) point or one (n, 3) point per row, clamped in
+        depth (`clamp_depth`) and projected, one camera call per kind."""
         sel, groups = self._select(rows)
-        p_cam, pixels = self._in_camera(sel, p), self._rows(self.pixels, sel)
-        err = np.empty(len(p_cam))
-        for cam, idx in groups:
-            uv, valid = try_project(cam, np.take(p_cam, idx, axis=0))
-            d = uv - np.take(pixels, idx, axis=0)
-            # the pixel distance, summed as np.linalg.norm does
-            err[idx] = np.where(valid, np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]), np.inf)
-        return err
-
-    def _in_front(self, rows, p: np.ndarray) -> np.ndarray:
-        """Whether the point lies in front of each row's view; the fisheye
-        model sees all around."""
-        sel = slice(None) if rows is None else rows
-        return (self._in_camera(sel, p)[:, 2] > 0.0) | self._rows(self.fisheye, sel)
-
-    def _clamped(self, rows, p: np.ndarray):
-        """The selection of the rows (an index array, or None for all), its
-        groups by projection kind (`_by_kind`) and the (n, 3) camera-frame
-        points of its rows at clamped depth."""
-        sel, groups = self._select(rows)
-        p_cam = self._in_camera(sel, p)
-        for cam, idx in groups:
-            p_cam[idx] = clamp_depth(cam, p_cam[idx])
-        return sel, groups, p_cam
-
-    def _residuals(self, clamped) -> np.ndarray:
-        """(n, 2) projections minus measurements of the rows of `_clamped`."""
-        sel, groups, q = clamped
+        a, b = self._rows(self.a, sel), self._rows(self.b, sel)
+        p_cam = np.einsum("nij,nj->ni", a, np.broadcast_to(p, b.shape)) + b
         pixels = self._rows(self.pixels, sel)
-        res = np.empty((len(pixels), 2))
+        q, res = np.empty_like(p_cam), np.empty((len(p_cam), 2))
+        outside = np.empty(len(q), dtype=bool)
         for cam, idx in groups:
-            uv, _ = try_project(cam, q[idx])
-            res[idx] = uv - pixels[idx]
-        return res
+            q_k, moved = clamp_depth(cam, np.take(p_cam, idx, axis=0))
+            uv, valid = try_project(cam, q_k)
+            q[idx], res[idx] = q_k, uv - np.take(pixels, idx, axis=0)
+            outside[idx] = moved | ~valid
+        return Projection(sel, groups, q, res, outside)
 
-    def _jacobians(self, clamped) -> np.ndarray:
-        """(n, 2, 3) d(pixel)/d(p) of the rows of `_clamped`."""
-        sel, groups, q = clamped
+    def in_front(self, proj: Projection) -> np.ndarray:
+        """Whether the point lies in front of each row of `proj`: it has a
+        projection, or the row's fisheye model sees all around."""
+        return ~proj.outside | self._rows(self.fisheye, proj.rows)
+
+    def _jacobians(self, rows, groups, q: np.ndarray) -> np.ndarray:
+        """(n, 2, 3) d(pixel)/d(p) of the rows (a selection and its groups
+        by kind, as in a `Projection`) at their clamped camera-frame points
+        q."""
         jac = np.empty((len(q), 2, 3))
         for cam, idx in groups:
             jac[idx] = projection_jacobian_batch(cam, q[idx])
-        return jac @ self._rows(self.a, sel)
+        return jac @ self._rows(self.a, rows)
 
     def errors(self, p: np.ndarray) -> np.ndarray:
         """Pixel reprojection error of every view, inf where the point does
@@ -312,8 +317,8 @@ class ViewSet:
         p = np.asarray(p, dtype=float)
         pts = p.reshape(-1, 3)
         n = len(self.b)
-        flat = self._errors(np.tile(np.arange(n), len(pts)), np.repeat(pts, n, axis=0))
-        return flat.reshape(p.shape[:-1] + (n,))
+        proj = self.project(np.tile(np.arange(n), len(pts)), np.repeat(pts, n, axis=0))
+        return proj.errors.reshape(p.shape[:-1] + (n,))
 
     def evaluate(self, p: np.ndarray):
         """The block callback of the views over one point slot: the (N, 2)
@@ -321,8 +326,8 @@ class ViewSet:
         point or one (N, 3) point per view, and a function of no arguments
         that returns their (N, 2, 3) Jacobians d(pixel)/d(p), in a list of
         one, from the same camera-frame points."""
-        clamped = self._clamped(None, p)
-        return self._residuals(clamped), lambda: [self._jacobians(clamped)]
+        proj = self.project(None, p)
+        return proj.res, lambda: [self._jacobians(proj.rows, proj.groups, proj.q)]
 
     def centers_and_rays(self) -> tuple[np.ndarray, np.ndarray, dict[int, UnprojectionError]]:
         """Camera centres and unit rays through the measured pixels, both
@@ -344,16 +349,15 @@ class ViewSet:
         centers = -np.einsum("nij,nj->ni", a_inv, self.b)
         return centers, rays / np.linalg.norm(rays, axis=1, keepdims=True), failures
 
-    def _gauss_newton(self, clamped) -> tuple[np.ndarray, np.ndarray]:
-        """J' W of each of the rows of `_clamped`, (n, 3, 2), and each
-        point's Gauss-Newton matrix J' W J summed over its rows,
-        (n_points, 3, 3), from their camera-frame points."""
-        sel = clamped[0]
-        jac = self._jacobians(clamped)
-        jt_w = np.einsum("nji,njk->nik", jac, self.weights[sel])
+    def _gauss_newton(self, rows, groups, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """J' W of each of the rows (as in `_jacobians`), (n, 3, 2), and
+        each point's Gauss-Newton matrix J' W J summed over its rows,
+        (n_points, 3, 3), from their clamped camera-frame points q."""
+        jac = self._jacobians(rows, groups, q)
+        jt_w = np.einsum("nji,njk->nik", jac, self.weights[rows])
         # the terms of einsum("nij,njk->ik", jt_w, jac), in its order
         terms = np.swapaxes(jt_w, 1, 2)[:, :, :, None] * jac[:, :, None, :]
-        return jt_w, _point_sums(self.point[sel], terms, self.n_points)
+        return jt_w, _point_sums(self.point[rows], terms, self.n_points)
 
     def _costs(self, rows, res: np.ndarray) -> np.ndarray:
         """(n_points,) weighted squared residuals summed over the rows."""
@@ -362,23 +366,23 @@ class ViewSet:
         terms = (res[:, :, None] * self.weights[sel]) * res[:, None, :]
         return _point_sums(self.point[sel], terms.reshape(-1, 4), self.n_points)
 
-    def refine(self, points: np.ndarray) -> np.ndarray:
+    def refine(self, points: np.ndarray) -> tuple[np.ndarray, Projection]:
         """Levenberg-Marquardt minimum of each point's weighted reprojection
         cost sum_k r_k' weights[k] r_k over its views, started at `points`
-        ((n_points, 3), or (3,) for a set of one point).
+        ((n_points, 3), or (3,) for a set of one point), and the
+        `Projection` of every row at it.
 
         Every point keeps its own damping, multiplicative on its Hessian
         diagonal, and accepts, damps and stops by the solver's step rule
         `lm_update` with its own redundancy, so the result is never worse
         than the start; it also stops after 50 steps. All points take their
         trial steps in lockstep, one batched evaluation per round, and
-        linearizes at the camera-frame points that evaluation mapped.
+        keeps the projection of each accepted trial, where it linearizes.
         """
         n_points, pt = self.n_points, self.point
         p = np.array(points, dtype=float).reshape(n_points, 3)
-        clamped = self._clamped(None, p[pt])
-        res, q = self._residuals(clamped), clamped[2]  # q: every row's, at p
-        cost = self._costs(None, res)
+        proj = self.project(None, p[pt])  # every row's, at p
+        cost = self._costs(None, proj.res)
         lam = np.full(n_points, INITIAL_LAMBDA)
         redundancy = 2 * self.sizes - 3  # two rows per view, three unknowns
         promised = np.full(n_points, np.inf)
@@ -391,9 +395,9 @@ class ViewSet:
         while active.any():
             rows = np.flatnonzero(stale[pt])
             if rows.size:
-                jt_w, h = self._gauss_newton((*self._select(rows), q[rows]))
+                jt_w, h = self._gauss_newton(*self._select(rows), proj.q[rows])
                 # the terms of einsum("nij,nj->i"), in its order
-                g_terms = np.einsum("nij,nj->ni", jt_w, res[rows])[:, None]
+                g_terms = np.einsum("nij,nj->ni", jt_w, proj.res[rows])[:, None]
                 g = _point_sums(pt[rows], g_terms, n_points)
                 grad[stale], hess[stale] = g[stale], h[stale]
                 d = np.zeros((np.count_nonzero(stale), 3, 3))
@@ -412,9 +416,8 @@ class ViewSet:
             trial = p.copy()
             trial[act] += step
             rows = np.flatnonzero(active[pt])
-            trial_clamped = self._clamped(rows, trial[pt[rows]])
-            trial_res = self._residuals(trial_clamped)
-            trial_cost = self._costs(rows, trial_res)
+            trial_proj = self.project(rows, trial[pt[rows]])
+            trial_cost = self._costs(rows, trial_proj.res)
             accept, lam[act], stop = lm_update(
                 cost[act], trial_cost[act], promised[act], lam[act], redundancy[act]
             )
@@ -422,12 +425,13 @@ class ViewSet:
             better[act[accept]] = True
             keep = better[pt[rows]]
             p[better], cost[better] = trial[better], trial_cost[better]
-            res[rows[keep]], q[rows[keep]] = trial_res[keep], trial_clamped[2][keep]
+            for kept, tried in zip(proj[2:], trial_proj[2:]):
+                kept[rows[keep]] = tried[keep]
             steps[better] += 1
             active[act[stop]] = False
             active &= steps < 50
             stale = better & active
-        return p.reshape(np.shape(points))
+        return p.reshape(np.shape(points)), proj
 
 
 def _sample_pairs(n: int, max_pairs: int, seed: int) -> np.ndarray:
@@ -492,9 +496,9 @@ def _local_optimization(
     all in one batched call. A refined point replaces its hypothesis only if
     it keeps 2 or more inliers; otherwise the hypothesis stays, with its own
     score. Returns the points, inlier mask, counts and means."""
-    refined = views.take(np.flatnonzero(inliers)).refine(points)
+    refined, _ = views.take(np.flatnonzero(inliers)).refine(points)
     new, new_counts, new_means = _inlier_scores(
-        views.point, views._errors(None, refined[views.point]), threshold, views.n_points
+        views.point, views.project(None, refined[views.point]).errors, threshold, views.n_points
     )
     ok = new_counts >= 2
     return (
@@ -531,10 +535,13 @@ def _score_pairs(
         hyp = scored[start : max(start + 1, int(np.searchsorted(ends, budget, "right")))]
         pts = midpoints[hyp]
         rows, local = _entries(views, owner[hyp])
-        errors = views._errors(rows, pts[local])
-        _, counts[hyp], means[hyp] = _inlier_scores(local, errors, _THRESHOLD_PX, len(hyp))
-        front = views._in_front(pairs[hyp].ravel(), np.repeat(pts, 2, axis=0))
-        candidate[hyp] = front.reshape(-1, 2).all(axis=1) & (counts[hyp] >= 2)
+        proj = views.project(rows, pts[local])
+        _, counts[hyp], means[hyp] = _inlier_scores(local, proj.errors, _THRESHOLD_PX, len(hyp))
+        # the entries of each pair's two views: its hypothesis's first entry
+        # plus their offsets among its point's rows
+        sizes = views.sizes[owner[hyp]]
+        at = (np.cumsum(sizes) - sizes)[:, None] + pairs[hyp] - views.starts[owner[hyp], None]
+        candidate[hyp] = views.in_front(proj)[at].all(axis=1) & (counts[hyp] >= 2)
         start += len(hyp)
     return usable, counts, means, candidate
 
@@ -621,7 +628,7 @@ def _lo_ransac(views: ViewSet, config: TriangulationConfig):
         pending = np.delete(pending, first)
         hyp_pts = _midpoints(centers, rays, pairs[sel])[0]
         rows, local = _entries(views, points)
-        inliers = views._errors(rows, hyp_pts[local]) <= _THRESHOLD_PX
+        inliers = views.project(rows, hyp_pts[local]).errors <= _THRESHOLD_PX
         point, inl, count, mean = _local_optimization(
             views.take(rows, point=local),
             hyp_pts,
@@ -645,27 +652,27 @@ def _refine_points(views: ViewSet, init: np.ndarray):
     """Refinement of every point of `views` from (n_points, 3) `init`, with
     its mean inlier error and covariance: positions, mean errors,
     covariances and the error of each point that fails, keyed by point."""
-    points = views.refine(init)
-    at = points[views.point]
+    points, proj = views.refine(init)
     failures: dict[int, VigtError] = {}
-    behind = np.flatnonzero(~views._in_front(None, at))
+    behind = np.flatnonzero(~views.in_front(proj))
     for p, k in zip(*np.unique(views.point[behind], return_index=True)):
         obs = views.observations[behind[k]]
         failures[int(p)] = BehindCameraError(
             f"refined point is behind camera '{obs.camera_id}' at image {obs.image_id}"
         )
-    errors = _point_sums(views.point, views._errors(None, at)[:, None], views.n_points)
-    covariances, singular = _covariances(views, points)
+    errors = _point_sums(views.point, proj.errors[:, None], views.n_points)
+    covariances, singular = _covariances(views, proj)
     for p, exc in singular.items():
         failures.setdefault(p, exc)
     return points, errors / views.sizes, covariances, failures
 
 
-def _covariances(views: ViewSet, points: np.ndarray):
+def _covariances(views: ViewSet, proj: Projection):
     """Inverse Gauss-Newton Hessian (J' Sigma_px^-1 J)^-1 of each point's
-    reprojection problem at (n_points, 3) `points`, and the error of each
-    point whose Hessian is singular, keyed by point."""
-    h = views._gauss_newton(views._clamped(None, points[views.point]))[1]
+    reprojection problem at the points of `proj`, the `Projection` of every
+    row of `views`, and the error of each point whose Hessian is singular,
+    keyed by point."""
+    h = views._gauss_newton(proj.rows, proj.groups, proj.q)[1]
     cov, singular = _stacked(np.linalg.inv, h.shape, h)
     failures: dict[int, VigtError] = {
         int(p): DegenerateGeometryError(

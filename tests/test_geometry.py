@@ -15,7 +15,7 @@ from vigt.geometry import (
     RigidPose,
     Rotation,
     Similarity,
-    camera_from_frame,
+    camera_maps,
     clamp_depth,
     projection_jacobian_batch,
     quat_exp,
@@ -29,6 +29,7 @@ from vigt.geometry import (
     try_project,
     unproject,
 )
+from vigt.synth import default_rig
 
 
 def random_rotation(rng) -> Rotation:
@@ -299,6 +300,20 @@ class TestProjection:
         for i in (0, 2, 5):
             np.testing.assert_array_equal(rays[i], unproject_one(cam, px[i]))
 
+    def test_diverging_inversion_fails_without_overflow(self):
+        # far pixels whose inversions overflow before they stop: each fails
+        # with its own UnprojectionError, and the pixel beside it inverts
+        radtan = CameraModel(
+            CameraKind.RADTAN4, 150.0, 150.0, 319.5, 239.5, (0.0, 0.0, 0.0, 0.03125)
+        )
+        fisheye = default_rig().cameras["left"]
+        for cam, far in ((radtan, (5000.0, 4000.0)), (fisheye, (1e150, 1e150))):
+            rays, failures = unproject(cam, np.array([[320.0, 240.0], far]))
+            assert list(failures) == [1]
+            assert isinstance(failures[1], UnprojectionError)
+            assert np.isnan(rays[1]).all()
+            np.testing.assert_array_equal(rays[0], unproject_one(cam, (320.0, 240.0)))
+
     def test_kb4_sees_behind_plane(self):
         # equidistant fisheye handles incidence beyond 90 degrees
         uv, valid = try_project(KB4_CAM, np.array([1.0, 0.0, -0.1]))
@@ -342,10 +357,10 @@ class TestClampDepth:
     def test_single_point_matches_batch(self, cam, pts):
         batch = np.array(pts, dtype=float)
         before = batch.copy()
-        out = clamp_depth(cam, batch)
+        out = clamp_depth(cam, batch)[0]
         np.testing.assert_array_equal(batch, before)
         for p, row in zip(batch, out):
-            np.testing.assert_array_equal(clamp_depth(cam, p.copy()), row)
+            np.testing.assert_array_equal(clamp_depth(cam, p.copy())[0], row)
         if cam.kind is CameraKind.KANNALA_BRANDT4:
             near = np.linalg.norm(batch, axis=1) < MIN_DEPTH
             expected = np.where(near[:, None], [0.0, 0.0, MIN_DEPTH], batch)
@@ -403,14 +418,14 @@ class TestCameraStack:
         kind = cams[0].kind if cams[0].kind is CameraKind.KANNALA_BRANDT4 else CameraKind.RADTAN4
         stack = CameraStack.of(kind, np.array([cam.intrinsics for cam in cams]))
         uv, valid = try_project(stack, pts)
-        clamped = clamp_depth(stack, pts)
+        clamped = clamp_depth(stack, pts)[0]
         jac = projection_jacobian_batch(stack, clamped)
         rays, failures = unproject(stack, px)
         for k, cam in enumerate(cams):
             uv_k, valid_k = try_project(cam, pts[k : k + 1])
             np.testing.assert_array_equal(uv[k], uv_k[0])
             assert valid[k] == valid_k[0]
-            np.testing.assert_array_equal(clamped[k], clamp_depth(cam, pts[k : k + 1])[0])
+            np.testing.assert_array_equal(clamped[k], clamp_depth(cam, pts[k : k + 1])[0][0])
             jac_k = projection_jacobian_batch(cam, clamped[k : k + 1])[0]
             np.testing.assert_array_equal(jac[k], jac_k)
             rays_k, failures_k = unproject(cam, px[k : k + 1])
@@ -419,12 +434,26 @@ class TestCameraStack:
         assert sorted(failures)[:2] == [0, 1]
 
 
+def frame_map(device_pose, cam_from_device):
+    """(A, b) with p_cam = A p_frame + b of one frame: `camera_maps` of a
+    stack of one."""
+    scale = device_pose.scale if isinstance(device_pose, Similarity) else 1.0
+    a, b = camera_maps(
+        device_pose.rotation.quat[None],
+        device_pose.translation[None],
+        np.array([scale]),
+        cam_from_device.rotation.matrix()[None],
+        cam_from_device.translation[None],
+    )
+    return a[0], b[0]
+
+
 class TestCameraFromFrame:
     def test_rigid_matches_manual_chain(self):
         rng = np.random.default_rng(13)
         device = RigidPose(random_rotation(rng), rng.normal(size=3))
         extr = RigidPose(random_rotation(rng), rng.normal(scale=0.1, size=3))
-        a, b = camera_from_frame(device, extr)
+        a, b = frame_map(device, extr)
         p = rng.normal(size=3)
         expected = extr.apply(device.inverse().apply(p))
         np.testing.assert_allclose(a @ p + b, expected, atol=1e-12)
@@ -437,11 +466,11 @@ class TestCameraFromFrame:
         g = random_similarity(rng)
         p = rng.normal(size=3)
 
-        a0, b0 = camera_from_frame(device, extr)
+        a0, b0 = frame_map(device, extr)
         scaled_pose = Similarity(
             g.scale, g.rotation @ device.rotation, g.apply(device.translation)
         )
-        a1, b1 = camera_from_frame(scaled_pose, extr)
+        a1, b1 = frame_map(scaled_pose, extr)
         np.testing.assert_allclose(a1 @ g.apply(p) + b1, a0 @ p + b0, atol=1e-9)
 
 

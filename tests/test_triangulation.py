@@ -14,13 +14,14 @@ from vigt.errors import (
     VigtError,
 )
 from vigt.geometry import (
+    MIN_DEPTH,
     CameraKind,
     CameraModel,
     RigCalibration,
     RigidPose,
     Rotation,
     Similarity,
-    camera_from_frame,
+    camera_maps,
     try_project,
 )
 from vigt import triangulation
@@ -85,6 +86,20 @@ def observe(point, pose, rig, image_id, noise=0.0, rng=None, sigma=1.0):
     return Observation(image_id, "cam", uv, np.eye(2) * sigma**2)
 
 
+def frame_map(device_pose, cam_from_device):
+    """(A, b) with p_cam = A p_frame + b of one frame: `camera_maps` of a
+    stack of one."""
+    scale = device_pose.scale if isinstance(device_pose, Similarity) else 1.0
+    a, b = camera_maps(
+        device_pose.rotation.quat[None],
+        device_pose.translation[None],
+        np.array([scale]),
+        cam_from_device.rotation.matrix()[None],
+        cam_from_device.translation[None],
+    )
+    return a[0], b[0]
+
+
 def refine_alone(point, obs, poses, rig):
     """Refinement of one point from `point` on its views: position, mean
     inlier error, covariance and the failure, None if it succeeds."""
@@ -96,7 +111,8 @@ def refine_alone(point, obs, poses, rig):
 
 def covariance_at(point, obs, poses, rig):
     """Covariance of one point's reprojection problem at `point`."""
-    covariances, failures = _covariances(ViewSet.build(obs, poses, rig), np.reshape(point, (1, 3)))
+    views = ViewSet.build(obs, poses, rig)
+    covariances, failures = _covariances(views, views.project(None, np.asarray(point)))
     assert not failures
     return covariances[0]
 
@@ -220,7 +236,7 @@ class TestLocalOptimization:
         hypothesis = _midpoints(centers, rays, np.array([[0, 1]]))[0][0]
         errors = views.errors(hypothesis)
         assert np.all(errors <= 4.0)
-        assert (views.errors(views.refine(hypothesis)) <= 4.0).sum() == 1
+        assert (views.errors(views.refine(hypothesis)[0]) <= 4.0).sum() == 1
 
         score = (2, -float(errors.mean()))
         kept, inliers, count, mean = _local_optimization(
@@ -255,7 +271,7 @@ class TestLocalOptimization:
         pairs = _sample_pairs(len(obs), config.max_iters, _SEED)
         masks = views.errors(_midpoints(centers, rays, pairs)[0]) <= 4.0
         assert np.count_nonzero(masks.all(axis=1)) == 7
-        assert (views.errors(views.refine(point)) <= 4.0).sum() == 7
+        assert (views.errors(views.refine(point)[0]) <= 4.0).sum() == 7
 
         est, inliers = triangulate_ransac(obs, poses, rig, config)
         assert inliers == tuple(range(1, 8))
@@ -518,7 +534,7 @@ def view_jacobians(views, p):
 
 
 def view_geometry(obs, poses):
-    a, b = camera_from_frame(poses[obs.image_id], MIXED_RIG.camera_from_device[obs.camera_id])
+    a, b = frame_map(poses[obs.image_id], MIXED_RIG.camera_from_device[obs.camera_id])
     return MODELS[obs.camera_id], a, b
 
 
@@ -563,6 +579,70 @@ class TestViewSet:
                 minus = try_project(cam, a @ (p - dp) + b)[0]
                 num[:, i] = (plus - minus) / (2 * step)
             np.testing.assert_allclose(jacs[k], num, rtol=1e-5, atol=1e-4)
+
+
+class TestProjection:
+    def test_clamped_point_does_not_project(self):
+        # a pinhole and a fisheye camera, both at the origin, see the origin
+        # at their principal points; within MIN_DEPTH of them the clamp
+        # moves the point, so neither view projects it and the pinhole one
+        # counts it as behind
+        fisheye = MODELS["fisheye"]
+        rig = RigCalibration(
+            cameras={"cam": CAM, "fish": fisheye},
+            camera_from_device={"cam": RigidPose.identity(), "fish": RigidPose.identity()},
+        )
+        obs = [Observation(0, "cam", (0.0, 0.0)), Observation(0, "fish", (fisheye.cx, fisheye.cy))]
+        views = ViewSet.build(obs, {0: RigidPose.identity()}, rig)
+        near = views.project(None, np.array([0.0, 0.0, 0.5 * MIN_DEPTH]))
+        np.testing.assert_array_equal(near.errors, [np.inf, np.inf])
+        np.testing.assert_array_equal(views.in_front(near), [False, True])
+        np.testing.assert_array_equal(views.errors([0.0, 0.0, 0.5 * MIN_DEPTH]), near.errors)
+        # beyond MIN_DEPTH both project their principal points
+        far = views.project(None, np.array([0.0, 0.0, 2.0 * MIN_DEPTH]))
+        np.testing.assert_array_equal(far.errors, [0.0, 0.0])
+        np.testing.assert_array_equal(views.in_front(far), [True, True])
+        # a fisheye view of a point off its axis, within MIN_DEPTH of it
+        off_axis = views.project(np.array([1]), np.array([0.6 * MIN_DEPTH, 0.0, -0.3 * MIN_DEPTH]))
+        np.testing.assert_array_equal(off_axis.errors, [np.inf])
+
+    def test_each_point_state_mapped_once(self, monkeypatch):
+        # refinement, its mean errors, its behind-camera check and its
+        # covariance read the projection refine returns, and each scoring
+        # pass maps its entries once
+        rng = np.random.default_rng(23)
+        poses = {}
+        obs, _ = corrupt(ring_views(rng, poses, np.zeros(3), 30, 0), 0.3, rng)
+        views = ViewSet.build(obs, poses, PINHOLE_RIG)
+        maps, in_refine, per_pass = [0], [0], []
+        project, refine, score_pairs = ViewSet.project, ViewSet.refine, triangulation._score_pairs
+
+        def counted_project(self, *args):
+            maps[0] += 1
+            return project(self, *args)
+
+        def counted_refine(self, *args):
+            before = maps[0]
+            out = refine(self, *args)
+            in_refine[0] += maps[0] - before
+            return out
+
+        def counted_pass(*args):
+            before = maps[0]
+            out = score_pairs(*args)
+            per_pass.append(maps[0] - before)
+            return out
+
+        monkeypatch.setattr(ViewSet, "project", counted_project)
+        monkeypatch.setattr(ViewSet, "refine", counted_refine)
+        monkeypatch.setattr(triangulation, "_score_pairs", counted_pass)
+        points, inliers, failures, _ = _lo_ransac(views, TriangulationConfig())
+        assert not failures and len(per_pass) > 1
+        assert per_pass == [1] * len(per_pass)
+        maps[0] = in_refine[0] = 0
+        *_, failures = _refine_points(views.take(np.flatnonzero(inliers)), points)
+        assert not failures
+        assert maps[0] == in_refine[0] > 0
 
 
 # Reference oracles: LO-RANSAC and Levenberg-Marquardt refinement one point
@@ -745,7 +825,7 @@ def point_batches(draw, rig=MIXED_RIG):
         for _ in range(n):
             image = int(rng.integers(SCENE_POSES))
             cid = sorted(rig.cameras)[rng.integers(len(rig.cameras))]
-            a, b = camera_from_frame(poses[image], rig.camera_from_device[cid])
+            a, b = frame_map(poses[image], rig.camera_from_device[cid])
             uv, valid = try_project(rig.cameras[cid], a @ target + b)
             if not valid or rng.uniform() < outlier_rate:
                 uv = rng.normal([320.0, 240.0], 150.0)
@@ -820,7 +900,7 @@ class TestLockstep:
         def seen(target, images, cid="pinhole", cov=np.eye(2)):
             obs = []
             for k in images:
-                a, b = camera_from_frame(poses[k], MIXED_RIG.camera_from_device[cid])
+                a, b = frame_map(poses[k], MIXED_RIG.camera_from_device[cid])
                 uv = try_project(MODELS[cid], a @ target + b)[0]
                 obs.append(Observation(k, cid, uv, cov))
             return obs
@@ -1104,7 +1184,7 @@ class TestTwoCalibrationsOfOneKind:
         for got, want in zip(lines, oracle_lines):
             np.testing.assert_array_equal(got, want)
         assert_same_failures(failures, oracle_failures)
-        np.testing.assert_array_equal(views.refine(points), oracle.refine(points))
+        np.testing.assert_array_equal(views.refine(points)[0], oracle.refine(points)[0])
 
     @settings(max_examples=30, deadline=None)
     @given(point_batches(TWIN_RIG))
@@ -1131,6 +1211,6 @@ class TestBuild:
         views = ViewSet.build(observations, poses, MIXED_RIG)
         for k, obs in enumerate(observations):
             extrinsics = MIXED_RIG.camera_from_device[obs.camera_id]
-            a, b = camera_from_frame(poses[obs.image_id], extrinsics)
+            a, b = frame_map(poses[obs.image_id], extrinsics)
             np.testing.assert_array_equal(views.a[k], a)
             np.testing.assert_array_equal(views.b[k], b)
