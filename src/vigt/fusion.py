@@ -24,10 +24,11 @@ Each factor family is one stacked residual block, and its one callback
 reads the solver's value rows: keyframe poses as (N, 7) rows
 [qw qx qy qz | t] (world-from-IMU), velocities (N, 3), biases (N, 6) as
 (gyro, accel) and points (N, 3). The IMU family is one `inertial.SegmentStack` of the S
-keyframe intervals, segment s between keyframes s and s + 1,
-preintegrated in lockstep at zero bias; its residuals (S, 9) come from
-one call with the builder of their Jacobians (S, 9, k), and the bias
-random walk ties the same S pairs of bias states.
+keyframe intervals, segment s between keyframes s and s + 1, cut, checked
+and preintegrated at zero bias by one `preintegrate_stack` call before
+any triangulation; its residuals (S, 9) come from one call with the
+builder of their Jacobians (S, 9, k), and the bias random walk ties the
+same S pairs of bias states.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .alignment import ControlPoint
-from .errors import ImuDataError, UnobservableError, VigtError
+from .errors import UnobservableError, VigtError
 from .geometry import (
     RigCalibration,
     RigidPose,
@@ -48,6 +49,7 @@ from .geometry import (
     quat_log,
     quat_multiply,
     quat_to_matrix,
+    skew,
     so3_right_jacobian_inverse,
 )
 from .inertial import (
@@ -129,8 +131,12 @@ class FusionProblem:
 
 @dataclass
 class PseudoGT:
+    """`pose_covariances[k]` is the 6x6 marginal covariance of the device
+    pose `keyframes[k].pose` (world-from-device) on its tangent (rotation
+    perturbed on the right, R Exp(dphi), translation added in the world)."""
+
     keyframes: list[KeyframeState]
-    pose_covariances: list[np.ndarray]  # 6x6 tangent (rotation, translation)
+    pose_covariances: list[np.ndarray]
     variance_factors: list[dict[str, float]]
     report: SolveReport
     # keyframe intervals whose final gyro bias lies farther than
@@ -215,15 +221,12 @@ def _add_cp_world(problem: Problem, cps: list[ControlPoint]) -> None:
 
 
 def _add_inertial(
-    problem: Problem, keyframe_ts: list[int], imu: ImuStream, noise: ImuNoise
-) -> SegmentStack:
-    """Preintegration rows between consecutive keyframes, and the bias
-    random walk between their bias states: one stacked block each. Returns
-    the preintegrated segments, integrated in lockstep at zero bias."""
+    problem: Problem, keyframe_ts: list[int], segs: SegmentStack, noise: ImuNoise
+) -> None:
+    """Preintegration rows of the segments between consecutive keyframes,
+    and the bias random walk between their bias states: one stacked block
+    each."""
     pairs = list(zip(keyframe_ts, keyframe_ts[1:]))
-    segs = preintegrate_stack(
-        [imu.between(a, b) for a, b in pairs], np.zeros((len(pairs), 6)), noise
-    )
     problem.add_stacked_block(
         partial(preintegration_residual_stack, segs),
         [
@@ -247,7 +250,6 @@ def _add_inertial(
         group="bias-walk",
         rid="walk",
     )
-    return segs
 
 
 def _add_gauge_prior(problem: Problem, pid: str, prior: RigidPose, sigma: float) -> None:
@@ -279,23 +281,6 @@ def _keyframe_timestamps(init_traj: Trajectory, stride: int) -> list[int]:
     return ts
 
 
-def _check_imu_coverage(keyframe_ts: Sequence[int], imu: ImuStream) -> None:
-    ts = imu.timestamps
-    if keyframe_ts[0] < ts[0] or keyframe_ts[-1] > ts[-1]:
-        raise ImuDataError(
-            f"IMU stream [{ts[0]}, {ts[-1]}] does not cover keyframes"
-            f" [{keyframe_ts[0]}, {keyframe_ts[-1]}]"
-        )
-    nominal = float(np.median(np.diff(ts))) if len(ts) > 2 else np.inf
-    kf = np.asarray(keyframe_ts, dtype=np.int64)
-    # samples strictly inside each keyframe interval
-    inside = np.searchsorted(ts, kf[1:], "left") - np.searchsorted(ts, kf[:-1], "right")
-    missing = np.flatnonzero((inside == 0) & (np.diff(kf) > 2.0 * nominal))
-    if missing.size:
-        intervals = ", ".join(f"[{kf[k]}, {kf[k + 1]}]" for k in missing)
-        raise ImuDataError(f"no IMU samples inside keyframe intervals: {intervals}")
-
-
 def build_fusion_problem(
     init_traj: Trajectory,
     tracks: Sequence[FeatureTrack],
@@ -314,7 +299,9 @@ def build_fusion_problem(
     keyframe_ts = _keyframe_timestamps(init_traj, config.keyframe_stride)
     if len(keyframe_ts) < 2:
         raise VigtError("need at least 2 keyframes")
-    _check_imu_coverage(keyframe_ts, imu)
+    # bad IMU input fails here, before any triangulation
+    kf = np.asarray(keyframe_ts, dtype=np.int64)
+    segments = preintegrate_stack(imu, kf[:-1], kf[1:], np.zeros((len(kf) - 1, 6)), rig.imu_noise)
     kf_set = set(keyframe_ts)
     if config.mode == "inertial-only":
         tracks = ()  # the full problem without feature tracks
@@ -401,7 +388,7 @@ def build_fusion_problem(
     if feature_rows:
         _add_reprojections(problem, feature_rows, body_rig, loss, "feature-reprojection")
 
-    segments = _add_inertial(problem, keyframe_ts, imu, rig.imu_noise)
+    _add_inertial(problem, keyframe_ts, segments, rig.imu_noise)
 
     has_3d_cp = any(cps_by_id[cid].dim == 3 for cid in cp_ids)
     gauge_prior = not has_3d_cp
@@ -426,7 +413,7 @@ def build_fusion_problem(
 
 def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
     """Alternate solving with variance-factor reweighting of the visual
-    groups, then extract the pose covariances, and count the bias
+    groups, then extract the device pose covariances, and count the bias
     excursions (logged once when there are any). Every solve but the last
     stops at `_ROUND_STEP`, the last at `NEGLIGIBLE_STEP`.
 
@@ -450,9 +437,15 @@ def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
     pose_ids = [f"kf:{ts}:pose" for ts in fp.keyframe_ts]
     covs = marginal_covariances(fp.problem, pose_ids)
 
-    keyframes = []
-    for ts in fp.keyframe_ts:
-        body = fp.problem.value(f"kf:{ts}:pose")
+    # J cov J^T, J the Jacobian of (body + delta) @ imu_from_device in the
+    # body pose tangent delta: I for the identity extrinsic
+    jac = np.eye(6)
+    jac[0:3, 0:3] = fp.imu_from_device.rotation.matrix().T
+    keyframes, pose_covariances = [], []
+    for ts, pid in zip(fp.keyframe_ts, pose_ids):
+        body = fp.problem.value(pid)
+        jac[3:6, 0:3] = -body.rotation.matrix() @ skew(fp.imu_from_device.translation)
+        pose_covariances.append(jac @ covs[pid] @ jac.T)
         keyframes.append(
             KeyframeState(
                 timestamp_ns=ts,
@@ -474,7 +467,7 @@ def optimize_pseudo_gt(fp: FusionProblem) -> PseudoGT:
         )
     return PseudoGT(
         keyframes=keyframes,
-        pose_covariances=[covs[pid] for pid in pose_ids],
+        pose_covariances=pose_covariances,
         variance_factors=factors_history,
         report=report,
         bias_excursions=excursions,

@@ -15,12 +15,12 @@ z), velocity and position deltas `delta_vel` and `delta_pos` (S, 3),
 covariances `covariance` (S, 9, 9), the five bias Jacobians
 `d_rot_d_bg`, `d_vel_d_bg`, `d_vel_d_ba`, `d_pos_d_bg` and `d_pos_d_ba`
 (S, 3, 3), and linearization biases `lin_bias` (S, 6) as (gyro, accel).
-Gaps in a sample stream are not flagged here; fusion refuses keyframe
-intervals without samples (`ImuDataError`).
-`preintegrate_stack` integrates all segments in lockstep, one sample index
-at a time over (S, L, ...) arrays, shorter streams padded with zero-length
-steps; the per-sample rotation maps are computed for all samples before
-the recurrence. The residual is evaluated for all segments in one call,
+`preintegrate_stack` cuts S segments from one sample stream, refusing
+uncovered segments and gaps (`ImuDataError`) as the only place that does,
+and integrates them in lockstep, one sample index at a time over (S, L,
+...) arrays, shorter segments padded with zero-length steps; the
+per-sample rotation maps are computed for all samples before the
+recurrence. The residual is evaluated for all segments in one call,
 (S, 9), from keyframe poses given as (S, 7) rows [qw qx qy qz | t], the
 solver's pose rows, and returns the builder of its (S, 9, k) Jacobians.
 
@@ -33,7 +33,7 @@ quaternion, and the deltas are normalized by geometry's `_unit`.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -124,35 +124,6 @@ class ImuStream:
     def __len__(self):
         return len(self.timestamps)
 
-    def between(self, t_start_ns: int, t_end_ns: int) -> "ImuStream":
-        """Samples covering [t_start, t_end], with measurements linearly
-        interpolated onto the exact boundary instants."""
-        ts = self.timestamps
-        if t_end_ns <= t_start_ns:
-            raise ImuDataError("interval end must be after start")
-        if t_start_ns < ts[0] or t_end_ns > ts[-1]:
-            raise ImuDataError(
-                f"IMU stream [{ts[0]}, {ts[-1]}] does not cover"
-                f" [{t_start_ns}, {t_end_ns}]"
-            )
-        # the samples strictly inside the interval
-        inner = slice(np.searchsorted(ts, t_start_ns, "right"), np.searchsorted(ts, t_end_ns, "left"))
-        parts_t = [np.array([t_start_ns], dtype=np.int64), ts[inner], np.array([t_end_ns], dtype=np.int64)]
-        parts_g = [self._interp(t_start_ns, self.gyro), self.gyro[inner], self._interp(t_end_ns, self.gyro)]
-        parts_a = [self._interp(t_start_ns, self.accel), self.accel[inner], self._interp(t_end_ns, self.accel)]
-        return ImuStream(
-            np.concatenate(parts_t), np.vstack(parts_g), np.vstack(parts_a)
-        )
-
-    def _interp(self, t_ns: int, values: np.ndarray) -> np.ndarray:
-        ts = self.timestamps
-        idx = np.searchsorted(ts, t_ns)
-        if idx < len(ts) and ts[idx] == t_ns:
-            return values[idx : idx + 1]
-        lo, hi = idx - 1, idx
-        w = (t_ns - ts[lo]) / (ts[hi] - ts[lo])
-        return (1.0 - w) * values[lo : lo + 1] + w * values[hi : hi + 1]
-
 
 @dataclass(frozen=True, eq=False)
 class SegmentStack:
@@ -195,28 +166,46 @@ def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def preintegrate_stack(
-    streams: Sequence[ImuStream], biases: np.ndarray, noise: ImuNoise
+    imu: ImuStream, starts, ends, biases: np.ndarray, noise: ImuNoise
 ) -> SegmentStack:
-    """Integrate S sample streams in lockstep, stream s at the
+    """Cut the S segments [starts[s], ends[s]] (int ns) from one sample
+    stream (`_cut`) and integrate them in lockstep, segment s at the
     linearization bias `biases[s]` ((S, 6) rows (gyro, accel)).
 
-    Every stream needs at least two samples; its first and last timestamps
-    define its interval. Shorter streams are padded with zero-length
-    steps, which leave every recurrence unchanged, so the loop runs once
-    per sample index of the longest stream. The segments are integrated
-    `_SEGMENT_CHUNK` at a time, each chunk padded to the longest stream of
+    Shorter segments are padded with zero-length steps, which leave every
+    recurrence unchanged. The segments are cut and integrated
+    `_SEGMENT_CHUNK` at a time, each chunk padded to the longest segment of
     the call, so the per-sample maps held at once are bounded and every
     segment's arithmetic is that of one unchunked call.
+
+    Raises `ImuDataError` for an empty stream, no segments or unpaired
+    bounds, a segment that does not end after it starts or that the stream
+    does not cover, and a gap: no sample strictly inside a segment longer
+    than twice the stream's median sample spacing.
     """
-    n_seg = len(streams)
+    ts = imu.timestamps
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+    ends = np.asarray(ends, dtype=np.int64).reshape(-1)
+    n_seg = len(starts)
     biases = np.asarray(biases, dtype=float).reshape(n_seg, 6)
-    if n_seg == 0 or min(len(s) for s in streams) < 2:
-        raise ImuDataError("preintegration needs at least one sample interval")
-    n = max(len(s) for s in streams)
-    chunks = [
-        _integrate(streams[c : c + _SEGMENT_CHUNK], biases[c : c + _SEGMENT_CHUNK], noise, n)
-        for c in range(0, n_seg, _SEGMENT_CHUNK)
-    ]
+    if len(ts) == 0 or n_seg == 0 or len(ends) != n_seg:
+        raise ImuDataError(f"cannot cut {n_seg} starts, {len(ends)} ends from {len(ts)} samples")
+    inside = np.searchsorted(ts, ends, "left") - np.searchsorted(ts, starts, "right")
+    nominal = float(np.median(np.diff(ts))) if len(ts) > 2 else np.inf
+    outside = (starts < ts[0]) | (ends > ts[-1])
+    for refused, bad in (
+        ("segments that do not end after they start", ends <= starts),
+        (f"segments outside the IMU stream [{ts[0]}, {ts[-1]}]", outside),
+        ("no IMU samples inside segments", (inside == 0) & (ends - starts > 2.0 * nominal)),
+    ):
+        if bad.any():
+            listed = ", ".join(f"[{a}, {b}]" for a, b in zip(starts[bad], ends[bad]))
+            raise ImuDataError(f"{refused}: {listed}")
+    n = int(inside.max()) + 2
+    chunks = []
+    for c in range(0, n_seg, _SEGMENT_CHUNK):
+        part = slice(c, c + _SEGMENT_CHUNK)
+        chunks.append(_integrate(*_cut(imu, starts[part], ends[part], n), biases[part], noise))
     return SegmentStack(
         **{
             f.name: np.concatenate([getattr(c, f.name) for c in chunks])
@@ -225,20 +214,31 @@ def preintegrate_stack(
     )
 
 
+def _cut(imu: ImuStream, starts: np.ndarray, ends: np.ndarray, n: int) -> tuple:
+    """Segments [starts[s], ends[s]] of the stream as n instants (S, n) in
+    int ns, the start, the samples strictly inside and the end, repeated as
+    padding, with the gyro and accel samples there (S, n, 3): a sample at
+    an instant as is, an end between samples interpolated linearly."""
+    ts = imu.timestamps
+    first = np.searchsorted(ts, starts, "right")  # each first sample inside
+    idx = first[:, None] + np.arange(-1, n - 1)  # column k > 0: sample first + k - 1
+    inner = idx < np.searchsorted(ts, ends, "left")[:, None]
+    t = np.where(inner, ts[np.minimum(idx, len(ts) - 1)], ends[:, None])
+    t[:, 0] = starts
+    hi = np.searchsorted(ts, t)  # the first sample at or after each instant
+    lo = np.where(ts[hi] == t, hi, hi - 1)  # at a sample, that sample, with w = 0
+    w = ((t - ts[lo]) / np.maximum(ts[hi] - ts[lo], 1))[..., None]
+    return t, *((1.0 - w) * v[lo] + w * v[hi] for v in (imu.gyro, imu.accel))
+
+
 def _integrate(
-    streams: Sequence[ImuStream], biases: np.ndarray, noise: ImuNoise, n: int
+    t: np.ndarray, gyro: np.ndarray, accel: np.ndarray, biases: np.ndarray, noise: ImuNoise
 ) -> SegmentStack:
-    """`preintegrate_stack` of the given streams, padded to n samples."""
-    n_seg = len(streams)
-    ts = np.zeros((n_seg, n))  # seconds from each stream's start
-    gyro = np.zeros((n_seg, n, 3))
-    accel = np.zeros((n_seg, n, 3))
-    for s, stream in enumerate(streams):
-        m = len(stream)
-        ts[s, :m] = (stream.timestamps - stream.timestamps[0]) * 1e-9
-        ts[s, m:] = ts[s, m - 1]
-        gyro[s, :m] = stream.gyro - biases[s, :3]
-        accel[s, :m] = stream.accel - biases[s, 3:]
+    """`preintegrate_stack` of the segments `_cut` returns."""
+    n_seg = len(t)
+    ts = (t - t[:, :1]) * 1e-9  # seconds from each segment's start
+    gyro = gyro - biases[:, None, :3]
+    accel = accel - biases[:, None, 3:]
 
     dts = np.diff(ts, axis=1)  # (S, K); 0 on padding
     # midpoint rule: average consecutive samples over each interval
@@ -316,10 +316,12 @@ def _integrate(
 
 
 def preintegrate(stream: ImuStream, bias: Bias, noise: ImuNoise) -> SegmentStack:
-    """Integrate one sample stream into the one-segment stack of its
-    relative motion deltas; see :func:`preintegrate_stack`. `perfbench`
-    calls it in its per-sample preintegration microbenchmark."""
-    return preintegrate_stack([stream], bias.as_vector()[None], noise)
+    """Integrate a whole sample stream, from its first to its last sample,
+    into the one-segment stack of its relative motion deltas; see
+    :func:`preintegrate_stack`. `perfbench` calls it in its per-sample
+    preintegration microbenchmark."""
+    ts = stream.timestamps
+    return preintegrate_stack(stream, ts[:1], ts[-1:], bias.as_vector()[None], noise)
 
 
 def bias_correct_stack(

@@ -39,10 +39,13 @@ def sequence_score(errors: Iterable[float]) -> float:
 
 
 def cp_recall(errors: Iterable[float], tau_m: float = 1.0) -> float:
-    """Percentage of control points with alignment error at most tau."""
+    """Percentage of control points with alignment error at most tau; a
+    missing CP (inf) is a miss, and a negative or NaN error a ValueError."""
     errors = np.asarray(list(errors), dtype=float)
     if errors.size == 0:
         raise ValueError("sequence has no control points")
+    if not np.all(errors >= 0.0):
+        raise ValueError(f"errors must be non-negative numbers, got {errors}")
     return float(100.0 * np.mean(errors <= tau_m))
 
 

@@ -16,9 +16,9 @@ from vigt.fusion import (
     build_fusion_problem,
     optimize_pseudo_gt,
 )
-from vigt.geometry import RigidPose, Rotation, Trajectory
-from vigt.inertial import BIAS_CORRECTION_WARN_NORM, Bias, ImuStream
-from vigt.solver import _retract
+from vigt.geometry import RigCalibration, RigidPose, Rotation, Trajectory
+from vigt.inertial import BIAS_CORRECTION_WARN_NORM, Bias, ImuStream, preintegrate_stack
+from vigt.solver import Manifold, _retract
 from vigt.synth import (
     SynthConfig,
     default_rig,
@@ -328,6 +328,87 @@ def test_imu_gap_raises(scene):
         )
 
 
+def bad_streams(imu, truth) -> dict[str, ImuStream]:
+    """The scene's IMU stream emptied, with a gap inside the second keyframe
+    interval, and ending before the last keyframe."""
+    ts = imu.timestamps
+    kf = truth.timestamps[::STRIDE]
+    keep = {
+        "empty": np.zeros(len(ts), dtype=bool),
+        "gap": ~((ts > kf[1]) & (ts < kf[2])),
+        "short": ts < kf[-2],
+    }
+    return {name: ImuStream(ts[k], imu.gyro[k], imu.accel[k]) for name, k in keep.items()}
+
+
+@pytest.mark.parametrize("case", ["empty", "gap", "short"])
+def test_bad_imu_raises_before_triangulation(scene, monkeypatch, case):
+    # typed, where an empty stream once raised an IndexError
+    world, rig, detections, imu, truth, init = scene
+    calls = []
+    monkeypatch.setattr(fusion, "triangulate_all", lambda *args: calls.append(args))
+    with pytest.raises(ImuDataError):
+        build_fusion_problem(
+            init, detections.tracks, detections.cp_observations, world.cps,
+            bad_streams(imu, truth)[case], rig, FusionConfig(keyframe_stride=STRIDE),
+        )
+    assert calls == []
+
+
+def test_pose_covariances_are_of_the_device_poses(scene):
+    # the scene re-expressed in a device frame apart from the IMU frame is
+    # the same problem in the IMU frame; each device pose covariance is
+    # J S J^T, with S the identity-extrinsic run's and J the Jacobian of
+    # (body + delta) @ imu_from_device, by central differences
+    world, rig, detections, imu, truth, init = scene
+    assert np.array_equal(rig.imu_from_device.rotation.matrix(), np.eye(3))
+    assert not rig.imu_from_device.translation.any()
+    imu_from_device = RigidPose(Rotation.exp([0.1, -0.2, 0.3]), [0.05, -0.02, 0.01])
+    reframed_rig = RigCalibration(
+        cameras=rig.cameras,
+        camera_from_device={c: p @ imu_from_device for c, p in rig.camera_from_device.items()},
+        imu_from_device=imu_from_device,
+        imu_noise=rig.imu_noise,
+    )
+    reframed_init = Trajectory(init.timestamps, tuple(p @ imu_from_device for p in init.poses))
+
+    def optimized(traj, r):
+        return optimize_pseudo_gt(build_fusion_problem(
+            traj, detections.tracks, detections.cp_observations, world.cps, imu, r,
+            FusionConfig(mode="inertial-only", keyframe_stride=STRIDE),
+        ))
+
+    base, reframed = optimized(init, rig), optimized(reframed_init, reframed_rig)
+
+    def tangent(pose, origin):
+        return np.concatenate([
+            (origin.rotation.inverse() @ pose.rotation).log(),
+            pose.translation - origin.translation,
+        ])
+
+    step = 1e-6
+    for kf, kf_base, cov, cov_base in zip(
+        reframed.keyframes, base.keyframes, reframed.pose_covariances, base.pose_covariances,
+        strict=True,
+    ):
+        device = kf_base.pose @ imu_from_device
+        assert np.abs(tangent(kf.pose, device)).max() < 1e-9
+        body = np.concatenate([kf_base.pose.rotation.quat, kf_base.pose.translation])[None]
+        jac = np.zeros((6, 6))
+        for d in range(6):
+            moved = [
+                _retract(Manifold.RIGID_POSE, body, sign * step * np.eye(6)[d][None])[0]
+                for sign in (1.0, -1.0)
+            ]
+            plus, minus = (
+                tangent(RigidPose(Rotation(m[:4]), m[4:]) @ imu_from_device, device)
+                for m in moved
+            )
+            jac[:, d] = (plus - minus) / (2 * step)
+        expected = jac @ cov_base @ jac.T
+        np.testing.assert_allclose(cov, expected, rtol=0.0, atol=1e-6 * np.abs(expected).max())
+
+
 def test_no_cp_detection_on_keyframes_is_unobservable(scene):
     world, rig, detections, imu, truth, init = scene
     keyframes = set(int(t) for t in truth.timestamps[::STRIDE]) | {int(truth.timestamps[-1])}
@@ -463,9 +544,14 @@ def test_imu_coverage_check_matches_mask_count():
         )
         for _ in range(30)
     ]
+    noise = default_rig().imu_noise
+
+    def preintegrate_intervals(kf):
+        preintegrate_stack(imu, kf[:-1], kf[1:], np.zeros((len(kf) - 1, 6)), noise)
+
     for kf in [bounding] + random_sets:
         if has_empty_interval(kf):
             with pytest.raises(ImuDataError):
-                fusion._check_imu_coverage(list(kf), imu)
+                preintegrate_intervals(kf)
         else:
-            fusion._check_imu_coverage(list(kf), imu)
+            preintegrate_intervals(kf)

@@ -178,13 +178,23 @@ def take(stack, s):
     )
 
 
+# sample slices of the three unequal segments: 41, 97 and 150 samples
+UNEQUAL = ((0, 41), (30, 127), (200, 350))
+
+
 def unequal_streams():
-    """Three streams of 41, 97 and 150 samples cut from one 400 Hz signal."""
+    """One 400 Hz stream and the (starts, ends) of its `UNEQUAL` segments,
+    each from its first to its last sample instant."""
     base = sampled_stream(400.0, 1.0, sinusoid_signals)
-    return [
-        ImuStream(base.timestamps[a:b], base.gyro[a:b], base.accel[a:b])
-        for a, b in ((0, 41), (30, 127), (200, 350))
-    ]
+    ts = base.timestamps
+    return base, ts[[a for a, _ in UNEQUAL]], ts[[b - 1 for _, b in UNEQUAL]]
+
+
+def random_segments(rng, base, count):
+    """(starts, ends) of `count` segments of the stream, each from a sample
+    instant to another, over 2 to 24 samples."""
+    first = rng.integers(0, len(base) - 25, size=count)
+    return base.timestamps[first], base.timestamps[first + rng.integers(2, 25, size=count) - 1]
 
 
 def pose_row(pose):
@@ -223,11 +233,12 @@ class TestLockstep:
 
     def test_unequal_streams_match_one_at_a_time(self):
         rng = np.random.default_rng(18)
-        streams = unequal_streams()
-        biases = segment_biases(rng, len(streams))
-        stack = preintegrate_stack(streams, biases, NOISE)
-        assert len(stack) == len(streams)
-        for s, stream in enumerate(streams):
+        base, starts, ends = unequal_streams()
+        biases = segment_biases(rng, len(starts))
+        stack = preintegrate_stack(base, starts, ends, biases, NOISE)
+        assert len(stack) == len(starts)
+        for s, (a, b) in enumerate(UNEQUAL):
+            stream = ImuStream(base.timestamps[a:b], base.gyro[a:b], base.accel[a:b])
             alone = preintegrate(stream, Bias.from_vector(biases[s]), NOISE)
             assert_segments_close(take(stack, s), alone, 1e-12)
 
@@ -242,8 +253,9 @@ class TestLockstep:
             return unnormalized[-1]
 
         monkeypatch.setattr(inertial, "quat_from_matrix", recorded)
-        streams = unequal_streams()
-        stack = preintegrate_stack(streams, segment_biases(np.random.default_rng(20), 3), NOISE)
+        stack = preintegrate_stack(
+            *unequal_streams(), segment_biases(np.random.default_rng(20), 3), NOISE
+        )
         (raw,) = unnormalized
         for q, q_raw in zip(stack.delta_rot, raw, strict=True):
             np.testing.assert_array_equal(q, Rotation(q_raw).quat)
@@ -251,35 +263,43 @@ class TestLockstep:
     def test_chunks_match_one_unchunked_call(self, monkeypatch):
         rng = np.random.default_rng(19)
         base = sampled_stream(200.0, 3.0, sinusoid_signals)
-        starts = rng.integers(0, len(base) - 25, size=300)
-        streams = [
-            ImuStream(base.timestamps[a:b], base.gyro[a:b], base.accel[a:b])
-            for a, b in zip(starts, starts + rng.integers(2, 25, size=300))
-        ]
-        biases = segment_biases(rng, len(streams))
-        assert len(streams) > 2 * inertial._SEGMENT_CHUNK
-        chunked = preintegrate_stack(streams, biases, NOISE)
-        monkeypatch.setattr(inertial, "_SEGMENT_CHUNK", len(streams))
-        whole = preintegrate_stack(streams, biases, NOISE)
+        starts, ends = random_segments(rng, base, 300)
+        biases = segment_biases(rng, len(starts))
+        assert len(starts) > 2 * inertial._SEGMENT_CHUNK
+        chunked = preintegrate_stack(base, starts, ends, biases, NOISE)
+        monkeypatch.setattr(inertial, "_SEGMENT_CHUNK", len(starts))
+        whole = preintegrate_stack(base, starts, ends, biases, NOISE)
         for f in dataclasses.fields(SegmentStack):
             np.testing.assert_array_equal(getattr(chunked, f.name), getattr(whole, f.name))
+
+    def test_subset_matches_rows_of_the_full_stack(self):
+        # re-integrating some segments, as at a new bias, reproduces their
+        # rows of the stack of all segments bit for bit
+        rng = np.random.default_rng(22)
+        base = sampled_stream(200.0, 3.0, sinusoid_signals)
+        starts, ends = random_segments(rng, base, 300)
+        biases = segment_biases(rng, len(starts))
+        full = preintegrate_stack(base, starts, ends, biases, NOISE)
+        subset = np.sort(rng.choice(len(starts), size=40, replace=False))
+        part = preintegrate_stack(base, starts[subset], ends[subset], biases[subset], NOISE)
+        for f in dataclasses.fields(SegmentStack):
+            np.testing.assert_array_equal(getattr(part, f.name), getattr(full, f.name)[subset])
 
     def test_memory_bounded_on_ten_minute_stream(self):
         # 2400 keyframe intervals of 0.25 s over 10 min of 200 Hz samples;
         # holding every sample's rotation maps at once took 71 MB
         stream = sampled_stream(200.0, 600.0, sinusoid_signals)
-        streams = [
-            ImuStream(stream.timestamps[k], stream.gyro[k], stream.accel[k])
-            for k in (slice(a, a + 51) for a in range(0, len(stream) - 50, 50))
-        ]
-        biases = np.zeros((len(streams), 6))
+        # segment k spans samples 50 k to 50 k + 50
+        first = np.arange(0, len(stream) - 50, 50)
+        starts, ends = stream.timestamps[first], stream.timestamps[first + 50]
+        biases = np.zeros((len(starts), 6))
         tracemalloc.start()
         try:
-            preintegrate_stack(streams, biases, NOISE)
+            preintegrate_stack(stream, starts, ends, biases, NOISE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(streams) == 2400
+        assert len(starts) == 2400
         assert peak < 16e6
 
 
@@ -545,7 +565,8 @@ class TestStackedResidual:
     def make_rows(self, rng, n):
         """Segments and the (pose_i, vel_i, pose_j, vel_j, bias_i) value
         rows, (S, size) each, of an S = n stack."""
-        stack = preintegrate_stack(unequal_streams()[:n], segment_biases(rng, n), NOISE)
+        base, starts, ends = unequal_streams()
+        stack = preintegrate_stack(base, starts[:n], ends[:n], segment_biases(rng, n), NOISE)
 
         def poses():
             return np.stack(
@@ -607,17 +628,25 @@ class TestBiasWalk:
         np.testing.assert_allclose(c2, 4.0 * c1)
 
 
+def cut(stream, a, b):
+    """Segment [a, b] of a stream as `preintegrate_stack` cuts it, without
+    padding: its instants and its gyro and accel samples there."""
+    n = int(np.sum((stream.timestamps > a) & (stream.timestamps < b))) + 2
+    t, gyro, accel = inertial._cut(stream, np.array([a]), np.array([b]), n)
+    return t[0], gyro[0], accel[0]
+
+
 class TestStreamSlicing:
     def test_between_interpolates_boundaries(self):
         stream = sampled_stream(100.0, 1.0, sinusoid_signals)
-        chunk = stream.between(105_000_000, 341_000_000)
-        assert chunk.timestamps[0] == 105_000_000
-        assert chunk.timestamps[-1] == 341_000_000
+        t, gyro_cut, _ = cut(stream, 105_000_000, 341_000_000)
+        assert t[0] == 105_000_000
+        assert t[-1] == 341_000_000
         # boundary value linearly interpolated between the 100 ms and 110 ms samples
         t = np.array([0.10, 0.105, 0.11])
         gyro, _ = sinusoid_signals(t)
         expected = 0.5 * (gyro[0] + gyro[2])
-        np.testing.assert_allclose(chunk.gyro[0], expected, atol=1e-4)
+        np.testing.assert_allclose(gyro_cut[0], expected, atol=1e-4)
 
     def test_between_matches_mask_reference(self):
         # 200 Hz with jittered instants; bounds on random instants and on
@@ -633,14 +662,45 @@ class TestStreamSlicing:
             a, b = int(min(a, b)), int(max(a, b))
             if a == b:
                 continue
-            chunk = stream.between(a, b)
+            t, gyro, accel = cut(stream, a, b)
             inner = (ts > a) & (ts < b)
-            np.testing.assert_array_equal(chunk.timestamps[1:-1], ts[inner])
-            np.testing.assert_array_equal(chunk.gyro[1:-1], stream.gyro[inner])
-            np.testing.assert_array_equal(chunk.accel[1:-1], stream.accel[inner])
-            assert (chunk.timestamps[0], chunk.timestamps[-1]) == (a, b)
+            np.testing.assert_array_equal(t[1:-1], ts[inner])
+            np.testing.assert_array_equal(gyro[1:-1], stream.gyro[inner])
+            np.testing.assert_array_equal(accel[1:-1], stream.accel[inner])
+            assert (t[0], t[-1]) == (a, b)
 
     def test_between_outside_coverage_raises(self):
         stream = sampled_stream(100.0, 1.0, sinusoid_signals)
         with pytest.raises(ImuDataError):
-            stream.between(-10, 500_000_000)
+            preintegrate_stack(stream, [-10], [500_000_000], np.zeros((1, 6)), NOISE)
+
+    @pytest.mark.parametrize(
+        "n, start, end, refused",
+        [
+            (0, 0, 10_000_000, "from 0 samples"),
+            (101, 30_000_000, 30_000_000, "do not end after they start"),
+            (101, 50_000_000, 1_010_000_000, "outside the IMU stream"),
+        ],
+        ids=["empty-stream", "empty-segment", "past-the-end"],
+    )
+    def test_refused_segments_raise(self, n, start, end, refused):
+        stream = constant_stream(n, 100.0, np.zeros(3), np.zeros(3))
+        with pytest.raises(ImuDataError, match=refused):
+            preintegrate_stack(stream, [0, start], [10_000_000, end], np.zeros((2, 6)), NOISE)
+
+    def test_unpaired_bounds_raise(self):
+        stream = constant_stream(101, 100.0, np.zeros(3), np.zeros(3))
+        with pytest.raises(ImuDataError, match="2 starts, 1 ends"):
+            preintegrate_stack(stream, [0, 10_000_000], [20_000_000], np.zeros((2, 6)), NOISE)
+
+    def test_gap_raises_naming_the_segment(self):
+        # 100 Hz without the samples at 300-390 ms: none inside [290, 400]
+        # ms, which is longer than two sample spacings
+        stream = constant_stream(101, 100.0, np.zeros(3), np.zeros(3))
+        keep = (np.arange(101) < 30) | (np.arange(101) >= 40)
+        gapped = ImuStream(stream.timestamps[keep], stream.gyro[keep], stream.accel[keep])
+        refused = r"no IMU samples inside segments: \[290000000, 400000000\]$"
+        with pytest.raises(ImuDataError, match=refused):
+            preintegrate_stack(
+                gapped, [0, 290_000_000], [290_000_000, 400_000_000], np.zeros((2, 6)), NOISE
+            )

@@ -112,6 +112,13 @@ class TestCpRecall:
         vals = [cp_recall(errs, t) for t in taus]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("errs", [[np.nan, 0.1], [-1.0], [0.1, -np.inf]])
+    def test_negative_or_nan_error_rejected(self, errs):
+        # as sequence_score does; a NaN is neither a hit nor a miss, and
+        # no negative error is a hit
+        with pytest.raises(ValueError, match="non-negative numbers"):
+            cp_recall(errs)
+
 
 class TestPoseRecall:
     def test_identical_trajectories(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vigt.geometry import Rotation, Similarity, Trajectory, try_project
-from vigt.inertial import GRAVITY_W, Bias, preintegrate
+from vigt.inertial import GRAVITY_W, preintegrate_stack
 from vigt.metrics import coverage_check
 from vigt.synth import (
     SynthConfig,
@@ -157,7 +157,7 @@ class TestGenImu:
         world = gen_world(SynthConfig(seed=6, duration_s=8.0, imu_rate_hz=1000.0))
         imu = gen_imu(world, noisy=False)
         t0, t1 = 2_000_000_000, 3_000_000_000
-        seg = preintegrate(imu.between(t0, t1), Bias.zero(), world.config.imu_noise)
+        seg = preintegrate_stack(imu, [t0], [t1], np.zeros((1, 6)), world.config.imu_noise)
 
         r0 = world.curve.rotation(t0 * 1e-9)
         r1 = world.curve.rotation(t1 * 1e-9)
@@ -187,11 +187,11 @@ class TestGenImu:
             gen_world(dataclasses.replace(config, gyro_bias=(0.0, 0.0, 0.0))), noisy=False
         )
         span = 1.0
-        seg_b = preintegrate(
-            imu_biased.between(0, int(span * 1e9)), Bias.zero(), world.config.imu_noise
+        seg_b = preintegrate_stack(
+            imu_biased, [0], [int(span * 1e9)], np.zeros((1, 6)), world.config.imu_noise
         )
-        seg_c = preintegrate(
-            imu_clean.between(0, int(span * 1e9)), Bias.zero(), world.config.imu_noise
+        seg_c = preintegrate_stack(
+            imu_clean, [0], [int(span * 1e9)], np.zeros((1, 6)), world.config.imu_noise
         )
         drift = Rotation(seg_c.delta_rot[0]).angle_to(Rotation(seg_b.delta_rot[0]))
         assert drift == pytest.approx(0.01 * span, rel=0.05)

@@ -13,15 +13,18 @@ and cost history of every Levenberg-Marquardt solve, and the skipped CPs
 and tracks. From the eval stage's `triangulation.triangulate_all` it
 records every CP's position, covariance, mean reprojection error and
 inlier (image, camera) ids, and the failures; from fusion, the landmark
-ids and their solved positions (the problem's `lm:<id>` blocks). `--src`
+ids and their solved positions (the problem's `lm:<id>` blocks), and the
+keyframe intervals' preintegrated IMU segments (`fp.segments`): their
+lengths, deltas, bias Jacobians and covariances. `--src`
 names the `src/` directory of the `vigt` to run (default: this
 checkout's); the benchmark code and this tool are always this
 checkout's, read-only, so dump both sides of a comparison with it.
 
 `compare` prints the largest deviation of each quantity over all runs:
 absolute for positions, rotations, velocities, biases, CP errors, CP and
-landmark positions and CP mean errors, relative to each block's largest
-entry for pose and CP covariances, relative for variance factors and
+landmark positions, CP mean errors and the segments' lengths, deltas and
+bias Jacobians, relative to each block's largest entry for pose, CP and
+segment covariances, relative for variance factors and
 cost histories, and equal or not for the iteration counts, terminations,
 skipped items, inlier sets, triangulation failures and landmark ids. Equal
 entries, infinite or NaN ones included, deviate by 0, and an entry that is
@@ -79,8 +82,11 @@ ABSOLUTE = (
     "tri_positions",
     "tri_mean_errors",
     "landmarks",
+    "segment_dt",
+    "segment_deltas",
+    "segment_bias_jacobians",
 )
-PER_BLOCK = ("pose_covariances", "tri_covariances")
+PER_BLOCK = ("pose_covariances", "tri_covariances", "segment_covariances")
 RELATIVE = ("variance_factors", "cost_history")
 DISCRETE = (
     "stages",
@@ -104,6 +110,18 @@ def _triangulations(tris: dict, failures: dict) -> dict[str, np.ndarray]:
             [f"{c}:{o.image_id}:{o.camera_id}" for c in ids for o in tris[c].inliers], dtype=str
         ),
         "tri_failures": np.array([f"{c}: {failures[c]}" for c in sorted(failures)], dtype=str),
+    }
+
+
+def _segments(segs) -> dict[str, np.ndarray]:
+    return {
+        "segment_dt": segs.dt,
+        "segment_deltas": np.hstack([segs.delta_rot, segs.delta_vel, segs.delta_pos]),
+        "segment_bias_jacobians": np.stack(
+            [segs.d_rot_d_bg, segs.d_vel_d_bg, segs.d_vel_d_ba, segs.d_pos_d_bg, segs.d_pos_d_ba],
+            axis=1,
+        ),
+        "segment_covariances": segs.covariance,
     }
 
 
@@ -156,6 +174,7 @@ def _run(workload: str, seed: int, realization: int) -> dict[str, np.ndarray]:
     (tris, failures), = evaluated
     return {
         **_triangulations(tris, failures),
+        **_segments(out.fp.segments),
         "landmark_ids": np.array(out.fp.landmark_ids, dtype=str),
         "landmarks": np.array(
             [out.fp.problem.value(f"lm:{t}") for t in out.fp.landmark_ids]
@@ -227,10 +246,10 @@ def compare(path_a: str, path_b: str) -> int:
                 print(f"{key}: solve {k} accepted {steps_a[k]} and {steps_b[k]} steps")
     for name in ABSOLUTE + PER_BLOCK + RELATIVE:
         kind = "absolute" if name in ABSOLUTE else "relative"
-        print(f"{name:18s} largest {kind} deviation {worst[name]:.3e}")
+        print(f"{name:22s} largest {kind} deviation {worst[name]:.3e}")
     for name in DISCRETE:
         where = differs.get(name)
-        print(f"{name:18s} " + ("identical" if not where else "differ: " + ", ".join(where)))
+        print(f"{name:22s} " + ("identical" if not where else "differ: " + ", ".join(where)))
     return 1 if differs else 0
 
 
