@@ -35,9 +35,11 @@ sqrt(d'Hd) / s standard deviations, and its model decrease is
 promised = d'Hd / 2, so a step of at most eps standard deviations is one
 with promised <= eps^2 cost / r. The same holds for a cost e'We with its
 doubled slope and curvature, as `refine` passes them. When the loop
-stops, what is left to the minimum is the sum of the steps it skips; at
-the linear rates of at most about 1/2 per step that Huber rows give here,
-that is at most the last step, so the estimate lies within about eps
+stops, what is left to the minimum is the sum of the steps it skips. In
+fusion's last solve on the benchmark workloads (seeds 1 and 7) each cost
+decrease is 0.002 to 0.25 of the one before it, about 0.05 in the median,
+so the distance to the minimum shrinks by at least 1/2 per step, and what
+is left is at most the last step: the estimate lies within about eps
 standard deviations of the minimum and its standard error grows by a
 factor sqrt(1 + eps^2). eps = NEGLIGIBLE_STEP = 0.0025 keeps that 40 times
 below the 0.1 standard deviations at which two estimates count as
@@ -58,6 +60,29 @@ minimum's by about delta^2 s^2 / 2 = delta^2 cost / r. The variance factor
 about delta^2 s^2 / r_g; for a factor near s^2 that is delta^2 / sqrt(2 r_g),
 at most delta^2 / sqrt(2), of the factor's own relative sampling spread
 sqrt(2 / r_g) for any r_g >= 1: 4.4 % at delta = 0.25.
+
+A solve resumes where the last solve of the same problem stopped, as a
+trust-region method carries its damping from one iteration to the next
+(Madsen, Nielsen & Tingleff, 2004, sec. 3.2; Nocedal & Wright, "Numerical
+Optimization", 2006, ch. 4). It starts at that solve's final damping, but
+never above INITIAL_LAMBDA, so a solve that ended past LAMBDA_MAX does not
+stop the next one at once. The damping scales diag(H), so rescaling a
+group's covariances between the solves leaves it meaningful. Restarted at
+INITIAL_LAMBDA, fusion's last solve spent its first 3-5 steps bringing
+the damping back down, with cost decreases that grew from step to step,
+and took 7-10 iterations where it now takes 1-4. A solve also keeps a copy
+of its final value vector with the raw residuals and Jacobian builders
+there; the next solve's start and `marginal_covariances`, evaluated at an
+equal vector, whiten those under the current covariances instead of
+calling the callbacks again. Adding a block drops both with the workspace.
+
+A diagonal covariance, as the pixel, control-point and bias-walk rows of
+the synthetic scenes have, is whitened elementwise by its inverse sigmas;
+any other takes the symmetric inverse square root from an `eigh`. The
+eigendecomposition of a diagonal matrix gives 1/sigma exactly, so both
+give the same numbers, but `eigh` costs O(d^3) time and several dense
+(d, d) arrays per row: a row of 10 000 scalar observations took minutes
+and gigabytes that way.
 
 Parameter values are packed float rows: a Euclidean (d,) vector (tangent
 d), a rigid pose [q | t] (tangent 6: rotation, translation) and a
@@ -186,7 +211,8 @@ class ResidualBlock:
     factors of Dellaert & Kaess (2017) do (see the module docstring). Row n
     may depend only on row n of each slot (a slot whose rows all name one
     block may be read from any row). The covariance is (d, d), shared by
-    all rows, or (N, d, d).
+    all rows, or (N, d, d); `whitener` holds its inverse sigmas, (d,) or
+    (N, d), when it is diagonal, else its symmetric inverse square roots.
     """
 
     id: str
@@ -217,7 +243,25 @@ class ResidualBlock:
                 f" neither (d, d) nor ({self.rows}, d, d)"
             )
         self.covariance = cov
-        self.whitener = _inverse_sqrt(cov, self.id)
+        self.whitener = _whitener(cov, self.id)
+
+    def whiten(self, a: np.ndarray) -> np.ndarray:
+        """The (N, d, k) array `a` with each row's d entries whitened."""
+        if self.whitener.ndim < self.covariance.ndim:  # inverse sigmas
+            return self.whitener[..., None] * a
+        return self.whitener @ a
+
+
+def _whitener(cov: np.ndarray, rid: str) -> np.ndarray:
+    """The inverse sigmas of a diagonal (d, d) or (N, d, d) covariance,
+    (d,) or (N, d), else its symmetric inverse square roots."""
+    var = np.diagonal(cov, axis1=-2, axis2=-1)
+    if np.count_nonzero(cov) != np.count_nonzero(var):
+        return _inverse_sqrt(cov, rid)
+    if not np.all(var > 0.0):
+        raise ValueError(f"residual '{rid}': covariance not positive-definite")
+    inverse = np.sqrt(var)
+    return np.divide(1.0, inverse, out=inverse)
 
 
 def _inverse_sqrt(cov: np.ndarray, rid: str) -> np.ndarray:
@@ -366,7 +410,12 @@ class _Workspace:
     The flat value vector holds every block's row in insertion order, the
     row of block `pid` from index `value_starts[pid]` on. The tangent holds
     the retained blocks in insertion order, then the eliminated points. A
-    problem keeps its workspace until a block is added."""
+    problem keeps its workspace until a block is added.
+
+    The workspace also holds where the last :func:`solve` of the problem
+    stopped: its final damping (`damping`, INITIAL_LAMBDA before any solve)
+    and `last`, a copy of its final value vector with the raw residuals and
+    Jacobian builders there (None before any solve)."""
 
     def __init__(self, problem: Problem):
         # the problem's dicts, not the problem: it holds the workspace
@@ -470,6 +519,8 @@ class _Workspace:
         self.redundancy = {
             g: int(group_rows[k] - exclusive_dims[k]) for g, k in groups.items()
         }
+        self.damping = INITIAL_LAMBDA
+        self.last: tuple[np.ndarray, dict, dict] | None = None
 
     def _map_products(self) -> None:
         """For each pair of slots (a, b >= a) of one residual block: the
@@ -526,15 +577,17 @@ class _Workspace:
         """One (N, size) array of value rows per slot of a block."""
         return [x[idx] for idx in self.slot_indices[r.id]]
 
-    def evaluate(self, x: np.ndarray) -> tuple[float, dict, dict]:
-        """Robust cost, and per block the whitened (N, d) residuals and the
-        function that builds their Jacobians."""
-        cost = 0.0
-        whitened: dict[str, np.ndarray] = {}
+    def raw_residuals(self, x: np.ndarray) -> tuple[dict, dict]:
+        """Per block the raw (N, d) residuals at `x` and the function that
+        builds their Jacobians; at the value vector the last solve ended
+        at, those it kept, with no callback called."""
+        if self.last is not None and np.array_equal(x, self.last[0]):
+            return self.last[1], self.last[2]
+        raws: dict[str, np.ndarray] = {}
         builders: dict[str, Callable] = {}
         for r in self.residuals.values():
             raw, builders[r.id] = r.fn(*self.slots(r, x))
-            raw = np.asarray(raw, dtype=float)
+            raw = raws[r.id] = np.asarray(raw, dtype=float)
             if raw.shape != (r.rows, r.dim):
                 raise SolverError(
                     f"residual '{r.id}' returned shape {raw.shape},"
@@ -545,18 +598,35 @@ class _Workspace:
                 raise SolverError(
                     f"non-finite residual in block '{r.id}'", block_id=r.id
                 )
-            w = (r.whitener @ raw[..., None])[..., 0]
-            whitened[r.id] = w
+        return raws, builders
+
+    def whitened(self, raws: dict[str, np.ndarray]) -> tuple[float, dict]:
+        """Robust cost, and per block the whitened (N, d) residuals, of the
+        raw residuals under the current covariances."""
+        cost = 0.0
+        whitened: dict[str, np.ndarray] = {}
+        for r in self.residuals.values():
+            w = whitened[r.id] = r.whiten(raws[r.id][..., None])[..., 0]
             sq = np.einsum("ni,ni->n", w, w)
             cost += 0.5 * float((r.loss.cost(sq) if r.loss else sq).sum())
-        return cost, whitened, builders
+        return cost, whitened
 
-    def try_evaluate(self, x: np.ndarray):
-        """Like evaluate, but a failing trial state just reports inf cost."""
+    def evaluate(self, x: np.ndarray) -> tuple[float, dict, dict]:
+        """Robust cost, and per block the whitened (N, d) residuals and the
+        function that builds their Jacobians."""
+        raws, builders = self.raw_residuals(x)
+        return *self.whitened(raws), builders
+
+    def try_evaluate(self, x: np.ndarray) -> tuple[float, dict, dict, dict]:
+        """Robust cost, and per block the raw and the whitened residuals and
+        the Jacobian builder at a trial state; a failing one reports inf
+        cost."""
         try:
-            return self.evaluate(x)
+            raws, builders = self.raw_residuals(x)
         except VigtError:
-            return np.inf, {}, {}
+            return np.inf, {}, {}, {}
+        cost, whitened = self.whitened(raws)
+        return cost, raws, whitened, builders
 
     def linearize(
         self, whitened: dict[str, np.ndarray], builders: dict[str, Callable]
@@ -585,7 +655,7 @@ class _Workspace:
                         f" has shape {jac.shape}, expected {expected}",
                         block_id=r.id,
                     )
-                jw = r.whitener @ jac
+                jw = r.whiten(jac)
                 if not np.all(np.isfinite(jw)):
                     raise SolverError(
                         f"non-finite Jacobian in block '{r.id}'", block_id=r.id
@@ -1066,6 +1136,12 @@ def solve(problem: Problem, max_iters: int = 100, step: float = NEGLIGIBLE_STEP)
     `lm_update`'s rule at `step` a-posteriori standard deviations; returns
     the report.
 
+    A solve resumes where the last solve of the same problem stopped (see
+    the module docstring): it starts at that solve's final damping, but
+    never above INITIAL_LAMBDA, and at the state it ended at it whitens the
+    residuals kept there under the current covariances instead of calling
+    the callbacks again.
+
     Terminations: "converged" (`lm_update` stopped on a negligible step,
     accepted or not, with the redundancy rows less unknowns, or the cost
     reached the zero-residual floor), "no_progress" (no damping lowers the
@@ -1076,11 +1152,12 @@ def solve(problem: Problem, max_iters: int = 100, step: float = NEGLIGIBLE_STEP)
     x = ws.values()
     redundancy = ws.n_rows - ws.n_tangent
 
-    cost, whitened, builders = ws.evaluate(x)
+    raws, builders = ws.raw_residuals(x)
+    cost, whitened = ws.whitened(raws)
     initial_cost = cost
     cost_history = [cost]
 
-    lam = INITIAL_LAMBDA
+    lam = min(ws.damping, INITIAL_LAMBDA)
     iterations = 0
     termination = "max_iterations"
 
@@ -1102,7 +1179,7 @@ def solve(problem: Problem, max_iters: int = 100, step: float = NEGLIGIBLE_STEP)
             if promised == np.inf:
                 promised = model_decrease(float(grad @ delta), ws.curvature(jacs, delta))
             trial = ws.apply_step(x, delta)
-            trial_cost, trial_whitened, trial_builders = ws.try_evaluate(trial)
+            trial_cost, trial_raws, trial_whitened, trial_builders = ws.try_evaluate(trial)
             accept, lam, stop = lm_update(cost, trial_cost, promised, lam, redundancy, step)
             if accept or stop:
                 break
@@ -1111,13 +1188,16 @@ def solve(problem: Problem, max_iters: int = 100, step: float = NEGLIGIBLE_STEP)
             termination = "converged" if floor else "no_progress"
             break
 
-        x, cost, whitened, builders = trial, trial_cost, trial_whitened, trial_builders
+        x, cost, raws, whitened, builders = (
+            trial, trial_cost, trial_raws, trial_whitened, trial_builders
+        )
         cost_history.append(cost)
         if stop or cost <= _COST_TOL_REL * initial_cost:
             termination = "converged"
             break
 
     ws.store(x)
+    ws.damping, ws.last = lam, (x.copy(), raws, builders)
 
     group_res: dict[str, np.ndarray] = {}
     for r in problem.residuals.values():

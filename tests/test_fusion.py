@@ -186,21 +186,26 @@ def test_optimize_builds_one_workspace(scene, monkeypatch):
 
 
 def test_imu_terms_computed_once_per_evaluation(scene, monkeypatch):
-    # the IMU block builds its Jacobians from the terms of its residuals
+    # the IMU block builds its Jacobians from the terms of its residuals;
+    # an evaluation that the solver takes from the last solve's end state
+    # calls no callback and computes no terms
     counts = {"terms": 0, "evaluations": 0}
-    terms, evaluate = inertial._residual_terms, solver._Workspace.evaluate
+    terms = inertial._residual_terms
+    fp = fusion_problem(scene)
+    imu = fp.problem.residuals["imu"]
+    callback = imu.fn
 
     def counted_terms(*args):
         counts["terms"] += 1
         return terms(*args)
 
-    def counted_evaluate(self, x):
+    def counted_callback(*slots):
         counts["evaluations"] += 1
-        return evaluate(self, x)
+        return callback(*slots)
 
     monkeypatch.setattr(inertial, "_residual_terms", counted_terms)
-    monkeypatch.setattr(solver._Workspace, "evaluate", counted_evaluate)
-    optimize_pseudo_gt(fusion_problem(scene))
+    imu.fn = counted_callback
+    optimize_pseudo_gt(fp)
     assert counts["evaluations"] > 0
     assert counts["terms"] == counts["evaluations"]
 
@@ -243,6 +248,36 @@ def test_round_step_moves_no_keyframe_past_a_tenth_sigma(scene, monkeypatch):
         patch.setattr(fusion, "_ROUND_STEP", solver.NEGLIGIBLE_STEP)
         full_poses, full = optimized()
     for a, b, cov in zip(full_poses, poses, full.pose_covariances):
+        rotation = (a.rotation.inverse() @ b.rotation).log()
+        d = np.concatenate([rotation, b.translation - a.translation])
+        assert np.sqrt(d @ np.linalg.solve(cov, d)) <= 0.1
+
+
+def test_last_solve_resumes_in_half_the_iterations_of_a_restart(scene, monkeypatch):
+    # against the same solves each started again at INITIAL_LAMBDA, in the
+    # Mahalanobis norm of each body pose's tangent (rotation, translation)
+    # difference under its marginal covariance
+    def optimized(restart: bool):
+        fp = fusion_problem(scene)
+        reports, solve = [], fusion.solve
+
+        def recorded(problem, **kwargs):
+            if restart and problem._workspace is not None:
+                problem._workspace.damping = solver.INITIAL_LAMBDA
+            reports.append(solve(problem, **kwargs))
+            return reports[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fusion, "solve", recorded)
+            pgt = optimize_pseudo_gt(fp)
+        poses = [fp.problem.value(f"kf:{ts}:pose") for ts in fp.keyframe_ts]
+        return poses, pgt, reports[-1]
+
+    poses, _, last = optimized(restart=False)
+    restart_poses, restart, restart_last = optimized(restart=True)
+    assert last.termination == restart_last.termination == "converged"
+    assert 2 * last.iterations <= restart_last.iterations
+    for a, b, cov in zip(restart_poses, poses, restart.pose_covariances):
         rotation = (a.rotation.inverse() @ b.rotation).log()
         d = np.concatenate([rotation, b.translation - a.translation])
         assert np.sqrt(d @ np.linalg.solve(cov, d)) <= 0.1

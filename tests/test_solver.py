@@ -496,7 +496,9 @@ def dense_system(p: Problem):
         slots = ws.slots(r, x)
         raw, jacobians = r.fn(*slots)
         jacs = jacobians()
-        whitener = np.broadcast_to(r.whitener, (r.rows, r.dim, r.dim))
+        # the symmetric inverse square roots, diagonal covariances included
+        inverse_sqrt = solver._inverse_sqrt(r.covariance, r.id)
+        whitener = np.broadcast_to(inverse_sqrt, (r.rows, r.dim, r.dim))
         for n in range(r.rows):
             w = whitener[n] @ raw[n]
             scale = np.sqrt(r.loss.weight(w @ w)) if r.loss else 1.0
@@ -738,6 +740,63 @@ def test_diagonal_whitener_is_elementwise_inverse_sqrt(d):
         solver._inverse_sqrt(cov, "r")
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["per-row", "shared"])
+def test_diagonal_whitening_matches_the_eigh_path_within_one_ulp(shared):
+    # whitened residuals, Huber weights and whitened Jacobians of random
+    # diagonal covariances, against their symmetric inverse square roots
+    rng = np.random.default_rng(11)
+    n, d = 300, 3
+    var = np.exp(rng.uniform(-20.0, 20.0, size=(1 if shared else n, d)))
+    cov = var[..., None] * np.eye(d)
+    raw = rng.normal(scale=2.0, size=(n, d)) * np.sqrt(var)
+    jac = rng.normal(size=(n, d, 2))
+    p = Problem()
+    p.add_parameter_block("x", np.zeros(2))
+    block = p.add_stacked_block(
+        lambda x: (raw, lambda: [jac]), [["x"] * n], cov[0] if shared else cov, loss=HuberLoss()
+    )
+    assert block.whitener.shape == ((d,) if shared else (n, d))
+    ws = solver._Workspace(p)
+
+    def whitened():
+        _, w, builders = ws.evaluate(ws.values())
+        jacs, _ = ws.linearize(w, builders)
+        w = w[block.id]
+        return w, block.loss.weight(np.einsum("ni,ni->n", w, w)), jacs[0]
+
+    elementwise = whitened()
+    assert 0.0 < elementwise[1].min() < 1.0  # some rows past the Huber corner
+    block.whitener = solver._inverse_sqrt(block.covariance, block.id)
+    for a, b in zip(elementwise, whitened()):
+        np.testing.assert_array_max_ulp(a, b, maxulp=1)
+
+
+def test_diagonal_whitening_memory_is_linear_in_the_rows():
+    # 10 000 rows of dimension 2: their inverse sigmas take 160 kB, the
+    # (N, 2, 2) covariance 320 kB, and the eigh path several times that
+    n, d = 10_000, 2
+    cov = np.broadcast_to(np.diag([0.25, 4.0]), (n, d, d)).copy()
+    eye = np.broadcast_to(np.eye(d), (n, d, d))
+    p = Problem()
+    p.add_parameter_block("x", np.zeros(d))
+    block = p.add_stacked_block(lambda x: (x - 1.0, lambda: [eye]), [["x"] * n], np.eye(d))
+    ws = solver._Workspace(p)
+    raws, _ = ws.raw_residuals(ws.values())
+    tracemalloc.start()
+    try:
+        block.set_covariance(cov)
+        whitening = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ws.whitened(raws)
+        residuals = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert block.whitener.shape == (n, d)
+    assert whitening < cov.nbytes
+    assert residuals < cov.nbytes
+
+
 def test_programming_error_in_linear_solve_propagates(monkeypatch):
     def broken(system, lam):
         raise TypeError("bug in the linear solve")
@@ -977,6 +1036,116 @@ def test_solve_started_at_its_minimum_factors_once_in_its_last_iteration(monkeyp
     assert report.termination == "converged"
     assert len(factors) == report.iterations
     assert factors[-1] <= 1
+
+
+def recorded_damping(monkeypatch) -> tuple[list[float], list[float]]:
+    """The damping of every factorization, and the damping that every
+    `lm_update` call hands on, in the order of the calls."""
+    factored, updated = [], []
+    factor, update = solver._NormalEquations.factor, solver.lm_update
+
+    def recorded_factor(system, lam):
+        factored.append(lam)
+        return factor(system, lam)
+
+    def recorded_update(*args):
+        out = update(*args)
+        updated.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver._NormalEquations, "factor", recorded_factor)
+    monkeypatch.setattr(solver, "lm_update", recorded_update)
+    return factored, updated
+
+
+def recorded_states(p: Problem) -> list[np.ndarray]:
+    """The value rows, flattened, of every call of the problem's callbacks
+    from now on."""
+    states = []
+    for r in p.residuals.values():
+
+        def recorded(*slots, fn=r.fn):
+            states.append(np.concatenate([s.ravel() for s in slots]))
+            return fn(*slots)
+
+        r.fn = recorded
+    return states
+
+
+def test_second_solve_starts_at_the_first_ones_final_damping(monkeypatch):
+    # a coarse solve, as fusion's reweighting rounds make, then the last one
+    factored, updated = recorded_damping(monkeypatch)
+    p = exponential_fit(0)
+    solve(p, step=0.25)
+    ended, first = updated[-1], len(factored)
+    assert ended < solver.INITIAL_LAMBDA
+    report = solve(p)
+    assert report.iterations >= 1
+    assert factored[first] == ended
+
+
+def test_solve_that_made_no_progress_does_not_stop_the_next_at_once(monkeypatch):
+    # the wrong-sign Jacobian of the stall test: the damping rises past
+    # LAMBDA_MAX, and the next solve starts again at INITIAL_LAMBDA
+    factored, _ = recorded_damping(monkeypatch)
+    p = Problem()
+    p.add_parameter_block("x", np.array([0.0]))
+    p.add_residual_block(
+        lambda x: np.array([x[0] - 3.0, 1e3]),
+        ["x"],
+        np.eye(2),
+        jac=lambda x: [np.array([[-1.0], [0.0]])],
+    )
+    assert solve(p).termination == "no_progress"
+    first = len(factored)
+    assert factored[-1] > solver.LAMBDA_MAX / solver.LAMBDA_UP
+    assert solve(p).termination == "no_progress"
+    assert factored[first:] == factored[:first]
+    assert factored[0] == solver.INITIAL_LAMBDA
+
+
+def test_adding_a_block_resets_damping_and_cached_evaluation(monkeypatch):
+    factored, updated = recorded_damping(monkeypatch)
+    p = exponential_fit(1)
+    solve(p)
+    assert updated[-1] < solver.INITIAL_LAMBDA
+    start = p.value("abc").copy()
+    states = recorded_states(p)
+    p.add_parameter_block("d", np.array([0.0]))
+    p.add_residual_block(lambda d: d - 1.0, ["d"], np.eye(1))
+    first = len(factored)
+    solve(p)
+    assert factored[first] == solver.INITIAL_LAMBDA
+    # the fit's callback is called again at the state the first solve ended at
+    assert any(np.array_equal(state, start) for state in states)
+
+
+def test_value_changed_in_place_after_a_solve_is_evaluated_again():
+    # the solve keeps a copy of the values it ended at, not the block rows
+    p = exponential_fit(2)
+    solve(p)
+    p.params["abc"].value[2] += 0.5
+    states = recorded_states(p)
+    report = solve(p, max_iters=0)
+    np.testing.assert_array_equal(states[0], p.value("abc"))
+    fresh = exponential_fit(2)
+    fresh.params["abc"].value = p.value("abc").copy()
+    assert report.initial_cost == solve(fresh, max_iters=0).initial_cost
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_resolve_at_the_minimum_takes_one_iteration_and_no_callback_at_its_start(seed):
+    p = refit_exponential(seed)
+    start = p.value("abc").copy()
+    states = recorded_states(p)
+    report = solve(p)
+    assert report.termination == "converged"
+    assert report.iterations == 1
+    assert states and not any(np.array_equal(state, start) for state in states)
+    # the marginals linearize at the state the solve ended at, kept with it
+    called = len(states)
+    marginal_covariances(p, ["abc"])
+    assert len(states) == called
 
 
 # the tolerance of a cost of 2 and redundancy 10: a step of NEGLIGIBLE_STEP
